@@ -44,9 +44,10 @@ __all__ = [
     "bessel_tail_bound",
 ]
 
-# |J_nu(t)| <= c t^(-1/3) for t > 0, nu >= 1/2 (Landau's uniform constant),
-# kept as an exact rational so tail bounds stay reproducible.
-LANDAU_BOUND_C = Fraction(7857468704, 10**10)
+# Landau's c = sup_x x^(1/3) |J_0(x)| = 0.78574687049851..., rounded up to
+# an exact rational so tail bounds stay reproducible.  It bounds
+# |J_nu(t)| t^(1/3) for every nu >= 1/2, whose supremum is about 0.7445.
+LANDAU_BOUND_C = Fraction(7857468705, 10**10)
 
 
 @dataclass(frozen=True)

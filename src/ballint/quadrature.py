@@ -7,11 +7,12 @@ analytic bound on whatever lies beyond the cutoff, and a working-precision
 floor.  Analytic tail bounds are never folded into the value.
 
 Integration strategy: |f|^n is smooth except at the zeros of f, so the
-domain is split there (multiples of pi for sinc, bisected sign changes
-for Bessel) and each smooth piece gets a fixed-order Gauss-Legendre rule.
-The whole subdivision is refined together, doubling the order until two
-successive totals agree below target/2, so the node set is a
-deterministic function of the inputs and results are bit-reproducible.
+domain is split there (multiples of pi for sinc, the zeros of J_nu from
+mpmath's besseljzero for Bessel) and each smooth piece gets a
+fixed-order Gauss-Legendre rule.  The whole subdivision is refined
+together, doubling the order until two successive totals agree below
+target/2, so the node set is a deterministic function of the inputs and
+results are bit-reproducible.
 
 Two sinc regimes: for large n the integrand dies fast and a finite lobe
 count with the t^{-n} envelope bound suffices; for small n the envelope
@@ -34,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
 from typing import Callable, Sequence
 
 import mpmath as mp
@@ -49,7 +52,6 @@ __all__ = [
     "PrecisionFailure",
     "LOBE_CAP",
     "ZETA_LOBES",
-    "T_MAX",
     "sinc_integral",
     "bessel_j_normalized",
     "bessel_integral",
@@ -58,10 +60,8 @@ __all__ = [
 
 LOBE_CAP = 64     # most pi-lobes worth integrating before switching to the zeta tail
 ZETA_LOBES = 24   # head lobes kept in zeta mode
-T_MAX = 100       # Bessel series evaluation cap (cancellation budget)
 
 _GL_CACHE: dict[tuple[int, int], tuple] = {}
-_ZERO_CACHE: dict[tuple, tuple] = {}
 _QUAD_CACHE: dict[tuple, "QuadEstimate"] = {}
 
 
@@ -292,99 +292,48 @@ def sinc_integral(n: int, prec: Precision | None = None, use_memo: bool = True) 
     return est
 
 
-def _cancellation_allowance(t: float) -> int:
-    """Extra digits to absorb the alternating-series cancellation up to t."""
-    return int(2 * max(t, 0) / math.log(10)) + 10
+def _mpq(q: Fraction) -> mp.mpf:
+    return mp.mpf(q.numerator) / q.denominator
 
 
-def _f_nu_series(v: Fraction, t: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
-    """(value, last term magnitude) of the normalized series at ambient dps."""
-    u = t * t / 4
-    term = mp.mpf(1)
-    total = mp.mpf(1)
-    if u == 0:
-        return total, mp.mpf(0)
-    nv = mp.mpf(v.numerator) / v.denominator
-    eps = mp.mpf(10) ** (-(mp.mp.dps + 3))
-    j = 1
-    while True:
-        term *= -u / (j * (nv + j))
-        total += term
-        if abs(term) < eps and j * j > u:
-            return total, abs(term)
-        j += 1
-        if j > 100000:
-            raise ArithmeticError("normalized Bessel series failed to converge")
+def _amplitude(nv: mp.mpf) -> mp.mpf:
+    """2^nu Gamma(nu+1), the factor that makes f_nu(0) = 1."""
+    return mp.power(2, nv) * mp.gamma(nv + 1)
 
 
-def _f_nu(v: Fraction, t: mp.mpf, allowance: int) -> mp.mpf:
-    with mp.extradps(allowance):
-        total, _ = _f_nu_series(v, t)
-    return +total
+def _f_nu(nv: mp.mpf, amp: mp.mpf, t: mp.mpf) -> mp.mpf:
+    """amp J_nu(t) / t^nu at the ambient precision, for t > 0."""
+    return amp * mp.besselj(nv, t) / mp.power(t, nv)
 
 
 def bessel_j_normalized(nu: Nu, t, prec: Precision | None = None) -> BesselEval:
-    """f_nu(t) = 2^nu Gamma(nu+1) J_nu(t) / t^nu by the Maclaurin series.
+    """f_nu(t) = 2^nu Gamma(nu+1) J_nu(t) / t^nu from mpmath's besselj.
 
-    The series alternates with heavy cancellation for large t, so the
-    working precision is raised by about 2t/ln 10 digits before summing;
-    err_bound covers the neglected tail and accumulated rounding.
+    Evaluated at the working precision for any t >= 0; err_bound is the
+    working-precision floor.
     """
     prec = prec or Precision()
     with mp.workdps(prec.working_dps):
         tt = mp.mpf(t)
         if tt < 0:
             raise ValueError("t must be nonnegative")
-        if tt > T_MAX:
-            raise ValueError(f"t exceeds the evaluation cap {T_MAX} (cancellation budget)")
-        allowance = _cancellation_allowance(float(tt))
-        with mp.extradps(allowance):
-            value, last = _f_nu_series(nu.value, tt)
-        value = +value
-        err = 2 * last + mp.mpf(10) ** (1 - prec.working_dps) * (1 + abs(value))
+        nv = _mpq(nu.value)
+        value = _f_nu(nv, _amplitude(nv), tt) if tt else mp.mpf(1)
+        err = mp.mpf(10) ** (1 - prec.working_dps) * (1 + abs(value))
         return BesselEval(nu=nu, t=+tt, value=value, err_bound=+err)
 
 
-def _bessel_zeros(nu: Nu, X: mp.mpf, prec: Precision, allowance: int) -> tuple:
-    """All zeros of f_nu in (0, X), by 0.25-grid sampling plus bisection."""
-    key = (nu.value, mp.nstr(X, 25), prec.decimal_digits)
-    cached = _ZERO_CACHE.get(key)
-    if cached is not None:
-        return cached
-    step = mp.mpf(1) / 4
-    tol = mp.mpf(10) ** (-(prec.decimal_digits + 5))
-    zeros = []
-    t_prev = mp.mpf(0)
-    s_prev = 1  # f_nu(0) = 1
-    t = step
-    while t_prev < X:
-        t_cur = min(t, X)
-        val = _f_nu(nu.value, t_cur, allowance)
-        if val == 0:
-            zeros.append(t_cur)
-            s_cur = -s_prev
-        else:
-            s_cur = 1 if val > 0 else -1
-            if s_cur != s_prev:
-                a, b = t_prev, t_cur
-                fa = _f_nu(nu.value, a, allowance) if a > 0 else mp.mpf(1)
-                if fa == 0 or (fa > 0) == (val > 0):
-                    raise ArithmeticError("zero bracketing failed; increase sampling density")
-                while b - a > tol:
-                    m_ = (a + b) / 2
-                    fm = _f_nu(nu.value, m_, allowance)
-                    if fm == 0:
-                        a = b = m_
-                    elif (fm > 0) == (fa > 0):
-                        a, fa = m_, fm
-                    else:
-                        b = m_
-                zeros.append((a + b) / 2)
-        t_prev, s_prev = t_cur, s_cur
-        t += step
-    result = tuple(z for z in zeros if z < X - tol)
-    _ZERO_CACHE[key] = result
-    return result
+@lru_cache(maxsize=256)
+def _bessel_zeros(v: Fraction, X: mp.mpf, wdps: int) -> tuple:
+    """All zeros of J_v in (0, X), from mpmath's besseljzero at wdps."""
+    with mp.workdps(wdps):
+        nv = _mpq(v)
+        zeros = []
+        for k in count(1):
+            z = mp.besseljzero(nv, k)
+            if z >= X:
+                return tuple(zeros)
+            zeros.append(z)
 
 
 def _completed_tail_n2(nu: Nu, X: mp.mpf, amp: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
@@ -393,20 +342,17 @@ def _completed_tail_n2(nu: Nu, X: mp.mpf, amp: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
     S(X) = J_nu(X)^2 + 2 sum_{k>=1} J_{nu+k}(X)^2 telescopes
     d/dx S = 2 nu J_nu^2 / x, so the tail integral of amp^2 J_nu^2 / t
     beyond X is exactly amp^2 (1 - S(X)) / (2 nu).  Terms are summed until
-    the (X/2)^{nu+k}/Gamma(nu+k+1) prefactor is negligible; |f| <= 1 makes
-    the prefactor an envelope for the term.
+    the (X/2)^{nu+k}/Gamma(nu+k+1) prefactor is negligible; it bounds
+    |J_{nu+k}(X)| and so the truncated terms.
     """
-    v = nu.value
-    allowance = _cancellation_allowance(float(X))
-    with mp.extradps(allowance + 10):
-        nv = mp.mpf(v.numerator) / v.denominator
+    with mp.extradps(10):
+        nv = _mpq(nu.value)
         pref = mp.power(X / 2, nv) / mp.gamma(nv + 1)
         stop = mp.mpf(10) ** (-(mp.mp.dps + 5))
         S = mp.mpf(0)
         k = 0
         while pref > stop:
-            fk = _f_nu(v + k, X, 0)  # already inside the extended context
-            jk = fk * pref
+            jk = mp.besselj(nv + k, X)
             S += (jk * jk) if k == 0 else 2 * (jk * jk)
             k += 1
             pref *= (X / 2) / (nv + k)
@@ -421,9 +367,9 @@ def bessel_integral(nu: Nu, n: int, prec: Precision | None = None,
     """n^nu int_0^inf (2^nu Gamma(nu+1)|J_nu(t)|/t^nu)^n t^{2nu-1} dt.
 
     Integrates to X = cutoff_mult * 2^nu Gamma(nu+1), splitting at every
-    zero of J_nu located by grid sampling and bisection.  The first piece
-    is mapped through t = y^{q/2} (nu = p/q) so the t^{2nu-1} branch point
-    becomes the analytic monomial y^{p-1}.  For n >= 3 the decay-envelope
+    zero of J_nu below X; the kernel is mpmath's besselj, so X is not
+    capped.  The first piece is mapped through t = y^{q/2} (nu = p/q) so
+    the t^{2nu-1} branch point becomes the analytic monomial y^{p-1}.  For n >= 3 the decay-envelope
     tail bound at X goes into abs_err_bound; at n = 2 the tail is instead
     completed exactly into the value (see _completed_tail_n2).
     """
@@ -440,22 +386,17 @@ def bessel_integral(nu: Nu, n: int, prec: Precision | None = None,
     p, q = nu.value.numerator, nu.value.denominator
 
     def build(wdps):
-        v = nu.value
-        nv = mp.mpf(v.numerator) / v.denominator
-        amp = mp.power(2, nv) * mp.gamma(nv + 1)
+        nv = _mpq(nu.value)
+        amp = _amplitude(nv)
         X = cutoff_mult * amp
-        if X > T_MAX:
-            raise ValueError(f"cutoff {mp.nstr(X, 8)} exceeds the evaluation cap {T_MAX}")
-        allowance = _cancellation_allowance(float(X))
-        zeros = _bessel_zeros(nu, X, prec, allowance)
-        bounds = [mp.mpf(0), *zeros, X]
+        bounds = [mp.mpf(0), *_bessel_zeros(nu.value, X, wdps), X]
 
-        def direct(t, n=n, nv=nv, allowance=allowance, v=v):
-            return abs(_f_nu(v, t, allowance)) ** n * mp.power(t, 2 * nv - 1)
+        def direct(t, n=n, nv=nv, amp=amp):
+            return abs(_f_nu(nv, amp, t)) ** n * mp.power(t, 2 * nv - 1)
 
-        def first_sub(y, n=n, allowance=allowance, v=v, p=p, q=q):
+        def first_sub(y, n=n, nv=nv, amp=amp, p=p, q=q):
             t = mp.power(y, mp.mpf(q) / 2)
-            return abs(_f_nu(v, t, allowance)) ** n * mp.mpf(q) / 2 * y ** (p - 1)
+            return abs(_f_nu(nv, amp, t)) ** n * mp.mpf(q) / 2 * y ** (p - 1)
 
         pieces: list[Piece] = [(mp.mpf(0), mp.power(bounds[1], mp.mpf(2) / q), first_sub)]
         for a, b in zip(bounds[1:-1], bounds[2:]):

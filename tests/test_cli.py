@@ -130,10 +130,16 @@ class TestEval:
         assert run_cli(capsys, "eval", "bessel", "--n", "5")[0] == EXIT_USAGE
         assert run_cli(capsys, "eval", "sinc", "--n", "5", "--format", "csv")[0] == EXIT_USAGE
 
-    def test_cutoff_cap_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "eval", "bessel", "--n", "8", "--nu", "7/3",
-                               "--cutoff-mult", "8")
-        assert code == EXIT_USAGE and "evaluation cap" in err
+    def test_default_cutoff_has_no_cap(self, capsys):
+        # the default cutoff at nu = 2 is 192; the closed form is 2^5 Gamma(3) Gamma(2) = 64
+        code, out, _ = run_cli(capsys, "eval", "bessel", "--n", "2", "--nu", "2",
+                               "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert mp.mpf(doc["cutoff"]) == 192
+        # the value is printed to a fixed number of digits: allow half its last place
+        half_place = mp.mpf(10) ** -len(doc["value"].split(".")[1]) / 2
+        assert abs(mp.mpf(doc["value"]) - 64) <= mp.mpf(doc["abs_err_bound"]) + half_place
 
     def test_precision_failure_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "eval", "sinc", "--n", "97", "--digits", "30",

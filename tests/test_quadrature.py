@@ -15,6 +15,7 @@ from ballint.quadrature import (
     Precision,
     PrecisionFailure,
     QuadEstimate,
+    _bessel_zeros,
     bessel_integral,
     bessel_j_normalized,
     remainder_decay_fit,
@@ -30,6 +31,28 @@ ONE = Nu(Fraction(1))
 # at cutoff_mult=79).  It sits 0.053 above the signed integral
 # sqrt(3) int (sin t/t)^3 = 3 sqrt(3) pi/8, as |sin t/t|^3 must.
 I3_REFERENCE = "2.09308676894979384243213365357"
+
+# f_nu(t) = (2k+1)!! j_k(t) / t^k at nu = k + 1/2, from the spherical Bessel j_k
+HALF_INTEGER_FORMS = {
+    Fraction(1, 2): lambda t: mp.sin(t) / t,
+    Fraction(3, 2): lambda t: 3 * (mp.sin(t) - t * mp.cos(t)) / t**3,
+    Fraction(5, 2): lambda t: 15 * ((3 - t**2) * mp.sin(t) - 3 * t * mp.cos(t)) / t**5,
+}
+
+
+def maclaurin_f_nu(nu: Fraction, t, dps: int = 60) -> mp.mpf:
+    """sum_j (-t^2/4)^j / (j! (nu+1)...(nu+j)), with digits raised past the
+    alternating series' cancellation of about 2t/ln 10."""
+    with mp.workdps(dps + int(2 * t / math.log(10)) + 10):
+        u = mp.mpf(t) ** 2 / 4
+        v = mp.mpf(nu.numerator) / nu.denominator
+        term = total = mp.mpf(1)
+        j = 0
+        while j * j <= u or abs(term) > mp.mpf(10) ** -(dps + 5):
+            j += 1
+            term *= -u / (j * (v + j))
+            total += term
+        return total
 
 
 class TestPrecision:
@@ -110,8 +133,15 @@ class TestBesselClosedForms:
             bessel_integral(ONE, 1)
         with pytest.raises(ValueError):
             bessel_integral(ONE, 4, cutoff_mult=0.5)
-        with pytest.raises(ValueError, match="evaluation cap"):
-            bessel_integral(Nu(Fraction(7, 3)), 8, cutoff_mult=8)
+
+    def test_nu2_n2_default_cutoff(self):
+        # the default cutoff is 24 * 2^2 Gamma(3) = 192; the kernel has no
+        # evaluation cap, so the closed form 2^5 Gamma(3) Gamma(2) = 64 is met
+        est = bessel_integral(Nu(Fraction(2)), 2)
+        assert est.cutoff_used == 192
+        with mp.workdps(60):
+            assert abs(est.value - 64) <= est.abs_err_bound
+        assert est.abs_err_bound <= mp.mpf(1e-20)
 
 
 class TestPipelinesAgree:
@@ -130,16 +160,25 @@ class TestBesselJNormalized:
         ev = bessel_j_normalized(ONE, 0)
         assert ev.value == 1
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 3)]),
-           st.floats(0.1, 50))
-    def test_against_library(self, nu, t):
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(HALF_INTEGER_FORMS)), st.floats(1e-6, 200))
+    def test_against_closed_forms(self, nu, t):
         ev = bessel_j_normalized(Nu(nu), t)
-        with mp.workdps(50):
-            v = mp.mpf(nu.numerator) / nu.denominator
-            tt = mp.mpf(t)
-            want = mp.power(2, v) * mp.gamma(v + 1) * mp.besselj(v, tt) / mp.power(tt, v)
-            assert abs(ev.value - want) <= ev.err_bound + mp.mpf(10) ** -35
+        # the closed forms cancel like t^(2 nu - 1) near 0; extra digits absorb it
+        with mp.workdps(60 + 5 * max(0, -int(math.log10(t)))):
+            want = HALF_INTEGER_FORMS[nu](mp.mpf(t))
+            assert abs(ev.value - want) <= ev.err_bound
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([Fraction(1), Fraction(7, 3)]), st.floats(0.1, 50))
+    def test_against_maclaurin(self, nu, t):
+        ev = bessel_j_normalized(Nu(nu), t)
+        assert abs(ev.value - maclaurin_f_nu(nu, t)) <= ev.err_bound
+
+    @pytest.mark.parametrize("t", [101, 150])
+    def test_no_evaluation_cap(self, t):
+        ev = bessel_j_normalized(ONE, t)
+        assert abs(ev.value - maclaurin_f_nu(Fraction(1), t)) <= ev.err_bound
 
     def test_kernel_bounded(self):
         for k in range(1, 200):
@@ -149,8 +188,29 @@ class TestBesselJNormalized:
     def test_domain(self):
         with pytest.raises(ValueError):
             bessel_j_normalized(ONE, -0.5)
-        with pytest.raises(ValueError, match="evaluation cap"):
-            bessel_j_normalized(ONE, 101)
+
+
+class TestBesselZeros:
+    WDPS = Precision().working_dps
+
+    def test_half_zeros_are_multiples_of_pi(self):
+        with mp.workdps(self.WDPS):
+            zeros = _bessel_zeros(Fraction(1, 2), mp.mpf(50), self.WDPS)
+            assert len(zeros) == 15
+            for k, z in enumerate(zeros, 1):
+                assert abs(z - k * mp.pi) <= mp.mpf(10) ** (2 - self.WDPS) * z
+
+    def test_three_halves_zeros_solve_tan_t_eq_t(self):
+        # J_{3/2}(t) = 0 exactly when tan t = t: one root in each
+        # (k pi, k pi + pi/2), k >= 1, so none is missed or doubled
+        with mp.workdps(self.WDPS):
+            zeros = _bessel_zeros(Fraction(3, 2), mp.mpf(50), self.WDPS)
+        assert len(zeros) == 15
+        with mp.workdps(self.WDPS + 20):
+            for k, z in enumerate(zeros, 1):
+                assert k * mp.pi < z < k * mp.pi + mp.pi / 2
+                newton_step = (mp.sin(z) - z * mp.cos(z)) / (z * mp.sin(z))
+                assert abs(newton_step) <= mp.mpf(10) ** (2 - self.WDPS) * z
 
 
 class TestMemoTransparency:
