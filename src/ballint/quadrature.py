@@ -61,7 +61,6 @@ __all__ = [
 LOBE_CAP = 64     # most pi-lobes worth integrating before switching to the zeta tail
 ZETA_LOBES = 24   # head lobes kept in zeta mode
 
-_GL_CACHE: dict[tuple[int, int], tuple] = {}
 _QUAD_CACHE: dict[tuple, "QuadEstimate"] = {}
 
 
@@ -145,44 +144,44 @@ class PrecisionFailure(ArithmeticError):
         self.estimate = estimate
 
 
+@lru_cache(maxsize=64)
 def _legendre_rule(order: int, dps: int) -> tuple:
-    """Gauss-Legendre nodes/weights on [-1, 1], Newton-refined at dps."""
-    key = (order, dps)
-    cached = _GL_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Gauss-Legendre (node, weight) pairs on [-1, 1] for an even order at dps.
+
+    Newton's method on P_order runs in Python integers in fixed point at
+    wp = prec + 32 bits (prec: the binary precision of dps); the 32 guard bits
+    absorb the rounding of the stable forward recurrence.  Each positive root
+    starts from the float cos(pi (i - 1/4) / (order + 1/2)) and stops once
+    |dx| < 2^-(prec+8).  The weight 2 / ((1 - x^2) P'(x)^2) is taken in mpf at
+    wp bits at the converged node; nodes and weights are then rounded to prec.
+    """
+    if order % 2:
+        raise ValueError("Gauss-Legendre order must be even")
     with mp.workdps(dps):
-        stop = mp.mpf(10) ** (-dps)
-        half: list[tuple[mp.mpf, mp.mpf]] = []
-        for i in range(1, order // 2 + 1):
-            x = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (order + mp.mpf(1) / 2))
-            dp = mp.mpf(1)
-            for _ in range(100):
-                p0, p1 = mp.mpf(1), x
-                for j in range(2, order + 1):
-                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-                dp = order * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x -= dx
-                if abs(dx) < stop:
-                    break
-            w = 2 / ((1 - x * x) * dp * dp)
-            half.append((x, w))
-        rule = []
-        for x, w in reversed(half):
-            rule.append((-x, w))
-        if order % 2 == 1:
-            x = mp.mpf(0)
-            p0, p1 = mp.mpf(1), x
+        prec = mp.mp.prec
+        wp = prec + 32
+
+        def legendre(x):  # (P_{order-1}(x), P_order(x)), x and both values scaled by 2^wp
+            p0, p1 = 1 << wp, x
             for j in range(2, order + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = order * (x * p1 - p0) / (x * x - 1)
-            rule.append((x, 2 / (dp * dp)))
-        for x, w in half:
-            rule.append((x, w))
-        result = tuple(rule)
-    _GL_CACHE[key] = result
-    return result
+                p0, p1 = p1, (((2 * j - 1) * x * p1 >> wp) - (j - 1) * p0) // j
+            return p0, p1
+
+        half = []
+        for i in range(1, order // 2 + 1):
+            x = int(math.ldexp(math.cos(math.pi * (i - 0.25) / (order + 0.5)), 53)) << (wp - 53)
+            for _ in range(100):
+                p0, p1 = legendre(x)
+                dx = p1 * ((x * x >> wp) - (1 << wp)) // (order * ((x * p1 >> wp) - p0))
+                x -= dx
+                if abs(dx) < 1 << (wp - prec - 8):
+                    break
+            with mp.workprec(wp):
+                xm, p0m, p1m = (mp.mpf((v, -wp)) for v in (x, *legendre(x)))
+                dp = order * (xm * p1m - p0m) / (xm * xm - 1)
+                w = 2 / ((1 - xm * xm) * dp * dp)
+            half.append((+xm, +w))
+        return tuple((-x, w) for x, w in reversed(half)) + tuple(half)
 
 
 Piece = tuple[mp.mpf, mp.mpf, Callable[[mp.mpf], mp.mpf]]

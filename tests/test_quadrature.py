@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.calculus.quadrature import GaussLegendre
 
 from ballint.bessel import Nu, bessel_expansion, c0_value, i_nu_at_2
 from ballint.quadrature import (
@@ -16,6 +17,7 @@ from ballint.quadrature import (
     PrecisionFailure,
     QuadEstimate,
     _bessel_zeros,
+    _legendre_rule,
     bessel_integral,
     bessel_j_normalized,
     remainder_decay_fit,
@@ -73,6 +75,42 @@ class TestPrecision:
     def test_explicit_target(self):
         p = Precision(decimal_digits=40, target_abs_err=1e-30)
         assert p.target_abs_err == 1e-30
+
+
+class TestLegendreRule:
+    @pytest.mark.parametrize("order,dps", [(16, 45), (64, 65), (256, 75)])
+    def test_symmetric_with_positive_weights_summing_to_two(self, order, dps):
+        rule = sorted(_legendre_rule(order, dps))
+        assert len(rule) == order
+        with mp.workdps(dps):
+            for (x, w), (y, v) in zip(rule, reversed(rule)):
+                assert x == -y and w == v and w > 0
+            assert abs(mp.fsum(w for _, w in rule) - 2) <= mp.mpf(10) ** (2 - dps)
+
+    @pytest.mark.parametrize("dps", [45, 65])
+    @pytest.mark.parametrize("order", [16, 64])
+    def test_even_moments_exact_to_degree_2n_minus_1(self, order, dps):
+        rule = _legendre_rule(order, dps)
+        with mp.workdps(dps):
+            for k in range(order):
+                moment = mp.fsum(w * x ** (2 * k) for x, w in rule)
+                assert abs(moment - mp.mpf(2) / (2 * k + 1)) <= mp.mpf(10) ** (2 - dps), k
+
+    @pytest.mark.parametrize("degree", [4, 5, 6])
+    def test_matches_mpmath_gauss_legendre(self, degree):
+        # mpmath's own Newton on the recurrence, in mpf at 1.5x the
+        # precision, gives 3 * 2^(degree - 1) nodes: orders 24, 48, 96
+        dps = 65
+        with mp.workdps(dps):
+            ref = sorted(GaussLegendre(mp.mp).calc_nodes(degree, mp.mp.prec))
+        rule = sorted(_legendre_rule(3 * 2 ** (degree - 1), dps))
+        tol = mp.mpf(10) ** (1 - dps)
+        for (x, w), (x_ref, w_ref) in zip(rule, ref, strict=True):
+            assert abs(x - x_ref) <= tol and abs(w - w_ref) <= tol
+
+    def test_odd_order_rejected(self):
+        with pytest.raises(ValueError, match="even"):
+            _legendre_rule(17, 45)
 
 
 class TestSincClosedForms:
