@@ -12,7 +12,8 @@ mpmath's besseljzero for Bessel) and each smooth piece gets a
 fixed-order Gauss-Legendre rule.  The whole subdivision is refined
 together, doubling the order until two successive totals agree below
 target/2, so the node set is a deterministic function of the inputs and
-results are bit-reproducible.
+results are bit-reproducible.  The Bessel kernel is its own Maclaurin
+series, summed in fixed-point Python integers (_f_nu).
 
 Two sinc regimes: for large n the integrand dies fast and a finite lobe
 count with the t^{-n} envelope bound suffices; for small n the envelope
@@ -26,8 +27,8 @@ decays only like 1/X); there the tail equals
 (2^nu Gamma(nu+1))^2 (1 - S(X)) / (2 nu) with
 S(X) = J_nu(X)^2 + 2 sum_{k>=1} J_{nu+k}(X)^2, which is evaluated as a
 convergent series and added to the value, with its truncation error in
-the bound.  This is the one documented exception to the
-finite-interval-only rule.
+the bound; J_{nu+k}(X) comes from the same kernel.  This is the one
+documented exception to the finite-interval-only rule.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from itertools import count
 from typing import Callable, Sequence
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .bessel import Nu, bessel_tail_bound
 from .sinc import cutoff_tail_bound
@@ -300,24 +302,43 @@ def _amplitude(nv: mp.mpf) -> mp.mpf:
     return mp.power(2, nv) * mp.gamma(nv + 1)
 
 
-def _f_nu(nv: mp.mpf, amp: mp.mpf, t: mp.mpf) -> mp.mpf:
-    """amp J_nu(t) / t^nu at the ambient precision, for t > 0."""
-    return amp * mp.besselj(nv, t) / mp.power(t, nv)
+def _f_nu(v: Fraction, t: mp.mpf, prec: int | None = None) -> mp.mpf:
+    """f_v(t) = 0F1(; v+1; -t^2/4) = 2^v Gamma(v+1) J_v(t) / t^v for any
+    real mpf t, rounded to prec bits (default: the ambient precision).
+
+    mpmath's integer-order mpf_besseljn generalised to v = p/q: the terms
+    (-t^2/4)^k / (k! (v+1)_k) are summed in Python integers in fixed point
+    at wp = prec + 40 bits, each from the one before through the factor
+    -(t^2/4) q / (k (p + k q)).  The error is absolute, O(K 2^-wp) for K
+    terms: a rounding error in one term carries into the later ones as an
+    alternating tail no larger than that term.  A caller that multiplies
+    the result by a large factor must add that factor's magnitude to prec,
+    as _completed_tail_n2 does.
+    """
+    p, q = v.numerator, v.denominator
+    prec = prec or mp.mp.prec
+    wp = prec + 40
+    x = to_fixed(t._mpf_, wp) ** 2 >> (wp + 2)
+    s = term = 1 << wp
+    for k in count(1):
+        term = -((term * x >> wp) * q) // (k * (p + k * q))
+        if not term:
+            return mp.make_mpf(from_man_exp(s, -wp, prec, round_nearest))
+        s += term
 
 
 def bessel_j_normalized(nu: Nu, t, prec: Precision | None = None) -> BesselEval:
-    """f_nu(t) = 2^nu Gamma(nu+1) J_nu(t) / t^nu from mpmath's besselj.
+    """f_nu(t) = 2^nu Gamma(nu+1) J_nu(t) / t^nu from the Maclaurin kernel _f_nu.
 
     Evaluated at the working precision for any t >= 0; err_bound is the
-    working-precision floor.
+    working-precision floor, which covers the kernel's absolute error.
     """
     prec = prec or Precision()
     with mp.workdps(prec.working_dps):
         tt = mp.mpf(t)
         if tt < 0:
             raise ValueError("t must be nonnegative")
-        nv = _mpq(nu.value)
-        value = _f_nu(nv, _amplitude(nv), tt) if tt else mp.mpf(1)
+        value = _f_nu(nu.value, tt)
         err = mp.mpf(10) ** (1 - prec.working_dps) * (1 + abs(value))
         return BesselEval(nu=nu, t=+tt, value=value, err_bound=+err)
 
@@ -342,7 +363,7 @@ def _completed_tail_n2(nu: Nu, X: mp.mpf, amp: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
     d/dx S = 2 nu J_nu^2 / x, so the tail integral of amp^2 J_nu^2 / t
     beyond X is exactly amp^2 (1 - S(X)) / (2 nu).  Terms are summed until
     the (X/2)^{nu+k}/Gamma(nu+k+1) prefactor is negligible; it bounds
-    |J_{nu+k}(X)| and so the truncated terms.
+    |J_{nu+k}(X)| and so the truncated terms; J_{nu+k}(X) = pref f_{nu+k}(X).
     """
     with mp.extradps(10):
         nv = _mpq(nu.value)
@@ -351,7 +372,8 @@ def _completed_tail_n2(nu: Nu, X: mp.mpf, amp: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
         S = mp.mpf(0)
         k = 0
         while pref > stop:
-            jk = mp.besselj(nv + k, X)
+            # the kernel's error is absolute: add the bits pref magnifies
+            jk = pref * _f_nu(nu.value + k, X, mp.mp.prec + max(0, mp.mag(pref)))
             S += (jk * jk) if k == 0 else 2 * (jk * jk)
             k += 1
             pref *= (X / 2) / (nv + k)
@@ -366,11 +388,11 @@ def bessel_integral(nu: Nu, n: int, prec: Precision | None = None,
     """n^nu int_0^inf (2^nu Gamma(nu+1)|J_nu(t)|/t^nu)^n t^{2nu-1} dt.
 
     Integrates to X = cutoff_mult * 2^nu Gamma(nu+1), splitting at every
-    zero of J_nu below X; the kernel is mpmath's besselj, so X is not
-    capped.  The first piece is mapped through t = y^{q/2} (nu = p/q) so
-    the t^{2nu-1} branch point becomes the analytic monomial y^{p-1}.  For n >= 3 the decay-envelope
-    tail bound at X goes into abs_err_bound; at n = 2 the tail is instead
-    completed exactly into the value (see _completed_tail_n2).
+    zero of J_nu below X; the kernel _f_nu has no cap, nor has X.  The
+    first piece is mapped through t = y^{q/2} (nu = p/q) so the t^{2nu-1}
+    branch point becomes the analytic monomial y^{p-1}.  For n >= 3 the
+    decay-envelope tail bound at X goes into abs_err_bound; at n = 2 the
+    tail is instead completed exactly into the value (_completed_tail_n2).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -390,12 +412,12 @@ def bessel_integral(nu: Nu, n: int, prec: Precision | None = None,
         X = cutoff_mult * amp
         bounds = [mp.mpf(0), *_bessel_zeros(nu.value, X, wdps), X]
 
-        def direct(t, n=n, nv=nv, amp=amp):
-            return abs(_f_nu(nv, amp, t)) ** n * mp.power(t, 2 * nv - 1)
+        def direct(t, n=n, v=nu.value, nv=nv):
+            return abs(_f_nu(v, t)) ** n * mp.power(t, 2 * nv - 1)
 
-        def first_sub(y, n=n, nv=nv, amp=amp, p=p, q=q):
+        def first_sub(y, n=n, v=nu.value, p=p, q=q):
             t = mp.power(y, mp.mpf(q) / 2)
-            return abs(_f_nu(nv, amp, t)) ** n * mp.mpf(q) / 2 * y ** (p - 1)
+            return abs(_f_nu(v, t)) ** n * mp.mpf(q) / 2 * y ** (p - 1)
 
         pieces: list[Piece] = [(mp.mpf(0), mp.power(bounds[1], mp.mpf(2) / q), first_sub)]
         for a, b in zip(bounds[1:-1], bounds[2:]):

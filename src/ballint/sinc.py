@@ -264,8 +264,8 @@ def bracketing_check(k: int, samples: Iterable[float], digits: int = 30) -> list
     """Check 0 <= T_k(t) <= sin t / t <= T_{k+1}(t) at points of (0, sqrt 6).
 
     Valid for odd k; sinc is evaluated through the quadrature module's
-    normalized Bessel kernel (mpmath's besselj) at nu = 1/2, which reduces
-    to sin t / t.
+    normalized Bessel kernel (its Maclaurin series, summed in fixed point)
+    at nu = 1/2, which reduces to sin t / t.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be odd and positive")

@@ -1,6 +1,7 @@
 """Numerical side: integrals, error-bound honesty, decay fits, failure modes."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -17,6 +18,7 @@ from ballint.quadrature import (
     PrecisionFailure,
     QuadEstimate,
     _bessel_zeros,
+    _completed_tail_n2,
     _legendre_rule,
     bessel_integral,
     bessel_j_normalized,
@@ -40,6 +42,22 @@ HALF_INTEGER_FORMS = {
     Fraction(3, 2): lambda t: 3 * (mp.sin(t) - t * mp.cos(t)) / t**3,
     Fraction(5, 2): lambda t: 15 * ((3 - t**2) * mp.sin(t) - 3 * t * mp.cos(t)) / t**5,
 }
+
+
+# orders for the cross-check against mpmath's besselj: half-integers,
+# integers and thirds/quarters, whose besselj takes the hypergeometric route
+LIBRARY_NUS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
+               Fraction(5, 3), Fraction(7, 3), Fraction(9, 4), Fraction(3)]
+
+
+def library_f_nu(nu: Fraction, t) -> mp.mpf:
+    """2^nu Gamma(nu+1) J_nu(t) / t^nu from mpmath's besselj, at the ambient
+    precision; 1 at t = 0."""
+    if t == 0:
+        return mp.mpf(1)
+    v = mp.mpf(nu.numerator) / nu.denominator
+    t = mp.mpf(t)
+    return mp.power(2, v) * mp.gamma(v + 1) * mp.besselj(v, t) / mp.power(t, v)
 
 
 def maclaurin_f_nu(nu: Fraction, t, dps: int = 60) -> mp.mpf:
@@ -182,6 +200,35 @@ class TestBesselClosedForms:
         assert est.abs_err_bound <= mp.mpf(1e-20)
 
 
+class TestCompletedTail:
+    def test_nu2_default_cutoff_against_library(self):
+        # the n = 2 tail at nu = 2, X = 192 sums J_{2+k}(192) far past the
+        # order 192, where pref = (X/2)^{2+k}/Gamma(3+k) reaches 1e40; the
+        # kernel's absolute error is magnified by pref, so this checks that
+        # the tail gives the kernel the bits that pref will take away.
+        # Reference: the same sum from mpmath's besselj at 30 more digits.
+        nu = Nu(Fraction(2))
+        wdps = Precision().working_dps
+        with mp.workdps(wdps):
+            X, amp = mp.mpf(192), mp.mpf(8)
+            tail, err = _completed_tail_n2(nu, X, amp)
+            # the returned tail is rounded to the ambient precision, a
+            # rounding that err does not cover (bessel_integral's precision
+            # floor does): half an ulp
+            rounding = abs(tail) * mp.mpf(2) ** -mp.mp.prec
+        with mp.workdps(wdps + 30):
+            v = mp.mpf(2)
+            pref = mp.power(X / 2, v) / mp.gamma(v + 1)
+            S, k = mp.mpf(0), 0
+            while k <= X or pref > mp.mpf(10) ** -(wdps + 40):
+                jk = mp.besselj(v + k, X)
+                S += jk * jk if k == 0 else 2 * jk * jk
+                k += 1
+                pref *= (X / 2) / (v + k)
+            want = amp * amp * (1 - S) / (2 * v)
+            assert abs(tail - want) <= err + rounding
+
+
 class TestPipelinesAgree:
     @pytest.mark.parametrize("n", [3, 5, 8, 12])
     def test_sinc_equals_bessel_half(self, n):
@@ -197,6 +244,18 @@ class TestBesselJNormalized:
     def test_unit_at_zero(self):
         ev = bessel_j_normalized(ONE, 0)
         assert ev.value == 1
+
+    @pytest.mark.parametrize("digits", [30, 50])
+    @pytest.mark.parametrize("nu", LIBRARY_NUS, ids=str)
+    def test_against_library(self, nu, digits):
+        # the kernel sums its own Maclaurin series in fixed point; mpmath's
+        # besselj at 40 more digits is an independent route to f_nu
+        prec = Precision(decimal_digits=digits)
+        rng = random.Random(f"{nu}/{digits}")
+        for t in [0.0] + [rng.uniform(1e-6, 200) for _ in range(12)]:
+            ev = bessel_j_normalized(Nu(nu), t, prec)
+            with mp.workdps(prec.working_dps + 40):
+                assert abs(ev.value - library_f_nu(nu, t)) <= ev.err_bound, (nu, t)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(sorted(HALF_INTEGER_FORMS)), st.floats(1e-6, 200))
