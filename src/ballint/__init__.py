@@ -14,15 +14,13 @@ as an independent oracle for every expansion coefficient.
 
 __version__ = "0.1.0"
 
-from .rationals import Rat, rat_arith, double_factorial, format_rational, parse_rational
-from .series import EvenPoly, InvNSeries, poly_mul_trunc, nseries_pow_binomial
+from .rationals import Rat, double_factorial, format_rational, parse_rational
+from .series import EvenPoly, InvNSeries, nseries_pow_binomial
 from .sinc import (
     SincExpansion,
-    TailBoundSinc,
     sinc_partial_sum,
     sinc_aj,
     sinc_expansion,
-    sinc_tail_bound,
     appendix_table,
     appendix_mismatches,
     load_appendix_fixture,
@@ -32,7 +30,6 @@ from .sinc import (
 from .bessel import (
     Nu,
     BesselExpansion,
-    TailBoundBessel,
     bessel_partial_sum,
     bessel_aj,
     bessel_moment_ratio,
@@ -59,20 +56,16 @@ from .verify import SUITES, run_suite, suite_exit_code
 __all__ = [
     "__version__",
     "Rat",
-    "rat_arith",
     "double_factorial",
     "format_rational",
     "parse_rational",
     "EvenPoly",
     "InvNSeries",
-    "poly_mul_trunc",
     "nseries_pow_binomial",
     "SincExpansion",
-    "TailBoundSinc",
     "sinc_partial_sum",
     "sinc_aj",
     "sinc_expansion",
-    "sinc_tail_bound",
     "appendix_table",
     "appendix_mismatches",
     "load_appendix_fixture",
@@ -80,7 +73,6 @@ __all__ = [
     "bracketing_check",
     "Nu",
     "BesselExpansion",
-    "TailBoundBessel",
     "bessel_partial_sum",
     "bessel_aj",
     "bessel_moment_ratio",

@@ -27,13 +27,13 @@ from fractions import Fraction
 import mpmath as mp
 
 from .rationals import Rat, format_rational
-from .series import EvenPoly, nseries_pow_binomial
+from .series import EvenPoly, moment_coeffs
 
 __all__ = [
     "Nu",
     "BesselExpansion",
-    "TailBoundBessel",
     "LANDAU_BOUND_C",
+    "amplitude",
     "bessel_partial_sum",
     "bessel_aj",
     "bessel_moment_ratio",
@@ -65,10 +65,6 @@ class Nu:
     @property
     def is_integer(self) -> bool:
         return self.value.denominator == 1
-
-    @property
-    def is_half_integer(self) -> bool:
-        return self.value.denominator == 2
 
     def __str__(self) -> str:
         return format_rational(self.value)
@@ -130,20 +126,19 @@ def bessel_moment_ratio(nu: Nu, j: int) -> Fraction:
 
 @dataclass(frozen=True)
 class BesselExpansion:
-    """I_nu(n) ~ c_0 [gamma_0 + gamma_1/n + ... + gamma_m/n^m], gamma_0 = 1.
-
-    c0_descriptor carries the closed form of c_0 as three symbolic
-    factors; its decimal value comes from c0_value.
-    """
+    """I_nu(n) ~ c_0 [gamma_0 + gamma_1/n + ... + gamma_m/n^m], gamma_0 = 1."""
 
     nu: Nu
     m: int
     k: int
     gamma_coeffs: tuple[Fraction, ...]
-    c0_descriptor: tuple[str, str, str]
 
-    def c0_mpf(self, digits: int = 30) -> mp.mpf:
-        return c0_value(self.nu, digits)
+    @property
+    def c0_descriptor(self) -> tuple[str, str, str]:
+        """The three symbolic factors of c_0 = (4^nu/2)(nu+1)^nu Gamma(nu);
+        its decimal value comes from c0_value."""
+        nu = self.nu
+        return (f"4^({nu})/2", f"({format_rational(nu.value + 1)})^({nu})", f"Gamma({nu})")
 
     def partial_sum_mpf(self, n, digits: int = 30) -> mp.mpf:
         """c_0 * sum_j gamma_j / n^j evaluated at the requested precision."""
@@ -169,21 +164,8 @@ def bessel_expansion(nu: Nu, m: int, k: int | None = None) -> BesselExpansion:
     if k <= m:
         raise ValueError("truncation too short: k must be at least m + 1")
     a = {j: bessel_aj(nu, j, k) for j in range(2, max(2 * m, 2) + 1)}
-    series = nseries_pow_binomial(a, m)
-    gammas = []
-    for i in range(m + 1):
-        total = Fraction(0)
-        for exp, v in series.row(i).items():
-            w = exp // 2
-            total += v * bessel_moment_ratio(nu, w) / Fraction(4) ** w
-        gammas.append(total)
-    return BesselExpansion(nu=nu, m=m, k=k, gamma_coeffs=tuple(gammas),
-                           c0_descriptor=c0_descriptor(nu))
-
-
-def c0_descriptor(nu: Nu) -> tuple[str, str, str]:
-    """The three symbolic factors of c_0 = (4^nu/2)(nu+1)^nu Gamma(nu)."""
-    return (f"4^({nu})/2", f"({format_rational(nu.value + 1)})^({nu})", f"Gamma({nu})")
+    gammas = moment_coeffs(a, m, lambda w: bessel_moment_ratio(nu, w) / Fraction(4) ** w)
+    return BesselExpansion(nu=nu, m=m, k=k, gamma_coeffs=gammas)
 
 
 def c0_exact(nu: Nu) -> Fraction | None:
@@ -197,9 +179,8 @@ def c0_exact(nu: Nu) -> Fraction | None:
 def c0_value(nu: Nu, digits: int = 30) -> mp.mpf:
     """c_0 = (4^nu/2)(nu+1)^nu Gamma(nu) to the requested decimal digits.
 
-    Integer nu goes through the exact rational; half-integer nu uses the
-    Gamma(1/2) = sqrt(pi) recurrence; other rational nu fall back to the
-    library Gamma at padded precision.
+    Integer nu goes through the exact rational; every other rational nu
+    through the library Gamma at ten guard digits.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
@@ -210,16 +191,7 @@ def c0_value(nu: Nu, digits: int = 30) -> mp.mpf:
             return +(mp.mpf(exact.numerator) / exact.denominator)
         prefactor = mp.power(4, mp.mpf(v.numerator) / v.denominator) / 2
         prefactor *= mp.power(mp.mpf((v + 1).numerator) / (v + 1).denominator, mp.mpf(v.numerator) / v.denominator)
-        if nu.is_half_integer:
-            # Gamma(1/2 + r) = sqrt(pi) (2r-1)!! / 2^r for integer r >= 0
-            r = (v - Fraction(1, 2)).numerator // (v - Fraction(1, 2)).denominator if v > Fraction(1, 2) else 0
-            dd = Fraction(1)
-            for x in range(2 * r - 1, 0, -2):
-                dd *= x
-            gam = mp.sqrt(mp.pi) * mp.mpf(dd.numerator) / dd.denominator / mp.power(2, r)
-        else:
-            gam = mp.gamma(mp.mpf(v.numerator) / v.denominator)
-        return +(prefactor * gam)
+        return +(prefactor * mp.gamma(mp.mpf(v.numerator) / v.denominator))
 
 
 def i_nu_at_2(nu: Nu) -> Fraction:
@@ -241,18 +213,15 @@ def i_nu_at_2(nu: Nu) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class TailBoundBessel:
-    """Bound on the integral beyond the cutoff X, from |J_nu(t)| <= c t^{-1/3}."""
-
-    nu: Nu
-    n: int
-    cutoff: mp.mpf
-    bound: mp.mpf
+def amplitude(nu: Nu) -> mp.mpf:
+    """2^nu Gamma(nu+1) at the ambient precision: the factor that makes f_nu(0) = 1."""
+    v = mp.mpf(nu.value.numerator) / nu.value.denominator
+    return mp.power(2, v) * mp.gamma(v + 1)
 
 
-def bessel_tail_bound(nu: Nu, n: int, X, digits: int = 30) -> TailBoundBessel:
-    """n^nu (2^nu Gamma(nu+1) c)^n X^{-(nu+1/3)n+2nu} / ((nu+1/3)n - 2nu).
+def bessel_tail_bound(nu: Nu, n: int, X, digits: int = 30) -> mp.mpf:
+    """Bound n^nu (2^nu Gamma(nu+1) c)^n X^{-(nu+1/3)n+2nu} / ((nu+1/3)n - 2nu)
+    on the integral beyond the cutoff X, from |J_nu(t)| <= c t^{-1/3}.
 
     Valid once X is at least 2^nu Gamma(nu+1), the point where the decay
     envelope c t^{-1/3} gives the integrand modulus below 1; the bound is
@@ -263,7 +232,7 @@ def bessel_tail_bound(nu: Nu, n: int, X, digits: int = 30) -> TailBoundBessel:
     v = nu.value
     with mp.workdps(digits + 10):
         nv = mp.mpf(v.numerator) / v.denominator
-        amp = mp.power(2, nv) * mp.gamma(nv + 1)
+        amp = amplitude(nu)
         Xv = mp.mpf(X)
         if Xv < amp:
             raise ValueError("cutoff below 2^nu Gamma(nu+1)")
@@ -271,4 +240,4 @@ def bessel_tail_bound(nu: Nu, n: int, X, digits: int = 30) -> TailBoundBessel:
         expo = -(nv + mp.mpf(1) / 3) * n + 2 * nv
         denom = (nv + mp.mpf(1) / 3) * n - 2 * nv
         val = mp.power(n, nv) * mp.power(amp * c, n) * mp.power(Xv, expo) / denom
-        return TailBoundBessel(nu=nu, n=n, cutoff=+Xv, bound=+val)
+        return +val

@@ -12,7 +12,7 @@ import sys
 
 import mpmath as mp
 
-from .bessel import BesselExpansion, Nu, bessel_expansion, c0_descriptor
+from .bessel import BesselExpansion, Nu, bessel_expansion
 from .cache import load_coeffs, store_coeffs
 from .quadrature import Precision, PrecisionFailure, bessel_integral, sinc_integral
 from .rationals import format_rational, parse_rational
@@ -81,7 +81,7 @@ def cmd_sinc_coeffs(args) -> int:
         return _usage(f"--trunc must exceed the order (got {k} for order {m})")
     coeffs = None if args.no_cache else load_coeffs("sinc", None, m, k)
     if coeffs is not None:
-        expansion = SincExpansion(m=m, k=k, coeffs=tuple(coeffs), unit=SINC_UNIT)
+        expansion = SincExpansion(m=m, k=k, coeffs=tuple(coeffs))
     else:
         expansion = sinc_expansion(m, k)
         if not args.no_cache:
@@ -102,8 +102,7 @@ def cmd_bessel_coeffs(args) -> int:
     k = m + 1
     coeffs = None if args.no_cache else load_coeffs("bessel", nu.value, m, k)
     if coeffs is not None:
-        expansion = BesselExpansion(nu=nu, m=m, k=k, gamma_coeffs=tuple(coeffs),
-                                    c0_descriptor=c0_descriptor(nu))
+        expansion = BesselExpansion(nu=nu, m=m, k=k, gamma_coeffs=tuple(coeffs))
     else:
         expansion = bessel_expansion(nu, m, k)
         if not args.no_cache:

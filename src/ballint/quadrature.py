@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
-from .bessel import Nu, bessel_tail_bound
+from .bessel import Nu, amplitude, bessel_tail_bound
 from .sinc import cutoff_tail_bound
 
 __all__ = [
@@ -62,8 +62,6 @@ __all__ = [
 
 LOBE_CAP = 64     # most pi-lobes worth integrating before switching to the zeta tail
 ZETA_LOBES = 24   # head lobes kept in zeta mode
-
-_QUAD_CACHE: dict[tuple, "QuadEstimate"] = {}
 
 
 @dataclass(frozen=True)
@@ -255,22 +253,24 @@ def _sinc_mode(n: int, prec: Precision) -> tuple[str, int]:
     return "zeta", ZETA_LOBES
 
 
-def sinc_integral(n: int, prec: Precision | None = None, use_memo: bool = True) -> QuadEstimate:
+def sinc_integral(n: int, prec: Precision | None = None) -> QuadEstimate:
     """sqrt(n) int_0^inf |sin t / t|^n dt to the requested accuracy.
 
     Splits at every multiple of pi (the only non-smooth points of the
     integrand) and integrates each lobe by Gauss-Legendre under the
     doubling ladder.  In truncation mode the t^{-n} envelope bound on the
     discarded tail goes into abs_err_bound; in zeta mode the tail is an
-    exact extra panel and cutoff_used is reported as inf.
+    exact extra panel and cutoff_used is reported as inf.  Results are
+    memoised per (n, prec), so a repeated call returns the same object.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    prec = prec or Precision()
+    return _sinc_integral(n, prec or Precision())
+
+
+@lru_cache(maxsize=None)
+def _sinc_integral(n: int, prec: Precision) -> QuadEstimate:
     mode, lobes = _sinc_mode(n, prec)
-    key = ("sinc", n, prec.decimal_digits, float(prec.target_abs_err), prec.max_refinements)
-    if use_memo and key in _QUAD_CACHE:
-        return _QUAD_CACHE[key]
 
     def build(wdps):
         pi = mp.pi
@@ -287,19 +287,11 @@ def sinc_integral(n: int, prec: Precision | None = None, use_memo: bool = True) 
         pieces.append((mp.mpf(0), pi, zeta_panel))
         return pieces, scale, mp.mpf(0), mp.mpf(0), mp.mpf(0), mp.inf
 
-    est = _run_with_escalation(build, prec, f"sinc_integral(n={n})")
-    if use_memo:
-        _QUAD_CACHE[key] = est
-    return est
+    return _run_with_escalation(build, prec, f"sinc_integral(n={n})")
 
 
 def _mpq(q: Fraction) -> mp.mpf:
     return mp.mpf(q.numerator) / q.denominator
-
-
-def _amplitude(nv: mp.mpf) -> mp.mpf:
-    """2^nu Gamma(nu+1), the factor that makes f_nu(0) = 1."""
-    return mp.power(2, nv) * mp.gamma(nv + 1)
 
 
 def _f_nu(v: Fraction, t: mp.mpf, prec: int | None = None) -> mp.mpf:
@@ -357,13 +349,15 @@ def _bessel_zeros(v: Fraction, X: mp.mpf, wdps: int) -> tuple:
 
 
 def _completed_tail_n2(nu: Nu, X: mp.mpf, amp: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
-    """Exact n = 2 tail amp^2 (1 - S(X)) / (2 nu) and its truncation error.
+    """Exact n = 2 tail amp^2 (1 - S(X)) / (2 nu) and its error.
 
     S(X) = J_nu(X)^2 + 2 sum_{k>=1} J_{nu+k}(X)^2 telescopes
     d/dx S = 2 nu J_nu^2 / x, so the tail integral of amp^2 J_nu^2 / t
     beyond X is exactly amp^2 (1 - S(X)) / (2 nu).  Terms are summed until
     the (X/2)^{nu+k}/Gamma(nu+k+1) prefactor is negligible; it bounds
     |J_{nu+k}(X)| and so the truncated terms; J_{nu+k}(X) = pref f_{nu+k}(X).
+    The error covers the truncation, the sum at ten extra digits and the
+    final rounding of the tail to the ambient precision, |tail| 2^-prec.
     """
     with mp.extradps(10):
         nv = _mpq(nu.value)
@@ -380,11 +374,12 @@ def _completed_tail_n2(nu: Nu, X: mp.mpf, amp: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
         trunc = 3 * pref * pref
         tail = amp * amp * (1 - S) / (2 * nv)
         err = amp * amp * (trunc + mp.mpf(10) ** (3 - mp.mp.dps) * (1 + k)) / (2 * nv)
-    return +tail, +err
+    tail = +tail
+    return tail, err + mp.ldexp(abs(tail), -mp.mp.prec)
 
 
 def bessel_integral(nu: Nu, n: int, prec: Precision | None = None,
-                    cutoff_mult: float = 24, use_memo: bool = True) -> QuadEstimate:
+                    cutoff_mult: float = 24) -> QuadEstimate:
     """n^nu int_0^inf (2^nu Gamma(nu+1)|J_nu(t)|/t^nu)^n t^{2nu-1} dt.
 
     Integrates to X = cutoff_mult * 2^nu Gamma(nu+1), splitting at every
@@ -393,22 +388,22 @@ def bessel_integral(nu: Nu, n: int, prec: Precision | None = None,
     branch point becomes the analytic monomial y^{p-1}.  For n >= 3 the
     decay-envelope tail bound at X goes into abs_err_bound; at n = 2 the
     tail is instead completed exactly into the value (_completed_tail_n2).
+    Results are memoised per (nu, n, prec, float(cutoff_mult)).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if cutoff_mult < 1:
         raise ValueError("cutoff_mult must be at least 1")
-    prec = prec or Precision()
-    key = ("bessel", nu.value, n, prec.decimal_digits, float(prec.target_abs_err),
-           prec.max_refinements, float(cutoff_mult))
-    if use_memo and key in _QUAD_CACHE:
-        return _QUAD_CACHE[key]
+    return _bessel_integral(nu, n, prec or Precision(), float(cutoff_mult))
 
+
+@lru_cache(maxsize=None)
+def _bessel_integral(nu: Nu, n: int, prec: Precision, cutoff_mult: float) -> QuadEstimate:
     p, q = nu.value.numerator, nu.value.denominator
 
     def build(wdps):
         nv = _mpq(nu.value)
-        amp = _amplitude(nv)
+        amp = amplitude(nu)
         X = cutoff_mult * amp
         bounds = [mp.mpf(0), *_bessel_zeros(nu.value, X, wdps), X]
 
@@ -426,13 +421,10 @@ def bessel_integral(nu: Nu, n: int, prec: Precision | None = None,
         if n == 2:
             extra, extra_err = _completed_tail_n2(nu, X, amp)
             return pieces, scale, mp.mpf(0), scale * extra, scale * extra_err, X
-        tail = bessel_tail_bound(nu, n, X, digits=wdps).bound
+        tail = bessel_tail_bound(nu, n, X, digits=wdps)
         return pieces, scale, tail, mp.mpf(0), mp.mpf(0), X
 
-    est = _run_with_escalation(build, prec, f"bessel_integral(nu={nu}, n={n})")
-    if use_memo:
-        _QUAD_CACHE[key] = est
-    return est
+    return _run_with_escalation(build, prec, f"bessel_integral(nu={nu}, n={n})")
 
 
 def remainder_decay_fit(pipeline: str, m: int, n_grid: Sequence[int], nu: Nu | None = None,

@@ -1,4 +1,4 @@
-"""Exact rational scalars: canonical arithmetic, double factorials, strings.
+"""Exact rational scalars: the Rat type, double factorials, canonical strings.
 
 Every symbolic coefficient in this package is an exact rational.  The
 standard-library Fraction already guarantees the canonical form we need
@@ -10,40 +10,13 @@ by fixtures and machine-readable output.
 
 from __future__ import annotations
 
-import operator
 import re
 from fractions import Fraction
 
 Rat = Fraction
 
-_OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    # unicode spellings accepted as aliases
-    "−": operator.sub,
-    "×": operator.mul,
-    "÷": operator.truediv,
-}
-
 # canonical literal: optional sign, no leading zeros, denominator >= 2 when present
 _RAT_RE = re.compile(r"(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?\Z")
-
-
-def rat_arith(a: Rat, b: Rat, op: str) -> Rat:
-    """Apply one of +, -, *, / to two exact rationals.
-
-    Division by zero raises ZeroDivisionError; the result is always in
-    canonical form because Fraction normalizes on construction.
-    """
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operator {op!r}") from None
-    if fn is operator.truediv and b == 0:
-        raise ZeroDivisionError("division by zero: invalid operand")
-    return fn(Fraction(a), Fraction(b))
 
 
 def double_factorial(j: int) -> Rat:

@@ -18,6 +18,7 @@ import mpmath as mp
 
 from .bessel import Nu, c0_value
 from .rationals import format_rational, parse_rational
+from .sinc import SINC_UNIT
 
 __all__ = [
     "CoeffRecord",
@@ -32,9 +33,6 @@ __all__ = [
     "reports_to_text",
     "reports_to_json",
 ]
-
-SINC_UNIT_TEXT = "sqrt(3*pi/2)"
-
 
 @dataclass(frozen=True)
 class CoeffRecord:
@@ -88,7 +86,7 @@ def sinc_coeff_records(expansion, digits: int = 30) -> list[CoeffRecord]:
                 j=j,
                 rational=format_rational(c),
                 decimal=_decimal_in_unit(c, unit_value, digits),
-                unit=SINC_UNIT_TEXT,
+                unit=SINC_UNIT,
             )
             for j, c in enumerate(expansion.coeffs)
         ]

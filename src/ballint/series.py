@@ -13,19 +13,23 @@ expansion of the falling factorial n(n-1)...(n-l+1)/l! as a polynomial in n:
 a monomial t^{2w} produced by S^l, paired with the n^s coefficient of that
 polynomial, lands in row i = w - s.  Since s <= l <= floor(w / 2), every
 monomial satisfies w <= 2i, i.e. degree(row i) <= 4i, and row 0 is exactly 1.
+
+moment_coeffs finishes the three-stage pipeline that sinc and bessel share:
+given a pipeline's a_j and the moments of its Gaussian weight, it collects
+the power and integrates each row, giving the exact coefficient of 1/n^i.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import mpmath as mp
 
 from .rationals import Rat, format_rational
 
-__all__ = ["EvenPoly", "InvNSeries", "poly_mul_trunc", "nseries_pow_binomial", "collect_binomial_rows"]
+__all__ = ["EvenPoly", "InvNSeries", "nseries_pow_binomial", "collect_binomial_rows", "moment_coeffs"]
 
 
 class EvenPoly:
@@ -47,10 +51,6 @@ class EvenPoly:
             if v:
                 c[exp] = v
         self._c = c
-
-    @classmethod
-    def one(cls) -> "EvenPoly":
-        return cls({0: Fraction(1)})
 
     def coeff(self, exp: int) -> Fraction:
         return self._c.get(exp, Fraction(0))
@@ -74,24 +74,6 @@ class EvenPoly:
     def __hash__(self) -> int:
         return hash(tuple(self.items()))
 
-    def __add__(self, other: "EvenPoly") -> "EvenPoly":
-        c = dict(self._c)
-        for exp, v in other._c.items():
-            c[exp] = c.get(exp, Fraction(0)) + v
-        return EvenPoly(c)
-
-    def scale(self, factor: Rat) -> "EvenPoly":
-        f = Fraction(factor)
-        return EvenPoly({e: v * f for e, v in self._c.items()})
-
-    def eval_at_square(self, t_squared: Rat) -> Fraction:
-        """Exact value at a point given by t^2 (only even powers occur)."""
-        s = Fraction(t_squared)
-        total = Fraction(0)
-        for exp, v in self._c.items():
-            total += v * s ** (exp // 2)
-        return total
-
     def eval_mpf(self, t) -> mp.mpf:
         """Value at an mpmath point, Horner in t^2 at current precision."""
         if not self._c:
@@ -110,22 +92,6 @@ class EvenPoly:
             return "EvenPoly(0)"
         parts = [f"{format_rational(v)}*t^{e}" if e else format_rational(v) for e, v in self.items()]
         return "EvenPoly(" + " + ".join(parts) + ")"
-
-
-def poly_mul_trunc(p: EvenPoly, q: EvenPoly, max_deg: int) -> EvenPoly:
-    """Exact product with every exponent above max_deg discarded."""
-    if max_deg < 0:
-        raise ValueError("max_deg must be nonnegative")
-    out: dict[int, Fraction] = {}
-    for e1, v1 in p.items():
-        if e1 > max_deg:
-            break
-        for e2, v2 in q.items():
-            e = e1 + e2
-            if e > max_deg:
-                break
-            out[e] = out.get(e, Fraction(0)) + v1 * v2
-    return EvenPoly(out)
 
 
 class InvNSeries:
@@ -154,18 +120,6 @@ class InvNSeries:
         for i, r in enumerate(self._rows):
             for exp, v in r.items():
                 yield i, exp, v
-
-    def eval_fraction(self, t_squared: Rat, n: Rat) -> Fraction:
-        """Exact value at rational t^2 and n."""
-        nq = Fraction(n)
-        total = Fraction(0)
-        for i, r in enumerate(self._rows):
-            total += r.eval_at_square(t_squared) / nq**i
-        return total
-
-    def eval_mpf(self, t, n) -> mp.mpf:
-        nn = mp.mpf(n)
-        return mp.fsum(r.eval_mpf(t) / nn**i for i, r in enumerate(self._rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InvNSeries):
@@ -254,3 +208,15 @@ def nseries_pow_binomial(a: Mapping[int, Rat], m: int) -> InvNSeries:
     aa = _validate_a(a, 2 * m)
     raw = collect_binomial_rows(aa, max_row=m, max_w=2 * m)
     return InvNSeries([EvenPoly({2 * w: v for w, v in r.items()}) for r in raw])
+
+
+def moment_coeffs(a: Mapping[int, Rat], m: int, moment: Callable[[int], Rat]) -> tuple[Fraction, ...]:
+    """Exact coefficients of 1/n^0..1/n^m of the integrated expansion.
+
+    Collects [1 + sum_j a_j t^{2j}/n^j]^n through order m and integrates
+    row i against the pipeline's weight: each monomial t^{2w} becomes
+    moment(w), the weight's 2w-th moment over its zeroth, so row i turns
+    into sum_w row_i[w] moment(w).
+    """
+    series = nseries_pow_binomial(a, m)
+    return tuple(sum((v * moment(exp // 2) for exp, v in row.items()), Fraction(0)) for row in series.rows)

@@ -35,18 +35,16 @@ from typing import Iterable, Mapping
 import mpmath as mp
 
 from .rationals import Rat, double_factorial, parse_rational
-from .series import EvenPoly, InvNSeries, collect_binomial_rows, nseries_pow_binomial
+from .series import EvenPoly, InvNSeries, collect_binomial_rows, moment_coeffs
 
 __all__ = [
     "SincExpansion",
-    "TailBoundSinc",
     "BracketSample",
     "SINC_UNIT",
     "sinc_partial_sum",
     "sinc_aj",
     "gaussian_moment_ratio",
     "sinc_expansion",
-    "sinc_tail_bound",
     "cutoff_tail_bound",
     "appendix_table",
     "load_appendix_fixture",
@@ -94,12 +92,11 @@ def gaussian_moment_ratio(j: int) -> Fraction:
 
 @dataclass(frozen=True)
 class SincExpansion:
-    """Exact expansion I(n) ~ unit * sum_j coeffs[j] / n^j."""
+    """Exact expansion I(n) ~ SINC_UNIT * sum_j coeffs[j] / n^j."""
 
     m: int
     k: int
     coeffs: tuple[Fraction, ...]
-    unit: str = SINC_UNIT
 
     def partial_sum_mpf(self, n) -> mp.mpf:
         """sum_j c_j / n^j at current mpmath precision (unit not applied)."""
@@ -121,38 +118,13 @@ def sinc_expansion(m: int, k: int | None = None) -> SincExpansion:
     if k <= m:
         raise ValueError("truncation too short: k must be at least m + 1")
     a = {j: sinc_aj(j, k) for j in range(2, max(2 * m, 2) + 1)}
-    series = nseries_pow_binomial(a, m)
-    coeffs = []
-    for i in range(m + 1):
-        total = Fraction(0)
-        for exp, v in series.row(i).items():
-            total += v * gaussian_moment_ratio(exp // 2)
-        coeffs.append(total)
-    return SincExpansion(m=m, k=k, coeffs=tuple(coeffs))
-
-
-@dataclass(frozen=True)
-class TailBoundSinc:
-    """Bound sqrt(6n) 6^{-n/2} / (n-1) on sqrt(n) int_{sqrt 6}^inf |sinc|^n."""
-
-    n: int
-    bound: mp.mpf
-
-
-def sinc_tail_bound(n: int, digits: int = 30) -> TailBoundSinc:
-    """Evaluate the sqrt(6)-cutoff tail bound at the requested precision."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    with mp.workdps(digits + 10):
-        val = mp.sqrt(6 * n) * mp.power(6, mp.mpf(-n) / 2) / (n - 1)
-        return TailBoundSinc(n=n, bound=+val)
+    return SincExpansion(m=m, k=k, coeffs=moment_coeffs(a, m, gaussian_moment_ratio))
 
 
 def cutoff_tail_bound(n: int, cutoff) -> mp.mpf:
     """Bound sqrt(n) A^{1-n} / (n-1) on the integral beyond A >= 1.
 
-    Uses |sin t / t|^n <= t^{-n}; same derivation as the sqrt(6) bound but
-    at an arbitrary cutoff, which the quadrature module needs.
+    Uses |sin t / t|^n <= t^{-n}; at A = sqrt 6 it is sqrt(6n) 6^{-n/2} / (n-1).
     """
     if n < 2:
         raise ValueError("n must be at least 2")

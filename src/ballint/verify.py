@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -77,18 +78,14 @@ CLOSED_FORM_NUS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fra
 FIT_GRID = (90, 135, 200, 300)
 FIT_DIGITS = 60
 
-_FIT_CACHE: dict[int, tuple[DecayFit, float, float, bool]] = {}
-_ENGINE_DEEP: list[Fraction] | None = None
 
-
-def _engine_coeffs_deep() -> list[Fraction]:
+@lru_cache(maxsize=None)
+def _engine_coeffs_deep() -> tuple[Fraction, ...]:
     """Exact expansion coefficients through order 13 (truncation index 14)."""
-    global _ENGINE_DEEP
-    if _ENGINE_DEEP is None:
-        _ENGINE_DEEP = list(sinc_expansion(13).coeffs)
-    return _ENGINE_DEEP
+    return sinc_expansion(13).coeffs
 
 
+@lru_cache(maxsize=None)
 def sinc_coefficient_fit(order: int) -> tuple[DecayFit, float, float, float, bool]:
     """Cross-validate the engine's order-`order` coefficient by quadrature.
 
@@ -100,11 +97,9 @@ def sinc_coefficient_fit(order: int) -> tuple[DecayFit, float, float, float, boo
     for geometric grids a genuine 1/n subleading correction shifts the
     mean by less than that band, while a wrong target value (sign flips,
     order-of-magnitude misprints) lands far outside it.
-    Returns (fit, estimate, engine value in absolute units, band, ok).
+    Returns (fit, estimate, engine value in absolute units, band, ok),
+    memoised per order.
     """
-    cached = _FIT_CACHE.get(order)
-    if cached is not None:
-        return cached
     fit = remainder_decay_fit("sinc", order - 1, FIT_GRID, prec=Precision(decimal_digits=FIT_DIGITS))
     c = _engine_coeffs_deep()[order]
     with mp.workdps(30):
@@ -117,9 +112,7 @@ def sinc_coefficient_fit(order: int) -> tuple[DecayFit, float, float, float, boo
     estimate = sum(ests) / len(ests)
     band = 2.0 * max(abs(e - estimate) for e in ests)
     ok = abs(estimate - engine_abs) <= band
-    result = (fit, estimate, engine_abs, band, ok)
-    _FIT_CACHE[order] = result
-    return result
+    return fit, estimate, engine_abs, band, ok
 
 
 def _fit_note(order: int) -> str:

@@ -11,15 +11,16 @@ from mpmath.calculus.quadrature import GaussLegendre
 
 from ballint.bessel import Nu, bessel_expansion, c0_value, i_nu_at_2
 from ballint.quadrature import (
-    _QUAD_CACHE,
     BesselEval,
     DecayFit,
     Precision,
     PrecisionFailure,
     QuadEstimate,
+    _bessel_integral,
     _bessel_zeros,
     _completed_tail_n2,
     _legendre_rule,
+    _sinc_integral,
     bessel_integral,
     bessel_j_normalized,
     remainder_decay_fit,
@@ -212,10 +213,6 @@ class TestCompletedTail:
         with mp.workdps(wdps):
             X, amp = mp.mpf(192), mp.mpf(8)
             tail, err = _completed_tail_n2(nu, X, amp)
-            # the returned tail is rounded to the ambient precision, a
-            # rounding that err does not cover (bessel_integral's precision
-            # floor does): half an ulp
-            rounding = abs(tail) * mp.mpf(2) ** -mp.mp.prec
         with mp.workdps(wdps + 30):
             v = mp.mpf(2)
             pref = mp.power(X / 2, v) / mp.gamma(v + 1)
@@ -226,7 +223,7 @@ class TestCompletedTail:
                 k += 1
                 pref *= (X / 2) / (v + k)
             want = amp * amp * (1 - S) / (2 * v)
-            assert abs(tail - want) <= err + rounding
+            assert abs(tail - want) <= err
 
 
 class TestPipelinesAgree:
@@ -311,25 +308,35 @@ class TestBesselZeros:
 
 
 class TestMemoTransparency:
+    # __wrapped__ is the uncached computation behind the lru_cache memo
     def test_sinc_bitwise_identical(self):
-        _QUAD_CACHE.clear()
+        _sinc_integral.cache_clear()
         first = sinc_integral(7)
         memo = sinc_integral(7)
-        fresh = sinc_integral(7, use_memo=False)
+        fresh = _sinc_integral.__wrapped__(7, Precision())
+        assert memo is first
         assert repr(first) == repr(memo) == repr(fresh)
 
     def test_bessel_bitwise_identical(self):
-        _QUAD_CACHE.clear()
+        _bessel_integral.cache_clear()
         first = bessel_integral(ONE, 5)
         memo = bessel_integral(ONE, 5)
-        fresh = bessel_integral(ONE, 5, use_memo=False)
+        fresh = _bessel_integral.__wrapped__(ONE, 5, Precision(), 24.0)
+        assert memo is first
         assert repr(first) == repr(memo) == repr(fresh)
 
     def test_deterministic_across_reset(self):
         a = sinc_integral(9)
-        _QUAD_CACHE.clear()
+        _sinc_integral.cache_clear()
         b = sinc_integral(9)
         assert repr(a) == repr(b)
+
+    def test_key_is_normalised(self):
+        # a default argument, spelled out or left off, is one memo entry
+        assert sinc_integral(7) is sinc_integral(7, Precision())
+        first = bessel_integral(ONE, 5)
+        assert bessel_integral(ONE, 5, Precision(), 24) is first
+        assert bessel_integral(ONE, 5, cutoff_mult=24.0) is first
 
 
 class TestCutoffConsistency:
@@ -342,7 +349,7 @@ class TestCutoffConsistency:
 class TestPrecisionFailure:
     def test_exhausted_ladder_carries_estimate(self):
         with pytest.raises(PrecisionFailure) as exc:
-            sinc_integral(97, Precision(decimal_digits=40, max_refinements=0), use_memo=False)
+            sinc_integral(97, Precision(decimal_digits=40, max_refinements=0))
         est = exc.value.estimate
         assert isinstance(est, QuadEstimate)
         assert est.abs_err_bound > mp.mpf(10) ** -30

@@ -1,11 +1,11 @@
-"""Canonical rational strings, arithmetic helpers, double factorials."""
+"""Canonical rational strings and double factorials."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ballint.rationals import double_factorial, format_rational, parse_rational, rat_arith
+from ballint.rationals import double_factorial, format_rational, parse_rational
 
 
 class TestFormatParse:
@@ -30,26 +30,6 @@ class TestFormatParse:
         # the fixture parser depends on these rejections to catch typos
         with pytest.raises(ValueError):
             parse_rational(text)
-
-
-class TestRatArith:
-    @given(st.fractions(), st.fractions(), st.sampled_from("+-*/"))
-    def test_matches_fraction_semantics(self, a, b, op):
-        if op == "/" and b == 0:
-            with pytest.raises(ZeroDivisionError):
-                rat_arith(a, b, op)
-            return
-        expected = {"+": a + b, "-": a - b, "*": a * b, "/": a / b if b else None}[op]
-        assert rat_arith(a, b, op) == expected
-
-    def test_unicode_aliases(self):
-        assert rat_arith(Fraction(1, 2), Fraction(1, 3), "−") == Fraction(1, 6)
-        assert rat_arith(Fraction(2), Fraction(3), "×") == Fraction(6)
-        assert rat_arith(Fraction(1), Fraction(4), "÷") == Fraction(1, 4)
-
-    def test_unknown_operator(self):
-        with pytest.raises(ValueError):
-            rat_arith(Fraction(1), Fraction(1), "%")
 
 
 class TestDoubleFactorial:

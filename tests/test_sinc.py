@@ -20,7 +20,6 @@ from ballint.sinc import (
     sinc_aj,
     sinc_expansion,
     sinc_partial_sum,
-    sinc_tail_bound,
 )
 
 # frozen expansion coefficients in units of sqrt(3 pi/2); 0..4 and 6 are
@@ -144,14 +143,15 @@ class TestMoments:
 
 
 class TestTailBounds:
+    # at the cutoff sqrt 6 the envelope bound is sqrt(6n) 6^{-n/2} / (n-1)
     def test_reference_value(self):
-        tb = sinc_tail_bound(5)
         with mp.workdps(30):
             want = mp.sqrt(30) / (mp.power(6, mp.mpf(5) / 2) * 4)
-            assert abs(tb.bound - want) < mp.mpf(10) ** -25
+            assert abs(cutoff_tail_bound(5, mp.sqrt(6)) - want) < mp.mpf(10) ** -25
 
     def test_monotone_in_n(self):
-        values = [sinc_tail_bound(n).bound for n in range(2, 30)]
+        with mp.workdps(30):
+            values = [cutoff_tail_bound(n, mp.sqrt(6)) for n in range(2, 30)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_cutoff_bound(self):
