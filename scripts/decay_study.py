@@ -7,9 +7,9 @@ tabulated:
   free    exp(intercept) of the unconstrained least-squares line; biased
           by ~|c_{m+2}/c_{m+1}| * 7.7% on a geometric grid because the
           subleading term tilts the fitted slope,
-  pinned  per-point |r(n)| * n^{m+1} averaged with the exponent fixed at
-          its theoretical value; bias is the grid-mean of the 1/n
-          correction only.
+  pinned  per-point r(n) * n^{m+1}, over the remainders the fit used,
+          averaged with the exponent fixed at its theoretical value; bias
+          is the grid-mean of the 1/n correction only.
 
 The pinned column is what the verification suites use to cross-validate
 ledgered coefficient errata.
@@ -19,19 +19,8 @@ import argparse
 
 import mpmath as mp
 
-from ballint.quadrature import Precision, remainder_decay_fit, sinc_integral
+from ballint.quadrature import Precision, remainder_decay_fit
 from ballint.sinc import sinc_expansion
-
-
-def pinned_estimates(m: int, grid: tuple[int, ...], prec: Precision) -> list[float]:
-    exp_obj = sinc_expansion(m)
-    out = []
-    with mp.workdps(prec.working_dps):
-        unit = mp.sqrt(3 * mp.pi / 2)
-        for n in grid:
-            r = sinc_integral(n, prec).value - unit * exp_obj.partial_sum_mpf(n)
-            out.append(float(r * mp.power(n, m + 1) / unit))
-    return out
 
 
 def run(args: argparse.Namespace) -> None:
@@ -44,11 +33,12 @@ def run(args: argparse.Namespace) -> None:
         print(f"{'m':>2}  {'slope':>9}  {'free est':>12}  {'pinned est':>12}  "
               f"{'exact c_(m+1)':>14}  {'free err':>9}  {'pinned err':>10}")
         for m in range(args.max_order + 1):
-            fit = remainder_decay_fit("sinc", m, grid, prec=prec)
+            fit = remainder_decay_fit(m, grid, prec=prec)
             exact = deep[m + 1]
             exact_f = float(mp.mpf(exact.numerator) / exact.denominator)
             free = fit.signed_coeff / float(unit)
-            pinned = sum(pinned_estimates(m, grid, prec)) / len(grid)
+            pinned = sum(float(r * mp.power(n, m + 1) / unit)
+                         for n, r in zip(fit.used_n, fit.remainders)) / len(fit.used_n)
             print(f"{m:>2}  {fit.slope:>9.4f}  {free:>12.6g}  {pinned:>12.6g}  "
                   f"{exact_f:>14.6g}  {abs(free / exact_f - 1):>9.2%}  "
                   f"{abs(pinned / exact_f - 1):>10.3%}")

@@ -14,26 +14,26 @@ Three exhibits:
 import argparse
 
 from ballint.rationals import format_rational
-from ballint.sinc import appendix_mismatches, appendix_table, load_appendix_fixture, load_errata
+from ballint.sinc import appendix_mismatches, appendix_table, check_errata
 from ballint.verify import sinc_coefficient_fit
 
 
 def run(args: argparse.Namespace) -> None:
-    fixture = load_appendix_fixture()
-    ledger = {(e["row"], e["exponent"]): e for e in load_errata()["table"]}
+    check = check_errata()
+    fixture = check.fixture
+    # the ledger records the k = 8 table; k = 14 reuses its classifications
+    tags = {(m.row, m.exponent): e["classification"] for m, e in check.mismatches if e is not None}
 
     print(f"fixture: {len(fixture)} monomials, rows 0..13, exponents to t^28")
     for k in (8, 14):
         mismatches = appendix_mismatches(appendix_table(k=k), fixture)
         print(f"\nmismatches at k = {k}: {len(mismatches)}")
         for m in mismatches:
-            entry = ledger.get((m.row, m.exponent))
-            tag = entry["classification"] if entry else "UNLEDGERED"
+            tag = tags.get((m.row, m.exponent), "UNLEDGERED")
             print(f"  row {m.row:2d} t^{m.exponent:<2d} fixture {format_rational(m.fixture)}"
                   f"  engine {format_rational(m.engine)}  [{tag}]")
 
-    orders = sorted({5} | {m.row for m in
-                          appendix_mismatches(appendix_table(k=8), fixture)})
+    orders = sorted(set(check.coefficients) | {m.row for m, _ in check.mismatches})
     print("\nquadrature cross-checks (pinned-exponent reconstruction):")
     for order in orders:
         fit, estimate, engine, band, ok = sinc_coefficient_fit(order)

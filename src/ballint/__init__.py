@@ -25,7 +25,7 @@ from .sinc import (
     appendix_mismatches,
     load_appendix_fixture,
     load_errata,
-    bracketing_check,
+    check_errata,
 )
 from .bessel import (
     Nu,
@@ -70,7 +70,7 @@ __all__ = [
     "appendix_mismatches",
     "load_appendix_fixture",
     "load_errata",
-    "bracketing_check",
+    "check_errata",
     "Nu",
     "BesselExpansion",
     "bessel_partial_sum",

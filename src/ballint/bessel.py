@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .rationals import Rat, format_rational
+from .rationals import format_rational
 from .series import EvenPoly, moment_coeffs
 
 __all__ = [
@@ -132,13 +132,6 @@ class BesselExpansion:
     m: int
     k: int
     gamma_coeffs: tuple[Fraction, ...]
-
-    @property
-    def c0_descriptor(self) -> tuple[str, str, str]:
-        """The three symbolic factors of c_0 = (4^nu/2)(nu+1)^nu Gamma(nu);
-        its decimal value comes from c0_value."""
-        nu = self.nu
-        return (f"4^({nu})/2", f"({format_rational(nu.value + 1)})^({nu})", f"Gamma({nu})")
 
     def partial_sum_mpf(self, n, digits: int = 30) -> mp.mpf:
         """c_0 * sum_j gamma_j / n^j evaluated at the requested precision."""

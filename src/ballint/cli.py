@@ -27,15 +27,7 @@ from .records import (
     reports_to_text,
     sinc_coeff_records,
 )
-from .sinc import (
-    SINC_UNIT,
-    SincExpansion,
-    appendix_mismatches,
-    appendix_table,
-    load_appendix_fixture,
-    load_errata,
-    sinc_expansion,
-)
+from .sinc import SINC_UNIT, SincExpansion, check_errata, sinc_expansion
 from .verify import SUITES, run_suite, suite_exit_code
 
 EXIT_OK = 0
@@ -76,6 +68,8 @@ def cmd_sinc_coeffs(args) -> int:
     m = args.order
     if not 0 <= m <= SINC_ORDER_CEILING:
         return _usage(f"--order must lie in 0..{SINC_ORDER_CEILING}")
+    if args.digits < 1:
+        return _usage("--digits must be at least 1")
     k = args.trunc if args.trunc is not None else m + 1
     if k <= m:
         return _usage(f"--trunc must exceed the order (got {k} for order {m})")
@@ -99,6 +93,8 @@ def cmd_bessel_coeffs(args) -> int:
     m = args.order
     if not 0 <= m <= BESSEL_ORDER_CEILING:
         return _usage(f"--order must lie in 0..{BESSEL_ORDER_CEILING}")
+    if args.digits < 1:
+        return _usage("--digits must be at least 1")
     k = m + 1
     coeffs = None if args.no_cache else load_coeffs("bessel", nu.value, m, k)
     if coeffs is not None:
@@ -117,6 +113,8 @@ def cmd_eval(args) -> int:
         return _usage("--n must be at least 2")
     if args.pipeline == "sinc" and args.nu is not None:
         return _usage("--nu applies to the bessel pipeline only")
+    if args.pipeline == "sinc" and args.cutoff_mult is not None:
+        return _usage("--cutoff-mult applies to the bessel pipeline only")
     if args.pipeline == "bessel" and args.nu is None:
         return _usage("the bessel pipeline needs --nu")
     if args.format == "csv":
@@ -133,7 +131,8 @@ def cmd_eval(args) -> int:
         else:
             nu = _parse_nu(args.nu)
             nu_frac = nu.value
-            est = bessel_integral(nu, args.n, prec, cutoff_mult=args.cutoff_mult)
+            kwargs = {} if args.cutoff_mult is None else {"cutoff_mult": args.cutoff_mult}
+            est = bessel_integral(nu, args.n, prec, **kwargs)
             label = f"bessel integral, nu = {nu}, n = {args.n}"
     except ValueError as exc:
         return _usage(str(exc))
@@ -163,36 +162,25 @@ def cmd_verify(args) -> int:
 
 
 def cmd_appendix_check(args) -> int:
-    fixture = load_appendix_fixture()
-    table = appendix_table(k=8)
-    mismatches = appendix_mismatches(table, fixture)
-    ledger = {(e["row"], e["exponent"]): e for e in load_errata()["table"]}
-    rows = []
-    clean = True
-    for mism in mismatches:
-        entry = ledger.get((mism.row, mism.exponent))
-        status = entry["classification"] if entry else "UNLEDGERED"
-        if entry is None:
-            clean = False
-        rows.append({
-            "row": mism.row,
-            "exponent": mism.exponent,
-            "fixture": format_rational(mism.fixture),
-            "recomputed": format_rational(mism.engine),
-            "status": status,
-        })
-    stale = sorted(set(ledger) - {(m.row, m.exponent) for m in mismatches})
-    if stale:
-        clean = False
+    check = check_errata()
+    rows = [{
+        "row": mism.row,
+        "exponent": mism.exponent,
+        "fixture": format_rational(mism.fixture),
+        "recomputed": format_rational(mism.engine),
+        "status": entry["classification"] if entry else "UNLEDGERED",
+    } for mism, entry in check.mismatches]
+    stale = sorted((e["row"], e["exponent"]) for e in check.stale)
+    clean = all(entry is not None for _, entry in check.mismatches) and not stale
     if args.format == "json":
         print(json.dumps({
             "kind": "appendix-check",
-            "monomials": len(fixture),
+            "monomials": len(check.fixture),
             "mismatches": rows,
             "stale_ledger_entries": [list(s) for s in stale],
         }, indent=2))
     else:
-        print(f"fixture monomials: {len(fixture)}, mismatching: {len(rows)}")
+        print(f"fixture monomials: {len(check.fixture)}, mismatching: {len(rows)}")
         for r in rows:
             print(f"  row {r['row']:2d} t^{r['exponent']:<2d} fixture {r['fixture']} "
                   f"recomputed {r['recomputed']} [{r['status']}]")
@@ -230,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="power, at least 2")
     p.add_argument("--nu", default=None, help="Bessel order as p/q")
     p.add_argument("--digits", type=int, default=20, help="target decimal digits")
-    p.add_argument("--cutoff-mult", type=float, default=24, help="head length in envelope units")
+    p.add_argument("--cutoff-mult", type=float, default=None,
+                   help="bessel head length in envelope units (default 24)")
     p.add_argument("--max-refine", type=int, default=None, help="order-doubling budget per panel set")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_eval)

@@ -9,11 +9,12 @@ floor.  Analytic tail bounds are never folded into the value.
 Integration strategy: |f|^n is smooth except at the zeros of f, so the
 domain is split there (multiples of pi for sinc, the zeros of J_nu from
 mpmath's besseljzero for Bessel) and each smooth piece gets a
-fixed-order Gauss-Legendre rule.  The whole subdivision is refined
-together, doubling the order until two successive totals agree below
-target/2, so the node set is a deterministic function of the inputs and
-results are bit-reproducible.  The Bessel kernel is its own Maclaurin
-series, summed in fixed-point Python integers (_f_nu).
+fixed-order Gauss-Legendre rule.  One function (_integrate) refines the
+whole subdivision together, doubling the order until two successive
+totals agree below target/2, and retries once at twenty more digits, so
+the node set is a deterministic function of the inputs and results are
+bit-reproducible.  The Bessel kernel is its own Maclaurin series, summed
+in fixed-point Python integers (_f_nu).
 
 Two sinc regimes: for large n the integrand dies fast and a finite lobe
 count with the t^{-n} envelope bound suffices; for small n the envelope
@@ -29,6 +30,11 @@ S(X) = J_nu(X)^2 + 2 sum_{k>=1} J_{nu+k}(X)^2, which is evaluated as a
 convergent series and added to the value, with its truncation error in
 the bound; J_{nu+k}(X) comes from the same kernel.  This is the one
 documented exception to the finite-interval-only rule.
+
+remainder_decay_fit checks the sinc expansion against these integrals:
+it fits the decay of r(n) = I(n) - sqrt(3 pi/2) sum_{j<=m} c_j/n^j and
+returns the remainders it fitted, from which the verification suites
+estimate the next coefficient.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .bessel import Nu, amplitude, bessel_tail_bound
-from .sinc import cutoff_tail_bound
+from .sinc import cutoff_tail_bound, sinc_expansion
 
 __all__ = [
     "Precision",
@@ -70,7 +76,8 @@ class Precision:
 
     target_abs_err defaults to 10^-(decimal_digits - 10), keeping ten
     guard digits; the working precision adds fifteen more on top of
-    decimal_digits.  max_refinements counts quadrature-order doublings.
+    decimal_digits.  max_refinements counts quadrature-order doublings
+    and may be zero.
     """
 
     decimal_digits: int = 30
@@ -80,6 +87,8 @@ class Precision:
     def __post_init__(self):
         if self.decimal_digits < 15:
             raise ValueError("decimal_digits must be at least 15")
+        if self.max_refinements < 0:
+            raise ValueError("max_refinements must be nonnegative")
         if self.target_abs_err is None:
             object.__setattr__(self, "target_abs_err", 10.0 ** (-(self.decimal_digits - 10)))
         t = float(self.target_abs_err)
@@ -125,14 +134,16 @@ class DecayFit:
     signed_coeff = sign(remainder at largest usable n) * exp(intercept):
     when slope is close to -(m+1) this estimates the next expansion
     coefficient; residuals are per-point fit residuals in log10 units.
+    remainders holds the signed r(n) at each used n, at the working
+    precision of the fit.
     """
 
     slope: float
-    amplitude: float
     signed_coeff: float
     residuals: tuple[float, ...]
     used_n: tuple[int, ...]
     dropped_n: tuple[int, ...]
+    remainders: tuple[mp.mpf, ...]
 
 
 class PrecisionFailure(ArithmeticError):
@@ -197,44 +208,34 @@ def _piece_total(pieces: Sequence[Piece], order: int, dps: int) -> mp.mpf:
     return mp.fsum(sums)
 
 
-def _refine_ladder(pieces, prec, scale, tail, extra_value, extra_err, cutoff_used, wdps):
-    """Run the order-doubling ladder once at fixed working precision.
+def _integrate(build, prec: Precision, label: str) -> QuadEstimate:
+    """Run the order-doubling ladder at working precision, then once more
+    with twenty extra digits.
 
-    Returns (estimate, converged); the estimate always reflects the last
-    rung so a failed ladder still reports its best value.
+    build(wdps) returns (pieces, scale, offset, err, cutoff): the value is
+    scale * (sum of the piece integrals) + offset, and err is the absolute
+    error of whatever the pieces leave out (the analytic tail bound, or the
+    error of an offset completed exactly), in final units.  A failed ladder
+    raises PrecisionFailure carrying the last rung's estimate.
     """
     target = mp.mpf(prec.target_abs_err)
-    prev = None
-    diff = mp.inf
-    total = mp.mpf(0)
-    converged = False
-    for r in range(prec.max_refinements + 1):
-        order = 16 * 2**r
-        total = _piece_total(pieces, order, wdps)
-        if prev is not None:
-            diff = abs(total - prev)
-            if diff < target / 2:
-                converged = True
-                break
-        prev = total
-    value = scale * total + extra_value
-    err = scale * diff + tail + extra_err + mp.mpf(10) ** (2 - wdps) * (1 + abs(value))
-    est = QuadEstimate(value=+value, abs_err_bound=+err, cutoff_used=+mp.mpf(cutoff_used), pieces=len(pieces))
-    return est, converged
-
-
-def _run_with_escalation(build_pieces, prec, label):
-    """Ladder at working precision, then once more with extra digits."""
-    last = None
     for wdps in (prec.working_dps, prec.working_dps + 20):
         with mp.workdps(wdps):
-            pieces, scale, tail, extra_value, extra_err, cutoff = build_pieces(wdps)
-            est, ok = _refine_ladder(pieces, prec, scale, tail, extra_value, extra_err, cutoff, wdps)
-        if ok:
+            pieces, scale, offset, err, cutoff = build(wdps)
+            prev = None
+            for r in range(prec.max_refinements + 1):
+                total = _piece_total(pieces, 16 * 2**r, wdps)
+                diff = mp.inf if prev is None else abs(total - prev)
+                if diff < target / 2:
+                    break
+                prev = total
+            value = scale * total + offset
+            bound = scale * diff + err + mp.mpf(10) ** (2 - wdps) * (1 + abs(value))
+            est = QuadEstimate(value=+value, abs_err_bound=+bound, cutoff_used=+mp.mpf(cutoff), pieces=len(pieces))
+        if diff < target / 2:
             return est
-        last = est
     raise PrecisionFailure(f"{label}: target {prec.target_abs_err} not reached "
-                           f"after {prec.max_refinements} order doublings and one precision raise", last)
+                           f"after {prec.max_refinements} order doublings and one precision raise", est)
 
 
 def _sinc_mode(n: int, prec: Precision) -> tuple[str, int]:
@@ -280,14 +281,13 @@ def _sinc_integral(n: int, prec: Precision) -> QuadEstimate:
         scale = mp.sqrt(n)
         if mode == "truncate":
             cutoff = lobes * pi
-            tail = cutoff_tail_bound(n, cutoff)
-            return pieces, scale, tail, mp.mpf(0), mp.mpf(0), cutoff
+            return pieces, scale, mp.mpf(0), cutoff_tail_bound(n, cutoff), cutoff
         def zeta_panel(s, n=n, M=lobes):
             return mp.sin(s) ** n * mp.zeta(n, M + s / mp.pi) / mp.pi**n
         pieces.append((mp.mpf(0), pi, zeta_panel))
-        return pieces, scale, mp.mpf(0), mp.mpf(0), mp.mpf(0), mp.inf
+        return pieces, scale, mp.mpf(0), mp.mpf(0), mp.inf
 
-    return _run_with_escalation(build, prec, f"sinc_integral(n={n})")
+    return _integrate(build, prec, f"sinc_integral(n={n})")
 
 
 def _mpq(q: Fraction) -> mp.mpf:
@@ -392,8 +392,8 @@ def bessel_integral(nu: Nu, n: int, prec: Precision | None = None,
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if cutoff_mult < 1:
-        raise ValueError("cutoff_mult must be at least 1")
+    if not 1 <= cutoff_mult < math.inf:
+        raise ValueError("cutoff_mult must be finite and at least 1")
     return _bessel_integral(nu, n, prec or Precision(), float(cutoff_mult))
 
 
@@ -419,17 +419,15 @@ def _bessel_integral(nu: Nu, n: int, prec: Precision, cutoff_mult: float) -> Qua
             pieces.append((a, b, direct))
         scale = mp.power(n, nv)
         if n == 2:
-            extra, extra_err = _completed_tail_n2(nu, X, amp)
-            return pieces, scale, mp.mpf(0), scale * extra, scale * extra_err, X
-        tail = bessel_tail_bound(nu, n, X, digits=wdps)
-        return pieces, scale, tail, mp.mpf(0), mp.mpf(0), X
+            tail, tail_err = _completed_tail_n2(nu, X, amp)
+            return pieces, scale, scale * tail, scale * tail_err, X
+        return pieces, scale, mp.mpf(0), bessel_tail_bound(nu, n, X, digits=wdps), X
 
-    return _run_with_escalation(build, prec, f"bessel_integral(nu={nu}, n={n})")
+    return _integrate(build, prec, f"bessel_integral(nu={nu}, n={n})")
 
 
-def remainder_decay_fit(pipeline: str, m: int, n_grid: Sequence[int], nu: Nu | None = None,
-                        prec: Precision | None = None, cutoff_mult: float = 24) -> DecayFit:
-    """Fit the decay exponent of r(n) = integral - order-m partial sum.
+def remainder_decay_fit(m: int, n_grid: Sequence[int], prec: Precision | None = None) -> DecayFit:
+    """Fit the decay exponent of r(n) = I(n) - sqrt(3 pi/2) sum_{j<=m} c_j/n^j.
 
     Fits log|r| against log n by least squares; grid points where the
     quadrature error budget is not at least 10x below |r| are dropped,
@@ -437,43 +435,24 @@ def remainder_decay_fit(pipeline: str, m: int, n_grid: Sequence[int], nu: Nu | N
     near -(m+1); exp(intercept), signed like r, then estimates the next
     coefficient (in absolute units, including the leading constant).
     """
-    if pipeline not in ("sinc", "bessel"):
-        raise ValueError("pipeline must be 'sinc' or 'bessel'")
-    if pipeline == "bessel" and nu is None:
-        raise ValueError("bessel pipeline needs nu")
     if m < 0:
         raise ValueError("m must be nonnegative")
     prec = prec or Precision(decimal_digits=50)
-
-    from .sinc import sinc_expansion
-    from .bessel import bessel_expansion
-
-    wdps = prec.working_dps
-    used, dropped, logs = [], [], []
-    sign_at_largest = 1.0
-    if pipeline == "sinc":
-        exp_obj = sinc_expansion(m)
-    else:
-        exp_obj = bessel_expansion(nu, m)
-    with mp.workdps(wdps):
+    expansion = sinc_expansion(m)
+    used, dropped, remainders, xs, ys = [], [], [], [], []
+    with mp.workdps(prec.working_dps):
         for n in sorted(n_grid):
-            if pipeline == "sinc":
-                est = sinc_integral(n, prec)
-                model = mp.sqrt(3 * mp.pi / 2) * exp_obj.partial_sum_mpf(n)
-            else:
-                est = bessel_integral(nu, n, prec, cutoff_mult=cutoff_mult)
-                model = exp_obj.partial_sum_mpf(n, digits=wdps)
-            r = est.value - model
+            est = sinc_integral(n, prec)
+            r = est.value - mp.sqrt(3 * mp.pi / 2) * expansion.partial_sum_mpf(n)
             if abs(r) == 0 or est.abs_err_bound > abs(r) / 10:
                 dropped.append(n)
                 continue
             used.append(n)
-            logs.append((math.log(n), float(mp.log(abs(r)))))
-            sign_at_largest = 1.0 if r > 0 else -1.0
+            remainders.append(r)
+            xs.append(math.log(n))
+            ys.append(float(mp.log(abs(r))))
     if len(used) < 3:
         raise ValueError(f"insufficient data: {len(used)} usable grid points, need at least 3")
-    xs = [x for x, _ in logs]
-    ys = [y for _, y in logs]
     xbar = sum(xs) / len(xs)
     ybar = sum(ys) / len(ys)
     sxx = sum((x - xbar) ** 2 for x in xs)
@@ -481,6 +460,6 @@ def remainder_decay_fit(pipeline: str, m: int, n_grid: Sequence[int], nu: Nu | N
     slope = sxy / sxx
     intercept = ybar - slope * xbar
     residuals = tuple((y - (intercept + slope * x)) / math.log(10) for x, y in zip(xs, ys))
-    amplitude = math.exp(intercept)
-    return DecayFit(slope=slope, amplitude=amplitude, signed_coeff=sign_at_largest * amplitude,
-                    residuals=residuals, used_n=tuple(used), dropped_n=tuple(dropped))
+    sign = 1.0 if remainders[-1] > 0 else -1.0
+    return DecayFit(slope=slope, signed_coeff=sign * math.exp(intercept), residuals=residuals,
+                    used_n=tuple(used), dropped_n=tuple(dropped), remainders=tuple(remainders))

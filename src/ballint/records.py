@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .bessel import Nu, c0_value
+from .bessel import c0_value
 from .rationals import format_rational, parse_rational
 from .sinc import SINC_UNIT
 

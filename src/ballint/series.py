@@ -52,9 +52,6 @@ class EvenPoly:
                 c[exp] = v
         self._c = c
 
-    def coeff(self, exp: int) -> Fraction:
-        return self._c.get(exp, Fraction(0))
-
     def items(self) -> list[tuple[int, Fraction]]:
         """(exponent, coefficient) pairs in increasing exponent order."""
         return sorted(self._c.items())
@@ -62,9 +59,6 @@ class EvenPoly:
     @property
     def max_degree(self) -> int:
         return max(self._c, default=0)
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EvenPoly):
@@ -105,13 +99,6 @@ class InvNSeries:
         self._rows = tuple(rows)
 
     @property
-    def order(self) -> int:
-        return len(self._rows) - 1
-
-    def row(self, i: int) -> EvenPoly:
-        return self._rows[i]
-
-    @property
     def rows(self) -> tuple[EvenPoly, ...]:
         return self._rows
 
@@ -130,7 +117,7 @@ class InvNSeries:
         return hash(self._rows)
 
     def __repr__(self) -> str:
-        return f"InvNSeries(order={self.order}, rows={list(self._rows)!r})"
+        return f"InvNSeries(order={len(self._rows) - 1}, rows={list(self._rows)!r})"
 
 
 def _falling_factorial_over_factorial(l: int) -> list[Fraction]:

@@ -19,8 +19,9 @@ k >= m + 1, which the pipeline enforces and the tests exercise.
 
 The module also carries the degree-28 bookkeeping table (rows through
 1/n^13, exponents through t^28) against which the shipped fixture file is
-regression-checked, with an erratum ledger for the entries where fixture
-and recomputation differ; see data/errata.json.
+regression-checked, the printed coefficients, and the erratum ledger for
+the entries where print and recomputation differ (data/errata.json).
+check_errata is the one place that sets the ledger against live values.
 """
 
 from __future__ import annotations
@@ -30,17 +31,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import mpmath as mp
 
-from .rationals import Rat, double_factorial, parse_rational
+from .rationals import double_factorial, format_rational, parse_rational
 from .series import EvenPoly, InvNSeries, collect_binomial_rows, moment_coeffs
 
 __all__ = [
     "SincExpansion",
-    "BracketSample",
+    "ErrataCheck",
     "SINC_UNIT",
+    "REFERENCE_SINC",
     "sinc_partial_sum",
     "sinc_aj",
     "gaussian_moment_ratio",
@@ -50,10 +52,23 @@ __all__ = [
     "load_appendix_fixture",
     "appendix_mismatches",
     "load_errata",
-    "bracketing_check",
+    "check_errata",
 ]
 
 SINC_UNIT = "sqrt(3*pi/2)"
+
+# Reference expansion coefficients in units of sqrt(3*pi/2), as printed in
+# the source material; the ledgered duplicated line is kept exactly as printed.
+REFERENCE_SINC = {
+    0: "1",
+    1: "-3/20",
+    2: "-13/1120",
+    3: "27/3200",
+    4: "52791/3942400",
+    5: "-5270328789/136478720000",
+    6: "-124996631/10035200000",
+    7: "-5270328789/136478720000",
+}
 
 APPENDIX_MAX_ROW = 13   # deepest 1/n power in the degree-28 table
 APPENDIX_MAX_W = 14     # half the top t-exponent (t^28)
@@ -224,39 +239,35 @@ def load_errata() -> dict:
 
 
 @dataclass(frozen=True)
-class BracketSample:
-    t: float
-    lower: mp.mpf     # T_k(t)
-    value: mp.mpf     # sinc t
-    upper: mp.mpf     # T_{k+1}(t)
-    ok: bool
+class ErrataCheck:
+    """The erratum ledger set against the live table and coefficients.
 
-
-def bracketing_check(k: int, samples: Iterable[float], digits: int = 30) -> list[BracketSample]:
-    """Check 0 <= T_k(t) <= sin t / t <= T_{k+1}(t) at points of (0, sqrt 6).
-
-    Valid for odd k; sinc is evaluated through the quadrature module's
-    normalized Bessel kernel (its Maclaurin series, summed in fixed point)
-    at nu = 1/2, which reduces to sin t / t.
+    mismatches pairs every table-fixture mismatch (at APPENDIX_K) with the
+    ledger entry recording its fixture and recomputed values, or with None
+    when no entry does; stale lists the table entries that record no live
+    mismatch.  coefficients maps an order to its ledger entry when that
+    entry records the printed REFERENCE_SINC value and the engine's c_order.
     """
-    if k < 1 or k % 2 == 0:
-        raise ValueError("k must be odd and positive")
-    from .bessel import Nu
-    from .quadrature import Precision, bessel_j_normalized
 
-    lower_poly = sinc_partial_sum(k)
-    upper_poly = sinc_partial_sum(k + 1)
-    half = Nu(Fraction(1, 2))
-    prec = Precision(decimal_digits=max(15, digits))
-    out = []
-    with mp.workdps(prec.working_dps):
-        for t in samples:
-            tt = mp.mpf(t)
-            if not (0 < tt * tt < 6):
-                raise ValueError(f"sample {t} outside (0, sqrt 6)")
-            lo = lower_poly.eval_mpf(tt)
-            hi = upper_poly.eval_mpf(tt)
-            val = bessel_j_normalized(half, tt, prec).value
-            ok = bool(0 <= lo <= val <= hi)
-            out.append(BracketSample(t=float(t), lower=+lo, value=+val, upper=+hi, ok=ok))
-    return out
+    fixture: dict[tuple[int, int], Fraction]
+    mismatches: tuple[tuple[AppendixMismatch, dict | None], ...]
+    stale: tuple[dict, ...]
+    coefficients: dict[int, dict]
+
+
+def check_errata() -> ErrataCheck:
+    """Compare the shipped erratum ledger with the fixture, the recomputed
+    table and the printed coefficients; see ErrataCheck."""
+    fixture = load_appendix_fixture()
+    errata = load_errata()
+    unmatched = {(e["row"], e["exponent"], e["fixture"], e["recomputed"]): e for e in errata["table"]}
+    mismatches = tuple(
+        (m, unmatched.pop((m.row, m.exponent, format_rational(m.fixture), format_rational(m.engine)), None))
+        for m in appendix_mismatches(appendix_table(), fixture))
+    coefficients = {}
+    for e in errata["coefficients"]:
+        j = e["order"]
+        if (e["fixture"], e["recomputed"]) == (REFERENCE_SINC.get(j), format_rational(sinc_expansion(j).coeffs[j])):
+            coefficients[j] = e
+    return ErrataCheck(fixture=fixture, mismatches=mismatches, stale=tuple(unmatched.values()),
+                       coefficients=coefficients)

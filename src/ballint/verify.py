@@ -42,13 +42,7 @@ from .quadrature import (
 )
 from .records import VerifyReport
 from .rationals import format_rational, parse_rational
-from .sinc import (
-    appendix_mismatches,
-    appendix_table,
-    load_appendix_fixture,
-    load_errata,
-    sinc_expansion,
-)
+from .sinc import REFERENCE_SINC, appendix_table, check_errata, sinc_expansion, sinc_partial_sum
 
 __all__ = [
     "SUITES",
@@ -56,22 +50,7 @@ __all__ = [
     "suite_exit_code",
     "sweep_cutoff_mult",
     "sinc_coefficient_fit",
-    "REFERENCE_SINC",
 ]
-
-# Reference expansion coefficients in units of sqrt(3*pi/2), as printed in
-# the source material (provenance "paper"); index 5 is the ledgered
-# duplicated line, kept here exactly as printed.
-REFERENCE_SINC = {
-    0: "1",
-    1: "-3/20",
-    2: "-13/1120",
-    3: "27/3200",
-    4: "52791/3942400",
-    5: "-5270328789/136478720000",
-    6: "-124996631/10035200000",
-    7: "-5270328789/136478720000",
-}
 
 CLOSED_FORM_NUS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)]
 
@@ -89,10 +68,10 @@ def _engine_coeffs_deep() -> tuple[Fraction, ...]:
 def sinc_coefficient_fit(order: int) -> tuple[DecayFit, float, float, float, bool]:
     """Cross-validate the engine's order-`order` coefficient by quadrature.
 
-    Runs the decay fit on the order-(order-1) remainder, then rebuilds the
-    per-point remainders from the fit report (fitted line plus residual is
-    exact) and pins the theoretical exponent: each c_i = |r(n_i)| n_i^order
-    estimates the coefficient in absolute units.  Their mean is the
+    Runs the decay fit on the order-(order-1) remainder and pins the
+    theoretical exponent on the remainders it fitted: each
+    c_i = r(n_i) n_i^order estimates the coefficient in absolute units.
+    Their mean is the
     estimate and twice their spread around it is the acceptance band;
     for geometric grids a genuine 1/n subleading correction shifts the
     mean by less than that band, while a wrong target value (sign flips,
@@ -100,15 +79,11 @@ def sinc_coefficient_fit(order: int) -> tuple[DecayFit, float, float, float, boo
     Returns (fit, estimate, engine value in absolute units, band, ok),
     memoised per order.
     """
-    fit = remainder_decay_fit("sinc", order - 1, FIT_GRID, prec=Precision(decimal_digits=FIT_DIGITS))
+    fit = remainder_decay_fit(order - 1, FIT_GRID, prec=Precision(decimal_digits=FIT_DIGITS))
     c = _engine_coeffs_deep()[order]
     with mp.workdps(30):
         engine_abs = float(mp.sqrt(3 * mp.pi / 2) * mp.mpf(c.numerator) / c.denominator)
-    sign = 1.0 if fit.signed_coeff >= 0 else -1.0
-    ests = []
-    for n, res in zip(fit.used_n, fit.residuals):
-        ln_r = math.log(fit.amplitude) + fit.slope * math.log(n) + res * math.log(10)
-        ests.append(sign * math.exp(ln_r + order * math.log(n)))
+    ests = [float(r * n**order) for n, r in zip(fit.used_n, fit.remainders)]
     estimate = sum(ests) / len(ests)
     band = 2.0 * max(abs(e - estimate) for e in ests)
     ok = abs(estimate - engine_abs) <= band
@@ -137,26 +112,27 @@ def _report_exact(case_id: str, expected: Fraction, computed: Fraction, provenan
 def paper_constants_suite() -> list[VerifyReport]:
     reports: list[VerifyReport] = []
     exp7 = sinc_expansion(7, 8)
+    ledgered = check_errata().coefficients
 
     for j in range(8):
         printed = parse_rational(REFERENCE_SINC[j])
         engine = exp7.coeffs[j]
-        if j == 5:
+        twin = next((i for i, s in REFERENCE_SINC.items() if i != j and s == REFERENCE_SINC[j]), None)
+        if j in ledgered:
             # ledgered duplicated line; engine value cross-checked by decay fit
-            fit_ok = sinc_coefficient_fit(5)[4]
             reports.append(VerifyReport(
-                id="sinc-c5",
-                expected=REFERENCE_SINC[5],
+                id=f"sinc-c{j}",
+                expected=REFERENCE_SINC[j],
                 computed=format_rational(engine),
                 tolerance="exact",
-                status="erratum" if fit_ok else "fail",
+                status="erratum" if sinc_coefficient_fit(j)[4] else "fail",
                 provenance="paper",
-                notes="printed value duplicates the order-7 line; " + _fit_note(5),
+                notes=f"printed value duplicates the order-{twin} line; " + _fit_note(j),
             ))
             continue
         note = ""
-        if j == 7:
-            note = "printed value shared with the ledgered order-5 line; engine agrees with it"
+        if twin in ledgered:
+            note = f"printed value shared with the ledgered order-{twin} line; engine agrees with it"
         reports.append(_report_exact(f"sinc-c{j}", printed, engine, "paper", note))
 
     # closed forms in nu, checked as exact rational identities at samples
@@ -195,51 +171,45 @@ def paper_constants_suite() -> list[VerifyReport]:
 
 def appendix_suite() -> list[VerifyReport]:
     reports: list[VerifyReport] = []
-    fixture = load_appendix_fixture()
-    errata = load_errata()
-    table = appendix_table(k=8)
-    mismatches = {(e.row, e.exponent): e for e in appendix_mismatches(table, fixture)}
-    ledger = {(e["row"], e["exponent"]): e for e in errata["table"]}
+    check = check_errata()
+    fixture = check.fixture
+    ledgered = [(m, e) for m, e in check.mismatches if e is not None]
+    unledgered = [(m.row, m.exponent) for m, e in check.mismatches if e is None]
+    stale = [(e["row"], e["exponent"]) for e in check.stale]
+    expected = len(fixture) - len(ledgered) - len(stale)
 
-    matched = len(fixture) - len(set(fixture) & set(mismatches))
+    matched = len(fixture) - sum((m.row, m.exponent) in fixture for m, _ in check.mismatches)
     reports.append(VerifyReport(
         id="appendix-monomials-matched",
-        expected=f"{len(fixture) - len(ledger)} of {len(fixture)} fixture monomials",
+        expected=f"{expected} of {len(fixture)} fixture monomials",
         computed=f"{matched} matched exactly",
         tolerance="exact",
-        status="pass" if matched == len(fixture) - len(ledger) else "fail",
+        status="pass" if matched == expected else "fail",
         provenance="paper",
     ))
 
-    unexpected = set(mismatches) - set(ledger)
-    stale = set(ledger) - set(mismatches)
-    if unexpected or stale:
+    if unledgered or stale:
         reports.append(VerifyReport(
             id="appendix-ledger-alignment",
             expected="mismatch set identical to the erratum ledger",
-            computed=f"unledgered {sorted(unexpected)}, stale {sorted(stale)}",
+            computed=f"unledgered {sorted(unledgered)}, stale {sorted(stale)}",
             tolerance="exact",
             status="fail",
             provenance="derived",
         ))
 
-    for key in sorted(set(mismatches) & set(ledger)):
-        mism, entry = mismatches[key], ledger[key]
-        values_ok = (format_rational(mism.fixture) == entry["fixture"]
-                     and format_rational(mism.engine) == entry["recomputed"])
-        order = key[0]
-        fit_ok = sinc_coefficient_fit(order)[4]
+    for mism, entry in ledgered:
         reports.append(VerifyReport(
             id=f"appendix-{entry['id']}",
             expected=entry["fixture"],
             computed=format_rational(mism.engine),
             tolerance="exact",
-            status="erratum" if (values_ok and fit_ok) else "fail",
+            status="erratum" if sinc_coefficient_fit(mism.row)[4] else "fail",
             provenance="paper",
-            notes=f"{entry['classification']}; " + _fit_note(order),
+            notes=f"{entry['classification']}; " + _fit_note(mism.row),
         ))
 
-    for order in sorted({row for row, _ in ledger} | {5}):
+    for order in sorted({m.row for m, _ in check.mismatches} | set(check.coefficients)):
         fit, estimate, engine_abs, band, ok = sinc_coefficient_fit(order)
         reports.append(VerifyReport(
             id=f"decay-crosscheck-c{order}",
@@ -277,7 +247,6 @@ def reduction_suite() -> list[VerifyReport]:
             status="pass" if same else "fail",
             provenance="paper",
         ))
-    from .sinc import sinc_partial_sum
     ps_ok = all(bessel_partial_sum(half, k) == sinc_partial_sum(k) for k in range(7))
     reports.append(VerifyReport(
         id="reduction-partial-sums",
@@ -320,8 +289,9 @@ def reduction_suite() -> list[VerifyReport]:
 def decay_suite() -> list[VerifyReport]:
     reports: list[VerifyReport] = []
     prec = Precision(decimal_digits=50)
+    fits = {}
     for m, tol in ((0, 0.15), (1, 0.10), (2, 0.15)):
-        fit = remainder_decay_fit("sinc", m, (50, 100, 200, 400), prec=prec)
+        fit = fits[m] = remainder_decay_fit(m, (50, 100, 200, 400), prec=prec)
         ok = abs(fit.slope + (m + 1)) <= tol
         reports.append(VerifyReport(
             id=f"decay-slope-m{m}",
@@ -332,13 +302,9 @@ def decay_suite() -> list[VerifyReport]:
             provenance="derived",
             notes=f"grid {fit.used_n}, residuals max {max(abs(r) for r in fit.residuals):.2g}",
         ))
-    # first-order remainder halves when n doubles
-    with mp.workdps(60):
-        exp0 = sinc_expansion(0)
-        unit = mp.sqrt(3 * mp.pi / 2)
-        r100 = sinc_integral(100, prec).value - unit * exp0.partial_sum_mpf(100)
-        r200 = sinc_integral(200, prec).value - unit * exp0.partial_sum_mpf(200)
-        ratio = float(abs(r100 / r200))
+    # first-order remainder halves when n doubles; a dropped point fails the row
+    r0 = dict(zip(fits[0].used_n, fits[0].remainders))
+    ratio = float(abs(r0[100] / r0[200])) if {100, 200} <= r0.keys() else math.nan
     ok = abs(ratio - 2) <= 0.2
     reports.append(VerifyReport(
         id="decay-ratio-m0",

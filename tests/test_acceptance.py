@@ -231,7 +231,7 @@ def test_criterion_8_decay_orders(announce):
     t0 = time.monotonic()
     slopes = {}
     for m in (0, 1, 2):
-        fit = remainder_decay_fit("sinc", m, (50, 100, 200, 400))
+        fit = remainder_decay_fit(m, (50, 100, 200, 400))
         slopes[m] = fit.slope
     elapsed = time.monotonic() - t0
     deviations = {m: abs(s + (m + 1)) for m, s in slopes.items()}

@@ -12,6 +12,7 @@ import mpmath as mp
 import pytest
 
 import ballint
+from ballint import sinc
 from ballint.cli import EXIT_OK, EXIT_PRECISION, EXIT_USAGE, EXIT_VERIFY, main
 from ballint.rationals import parse_rational
 
@@ -79,6 +80,10 @@ class TestSincCoeffs:
         code, _, err = run_cli(capsys, "sinc-coeffs", "--order", "3", "--trunc", "2")
         assert code == EXIT_USAGE and "--trunc" in err
 
+    def test_digits_floor(self, capsys):
+        code, out, err = run_cli(capsys, "sinc-coeffs", "--order", "2", "--digits", "0")
+        assert code == EXIT_USAGE and "--digits" in err and out == ""
+
 
 class TestBesselCoeffs:
     def test_text_table(self, capsys):
@@ -108,6 +113,10 @@ class TestBesselCoeffs:
         code, _, _ = run_cli(capsys, "bessel-coeffs", "--nu", "1", "--order", "9")
         assert code == EXIT_USAGE
 
+    def test_digits_floor(self, capsys):
+        code, out, err = run_cli(capsys, "bessel-coeffs", "--nu", "1", "--order", "2", "--digits", "0")
+        assert code == EXIT_USAGE and "--digits" in err and out == ""
+
 
 class TestEval:
     def test_sinc_text(self, capsys):
@@ -129,6 +138,19 @@ class TestEval:
         assert run_cli(capsys, "eval", "sinc", "--n", "5", "--nu", "1")[0] == EXIT_USAGE
         assert run_cli(capsys, "eval", "bessel", "--n", "5")[0] == EXIT_USAGE
         assert run_cli(capsys, "eval", "sinc", "--n", "5", "--format", "csv")[0] == EXIT_USAGE
+
+    def test_sinc_rejects_cutoff_mult(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "sinc", "--n", "5", "--cutoff-mult", "6")
+        assert code == EXIT_USAGE and "--cutoff-mult" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_cutoff_mult(self, capsys, value):
+        code, _, err = run_cli(capsys, "eval", "bessel", "--n", "5", "--nu", "1", "--cutoff-mult", value)
+        assert code == EXIT_USAGE and "finite" in err
+
+    def test_negative_max_refine(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "sinc", "--n", "5", "--max-refine", "-1")
+        assert code == EXIT_USAGE and "max_refinements" in err
 
     def test_default_cutoff_has_no_cap(self, capsys):
         # the default cutoff at nu = 2 is 192; the closed form is 2^5 Gamma(3) Gamma(2) = 64
@@ -187,6 +209,25 @@ class TestAppendixCheck:
         assert doc["stale_ledger_entries"] == []
         assert {m["status"] for m in doc["mismatches"]} == {
             "truncation-bookkeeping", "denominator-misprint"}
+
+    def test_drifted_ledger_entry_fails(self, capsys, monkeypatch, tmp_path):
+        # a ledger entry whose recorded value no longer matches the live
+        # recomputation neither excuses its mismatch nor counts as current
+        errata = sinc.load_errata()
+        errata["table"][0]["recomputed"] = "1/3"
+        monkeypatch.setattr(sinc, "load_errata", lambda: errata)
+        code, out, _ = run_cli(capsys, "appendix-check")
+        assert code == EXIT_VERIFY
+        assert "row  8 t^18" in out and "[UNLEDGERED]" in out
+        assert "stale ledger entry (8, 18)" in out
+        code, out, _ = run_cli(capsys, "appendix-check", "--format", "json")
+        assert code == EXIT_VERIFY
+        assert json.loads(out)["stale_ledger_entries"] == [[8, 18]]
+        report = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "verify", "appendix", "--report", str(report))
+        assert code == EXIT_VERIFY
+        failed = [r["id"] for r in json.loads(report.read_text())["reports"] if r["status"] == "fail"]
+        assert failed == ["appendix-ledger-alignment"]
 
 
 class TestInstalledEntryPoint:

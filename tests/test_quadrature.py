@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 
 from ballint.bessel import Nu, bessel_expansion, c0_value, i_nu_at_2
+from ballint.sinc import sinc_expansion
 from ballint.quadrature import (
     BesselEval,
     DecayFit,
@@ -90,6 +91,9 @@ class TestPrecision:
             Precision(target_abs_err=0.0)
         with pytest.raises(ValueError, match="finer than"):
             Precision(decimal_digits=30, target_abs_err=1e-40)
+        with pytest.raises(ValueError, match="max_refinements"):
+            Precision(max_refinements=-1)
+        assert Precision(max_refinements=0).max_refinements == 0
 
     def test_explicit_target(self):
         p = Precision(decimal_digits=40, target_abs_err=1e-30)
@@ -190,6 +194,12 @@ class TestBesselClosedForms:
             bessel_integral(ONE, 1)
         with pytest.raises(ValueError):
             bessel_integral(ONE, 4, cutoff_mult=0.5)
+
+    @pytest.mark.parametrize("cutoff_mult", [math.nan, math.inf])
+    def test_non_finite_cutoff_rejected(self, cutoff_mult):
+        # nan passes a bare "< 1" test and inf makes the zero search endless
+        with pytest.raises(ValueError, match="finite"):
+            bessel_integral(ONE, 5, cutoff_mult=cutoff_mult)
 
     def test_nu2_n2_default_cutoff(self):
         # the default cutoff is 24 * 2^2 Gamma(3) = 192; the kernel has no
@@ -357,7 +367,7 @@ class TestPrecisionFailure:
 
 class TestDecayFit:
     def test_slope_and_coefficient_m0(self):
-        fit = remainder_decay_fit("sinc", 0, (50, 100, 200, 400))
+        fit = remainder_decay_fit(0, (50, 100, 200, 400))
         assert isinstance(fit, DecayFit)
         assert fit.used_n == (50, 100, 200, 400)
         assert fit.dropped_n == ()
@@ -366,28 +376,40 @@ class TestDecayFit:
             want = float(-mp.sqrt(3 * mp.pi / 2) * 3 / 20)
             assert math.isclose(fit.signed_coeff, want, rel_tol=0.05)
 
+    def test_remainders_are_the_fitted_points(self):
+        prec = Precision(decimal_digits=50)
+        fit = remainder_decay_fit(2, (200, 50, 100, 400), prec=prec)
+        assert fit.used_n == (50, 100, 200, 400)
+        assert len(fit.remainders) == len(fit.used_n)
+        expansion = sinc_expansion(2)
+        with mp.workdps(prec.working_dps):
+            for n, r in zip(fit.used_n, fit.remainders):
+                want = sinc_integral(n, prec).value - mp.sqrt(3 * mp.pi / 2) * expansion.partial_sum_mpf(n)
+                assert r == want, n
+                # the fit's log line runs through these very points
+                assert math.isclose(math.log10(abs(r)), math.log10(abs(fit.signed_coeff))
+                                    + fit.slope * math.log10(n) + fit.residuals[fit.used_n.index(n)],
+                                    rel_tol=1e-12)
+
     def test_validation(self):
-        with pytest.raises(ValueError, match="pipeline"):
-            remainder_decay_fit("gamma", 0, (50, 100, 200))
-        with pytest.raises(ValueError, match="needs nu"):
-            remainder_decay_fit("bessel", 0, (50, 100, 200))
         with pytest.raises(ValueError):
-            remainder_decay_fit("sinc", -1, (50, 100, 200))
+            remainder_decay_fit(-1, (50, 100, 200))
 
     def test_all_points_dropped(self):
         # at m = 12 the remainder sits near 1e-42, below the error budget
         # the 30-digit integrals carry out there, so no point is usable
         with pytest.raises(ValueError, match="insufficient data"):
-            remainder_decay_fit("sinc", 12, (2000, 3000, 4000),
+            remainder_decay_fit(12, (2000, 3000, 4000),
                                 prec=Precision(decimal_digits=30))
 
     def test_partial_drop(self):
         # the n = 4000 remainder (~7e-24) sinks under that point's error
         # budget at 30 digits while the low-n points stay clean
-        fit = remainder_decay_fit("sinc", 5, (100, 200, 400, 4000),
+        fit = remainder_decay_fit(5, (100, 200, 400, 4000),
                                   prec=Precision(decimal_digits=30))
         assert fit.dropped_n == (4000,)
         assert fit.used_n == (100, 200, 400)
+        assert len(fit.remainders) == 3
 
 
 class TestGammaSeriesConsistency:

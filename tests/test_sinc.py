@@ -12,7 +12,7 @@ from ballint.sinc import (
     APPENDIX_K,
     appendix_mismatches,
     appendix_table,
-    bracketing_check,
+    check_errata,
     cutoff_tail_bound,
     gaussian_moment_ratio,
     load_appendix_fixture,
@@ -54,16 +54,34 @@ class TestPartialSum:
         with pytest.raises(ValueError):
             sinc_partial_sum(-1)
 
-    @given(st.integers(0, 5), st.fractions(min_value=Fraction(1, 10), max_value=2, max_denominator=20))
+    @given(st.integers(0, 5), st.fractions(min_value=Fraction(1, 10), max_value=Fraction(61, 25),
+                                           max_denominator=25))
     def test_alternating_enclosure(self, k, t):
         # consecutive partial sums of an alternating series with decreasing
-        # terms (guaranteed on |t| <= 2 < sqrt 6) bracket sinc t; the gap is
-        # ~t^(4k+2)/(4k+3)!, comfortably above 60-digit resolution here
+        # terms (guaranteed on t^2 < 6, and 61/25 < sqrt 6) bracket sinc t,
+        # the lower one from above 0; the gap is ~t^(4k+2)/(4k+3)!, above
+        # 60-digit resolution here
         lo, hi = sinc_partial_sum(2 * k + 1), sinc_partial_sum(2 * k)
         with mp.workdps(60):
             tt = mp.mpf(t.numerator) / t.denominator
             value = mp.sin(tt) / tt
-            assert lo.eval_mpf(tt) <= value <= hi.eval_mpf(tt)
+            assert 0 <= lo.eval_mpf(tt) <= value <= hi.eval_mpf(tt)
+
+
+class TestBracketing:
+    def test_odd_k_brackets(self):
+        # 0 <= T_7(t) <= sin t / t <= T_8(t) on (0, sqrt 6), with sinc taken
+        # from the normalized Bessel kernel at nu = 1/2
+        from ballint.bessel import Nu
+        from ballint.quadrature import Precision, bessel_j_normalized
+
+        lo, hi = sinc_partial_sum(7), sinc_partial_sum(8)
+        prec = Precision(decimal_digits=30)
+        with mp.workdps(prec.working_dps):
+            for t in ["0.1", "0.5", "1.0", "1.7", "2.2", "2.44"]:
+                tt = mp.mpf(t)
+                value = bessel_j_normalized(Nu(Fraction(1, 2)), tt, prec).value
+                assert 0 <= lo.eval_mpf(tt) <= value <= hi.eval_mpf(tt), t
 
 
 class TestSincAj:
@@ -120,7 +138,7 @@ class TestExpansion:
         e = sinc_expansion(7, 8)
         for i in range(8):
             total = sum((v * gaussian_moment_ratio(exp // 2)
-                         for exp, v in table.row(i).items()), Fraction(0))
+                         for exp, v in table.rows[i].items()), Fraction(0))
             assert total == e.coeffs[i], i
 
     def test_validation(self):
@@ -163,18 +181,6 @@ class TestTailBounds:
             cutoff_tail_bound(1, 2)
 
 
-class TestBracketing:
-    def test_odd_k_brackets(self):
-        samples = [0.1, 0.5, 1.0, 1.7, 2.2, 2.44]
-        for s in bracketing_check(7, samples):
-            assert s.ok
-            assert s.lower <= s.value <= s.upper
-
-    def test_even_k_rejected(self):
-        with pytest.raises(ValueError):
-            bracketing_check(6, [1.0])
-
-
 class TestFixture:
     def test_shape(self):
         fixture = load_appendix_fixture()
@@ -211,6 +217,13 @@ class TestErrataAlignment:
             entry = by_key[(m.row, m.exponent)]
             assert format_rational(m.fixture) == entry["fixture"]
             assert format_rational(m.engine) == entry["recomputed"]
+
+    def test_check_errata_pairs_every_entry(self):
+        check = check_errata()
+        assert len(check.mismatches) == 13 and check.stale == ()
+        assert all(entry is not None for _, entry in check.mismatches)
+        assert [e["id"] for e in check.coefficients.values()] == ["remark-c5"]
+        assert set(check.coefficients) == {5}
 
     def test_deep_truncation_leaves_only_misprints(self):
         # at k = 14 every a_j the table needs is complete, so the

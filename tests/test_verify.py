@@ -2,6 +2,8 @@
 
 import pytest
 
+from ballint import sinc
+from ballint.quadrature import remainder_decay_fit
 from ballint.records import VerifyReport
 from ballint.verify import SUITES, run_suite, suite_exit_code
 
@@ -46,6 +48,19 @@ class TestPaperConstantsSuite:
         assert "decay fit" in erratum.notes
         assert {r.provenance for r in reports} <= {"paper", "derived", "trivial"}
 
+    @pytest.mark.parametrize("drift", ["removed", "recomputed"])
+    def test_c5_needs_its_ledger_entry(self, monkeypatch, drift):
+        errata = sinc.load_errata()
+        if drift == "removed":
+            errata["coefficients"] = [e for e in errata["coefficients"] if e["id"] != "remark-c5"]
+        else:
+            errata["coefficients"][0]["recomputed"] = "1/3"
+        monkeypatch.setattr(sinc, "load_errata", lambda: errata)
+        reports = {r.id: r for r in run_suite("paper-constants")}
+        assert reports["sinc-c5"].status == "fail"
+        assert [r.id for r in reports.values() if r.status != "pass"] == ["sinc-c5"]
+        assert reports["sinc-c7"].notes == ""
+
 
 class TestAppendixSuite:
     def test_statuses(self):
@@ -56,6 +71,23 @@ class TestAppendixSuite:
         crosschecks = [r for r in reports if r.id.startswith("decay-crosscheck-")]
         assert len(crosschecks) == 7
         assert all(r.status == "pass" for r in crosschecks)
+
+
+class TestDecaySuite:
+    def test_dropped_ratio_point_fails_the_row(self, monkeypatch):
+        from dataclasses import replace
+
+        from ballint import verify
+
+        def without_100(m, grid, prec=None):
+            fit = remainder_decay_fit(m, grid, prec=prec)
+            keep = [i for i, n in enumerate(fit.used_n) if n != 100]
+            return replace(fit, used_n=tuple(fit.used_n[i] for i in keep),
+                           remainders=tuple(fit.remainders[i] for i in keep))
+
+        monkeypatch.setattr(verify, "remainder_decay_fit", without_100)
+        ratio = next(r for r in run_suite("decay") if r.id == "decay-ratio-m0")
+        assert ratio.status == "fail" and ratio.computed == "nan"
 
 
 class TestNumericalSuites:
