@@ -7,9 +7,10 @@ analytic bound on whatever lies beyond the cutoff, and a working-precision
 floor.  Analytic tail bounds are never folded into the value.
 
 Integration strategy: |f|^n is smooth except at the zeros of f, so the
-domain is split there (multiples of pi for sinc, the zeros of J_nu from
-mpmath's besseljzero for Bessel) and each smooth piece gets a
-fixed-order Gauss-Legendre rule.  One function (_integrate) refines the
+domain is split there (multiples of pi for sinc, the zeros of J_nu for
+Bessel, found by Newton's method on the kernel and proven complete by a
+Sturm comparison) and each smooth piece gets a fixed-order
+Gauss-Legendre rule.  One function (_integrate) refines the
 whole subdivision together, doubling the order until two successive
 totals agree below target/2, and retries once at twenty more digits, so
 the node set is a deterministic function of the inputs and results are
@@ -60,6 +61,7 @@ __all__ = [
     "PrecisionFailure",
     "LOBE_CAP",
     "ZETA_LOBES",
+    "CUTOFF_MULT_MAX",
     "sinc_integral",
     "bessel_j_normalized",
     "bessel_integral",
@@ -68,6 +70,7 @@ __all__ = [
 
 LOBE_CAP = 64     # most pi-lobes worth integrating before switching to the zeta tail
 ZETA_LOBES = 24   # head lobes kept in zeta mode
+CUTOFF_MULT_MAX = 64  # largest Bessel cutoff, in units of 2^nu Gamma(nu+1)
 
 
 @dataclass(frozen=True)
@@ -335,17 +338,103 @@ def bessel_j_normalized(nu: Nu, t, prec: Precision | None = None) -> BesselEval:
         return BesselEval(nu=nu, t=+tt, value=value, err_bound=+err)
 
 
+def _f_slope(v: Fraction, t: mp.mpf, prec: int) -> tuple[mp.mpf, mp.mpf]:
+    """(f_v(t), f_v'(t)), the kernel at prec bits; f_v' = -t f_{v+1} / (2 (v+1))."""
+    return _f_nu(v, t, prec), -t * _f_nu(v + 1, t, prec) / (2 * _mpq(v + 1))
+
+
+def _zero_start(nu: float, k: int) -> float:
+    """A float start for the k-th zero of J_nu: McMahon's expansion
+    (DLMF 10.21.19), or for k = 1 at nu > 2, where McMahon's is poor, the
+    large-order form nu + 1.8557571 nu^(1/3) + 1.033150 nu^(-1/3)
+    (DLMF 10.21.40)."""
+    if k == 1 and nu > 2:
+        c = nu ** (1 / 3)
+        return nu + 1.8557571 * c + 1.033150 / c
+    b = (k + nu / 2 - 0.25) * math.pi
+    mu = 4 * nu * nu
+    e = 8 * b
+    return (b - (mu - 1) / e - 4 * (mu - 1) * (7 * mu - 31) / (3 * e**3)
+            - 32 * (mu - 1) * (83 * mu * mu - 982 * mu + 3779) / (15 * e**5))
+
+
+def _newton_zero(v: Fraction, z: mp.mpf, slope_mag: int) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
+    """Newton's method on f_v from z: (z, f_v(z), f_v'(z)), z the zero
+    rounded to the ambient precision.
+
+    Each step evaluates the kernel with 16 bits plus as many as 1/|f_v'|
+    has (slope_mag: the magnitude of the last slope seen), so its absolute
+    error moves the zero by far less than an ulp, and rounds z - f/f' once
+    to the ambient precision.  It stops when that leaves z in place, or
+    steps back to the z before it at a rounding tie.
+    """
+    prev = None
+    for _ in range(64):
+        f, fp = _f_slope(v, z, mp.mp.prec + 16 + max(0, -slope_mag))
+        slope_mag = mp.mag(fp)
+        nxt = z - f / fp
+        if nxt == z or nxt == prev:
+            return z, f, fp
+        prev, z = z, nxt
+    raise ArithmeticError(f"Newton's method for a zero of J_{v} did not settle near {mp.nstr(z, 10)}")
+
+
+def _check_zeros(v: Fraction, X: mp.mpf, points: Sequence[tuple[mp.mpf, mp.mpf, mp.mpf]]) -> None:
+    """Prove that points, (z, f_v(z), f_v'(z)) by increasing z, sit at the
+    first len(points) zeros of J_v, all below X but the last; raise
+    ArithmeticError otherwise.
+
+    |f_v''| <= 1, as f_v is the characteristic function of a law on
+    [-1, 1].  So |f| <= eta |f'| / 2 and |f'| > 2 eta put a zero of f_v
+    within 2 eta of z, across which f_v turns to the sign of f'(z); eta is
+    16 ulps of z.  Those signs must alternate from f_v(0) = 1.  For
+    nu >= 1/2, Sturm comparison puts consecutive zeros at least pi apart,
+    so a gap below 2 pi - 4 eta skips no zero, and none lies below the
+    first if z_1 - pi + 2 eta < L, a lower bound on j_{nu,1}: pi when
+    z_1 < 2 pi, else nu + 1.855757 nu^(1/3) (Qu and Wong, Trans. AMS 351,
+    1999).
+    """
+    def fail(why):
+        raise ArithmeticError(f"zeros of J_{v} below {mp.nstr(X, 10)}: {why}")
+
+    if not points or points[-1][0] < X or any(z >= X for z, _, _ in points[:-1]):
+        fail("the search must end at the first zero at or beyond the cutoff")
+    pi = mp.pi
+    last = None
+    for i, (z, f, fp) in enumerate(points, 1):
+        eta = mp.ldexp(z, 4 - mp.mp.prec)
+        if not 2 * abs(f) <= eta * abs(fp) or not abs(fp) > 2 * eta:
+            fail(f"no sign change at {mp.nstr(z, 10)}")
+        if (fp < 0) != (i % 2 == 1):
+            fail(f"the sign of f does not alternate at {mp.nstr(z, 10)}")
+        if last is not None and not 4 * eta < z - last < 2 * pi - 4 * eta:
+            fail(f"the gap {mp.nstr(last, 10)} .. {mp.nstr(z, 10)} is not in (0, 2 pi)")
+        last = z
+    z1 = points[0][0]
+    nu = float(v)
+    lower = pi if z1 < 2 * pi else nu + 1.855757 * nu ** (1 / 3)
+    if not z1 - pi + mp.ldexp(z1, 5 - mp.mp.prec) < lower:
+        fail(f"a zero may lie below {mp.nstr(z1, 10)}")
+
+
 @lru_cache(maxsize=256)
 def _bessel_zeros(v: Fraction, X: mp.mpf, wdps: int) -> tuple:
-    """All zeros of J_v in (0, X), from mpmath's besseljzero at wdps."""
+    """All zeros of J_v in (0, X), each rounded once to wdps digits.
+
+    Newton's method on the kernel (_newton_zero) runs from _zero_start
+    for k = 1, 2, ... up to the first zero at or beyond X, and
+    _check_zeros proves the set complete before it is returned.
+    """
     with mp.workdps(wdps):
-        nv = _mpq(v)
-        zeros = []
+        points, slope_mag = [], 0
         for k in count(1):
-            z = mp.besseljzero(nv, k)
+            z, f, fp = _newton_zero(v, mp.mpf(_zero_start(float(v), k)), slope_mag)
+            points.append((z, f, fp))
             if z >= X:
-                return tuple(zeros)
-            zeros.append(z)
+                break
+            slope_mag = mp.mag(fp)
+        _check_zeros(v, X, points)
+        return tuple(z for z, _, _ in points[:-1])
 
 
 def _completed_tail_n2(nu: Nu, X: mp.mpf, amp: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
@@ -383,7 +472,8 @@ def bessel_integral(nu: Nu, n: int, prec: Precision | None = None,
     """n^nu int_0^inf (2^nu Gamma(nu+1)|J_nu(t)|/t^nu)^n t^{2nu-1} dt.
 
     Integrates to X = cutoff_mult * 2^nu Gamma(nu+1), splitting at every
-    zero of J_nu below X; the kernel _f_nu has no cap, nor has X.  The
+    zero of J_nu below X (_bessel_zeros); the kernel _f_nu has no cap, and
+    cutoff_mult runs from 1 to CUTOFF_MULT_MAX.  The
     first piece is mapped through t = y^{q/2} (nu = p/q) so the t^{2nu-1}
     branch point becomes the analytic monomial y^{p-1}.  For n >= 3 the
     decay-envelope tail bound at X goes into abs_err_bound; at n = 2 the
@@ -392,8 +482,8 @@ def bessel_integral(nu: Nu, n: int, prec: Precision | None = None,
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if not 1 <= cutoff_mult < math.inf:
-        raise ValueError("cutoff_mult must be finite and at least 1")
+    if not 1 <= cutoff_mult <= CUTOFF_MULT_MAX:
+        raise ValueError(f"cutoff_mult must be finite, at least 1 and at most {CUTOFF_MULT_MAX}")
     return _bessel_integral(nu, n, prec or Precision(), float(cutoff_mult))
 
 

@@ -148,6 +148,11 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "bessel", "--n", "5", "--nu", "1", "--cutoff-mult", value)
         assert code == EXIT_USAGE and "finite" in err
 
+    @pytest.mark.parametrize("value", ["1e4", "1e8"])
+    def test_cutoff_mult_above_limit(self, capsys, value):
+        code, _, err = run_cli(capsys, "eval", "bessel", "--n", "5", "--nu", "1", "--cutoff-mult", value)
+        assert code == EXIT_USAGE and "at most 64" in err
+
     def test_negative_max_refine(self, capsys):
         code, _, err = run_cli(capsys, "eval", "sinc", "--n", "5", "--max-refine", "-1")
         assert code == EXIT_USAGE and "max_refinements" in err

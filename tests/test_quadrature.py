@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 
-from ballint.bessel import Nu, bessel_expansion, c0_value, i_nu_at_2
+from ballint.bessel import Nu, amplitude, bessel_expansion, c0_value, i_nu_at_2
 from ballint.sinc import sinc_expansion
 from ballint.quadrature import (
+    CUTOFF_MULT_MAX,
     BesselEval,
     DecayFit,
     Precision,
@@ -19,7 +20,9 @@ from ballint.quadrature import (
     QuadEstimate,
     _bessel_integral,
     _bessel_zeros,
+    _check_zeros,
     _completed_tail_n2,
+    _f_slope,
     _legendre_rule,
     _sinc_integral,
     bessel_integral,
@@ -33,9 +36,9 @@ ONE = Nu(Fraction(1))
 
 # frozen 30-digit regression pin for n = 3: the sinc engine's own value,
 # not an independent one.  The Bessel pipeline at nu = 1/2 only brackets it
-# (4.0e-4 away with bound 6.7e-3 at defaults, 3.7e-5 away with bound 1.1e-3
-# at cutoff_mult=79).  It sits 0.053 above the signed integral
-# sqrt(3) int (sin t/t)^3 = 3 sqrt(3) pi/8, as |sin t/t|^3 must.
+# (4.0e-4 away with bound 6.7e-3 at defaults, 5.7e-5 away with bound 1.5e-3
+# at cutoff_mult=64, the largest allowed).  It sits 0.053 above the signed
+# integral sqrt(3) int (sin t/t)^3 = 3 sqrt(3) pi/8, as |sin t/t|^3 must.
 I3_REFERENCE = "2.09308676894979384243213365357"
 
 # f_nu(t) = (2k+1)!! j_k(t) / t^k at nu = k + 1/2, from the spherical Bessel j_k
@@ -201,6 +204,16 @@ class TestBesselClosedForms:
         with pytest.raises(ValueError, match="finite"):
             bessel_integral(ONE, 5, cutoff_mult=cutoff_mult)
 
+    @pytest.mark.parametrize("cutoff_mult", [CUTOFF_MULT_MAX + 0.5, 1e4, 1e8])
+    def test_cutoff_mult_above_limit_rejected(self, cutoff_mult):
+        # at 1e4 the search would walk thousands of zeros and run for minutes
+        with pytest.raises(ValueError, match=f"at most {CUTOFF_MULT_MAX}"):
+            bessel_integral(ONE, 5, cutoff_mult=cutoff_mult)
+
+    def test_cutoff_mult_limit_accepted(self):
+        est = bessel_integral(ONE, 40, cutoff_mult=CUTOFF_MULT_MAX)
+        assert est.cutoff_used == 2 * CUTOFF_MULT_MAX
+
     def test_nu2_n2_default_cutoff(self):
         # the default cutoff is 24 * 2^2 Gamma(3) = 192; the kernel has no
         # evaluation cap, so the closed form 2^5 Gamma(3) Gamma(2) = 64 is met
@@ -315,6 +328,97 @@ class TestBesselZeros:
                 assert k * mp.pi < z < k * mp.pi + mp.pi / 2
                 newton_step = (mp.sin(z) - z * mp.cos(z)) / (z * mp.sin(z))
                 assert abs(newton_step) <= mp.mpf(10) ** (2 - self.WDPS) * z
+
+    @staticmethod
+    def library_zeros(nu: Fraction, cutoff, dps: int) -> list:
+        """mp.besseljzero's zeros of J_nu below cutoff(first zero), found at
+        dps + 20 digits and rounded to dps."""
+        with mp.workdps(dps + 20):
+            v = mp.mpf(nu.numerator) / nu.denominator
+            zeros = [mp.besseljzero(v, 1)]
+            X = cutoff(zeros[0])
+            while zeros[-1] < X:
+                zeros.append(mp.besseljzero(v, len(zeros) + 1))
+        with mp.workdps(dps):
+            return [+z for z in zeros[:-1]]
+
+    @pytest.mark.parametrize("nu", [Fraction(i, 4) for i in range(2, 81)], ids=str)
+    def test_against_library(self, nu):
+        # every zero below j_{nu,1} + 40, for nu = 1/2, 3/4, ..., 20, bit for bit
+        want = self.library_zeros(nu, lambda z1: z1 + 40, self.WDPS)
+        with mp.workdps(self.WDPS):
+            X = +(want[0] + 40)
+            assert _bessel_zeros(nu, X, self.WDPS) == tuple(want)
+
+    def test_seven_thirds_readme_cutoff(self):
+        # the zeros of the README line, X = 6 * 2^(7/3) Gamma(10/3); at k = 3
+        # and k = 24 besseljzero at the working precision itself is 1 ulp off
+        nu = Nu(Fraction(7, 3))
+        with mp.workdps(self.WDPS):
+            X = 6.0 * amplitude(nu)
+            got = _bessel_zeros(nu.value, X, self.WDPS)
+        assert len(got) == 25
+        assert got == tuple(self.library_zeros(nu.value, lambda z1: X, self.WDPS))
+
+    def test_no_zero_below_cutoff(self):
+        # nu = 1/2, cutoff_mult = 1: X = sqrt(pi/2) < pi = j_{1/2,1}, so the
+        # integral is one piece; at n = 2 it is I(2) = pi / sqrt(2)
+        with mp.workdps(self.WDPS):
+            assert _bessel_zeros(HALF.value, +mp.sqrt(mp.pi / 2), self.WDPS) == ()
+        est = bessel_integral(HALF, 2, cutoff_mult=1)
+        assert est.pieces == 1
+        with mp.workdps(60):
+            assert abs(est.value - mp.pi / mp.sqrt(2)) <= est.abs_err_bound
+
+
+def _drop(i, count=1):
+    return lambda zs: zs[:i] + zs[i + count:]
+
+
+class TestCheckZeros:
+    """_check_zeros must refuse any zero set that is not the first zeros of
+    J_nu up to the first one at or beyond X."""
+
+    WDPS = Precision().working_dps
+    # corruption -> the check that must catch it; each keeps the zero at or
+    # beyond X last unless it drops that one.  Dropping two neighbours keeps
+    # the signs alternating, so only the gap or the first-zero bound sees it.
+    CORRUPTIONS = {
+        "first-removed": (_drop(0), "does not alternate"),
+        "first-two-removed": (_drop(0, 2), "may lie below"),
+        "middle-removed": (_drop(3), "does not alternate"),
+        "middle-two-removed": (_drop(3, 2), "is not in"),
+        "beyond-removed": (lambda zs: zs[:-1], "must end"),
+        "duplicated": (lambda zs: zs[:4] + zs[3:], "does not alternate"),
+        "moved-off": (lambda zs: zs[:3] + [zs[3] + mp.mpf(1) / 2] + zs[4:], "no sign change"),
+        "moved-256-ulps": (lambda zs: zs[:3] + [zs[3] * (1 + mp.ldexp(1, 8 - mp.mp.prec))] + zs[4:],
+                           "no sign change"),
+    }
+
+    def points(self, nu, zs):
+        return [(z, *_f_slope(nu, z, mp.mp.prec + 40)) for z in zs]
+
+    def zeros(self, nu, X):
+        """The zeros below X and the first one at or beyond it."""
+        zs = _bessel_zeros(nu, X + 10, self.WDPS)
+        below = [z for z in zs if z < X]
+        return below + [zs[len(below)]]
+
+    @pytest.mark.parametrize("nu", [Fraction(1), Fraction(7)], ids=str)
+    def test_complete_set_passes(self, nu):
+        with mp.workdps(self.WDPS):
+            X = mp.mpf(40)
+            _check_zeros(nu, X, self.points(nu, self.zeros(nu, X)))
+
+    @pytest.mark.parametrize("corrupt", list(CORRUPTIONS))
+    @pytest.mark.parametrize("nu", [Fraction(1), Fraction(7)], ids=str)
+    def test_corrupted_set_raises(self, nu, corrupt):
+        with mp.workdps(self.WDPS):
+            X = mp.mpf(40)
+            change, why = self.CORRUPTIONS[corrupt]
+            zs = change(self.zeros(nu, X))
+            with pytest.raises(ArithmeticError, match=f"zeros of J_{nu} .*{why}"):
+                _check_zeros(nu, X, self.points(nu, zs))
 
 
 class TestMemoTransparency:
