@@ -46,8 +46,10 @@ from .quadrature import (
     DecayFit,
     PrecisionFailure,
     sinc_integral,
+    sinc_integrals,
     bessel_j_normalized,
     bessel_integral,
+    bessel_integrals,
     remainder_decay_fit,
 )
 from .records import CoeffRecord, VerifyReport
@@ -87,8 +89,10 @@ __all__ = [
     "DecayFit",
     "PrecisionFailure",
     "sinc_integral",
+    "sinc_integrals",
     "bessel_j_normalized",
     "bessel_integral",
+    "bessel_integrals",
     "remainder_decay_fit",
     "CoeffRecord",
     "VerifyReport",

@@ -17,6 +17,15 @@ the node set is a deterministic function of the inputs and results are
 bit-reproducible.  The Bessel kernel is its own Maclaurin series, summed
 in fixed-point Python integers (_f_nu).
 
+Sweeps over n run as batches (sinc_integrals, bessel_integrals) through
+that one ladder (_ladder).  Only the final power depends on n, so each
+piece's base (|sin t|/t, or |f_nu(t)| with its weight) is evaluated once
+a node for every n still on that rung, and each n keeps its own rung,
+stopping test, retry, tail and floor.  Every n's terms are summed in its
+own order by the exact fold of mp.fsum (_Fsum), so a batch returns, bit
+for bit, what each n returns alone; the single-n functions are batches
+of one, sharing one memo keyed per n.
+
 Two sinc regimes: for large n the integrand dies fast and a finite lobe
 count with the t^{-n} envelope bound suffices; for small n the envelope
 would need astronomically many lobes, so the entire tail is folded into
@@ -45,10 +54,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import bitcount, from_man_exp, fzero, mpf_add, round_nearest, to_fixed
 
 from .bessel import Nu, amplitude, bessel_tail_bound
 from .sinc import cutoff_tail_bound, sinc_expansion
@@ -63,8 +72,10 @@ __all__ = [
     "ZETA_LOBES",
     "CUTOFF_MULT_MAX",
     "sinc_integral",
+    "sinc_integrals",
     "bessel_j_normalized",
     "bessel_integral",
+    "bessel_integrals",
     "remainder_decay_fit",
 ]
 
@@ -198,47 +209,160 @@ def _legendre_rule(order: int, dps: int) -> tuple:
         return tuple((-x, w) for x, w in reversed(half)) + tuple(half)
 
 
-Piece = tuple[mp.mpf, mp.mpf, Callable[[mp.mpf], mp.mpf]]
+class _Fsum:
+    """mp.fsum fed one term at a time, bit for bit.
+
+    The state is that of mpmath's mpf_sum (libmpf), which folds the terms
+    left to right into one exact (man, exp) pair, drops a term more than
+    twice the precision below the sum (or the sum below it) and rounds once
+    at the end; add() is one step of that fold.  So a ladder can sum every
+    n of a batch node by node without keeping the terms.
+    """
+
+    __slots__ = ("man", "exp", "special", "max_extra")
+
+    def __init__(self):
+        self.man, self.exp, self.special = 0, 0, None
+        self.max_extra = mp.mp.prec * 2
+
+    def add(self, x: mp.mpf) -> None:
+        sign, man, exp, bc = x._mpf_
+        if not man:
+            if exp:  # inf or nan
+                self.special = mpf_add(self.special or fzero, x._mpf_, 1)
+            return
+        if sign:
+            man = -man
+        delta = exp - self.exp
+        if delta >= 0:
+            if delta > self.max_extra and (not self.man or delta - bitcount(abs(self.man)) > self.max_extra):
+                self.man, self.exp = man, exp
+            else:
+                self.man += man << delta
+        elif -delta - bc > self.max_extra:
+            if not self.man:
+                self.man, self.exp = man, exp
+        else:
+            self.man = (self.man << -delta) + man
+            self.exp = exp
+
+    def value(self) -> mp.mpf:
+        if self.special:
+            return mp.make_mpf(self.special)
+        return mp.make_mpf(from_man_exp(self.man, self.exp, *mp.mp._prec_rounding))
 
 
-def _piece_total(pieces: Sequence[Piece], order: int, dps: int) -> mp.mpf:
-    rule = _legendre_rule(order, dps)
-    sums = []
-    for a, b, f in pieces:
-        mid = (a + b) / 2
-        rad = (b - a) / 2
-        sums.append(rad * mp.fsum(w * f(mid + rad * x) for x, w in rule))
-    return mp.fsum(sums)
+# A piece (a, b, base, finish) integrates finish(n, base(t)) over [a, b]:
+# base holds what does not depend on n, so a batch evaluates it once a node.
+Piece = tuple[mp.mpf, mp.mpf, Callable[[mp.mpf], object], Callable[[int, object], mp.mpf]]
 
 
-def _integrate(build, prec: Precision, label: str) -> QuadEstimate:
-    """Run the order-doubling ladder at working precision, then once more
-    with twenty extra digits.
+def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
+            half_target: mp.mpf, dps: int) -> dict[int, tuple[mp.mpf, mp.mpf]]:
+    """(total, diff) for every n of uses, from one order-doubling ladder.
 
-    build(wdps) returns (pieces, scale, offset, err, cutoff): the value is
-    scale * (sum of the piece integrals) + offset, and err is the absolute
-    error of whatever the pieces leave out (the analytic tail bound, or the
-    error of an offset completed exactly), in final units.  A failed ladder
-    raises PrecisionFailure carrying the last rung's estimate.
+    n integrates the pieces whose indices uses[n] lists, in increasing
+    order.  At each rung every piece is visited once, node by node: its
+    base is evaluated once and finished for every n still on the ladder
+    that integrates it, and each term is folded straight into that n's
+    sums (_Fsum).  An n leaves at its first rung whose total is within
+    half_target of the one before, or after rung `rungs`.  Each n sums its
+    own terms and pieces in its own order, so its (total, diff) is what it
+    would be alone.
+    """
+    out = {}
+    prev = dict.fromkeys(uses)
+    r = 0
+    while prev:
+        rule = _legendre_rule(16 * 2**r, dps)
+        totals = {n: _Fsum() for n in prev}
+        for i, (a, b, base, finish) in enumerate(pieces):
+            users = [n for n in prev if i in uses[n]]
+            if not users:
+                continue
+            mid = (a + b) / 2
+            rad = (b - a) / 2
+            sums = [_Fsum() for _ in users]
+            for x, w in rule:
+                v = base(mid + rad * x)
+                for n, acc in zip(users, sums):
+                    acc.add(w * finish(n, v))
+            for n, acc in zip(users, sums):
+                totals[n].add(rad * acc.value())
+        for n, acc in totals.items():
+            total = acc.value()
+            diff = mp.inf if prev[n] is None else abs(total - prev[n])
+            if diff < half_target or r == rungs:
+                out[n] = total, diff
+                del prev[n]
+            else:
+                prev[n] = total
+        r += 1
+    return out
+
+
+def _integrate(build, ns: list[int], prec: Precision,
+               label: Callable[[int], str]) -> dict[int, QuadEstimate | PrecisionFailure]:
+    """Run the order-doubling ladder (_ladder) for every n of ns at working
+    precision, then once more with twenty extra digits for those that
+    missed the target.
+
+    build(wdps, ns) returns (pieces, {n: (uses, scale, offset, err, cutoff)}):
+    n integrates the pieces listed by uses (indices into pieces, increasing),
+    the value is scale * (sum of those integrals) + offset, and err is the
+    absolute error of whatever the pieces leave out (the analytic tail
+    bound, or the error of an offset completed exactly), in final units.
+    An n whose ladder fails at both precisions maps to a PrecisionFailure,
+    named by label(n), carrying its last rung's estimate.
     """
     target = mp.mpf(prec.target_abs_err)
+    out: dict[int, QuadEstimate | PrecisionFailure] = {}
     for wdps in (prec.working_dps, prec.working_dps + 20):
         with mp.workdps(wdps):
-            pieces, scale, offset, err, cutoff = build(wdps)
-            prev = None
-            for r in range(prec.max_refinements + 1):
-                total = _piece_total(pieces, 16 * 2**r, wdps)
-                diff = mp.inf if prev is None else abs(total - prev)
-                if diff < target / 2:
-                    break
-                prev = total
-            value = scale * total + offset
-            bound = scale * diff + err + mp.mpf(10) ** (2 - wdps) * (1 + abs(value))
-            est = QuadEstimate(value=+value, abs_err_bound=+bound, cutoff_used=+mp.mpf(cutoff), pieces=len(pieces))
-        if diff < target / 2:
-            return est
-    raise PrecisionFailure(f"{label}: target {prec.target_abs_err} not reached "
-                           f"after {prec.max_refinements} order doublings and one precision raise", est)
+            pieces, setups = build(wdps, ns)
+            half = target / 2
+            ladder = _ladder(pieces, {n: setups[n][0] for n in ns}, prec.max_refinements, half, wdps)
+            missed = []
+            for n in ns:
+                (uses, scale, offset, err, cutoff), (total, diff) = setups[n], ladder[n]
+                value = scale * total + offset
+                bound = scale * diff + err + mp.mpf(10) ** (2 - wdps) * (1 + abs(value))
+                out[n] = QuadEstimate(value=+value, abs_err_bound=+bound, cutoff_used=+mp.mpf(cutoff),
+                                      pieces=len(uses))
+                if not diff < half:
+                    missed.append(n)
+        ns = missed
+        if not ns:
+            return out
+    for n in ns:
+        out[n] = PrecisionFailure(f"{label(n)}: target {prec.target_abs_err} not reached "
+                                  f"after {prec.max_refinements} order doublings and one precision raise", out[n])
+    return out
+
+
+# one memo for both integrals: (family..., n) -> QuadEstimate, where the family
+# is ("sinc", prec) or ("bessel", nu, prec, cutoff_mult)
+_MEMO: dict[tuple, QuadEstimate] = {}
+
+
+def _memoised(family: tuple, ns: list[int], compute) -> list[QuadEstimate]:
+    """[the estimate for n, for n in ns], from _MEMO; the n not yet in it are
+    computed first, each once, in one batch by compute(missing), which
+    returns {n: QuadEstimate or PrecisionFailure}.  Every estimate is
+    memoised before the failure of the first failing n in ns is raised.
+    """
+    missing = list(dict.fromkeys(n for n in ns if (*family, n) not in _MEMO))
+    failures = {}
+    if missing:
+        for n, result in compute(missing).items():
+            if isinstance(result, PrecisionFailure):
+                failures[n] = result
+            else:
+                _MEMO[(*family, n)] = result
+    for n in ns:
+        if n in failures:
+            raise failures[n]
+    return [_MEMO[(*family, n)] for n in ns]
 
 
 def _sinc_mode(n: int, prec: Precision) -> tuple[str, int]:
@@ -266,31 +390,65 @@ def sinc_integral(n: int, prec: Precision | None = None) -> QuadEstimate:
     discarded tail goes into abs_err_bound; in zeta mode the tail is an
     exact extra panel and cutoff_used is reported as inf.  Results are
     memoised per (n, prec), so a repeated call returns the same object.
+    This is sinc_integrals([n], prec)[0].
     """
-    if n < 2:
+    return sinc_integrals([n], prec)[0]
+
+
+def sinc_integrals(ns: Iterable[int], prec: Precision | None = None) -> list[QuadEstimate]:
+    """[sinc_integral(n, prec) for n in ns], bit for bit, from one ladder.
+
+    The lobes' endpoints and |sin t|/t at every node are computed once and
+    raised to each n's power; only the n not yet memoised are computed.
+    If any n misses its target, the PrecisionFailure of the first such n
+    in ns is raised, after the others are memoised.
+    """
+    prec = prec or Precision()
+    ns = list(ns)
+    if any(n < 2 for n in ns):
         raise ValueError("n must be at least 2")
-    return _sinc_integral(n, prec or Precision())
+    return _memoised(("sinc", prec), ns, lambda todo: _sinc_estimates(todo, prec))
 
 
-@lru_cache(maxsize=None)
-def _sinc_integral(n: int, prec: Precision) -> QuadEstimate:
-    mode, lobes = _sinc_mode(n, prec)
+def _lobe(t: mp.mpf) -> mp.mpf:
+    return abs(mp.sin(t)) / t
 
-    def build(wdps):
+
+def _lobe_power(n: int, lobe: mp.mpf) -> mp.mpf:
+    return lobe ** n
+
+
+def _zeta_base(s: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
+    return mp.sin(s), ZETA_LOBES + s / mp.pi
+
+
+def _zeta_panel(n: int, base: tuple[mp.mpf, mp.mpf]) -> mp.mpf:
+    # every lobe from M = ZETA_LOBES on, folded onto (0, pi):
+    # sum_{j >= M} (j pi + s)^-n = pi^-n zeta_H(n, M + s/pi)
+    sin_s, shift = base
+    return sin_s ** n * mp.zeta(n, shift) / mp.pi**n
+
+
+def _sinc_estimates(ns: list[int], prec: Precision) -> dict[int, QuadEstimate | PrecisionFailure]:
+    """sinc_integral for each n of ns, unmemoised, from one ladder."""
+    modes = {n: _sinc_mode(n, prec) for n in ns}
+
+    def build(wdps, ns):
         pi = mp.pi
-        def lobe(t, n=n):
-            return (abs(mp.sin(t)) / t) ** n
-        pieces = [(j * pi, (j + 1) * pi, lobe) for j in range(lobes)]
-        scale = mp.sqrt(n)
-        if mode == "truncate":
-            cutoff = lobes * pi
-            return pieces, scale, mp.mpf(0), cutoff_tail_bound(n, cutoff), cutoff
-        def zeta_panel(s, n=n, M=lobes):
-            return mp.sin(s) ** n * mp.zeta(n, M + s / mp.pi) / mp.pi**n
-        pieces.append((mp.mpf(0), pi, zeta_panel))
-        return pieces, scale, mp.mpf(0), mp.mpf(0), mp.inf
+        lobes = max(modes[n][1] for n in ns)
+        pieces = [(j * pi, (j + 1) * pi, _lobe, _lobe_power) for j in range(lobes)]
+        pieces.append((mp.mpf(0), pi, _zeta_base, _zeta_panel))
+        setups = {}
+        for n in ns:
+            mode, count = modes[n]
+            if mode == "truncate":
+                cutoff = count * pi
+                setups[n] = range(count), mp.sqrt(n), mp.mpf(0), cutoff_tail_bound(n, cutoff), cutoff
+            else:
+                setups[n] = (*range(count), lobes), mp.sqrt(n), mp.mpf(0), mp.mpf(0), mp.inf
+        return pieces, setups
 
-    return _integrate(build, prec, f"sinc_integral(n={n})")
+    return _integrate(build, ns, prec, lambda n: f"sinc_integral(n={n})")
 
 
 def _mpq(q: Fraction) -> mp.mpf:
@@ -478,42 +636,73 @@ def bessel_integral(nu: Nu, n: int, prec: Precision | None = None,
     branch point becomes the analytic monomial y^{p-1}.  For n >= 3 the
     decay-envelope tail bound at X goes into abs_err_bound; at n = 2 the
     tail is instead completed exactly into the value (_completed_tail_n2).
-    Results are memoised per (nu, n, prec, float(cutoff_mult)).
+    Results are memoised per (nu, n, prec, float(cutoff_mult)).  This is
+    bessel_integrals(nu, [n], prec, cutoff_mult)[0].
     """
-    if n < 2:
+    return bessel_integrals(nu, [n], prec, cutoff_mult)[0]
+
+
+def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
+                     cutoff_mult: float = 24) -> list[QuadEstimate]:
+    """[bessel_integral(nu, n, prec, cutoff_mult) for n in ns], bit for bit,
+    from one ladder.
+
+    The zeros, the pieces, and |f_nu| and the weight t^{2nu-1} at every
+    node are computed once for all n; only the n not yet memoised are
+    computed.  If any n misses its target, the PrecisionFailure of the
+    first such n in ns is raised, after the others are memoised.
+    """
+    prec = prec or Precision()
+    ns = list(ns)
+    if any(n < 2 for n in ns):
         raise ValueError("n must be at least 2")
     if not 1 <= cutoff_mult <= CUTOFF_MULT_MAX:
         raise ValueError(f"cutoff_mult must be finite, at least 1 and at most {CUTOFF_MULT_MAX}")
-    return _bessel_integral(nu, n, prec or Precision(), float(cutoff_mult))
+    cutoff_mult = float(cutoff_mult)
+    return _memoised(("bessel", nu, prec, cutoff_mult), ns,
+                     lambda todo: _bessel_estimates(nu, todo, prec, cutoff_mult))
 
 
-@lru_cache(maxsize=None)
-def _bessel_integral(nu: Nu, n: int, prec: Precision, cutoff_mult: float) -> QuadEstimate:
-    p, q = nu.value.numerator, nu.value.denominator
+def _weighted_power(n: int, base: tuple[mp.mpf, mp.mpf]) -> mp.mpf:
+    return base[0] ** n * base[1]
 
-    def build(wdps):
-        nv = _mpq(nu.value)
+
+def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision,
+                      cutoff_mult: float) -> dict[int, QuadEstimate | PrecisionFailure]:
+    """bessel_integral for each n of ns, unmemoised, from one ladder."""
+    v = nu.value
+    p, q = v.numerator, v.denominator
+
+    def build(wdps, ns):
+        nv = _mpq(v)
         amp = amplitude(nu)
         X = cutoff_mult * amp
-        bounds = [mp.mpf(0), *_bessel_zeros(nu.value, X, wdps), X]
+        bounds = [mp.mpf(0), *_bessel_zeros(v, X, wdps), X]
 
-        def direct(t, n=n, v=nu.value, nv=nv):
-            return abs(_f_nu(v, t)) ** n * mp.power(t, 2 * nv - 1)
+        def direct(t):  # (|f_nu(t)|, t^{2nu-1})
+            return abs(_f_nu(v, t)), mp.power(t, 2 * nv - 1)
 
-        def first_sub(y, n=n, v=nu.value, p=p, q=q):
-            t = mp.power(y, mp.mpf(q) / 2)
-            return abs(_f_nu(v, t)) ** n * mp.mpf(q) / 2 * y ** (p - 1)
+        def first_sub(y):  # (|f_nu(t)|, y^{p-1}) at t = y^{q/2}
+            return abs(_f_nu(v, mp.power(y, mp.mpf(q) / 2))), y ** (p - 1)
 
-        pieces: list[Piece] = [(mp.mpf(0), mp.power(bounds[1], mp.mpf(2) / q), first_sub)]
+        def first_power(n, base):
+            return base[0] ** n * mp.mpf(q) / 2 * base[1]
+
+        pieces: list[Piece] = [(mp.mpf(0), mp.power(bounds[1], mp.mpf(2) / q), first_sub, first_power)]
         for a, b in zip(bounds[1:-1], bounds[2:]):
-            pieces.append((a, b, direct))
-        scale = mp.power(n, nv)
-        if n == 2:
-            tail, tail_err = _completed_tail_n2(nu, X, amp)
-            return pieces, scale, scale * tail, scale * tail_err, X
-        return pieces, scale, mp.mpf(0), bessel_tail_bound(nu, n, X, digits=wdps), X
+            pieces.append((a, b, direct, _weighted_power))
+        every = range(len(pieces))
+        setups = {}
+        for n in ns:
+            scale = mp.power(n, nv)
+            if n == 2:
+                tail, tail_err = _completed_tail_n2(nu, X, amp)
+                setups[n] = every, scale, scale * tail, scale * tail_err, X
+            else:
+                setups[n] = every, scale, mp.mpf(0), bessel_tail_bound(nu, n, X, digits=wdps), X
+        return pieces, setups
 
-    return _integrate(build, prec, f"bessel_integral(nu={nu}, n={n})")
+    return _integrate(build, ns, prec, lambda n: f"bessel_integral(nu={nu}, n={n})")
 
 
 def remainder_decay_fit(m: int, n_grid: Sequence[int], prec: Precision | None = None) -> DecayFit:
@@ -530,9 +719,9 @@ def remainder_decay_fit(m: int, n_grid: Sequence[int], prec: Precision | None = 
     prec = prec or Precision(decimal_digits=50)
     expansion = sinc_expansion(m)
     used, dropped, remainders, xs, ys = [], [], [], [], []
+    ns = sorted(n_grid)
     with mp.workdps(prec.working_dps):
-        for n in sorted(n_grid):
-            est = sinc_integral(n, prec)
+        for n, est in zip(ns, sinc_integrals(ns, prec)):
             r = est.value - mp.sqrt(3 * mp.pi / 2) * expansion.partial_sum_mpf(n)
             if abs(r) == 0 or est.abs_err_bound > abs(r) / 10:
                 dropped.append(n)

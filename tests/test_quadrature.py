@@ -1,14 +1,17 @@
 """Numerical side: integrals, error-bound honesty, decay fits, failure modes."""
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 
+import ballint.quadrature as quadrature
 from ballint.bessel import Nu, amplitude, bessel_expansion, c0_value, i_nu_at_2
 from ballint.sinc import sinc_expansion
 from ballint.quadrature import (
@@ -18,18 +21,23 @@ from ballint.quadrature import (
     Precision,
     PrecisionFailure,
     QuadEstimate,
-    _bessel_integral,
+    _MEMO,
+    _Fsum,
+    _bessel_estimates,
     _bessel_zeros,
     _check_zeros,
     _completed_tail_n2,
     _f_slope,
     _legendre_rule,
-    _sinc_integral,
+    _sinc_estimates,
     bessel_integral,
+    bessel_integrals,
     bessel_j_normalized,
     remainder_decay_fit,
     sinc_integral,
+    sinc_integrals,
 )
+from ballint.verify import sweep_cutoff_mult
 
 HALF = Nu(Fraction(1, 2))
 ONE = Nu(Fraction(1))
@@ -422,26 +430,26 @@ class TestCheckZeros:
 
 
 class TestMemoTransparency:
-    # __wrapped__ is the uncached computation behind the lru_cache memo
+    # _sinc_estimates and _bessel_estimates are the uncached computations behind the memo
     def test_sinc_bitwise_identical(self):
-        _sinc_integral.cache_clear()
+        _MEMO.clear()
         first = sinc_integral(7)
         memo = sinc_integral(7)
-        fresh = _sinc_integral.__wrapped__(7, Precision())
+        fresh = _sinc_estimates([7], Precision())[7]
         assert memo is first
         assert repr(first) == repr(memo) == repr(fresh)
 
     def test_bessel_bitwise_identical(self):
-        _bessel_integral.cache_clear()
+        _MEMO.clear()
         first = bessel_integral(ONE, 5)
         memo = bessel_integral(ONE, 5)
-        fresh = _bessel_integral.__wrapped__(ONE, 5, Precision(), 24.0)
+        fresh = _bessel_estimates(ONE, [5], Precision(), 24.0)[5]
         assert memo is first
         assert repr(first) == repr(memo) == repr(fresh)
 
     def test_deterministic_across_reset(self):
         a = sinc_integral(9)
-        _sinc_integral.cache_clear()
+        _MEMO.clear()
         b = sinc_integral(9)
         assert repr(a) == repr(b)
 
@@ -451,6 +459,250 @@ class TestMemoTransparency:
         first = bessel_integral(ONE, 5)
         assert bessel_integral(ONE, 5, Precision(), 24) is first
         assert bessel_integral(ONE, 5, cutoff_mult=24.0) is first
+
+
+def bits(est: QuadEstimate) -> tuple:
+    """Every bit of an estimate; repr shows only the digits of the ambient precision."""
+    return est.value._mpf_, est.abs_err_bound._mpf_, est.cutoff_used._mpf_, est.pieces
+
+
+def sweep_groups() -> dict[float, list[int]]:
+    """The nu = 1 sweep n = 2..20 of the inequalities suite, by cutoff."""
+    groups: dict[float, list[int]] = {}
+    for n in range(2, 21):
+        groups.setdefault(sweep_cutoff_mult(n), []).append(n)
+    return groups
+
+
+class TestBatches:
+    # each batch runs on a cleared memo and is compared with the unmemoised
+    # single-n computation, which is what sinc_integral(n) runs on a miss
+    def test_sinc_sweep_both_modes(self):
+        ns = list(range(40, 1, -1))
+        singles = {n: _sinc_estimates([n], Precision())[n] for n in ns}
+        _MEMO.clear()
+        batch = sinc_integrals(ns)
+        assert [bits(e) for e in batch] == [bits(singles[n]) for n in ns]
+        modes = {n: mp.isinf(e.cutoff_used) for n, e in zip(ns, batch)}
+        assert {n for n, zeta in modes.items() if zeta} == set(range(2, 10))
+
+    def test_sinc_sixty_digits(self):
+        prec = Precision(decimal_digits=60)
+        ns = [300, 90, 200, 135, 3]
+        singles = {n: _sinc_estimates([n], prec)[n] for n in ns}
+        _MEMO.clear()
+        assert [bits(e) for e in sinc_integrals(ns, prec)] == [bits(singles[n]) for n in ns]
+
+    def test_sinc_retry_rung(self):
+        # at one doubling n = 2..6 converge at the working precision, while
+        # n >= 7 go on to the +20-digit retry and fail there as well
+        prec = Precision(max_refinements=1)
+        ns = [3, 9, 2, 7]
+        fresh = _sinc_estimates(ns, prec)
+        singles = {n: _sinc_estimates([n], prec)[n] for n in ns}
+        for n in ns:
+            assert type(fresh[n]) is type(singles[n])
+            if isinstance(fresh[n], PrecisionFailure):
+                assert str(fresh[n]) == str(singles[n])
+                assert bits(fresh[n].estimate) == bits(singles[n].estimate)
+            else:
+                assert bits(fresh[n]) == bits(singles[n])
+        assert {n for n in ns if isinstance(fresh[n], PrecisionFailure)} == {7, 9}
+
+    def test_bessel_sweep_by_cutoff_group(self):
+        groups = sweep_groups()
+        # n = 2, whose tail is completed exactly, shares its batch with n = 3
+        assert groups == {24: [2, 3], 12: [4, 5], 6: list(range(6, 21))}
+        for mult, ns in groups.items():
+            ns = ns[::-1]
+            singles = {n: _bessel_estimates(ONE, [n], Precision(), float(mult))[n] for n in ns}
+            _MEMO.clear()
+            assert [bits(e) for e in bessel_integrals(ONE, ns, cutoff_mult=mult)] == \
+                [bits(singles[n]) for n in ns], mult
+
+    def test_bessel_seven_thirds(self):
+        # nu = p/q = 7/3: the first piece is mapped through t = y^(3/2)
+        nu = Nu(Fraction(7, 3))
+        ns = [8, 2, 3, 8]
+        singles = {n: _bessel_estimates(nu, [n], Precision(), 1.0)[n] for n in set(ns)}
+        _MEMO.clear()
+        batch = bessel_integrals(nu, ns, cutoff_mult=1)
+        assert [bits(e) for e in batch] == [bits(singles[n]) for n in ns]
+        assert batch[0] is batch[3]
+
+    def test_duplicates_and_memo_objects(self):
+        _MEMO.clear()
+        first = sinc_integral(7)
+        batch = sinc_integrals([5, 7, 5, 11, 7])
+        assert batch[1] is batch[4] is first
+        assert batch[0] is batch[2] is sinc_integral(5)
+        assert batch[3] is sinc_integral(11)
+        assert sinc_integrals([]) == []
+        b5 = bessel_integral(ONE, 5)
+        again = bessel_integrals(ONE, [5, 6, 5], Precision(), 24)
+        assert again[0] is again[2] is b5
+        assert bessel_integrals(ONE, [6])[0] is bessel_integral(ONE, 6, cutoff_mult=24.0)
+
+    def test_batch_computes_only_missing(self, monkeypatch):
+        _MEMO.clear()
+        sinc_integral(4)
+        asked = []
+        real = quadrature._sinc_estimates
+        monkeypatch.setattr(quadrature, "_sinc_estimates", lambda ns, prec: asked.append(ns) or real(ns, prec))
+        sinc_integrals([4, 6, 4, 3, 6])
+        sinc_integrals([3, 4])
+        assert asked == [[6, 3]]
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            sinc_integrals([3, 1])
+        with pytest.raises(ValueError, match="at least 2"):
+            bessel_integrals(ONE, [5, 0])
+        with pytest.raises(ValueError, match="cutoff_mult"):
+            bessel_integrals(ONE, [5], cutoff_mult=65)
+
+
+def exact(x: mp.mpf) -> str:
+    """An mpf as sign, hexadecimal mantissa and binary exponent: every bit."""
+    if not mp.isfinite(x):
+        return str(x)
+    sign, man, exp, _ = x._mpf_
+    return f"{'-' if sign else ''}{hex(man)}p{exp}"
+
+
+class TestSweepBitsFrozen:
+    # tests/data/sweep_bits.json holds the sweeps' estimates as the one-n-at-a-time
+    # ladder computed them before batching: every estimate keeps every bit
+    def test_against_frozen(self):
+        frozen = json.loads((Path(__file__).parent / "data" / "sweep_bits.json").read_text(encoding="utf-8"))
+        _MEMO.clear()
+        got = {
+            "sinc": dict(zip(range(2, 41), sinc_integrals(range(2, 41)))),
+            "sinc-60-digits": dict(zip((90, 135, 200, 300),
+                                       sinc_integrals((90, 135, 200, 300), Precision(decimal_digits=60)))),
+            "bessel-nu1": {},
+        }
+        for mult, ns in sweep_groups().items():
+            got["bessel-nu1"].update(zip(ns, bessel_integrals(ONE, ns, cutoff_mult=mult)))
+        assert {fam: {str(n): [exact(e.value), exact(e.abs_err_bound), exact(e.cutoff_used), e.pieces]
+                      for n, e in rows.items()} for fam, rows in got.items()} == frozen
+
+
+class TestFsum:
+    # the ladder's running sums must be mp.fsum of the same terms, bit for bit,
+    # including where fsum drops a term far below the sum or the sum far below a term
+    @staticmethod
+    def check(terms):
+        acc = _Fsum()
+        for t in terms:
+            acc.add(t)
+        assert acc.value()._mpf_ == mp.fsum(terms)._mpf_
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-(2**200), 2**200), st.integers(-700, 700)), max_size=12),
+           st.integers(53, 400))
+    def test_matches_fsum(self, parts, prec):
+        with mp.workprec(prec):
+            self.check([mp.ldexp(mp.mpf(m), e) for m, e in parts])
+
+    @pytest.mark.parametrize("terms", [
+        [],
+        ["0", "0"],
+        ["1", "1e-200", "-1"],
+        ["1e-200", "1", "1e-200"],
+        ["1e200", "-1e200", "3"],
+        ["1", "inf"],
+        ["inf", "-inf", "1"],
+        ["nan", "2"],
+    ])
+    def test_edge_cases(self, terms):
+        with mp.workdps(30):
+            self.check([mp.mpf(t) for t in terms])
+
+
+class TestBatchFailure:
+    # the failure a batch raises is the single call's failure for the first failing n of ns
+    PREC = Precision(decimal_digits=40, max_refinements=0)
+
+    def single_failure(self, call) -> PrecisionFailure:
+        _MEMO.clear()
+        with pytest.raises(PrecisionFailure) as exc:
+            call()
+        return exc.value
+
+    def test_sinc(self):
+        want = self.single_failure(lambda: sinc_integral(97, self.PREC))
+        _MEMO.clear()
+        with pytest.raises(PrecisionFailure) as exc:
+            sinc_integrals([97, 5, 2, 97], self.PREC)
+        assert str(exc.value) == str(want) == (
+            "sinc_integral(n=97): target 1e-30 not reached after 0 order doublings and one precision raise")
+        assert repr(exc.value.estimate) == repr(want.estimate)
+        assert bits(exc.value.estimate) == bits(want.estimate)
+
+    def test_bessel(self):
+        want = self.single_failure(lambda: bessel_integral(ONE, 9, self.PREC, cutoff_mult=6))
+        _MEMO.clear()
+        with pytest.raises(PrecisionFailure) as exc:
+            bessel_integrals(ONE, [9, 2, 6], self.PREC, cutoff_mult=6)
+        assert str(exc.value) == str(want)
+        assert bits(exc.value.estimate) == bits(want.estimate)
+
+    def test_successes_are_memoised(self):
+        # n = 2..6 meet the target at one doubling; n = 8 does not
+        prec = Precision(max_refinements=1)
+        _MEMO.clear()
+        with pytest.raises(PrecisionFailure, match=r"sinc_integral\(n=8\)"):
+            sinc_integrals([3, 8, 2], prec)
+        assert set(_MEMO) == {("sinc", prec, 3), ("sinc", prec, 2)}
+        assert bits(sinc_integral(3, prec)) == bits(_sinc_estimates([3], prec)[3])
+
+
+class TestBatchWork:
+    def test_node_values_shared_across_n(self, monkeypatch):
+        """On cold memos each sweep evaluates every (piece, order) node once.
+
+        The sinc sweep n = 2..40 makes 5,936 sines (38,032 one n at a
+        time) and 576 Hurwitz zeta calls (one per zeta-mode n and node,
+        as before).  The nu = 1 sweep, one batch per cutoff, makes 1,971
+        kernel calls (9,139 one n at a time): 1,600 at the nodes, 216 in
+        the zero search and 155 in the n = 2 tail.
+        """
+        calls = {"sin": 0, "zeta": 0, "f_nu": 0}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mp, "sin", counted("sin", mp.sin))
+        monkeypatch.setattr(mp, "zeta", counted("zeta", mp.zeta))
+        monkeypatch.setattr(quadrature, "_f_nu", counted("f_nu", quadrature._f_nu))
+        _MEMO.clear()
+        _bessel_zeros.cache_clear()
+        sinc_integrals(range(2, 41))
+        for mult, ns in sweep_groups().items():
+            bessel_integrals(ONE, ns, cutoff_mult=mult)
+        assert calls == {"sin": 5936, "zeta": 576, "f_nu": 1971}
+
+    def test_batch_evaluates_like_its_widest_member(self, monkeypatch):
+        # all n of a Bessel batch share one piece list, so the batch makes
+        # as many node evaluations as its n that climbs the most rungs
+        _bessel_zeros(ONE.value, 6 * amplitude(ONE), Precision().working_dps)  # warm the zeros
+        calls = []
+        real = quadrature._f_nu
+        monkeypatch.setattr(quadrature, "_f_nu", lambda *a: calls.append(1) or real(*a))
+        counts = {}
+        for n in (6, 7, 20):
+            _MEMO.clear()
+            calls.clear()
+            bessel_integral(ONE, n, cutoff_mult=6)
+            counts[n] = len(calls)
+        _MEMO.clear()
+        calls.clear()
+        bessel_integrals(ONE, [6, 7, 20], cutoff_mult=6)
+        assert len(calls) == max(counts.values()) == counts[7] > counts[6]
 
 
 class TestCutoffConsistency:

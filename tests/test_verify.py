@@ -1,10 +1,12 @@
 """Verification suites: composition, statuses, exit-code mapping."""
 
+from pathlib import Path
+
 import pytest
 
 from ballint import sinc
 from ballint.quadrature import remainder_decay_fit
-from ballint.records import VerifyReport
+from ballint.records import VerifyReport, reports_to_json
 from ballint.verify import SUITES, run_suite, suite_exit_code
 
 
@@ -98,3 +100,15 @@ class TestNumericalSuites:
         assert all(r.status == "pass" for r in reports), [
             (r.id, r.status) for r in reports if r.status != "pass"
         ]
+
+
+GOLDEN = Path(__file__).parent / "data" / "verify"
+
+
+class TestGoldenReports:
+    # the files are what `ballint verify <suite> --report` wrote before the
+    # sweeps were batched; a changed row needs a regenerated file and a reason
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_report_bytes(self, suite):
+        want = (GOLDEN / f"{suite}.json").read_text(encoding="utf-8")
+        assert reports_to_json(run_suite(suite), suite) + "\n" == want
