@@ -31,7 +31,10 @@ count with the t^{-n} envelope bound suffices; for small n the envelope
 would need astronomically many lobes, so the entire tail is folded into
 one finite panel exactly via sum_{j>=M} (j pi + s)^{-n} =
 pi^{-n} zeta_H(n, M + s/pi), keeping the value a finite-interval
-quadrature of an exactly transformed integrand.
+quadrature of an exactly transformed integrand.  The panel's base at
+each node holds zeta_H(n, M + s/pi) for every zeta-mode n at once, from
+one Euler-Maclaurin sum in fixed-point Python integers (_hurwitz_zetas)
+whose direct terms are shared across n.
 
 For the Bessel integral at n = 2 no usable envelope exists (the tail
 decays only like 1/X); there the tail equals
@@ -418,15 +421,74 @@ def _lobe_power(n: int, lobe: mp.mpf) -> mp.mpf:
     return lobe ** n
 
 
-def _zeta_base(s: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
-    return mp.sin(s), ZETA_LOBES + s / mp.pi
+@lru_cache(maxsize=None)
+def _bernoulli(m: int) -> Fraction:
+    return Fraction(*mp.bernfrac(m))
 
 
-def _zeta_panel(n: int, base: tuple[mp.mpf, mp.mpf]) -> mp.mpf:
-    # every lobe from M = ZETA_LOBES on, folded onto (0, pi):
-    # sum_{j >= M} (j pi + s)^-n = pi^-n zeta_H(n, M + s/pi)
-    sin_s, shift = base
-    return sin_s ** n * mp.zeta(n, shift) / mp.pi**n
+@lru_cache(maxsize=None)
+def _em_ratio(n: int, j: int) -> tuple[int, int]:
+    """(num, den), lowest terms: the (j+1)-th Euler-Maclaurin tail term of
+    zeta_H(n, b) over the j-th, times b^2, namely
+    (B_{2j+2} / B_{2j}) (n+2j-1)(n+2j) / ((2j+1)(2j+2))."""
+    r = _bernoulli(2 * j + 2) / _bernoulli(2 * j) * Fraction((n + 2 * j - 1) * (n + 2 * j), (2 * j + 1) * (2 * j + 2))
+    return r.numerator, r.denominator
+
+
+def _hurwitz_zetas(ns: Sequence[int], a: mp.mpf) -> dict[int, mp.mpf]:
+    """{n: zeta_H(n, a)} for every n >= 2 of ns and a in [24, 25], each
+    within 9/16 ulp at the ambient precision prec.
+
+    One Euler-Maclaurin sum in fixed-point Python integers, shared across n.
+    The direct terms (a+k)^-n, k < K, take one reciprocal per k and one
+    multiplication per n.  The tail at b = a + K is b^(1-n)/(n-1) + b^-n/2
+    + sum_j T_j, T_j = B_2j/(2j)! (n)_(2j-1) b^(-n-2j+1), each T_j built
+    from the one before by the exact ratio _em_ratio(n, j) b^-2.  Every
+    derivative of x^-n of one parity has one sign, so the remainder is below
+    the first omitted term (Johansson, Numer. Algorithms 69, 2015); n's tail
+    stops at the first term below 2^-(prec+6) of its sum.
+
+    Error: b >= max(3 n_max, (prec + n_max) // 4) puts every tail ratio
+    below (n+2j)^2 / (2 pi b)^2 < 1/2 for j < 2b, and the stop within those
+    terms (ArithmeticError otherwise).  So no floor's unit error grows along
+    a chain, and the sum is off by fewer than b (n_max+50)/4 units of 2^-wp.
+    At wp = prec + guard + n_max log2 b bits that is below
+    2^-(prec+6) b^-n < 2^-(prec+6) zeta_H(n, a), so with the omitted term
+    every value is within 2^-(prec+5) zeta_H(n, a) before its rounding.
+    """
+    prec = mp.mp.prec
+    n_max = max(ns)
+    b = max(3 * n_max, (prec + n_max) // 4)
+    K = max(0, b - int(a))
+    wp = prec + 4 + (b * (n_max + 50)).bit_length() + n_max * (int(a) + K + 1).bit_length()
+    one = 1 << wp
+    x = to_fixed(a._mpf_, wp)
+    sums = dict.fromkeys(ns, 0)
+    for k in range(K):
+        r = p = (one << wp) // (x + k * one)
+        for n in range(2, n_max + 1):
+            p = p * r >> wp
+            if n in sums:
+                sums[n] += p
+    rb = (one << wp) // (x + K * one)
+    rb2 = rb * rb >> wp
+    powers = [one, rb]  # b^-m
+    for _ in range(n_max):
+        powers.append(powers[-1] * rb >> wp)
+    out = {}
+    for n in ns:
+        s = sums[n] + powers[n - 1] // (n - 1) + (powers[n] >> 1)
+        t = n * powers[n + 1] // 12
+        for j in range(1, 2 * b):
+            if abs(t) <= s >> (prec + 6):
+                break
+            s += t
+            num, den = _em_ratio(n, j)
+            t = t * num * rb2 // (den << wp)
+        else:
+            raise ArithmeticError(f"the Euler-Maclaurin tail of zeta_H({n}, {mp.nstr(a, 10)}) did not converge")
+        out[n] = mp.make_mpf(from_man_exp(s, -wp, prec, round_nearest))
+    return out
 
 
 def _sinc_estimates(ns: list[int], prec: Precision) -> dict[int, QuadEstimate | PrecisionFailure]:
@@ -436,8 +498,20 @@ def _sinc_estimates(ns: list[int], prec: Precision) -> dict[int, QuadEstimate | 
     def build(wdps, ns):
         pi = mp.pi
         lobes = max(modes[n][1] for n in ns)
+        zeta_ns = [n for n in ns if modes[n][0] == "zeta"]
+        pi_powers = {n: pi**n for n in zeta_ns}
+
+        def zeta_base(s):  # (sin s, {n: zeta_H(n, M + s/pi)}) for every zeta-mode n
+            return mp.sin(s), _hurwitz_zetas(zeta_ns, ZETA_LOBES + s / pi)
+
+        def zeta_panel(n, base):
+            # every lobe from M = ZETA_LOBES on, folded onto (0, pi):
+            # sum_{j >= M} (j pi + s)^-n = pi^-n zeta_H(n, M + s/pi)
+            sin_s, zetas = base
+            return sin_s ** n * zetas[n] / pi_powers[n]
+
         pieces = [(j * pi, (j + 1) * pi, _lobe, _lobe_power) for j in range(lobes)]
-        pieces.append((mp.mpf(0), pi, _zeta_base, _zeta_panel))
+        pieces.append((mp.mpf(0), pi, zeta_base, zeta_panel))
         setups = {}
         for n in ns:
             mode, count = modes[n]

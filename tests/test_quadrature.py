@@ -28,8 +28,10 @@ from ballint.quadrature import (
     _check_zeros,
     _completed_tail_n2,
     _f_slope,
+    _hurwitz_zetas,
     _legendre_rule,
     _sinc_estimates,
+    _sinc_mode,
     bessel_integral,
     bessel_integrals,
     bessel_j_normalized,
@@ -38,6 +40,7 @@ from ballint.quadrature import (
     sinc_integrals,
 )
 from ballint.verify import sweep_cutoff_mult
+from test_acceptance import polya_density
 
 HALF = Nu(Fraction(1, 2))
 ONE = Nu(Fraction(1))
@@ -175,6 +178,40 @@ class TestSincClosedForms:
         # small n: the tail is folded into the integrand, nothing beyond
         assert mp.isinf(sinc_integral(3).cutoff_used)
         assert mp.isfinite(sinc_integral(12).cutoff_used)
+
+    @pytest.mark.parametrize("digits, top", [(30, 9), (40, 13), (50, 18), (60, 22)])
+    def test_polya_at_every_even_zeta_mode_n(self, digits, top):
+        # I(n) = pi sqrt(n) p_n(0) exactly for even n; the zeta panel carries
+        # every lobe from ZETA_LOBES on
+        prec = Precision(decimal_digits=digits)
+        ns = [n for n in range(2, 41) if _sinc_mode(n, prec)[0] == "zeta"]
+        assert ns == list(range(2, top + 1))
+        even = ns[::2]
+        for n, est in zip(even, sinc_integrals(even, prec)):
+            p = polya_density(n)
+            with mp.workdps(digits + 40):
+                exact = mp.pi * mp.sqrt(n) * p.numerator / p.denominator
+                assert abs(est.value - exact) <= est.abs_err_bound, n
+
+
+class TestHurwitzZetas:
+    # mp.zeta(n, a) near a = 24 loses about n digits (24 at n = 22 and 45
+    # digits), so the reference runs at 40 more digits
+    @pytest.mark.parametrize("dps", [45, 65, 85])
+    def test_against_mp_zeta(self, dps):
+        ns = range(2, 23)
+        with mp.workdps(dps):
+            prec = mp.mp.prec
+            for i in range(9):
+                a = 24 + mp.mpf(i) / 8 + (mp.sqrt(2) / 1000 if 0 < i < 8 else 0)
+                got = _hurwitz_zetas(ns, a)
+                assert list(got) == list(ns)
+                for n in ns:
+                    with mp.extradps(40):
+                        ref = mp.zeta(n, a)
+                        ulp = mp.ldexp(1, mp.mag(ref) - prec)
+                        # the stated error, 9/16 ulp, so within one ulp
+                        assert abs(got[n] - ref) <= ulp * 9 / 16, (n, a)
 
 
 class TestBesselClosedForms:
@@ -437,7 +474,7 @@ class TestMemoTransparency:
         memo = sinc_integral(7)
         fresh = _sinc_estimates([7], Precision())[7]
         assert memo is first
-        assert repr(first) == repr(memo) == repr(fresh)
+        assert bits(first) == bits(memo) == bits(fresh)
 
     def test_bessel_bitwise_identical(self):
         _MEMO.clear()
@@ -445,13 +482,13 @@ class TestMemoTransparency:
         memo = bessel_integral(ONE, 5)
         fresh = _bessel_estimates(ONE, [5], Precision(), 24.0)[5]
         assert memo is first
-        assert repr(first) == repr(memo) == repr(fresh)
+        assert bits(first) == bits(memo) == bits(fresh)
 
     def test_deterministic_across_reset(self):
         a = sinc_integral(9)
         _MEMO.clear()
         b = sinc_integral(9)
-        assert repr(a) == repr(b)
+        assert bits(a) == bits(b)
 
     def test_key_is_normalised(self):
         # a default argument, spelled out or left off, is one memo entry
@@ -663,12 +700,14 @@ class TestBatchWork:
         """On cold memos each sweep evaluates every (piece, order) node once.
 
         The sinc sweep n = 2..40 makes 5,936 sines (38,032 one n at a
-        time) and 576 Hurwitz zeta calls (one per zeta-mode n and node,
-        as before).  The nu = 1 sweep, one batch per cutoff, makes 1,971
-        kernel calls (9,139 one n at a time): 1,600 at the nodes, 216 in
-        the zero search and 155 in the n = 2 tail.
+        time) and evaluates the zeta panel once a node for all eight
+        zeta-mode n: 112 Euler-Maclaurin sums (16 + 32 + 64 nodes), where
+        mp.zeta took one call per n and node (576).  The nu = 1 sweep, one
+        batch per cutoff, makes 1,971 kernel calls (9,139 one n at a
+        time): 1,600 at the nodes, 216 in the zero search and 155 in the
+        n = 2 tail.
         """
-        calls = {"sin": 0, "zeta": 0, "f_nu": 0}
+        calls = {"sin": 0, "zeta": 0, "panel": 0, "f_nu": 0}
 
         def counted(name, f):
             def wrapper(*args, **kwargs):
@@ -678,13 +717,14 @@ class TestBatchWork:
 
         monkeypatch.setattr(mp, "sin", counted("sin", mp.sin))
         monkeypatch.setattr(mp, "zeta", counted("zeta", mp.zeta))
+        monkeypatch.setattr(quadrature, "_hurwitz_zetas", counted("panel", quadrature._hurwitz_zetas))
         monkeypatch.setattr(quadrature, "_f_nu", counted("f_nu", quadrature._f_nu))
         _MEMO.clear()
         _bessel_zeros.cache_clear()
         sinc_integrals(range(2, 41))
         for mult, ns in sweep_groups().items():
             bessel_integrals(ONE, ns, cutoff_mult=mult)
-        assert calls == {"sin": 5936, "zeta": 576, "f_nu": 1971}
+        assert calls == {"sin": 5936, "zeta": 0, "panel": 112, "f_nu": 1971}
 
     def test_batch_evaluates_like_its_widest_member(self, monkeypatch):
         # all n of a Bessel batch share one piece list, so the batch makes
