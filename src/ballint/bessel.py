@@ -106,10 +106,10 @@ def bessel_aj(nu: Nu, j: int, k: int) -> Fraction:
         raise ValueError("k must be at least 1")
     v = nu.value
     total = Fraction(0)
+    rising = Fraction(1)  # (nu+1)...(nu+i)
     for i in range(0, min(j, k) + 1):
-        term = Fraction((-1) ** i, math.factorial(j - i) * math.factorial(i))
-        term /= (v + 1) ** (j - i) * _rising(v, i)
-        total += term
+        total += Fraction((-1) ** i, math.factorial(j - i) * math.factorial(i)) / ((v + 1) ** (j - i) * rising)
+        rising *= v + i + 1
     return total
 
 
@@ -156,7 +156,7 @@ def bessel_expansion(nu: Nu, m: int, k: int | None = None) -> BesselExpansion:
         k = m + 1
     if k <= m:
         raise ValueError("truncation too short: k must be at least m + 1")
-    a = {j: bessel_aj(nu, j, k) for j in range(2, max(2 * m, 2) + 1)}
+    a = {j: bessel_aj(nu, j, k) for j in range(2, m + 2)}
     gammas = moment_coeffs(a, m, lambda w: bessel_moment_ratio(nu, w) / Fraction(4) ** w)
     return BesselExpansion(nu=nu, m=m, k=k, gamma_coeffs=gammas)
 

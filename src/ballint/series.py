@@ -1,18 +1,15 @@
 """Even polynomials and truncated 1/n series with exact coefficients.
 
 EvenPoly is a sparse polynomial in t containing only even powers; it houses
-Maclaurin partial sums and the per-row polynomials of collected binomial
-expansions.  InvNSeries is the truncated expansion sum_i row_i(t) / n^i.
+Maclaurin partial sums and the per-row polynomials of collected expansions.
+InvNSeries is the truncated expansion sum_i row_i(t) / n^i.
 
-nseries_pow_binomial collects
-
-    [1 + sum_{j>=2} a_j t^{2j} / n^j]^n
-
-by powers of 1/n.  The binomial term binom(n, l) S^l contributes through the
-expansion of the falling factorial n(n-1)...(n-l+1)/l! as a polynomial in n:
-a monomial t^{2w} produced by S^l, paired with the n^s coefficient of that
-polynomial, lands in row i = w - s.  Since s <= l <= floor(w / 2), every
-monomial satisfies w <= 2i, i.e. degree(row i) <= 4i, and row 0 is exactly 1.
+nseries_pow_binomial collects [1 + sum_{j>=2} a_j x^j / n^j]^n, x = t^2, by
+powers of 1/n as exp(n log(...)).  The log b of 1 + sum_j a_j x^j has b_1 = 0,
+so the 1/n^k term of n log(...) is the single monomial b_{k+1} x^{k+1}, and
+row i of the exponential, E_i = (1/i) sum_{k=1}^{i} k b_{k+1} x^{k+1} E_{i-k},
+is a shift and scale of earlier rows.  Row i reads a_2..a_{i+1} only, and
+each monomial x^w of it has i < w <= 2i (i >= 1); row 0 is exactly 1.
 
 moment_coeffs finishes the three-stage pipeline that sinc and bessel share:
 given a pipeline's a_j and the moments of its Gaussian weight, it collects
@@ -120,19 +117,6 @@ class InvNSeries:
         return f"InvNSeries(order={len(self._rows) - 1}, rows={list(self._rows)!r})"
 
 
-def _falling_factorial_over_factorial(l: int) -> list[Fraction]:
-    """Coefficients (index = power of n) of n(n-1)...(n-l+1) / l!."""
-    poly = [Fraction(1)]
-    for r in range(l):
-        nxt = [Fraction(0)] * (len(poly) + 1)
-        for s, coeff in enumerate(poly):
-            nxt[s + 1] += coeff
-            nxt[s] -= coeff * r
-        poly = nxt
-    fl = math.factorial(l)
-    return [coeff / fl for coeff in poly]
-
-
 def _validate_a(a: Mapping[int, Rat], min_j_needed: int) -> dict[int, Fraction]:
     if min_j_needed >= 2:
         if not a:
@@ -150,49 +134,55 @@ def _validate_a(a: Mapping[int, Rat], min_j_needed: int) -> dict[int, Fraction]:
     return {int(j): Fraction(v) for j, v in a.items()}
 
 
+def _log_coeffs(a: Mapping[int, Rat], top: int) -> list[Fraction]:
+    """b_0..b_top of log(1 + sum_{j>=2} a_j x^j), a missing a_j counting as 0:
+    (1 + A) b' = A' gives b_j = a_j - (1/j) sum_{k=2}^{j-2} k b_k a_{j-k}."""
+    aa = [Fraction(a.get(j, 0)) for j in range(top + 1)]
+    b = [Fraction(0)] * (top + 1)
+    for j in range(2, top + 1):
+        b[j] = aa[j] - sum((k * b[k] * aa[j - k] for k in range(2, j - 1)), Fraction(0)) / j
+    return b
+
+
 def collect_binomial_rows(a: Mapping[int, Rat], max_row: int, max_w: int) -> list[dict[int, Fraction]]:
     """Rows of [1 + sum a_j t^{2j}/n^j]^n, keeping t^{2w} with w <= max_w.
 
     Returns dicts mapping w (half the t-exponent) to the exact coefficient
     of t^{2w} / n^i for each row i <= max_row.  Shared by the order-m
     expansion (max_row = m, max_w = 2m) and by the wider bookkeeping table
-    that mirrors the degree-28 fixture (max_row = 13, max_w = 14).
+    that mirrors the degree-28 fixture (max_row = 13, max_w = 14).  Only
+    a_j with 2 <= j <= min(max_row + 1, max_w) are read; a missing one is 0.
     """
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(max_row + 1)]
-    rows[0][0] = Fraction(1)
-    base = {j: v for j, v in a.items() if v and j <= max_w}
-    power: dict[int, Fraction] = {0: Fraction(1)}
-    for l in range(1, max_w // 2 + 1):
-        nxt: dict[int, Fraction] = {}
-        for w1, v1 in power.items():
-            for j, aj in base.items():
-                w = w1 + j
-                if w <= max_w:
-                    nxt[w] = nxt.get(w, Fraction(0)) + v1 * aj
-        power = {w: v for w, v in nxt.items() if v}
-        if not power:
-            break
-        ffl = _falling_factorial_over_factorial(l)
-        for w, coeff_w in power.items():
-            for s, coeff_s in enumerate(ffl):
-                if not coeff_s:
-                    continue
-                i = w - s
-                if 0 <= i <= max_row:
-                    rows[i][w] = rows[i].get(w, Fraction(0)) + coeff_w * coeff_s
-    return [{w: v for w, v in r.items() if v} for r in rows]
+    b = _log_coeffs(a, min(max_row + 1, max_w))
+    # grade k of the log, with the factor k of E' = L' E: shift k + 1, value p / q
+    grades = [(k, k * b[k + 1].numerator, b[k + 1].denominator) for k in range(1, len(b) - 1) if b[k + 1]]
+    # each row as integer numerators over one denominator, reduced once per row
+    rows: list[tuple[int, dict[int, int]]] = [(1, {0: 1})]
+    for i in range(1, max_row + 1):
+        terms = [(k + 1, p, q * rows[i - k][0], rows[i - k][1]) for k, p, q in grades if k <= i]
+        den = math.lcm(*(d for _, _, d, _ in terms))
+        acc: dict[int, int] = {}
+        for shift, p, d, row in terms:
+            scale = p * (den // d)
+            for w, v in row.items():
+                if w + shift <= max_w:
+                    acc[w + shift] = acc.get(w + shift, 0) + scale * v
+        acc = {w: v for w, v in acc.items() if v}
+        g = math.gcd(den * i, *acc.values())
+        rows.append((den * i // g, {w: v // g for w, v in acc.items()}))
+    return [{w: Fraction(v, d) for w, v in row.items()} for d, row in rows]
 
 
 def nseries_pow_binomial(a: Mapping[int, Rat], m: int) -> InvNSeries:
     """Collect [1 + sum_{j>=2} a_j t^{2j}/n^j]^n through order m in 1/n.
 
-    Requires a_j for every 2 <= j <= J with J >= 2m, since t^{2w} with
-    w <= 2m can draw on any single a_w.  Rows beyond order m are discarded
+    Requires a_j for every 2 <= j <= m + 1: row i draws on a_2..a_{i+1}
+    only (see the module docstring).  Rows beyond order m are discarded
     exactly; everything kept is exact.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    aa = _validate_a(a, 2 * m)
+    aa = _validate_a(a, m + 1)
     raw = collect_binomial_rows(aa, max_row=m, max_w=2 * m)
     return InvNSeries([EvenPoly({2 * w: v for w, v in r.items()}) for r in raw])
 
@@ -206,4 +196,5 @@ def moment_coeffs(a: Mapping[int, Rat], m: int, moment: Callable[[int], Rat]) ->
     into sum_w row_i[w] moment(w).
     """
     series = nseries_pow_binomial(a, m)
-    return tuple(sum((v * moment(exp // 2) for exp, v in row.items()), Fraction(0)) for row in series.rows)
+    moments = [moment(w) for w in range(2 * m + 1)]
+    return tuple(sum((v * moments[exp // 2] for exp, v in row.items()), Fraction(0)) for row in series.rows)

@@ -14,8 +14,9 @@ integrating row by row against the Gaussian weight,
     int_0^inf exp(-t^2/6) t^{2w} dt = 3^w (2w-1)!! * sqrt(3 pi / 2),
 
 turns row i into the exact coefficient c_i of 1/n^i, reported in units of
-sqrt(3 pi / 2).  The coefficients are independent of k as long as
-k >= m + 1, which the pipeline enforces and the tests exercise.
+sqrt(3 pi / 2).  Order m reads a_2..a_{m+1} only, so the coefficients are
+independent of k as long as k >= m + 1, which the pipeline enforces and
+the tests exercise.
 
 The module also carries the degree-28 bookkeeping table (rows through
 1/n^13, exponents through t^28) against which the shipped fixture file is
@@ -83,10 +84,12 @@ def sinc_partial_sum(k: int) -> EvenPoly:
 
 
 def sinc_aj(j: int, k: int) -> Fraction:
-    """Coefficient of t^{2j} in exp(t^2/6) * T_k(t).
+    """Coefficient of t^{2j} in E_k(t) * sin(t)/t, E_k the degree-2k partial
+    sum of exp(t^2/6).
 
     a_0 = 1 and a_1 = 0 (the t^2/6 terms cancel); a_2 = -1/180 starts the
-    genuine series.  The partial-sum index k caps the sinc-side factor.
+    genuine series.  For j <= k, every a_j an expansion reads, this is also
+    the coefficient in exp(t^2/6) * T_k(t); appendix_table reads j > k.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
@@ -123,7 +126,8 @@ def sinc_expansion(m: int, k: int | None = None) -> SincExpansion:
     """Exact c_0..c_m in units of sqrt(3 pi / 2).
 
     k defaults to m + 1, the smallest truncation index for which the
-    partial sums bracket sinc on the relevant range; any k >= m + 1 gives
+    partial sums bracket sinc on the relevant range.  The expansion reads
+    a_2..a_{m+1} only, each independent of k >= m + 1, so every such k gives
     identical coefficients.
     """
     if m < 0:
@@ -132,7 +136,7 @@ def sinc_expansion(m: int, k: int | None = None) -> SincExpansion:
         k = m + 1
     if k <= m:
         raise ValueError("truncation too short: k must be at least m + 1")
-    a = {j: sinc_aj(j, k) for j in range(2, max(2 * m, 2) + 1)}
+    a = {j: sinc_aj(j, k) for j in range(2, m + 2)}
     return SincExpansion(m=m, k=k, coeffs=moment_coeffs(a, m, gaussian_moment_ratio))
 
 

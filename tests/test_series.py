@@ -1,23 +1,35 @@
-"""Sparse even polynomials and the binomial collection of [1 + S]^n.
+"""Sparse even polynomials and the collection of [1 + S]^n by powers of 1/n.
 
 The central oracle: for every fixed integer n0, expanding [1 + S]^{n0}
 directly by repeated truncated multiplication must agree monomial by
 monomial with regrouping the collected rows at n = n0, because the
-binomial collection is an exact polynomial identity in n.
+collection is an exact polynomial identity in n.  A second, independent
+derivation, Newton's binomial formula, is kept here as a reference for the
+log-exp recurrence of the library collector.
 """
 
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import ballint.bessel
+import ballint.sinc
+from ballint.bessel import Nu, bessel_aj, bessel_expansion
+from ballint.rationals import format_rational
 from ballint.series import (
     EvenPoly,
     InvNSeries,
+    _log_coeffs,
     collect_binomial_rows,
+    moment_coeffs,
     nseries_pow_binomial,
 )
+from ballint.sinc import sinc_aj, sinc_expansion
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
@@ -69,6 +81,52 @@ def _pow_truncated(a: dict[int, Fraction], n0: int, max_w: int) -> dict[int, Fra
     return acc
 
 
+def _falling_factorial_over_factorial(l: int) -> list[Fraction]:
+    """Coefficients (index = power of n) of n(n-1)...(n-l+1) / l!."""
+    poly = [Fraction(1)]
+    for r in range(l):
+        nxt = [Fraction(0)] * (len(poly) + 1)
+        for s, coeff in enumerate(poly):
+            nxt[s + 1] += coeff
+            nxt[s] -= coeff * r
+        poly = nxt
+    fl = math.factorial(l)
+    return [coeff / fl for coeff in poly]
+
+
+def binomial_rows(a, max_row: int, max_w: int) -> list[dict[int, Fraction]]:
+    """Rows of [1 + sum a_j t^{2j}/n^j]^n by Newton's binomial formula.
+
+    binom(n, l) S^l contributes through the expansion of the falling
+    factorial n(n-1)...(n-l+1)/l! as a polynomial in n: a monomial t^{2w}
+    of S^l, paired with the n^s coefficient of that polynomial, lands in
+    row i = w - s.
+    """
+    rows: list[dict[int, Fraction]] = [dict() for _ in range(max_row + 1)]
+    rows[0][0] = Fraction(1)
+    base = {j: v for j, v in a.items() if v and j <= max_w}
+    power: dict[int, Fraction] = {0: Fraction(1)}
+    for l in range(1, max_w // 2 + 1):
+        nxt: dict[int, Fraction] = {}
+        for w1, v1 in power.items():
+            for j, aj in base.items():
+                w = w1 + j
+                if w <= max_w:
+                    nxt[w] = nxt.get(w, Fraction(0)) + v1 * aj
+        power = {w: v for w, v in nxt.items() if v}
+        if not power:
+            break
+        ffl = _falling_factorial_over_factorial(l)
+        for w, coeff_w in power.items():
+            for s, coeff_s in enumerate(ffl):
+                if not coeff_s:
+                    continue
+                i = w - s
+                if 0 <= i <= max_row:
+                    rows[i][w] = rows[i].get(w, Fraction(0)) + coeff_w * coeff_s
+    return [{w: v for w, v in r.items() if v} for r in rows]
+
+
 class TestCollectBinomialRows:
     @settings(max_examples=60, deadline=None)
     @given(st.dictionaries(st.integers(2, 5), small_fractions, max_size=3),
@@ -84,6 +142,20 @@ class TestCollectBinomialRows:
                 regrouped[w] = regrouped.get(w, Fraction(0)) + v / Fraction(n0) ** i
         regrouped = {w: v for w, v in regrouped.items() if v}
         assert regrouped == direct
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.dictionaries(st.integers(2, 8), small_fractions, max_size=5),
+           st.integers(0, 10), st.integers(0, 16))
+    @example({2: Fraction(1, 3), 5: Fraction(-2, 7), 8: Fraction(3)}, 3, 16)
+    @example({3: Fraction(1, 5), 4: Fraction(-1), 7: Fraction(2, 3)}, 10, 6)
+    def test_equals_binomial_oracle(self, a, max_row, max_w):
+        # a with gaps; max_row below max_w / 2 and above max_w both occur
+        assert collect_binomial_rows(a, max_row=max_row, max_w=max_w) == binomial_rows(a, max_row, max_w)
+
+    def test_reads_a_only_through_max_row_plus_one(self):
+        a = {j: Fraction(1, j + 1) for j in range(2, 6)}
+        wider = a | {j: Fraction(j) for j in range(6, 13)}
+        assert collect_binomial_rows(wider, max_row=4, max_w=12) == collect_binomial_rows(a, max_row=4, max_w=12)
 
     def test_row_degree_cap(self):
         # each S factor has x-degree >= 2, so row i never exceeds degree 2i
@@ -108,6 +180,12 @@ class TestNseriesPowBinomial:
         with pytest.raises(ValueError):
             nseries_pow_binomial({2: Fraction(1)}, -1)
 
+    def test_order_m_needs_a_through_m_plus_one(self):
+        a = {2: Fraction(1, 3), 3: Fraction(-1, 4), 4: Fraction(2)}
+        assert nseries_pow_binomial(a, 3).rows == nseries_pow_binomial(a | {5: Fraction(1), 6: Fraction(7)}, 3).rows
+        with pytest.raises(ValueError, match="need a_j through j = 5"):
+            nseries_pow_binomial(a, 4)
+
     def test_matches_collect(self):
         a = {j: Fraction(1, j * j) for j in range(2, 7)}
         series = nseries_pow_binomial(a, 3)
@@ -122,3 +200,78 @@ class TestInvNSeries:
     def test_monomials_sorted_row_major(self):
         series = InvNSeries([EvenPoly({0: Fraction(1)}), EvenPoly({4: Fraction(-1, 180)})])
         assert list(series.monomials()) == [(0, 0, Fraction(1)), (1, 4, Fraction(-1, 180))]
+
+
+class TestLogStage:
+    def test_sinc_bernoulli_closed_form(self):
+        # exp(t^2/6) sin(t)/t: the log is t^2/6 + log(sin t / t), whose t^{2j}
+        # coefficient is (-1)^j 2^{2j-1} B_{2j} / (j (2j)!)
+        b = _log_coeffs({j: sinc_aj(j, 41) for j in range(2, 42)}, 41)
+        assert b[:2] == [0, 0]
+        for j in range(2, 42):
+            p, q = mp.bernfrac(2 * j)
+            assert b[j] == Fraction((-1) ** j * 2 ** (2 * j - 1) * int(p), int(q) * j * math.factorial(2 * j)), j
+
+    @pytest.mark.parametrize("v", [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(9, 4), Fraction(5)])
+    def test_bessel_rayleigh_sum(self, v):
+        # log f_nu(t) = -sum_m sigma_m t^{2m} / m with sigma_2 = 1/(16 (nu+1)^2 (nu+2));
+        # in u = t^2/4 the u^2 coefficient is -sigma_2 * 16 / 2
+        sigma2 = Fraction(1, 16) / ((v + 1) ** 2 * (v + 2))
+        b = _log_coeffs({j: bessel_aj(Nu(v), j, 4) for j in range(2, 5)}, 4)
+        assert b[2] == -8 * sigma2
+
+
+def _counting(fn):
+    def wrapper(*args):
+        wrapper.calls += 1
+        return fn(*args)
+    wrapper.calls = 0
+    return wrapper
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("m", [0, 1, 5, 12])
+    def test_moment_called_once_per_w(self, m):
+        moment = _counting(lambda w: Fraction(w + 1))
+        moment_coeffs({j: Fraction(1, j) for j in range(2, m + 2)}, m, moment)
+        assert moment.calls <= 2 * m + 1
+
+    @pytest.mark.parametrize("m", [1, 7, 24])
+    def test_sinc_pipeline_counts(self, monkeypatch, m):
+        aj = _counting(ballint.sinc.sinc_aj)
+        moment = _counting(ballint.sinc.gaussian_moment_ratio)
+        monkeypatch.setattr(ballint.sinc, "sinc_aj", aj)
+        monkeypatch.setattr(ballint.sinc, "gaussian_moment_ratio", moment)
+        sinc_expansion(m, m + 3)
+        assert aj.calls == m
+        assert moment.calls <= 2 * m + 1
+
+    @pytest.mark.parametrize("m", [1, 7, 24])
+    def test_bessel_pipeline_counts(self, monkeypatch, m):
+        aj = _counting(ballint.bessel.bessel_aj)
+        moment = _counting(ballint.bessel.bessel_moment_ratio)
+        monkeypatch.setattr(ballint.bessel, "bessel_aj", aj)
+        monkeypatch.setattr(ballint.bessel, "bessel_moment_ratio", moment)
+        bessel_expansion(Nu(Fraction(7, 3)), m)
+        assert aj.calls == m
+        assert moment.calls <= 2 * m + 1
+
+
+GOLDEN_EXPANSIONS = json.loads((Path(__file__).parent / "data" / "expansions.json").read_text())
+
+
+class TestGoldenExpansions:
+    """The benchmark's orders against tables written by the binomial collector."""
+
+    def test_sinc_order_40(self):
+        want = GOLDEN_EXPANSIONS["sinc"]
+        e = sinc_expansion(want["order"])
+        assert [format_rational(c) for c in e.coeffs] == want["coefficients"]
+        for k in range(41, 45):
+            assert sinc_expansion(40, k).coeffs == e.coeffs, k
+
+    @pytest.mark.parametrize("nu", sorted(GOLDEN_EXPANSIONS["bessel"]["gammas"]))
+    def test_bessel_order_24(self, nu):
+        want = GOLDEN_EXPANSIONS["bessel"]
+        e = bessel_expansion(Nu(Fraction(nu)), want["order"])
+        assert [format_rational(g) for g in e.gamma_coeffs] == want["gammas"][nu]
