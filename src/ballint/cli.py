@@ -119,10 +119,12 @@ def cmd_eval(args) -> int:
         return _usage("the bessel pipeline needs --nu")
     if args.format == "csv":
         return _usage("csv output applies to coefficient tables only")
-    try:
-        prec = _precision(args.digits, args.max_refine)
-    except ValueError as exc:
-        return _usage(str(exc))
+    # Precision needs decimal_digits = digits + 10 >= 15
+    if args.digits < 5:
+        return _usage("--digits must be at least 5")
+    if args.max_refine is not None and args.max_refine < 0:
+        return _usage("--max-refine must be at least 0")
+    prec = _precision(args.digits, args.max_refine)
     try:
         if args.pipeline == "sinc":
             nu_frac = None

@@ -14,8 +14,11 @@ Gauss-Legendre rule.  One function (_integrate) refines the
 whole subdivision together, doubling the order until two successive
 totals agree below target/2, and retries once at twenty more digits, so
 the node set is a deterministic function of the inputs and results are
-bit-reproducible.  The Bessel kernel is its own Maclaurin series, summed
-in fixed-point Python integers (_f_nu).
+bit-reproducible.  The Bessel kernel from scratch is its own Maclaurin
+series, summed in fixed-point Python integers (_f_nu).  On every piece
+past the first, the nodes instead take a short Taylor series about the
+piece's centre (_taylor_series, _f_taylor): two Maclaurin sums seed it,
+the Bessel ODE gives the rest, and each node costs one Horner sum.
 
 Sweeps over n run as batches (sinc_integrals, bessel_integrals) through
 that one ladder (_ladder).  Only the final power depends on n, so each
@@ -575,6 +578,79 @@ def _f_slope(v: Fraction, t: mp.mpf, prec: int) -> tuple[mp.mpf, mp.mpf]:
     return _f_nu(v, t, prec), -t * _f_nu(v + 1, t, prec) / (2 * _mpq(v + 1))
 
 
+# (wp, e, t0 2^(wp-e), (d_0 2^wp, ..., d_(K-1) 2^wp)): see _taylor_series
+TaylorSeries = tuple[int, int, int, tuple[int, ...]]
+
+
+def _taylor_series(v: Fraction, t0: mp.mpf, rad: mp.mpf) -> TaylorSeries:
+    """The Taylor series of f_v about t0 for |t - t0| <= rad, built for the
+    ambient precision prec: (wp, e, t0 2^(wp-e), (d_0 2^wp, ..., d_(K-1) 2^wp)).
+
+    f = f_v solves t f'' + (2v+1) f' + t f = 0, so its coefficients c_k
+    about t0 obey t0 (k+1)(k+2) c_(k+2) = -[(k+1)(k+2v+1) c_(k+1) + t0 c_k
+    + c_(k-1)] from the seeds c_0 = f_v(t0) and c_1 = f_v'(t0) (_f_slope).
+    They are held scaled, d_k = c_k rho^k with rho = 2^e >= rad, in
+    fixed point at wp bits, and the recurrence runs on d_k, one floor
+    division per coefficient.  _f_taylor sums them by Horner's rule in
+    u = (t - t0) / rho, |u| <= 1, so every rounding stays absolute.
+
+    Error, in units of 2^-wp, of the sum before its final rounding:
+    - truncation: |f_v^(k)| <= 1 (f_v is the characteristic function of a
+      law on [-1, 1]), so |c_k| <= 1/k! and the terms k >= K add at most
+      rad^K e^rad / K!; K is the first with that below 2^-(prec+42) in
+      floating point, so below 2^-(prec+41);
+    - seeds: taken by _f_nu at wp + e + mag(t0) + 4 bits, each is within
+      2 units once scaled and floored;
+    - recurrence: errors in d_(k-1), d_k, d_(k+1) reach d_(k+2) times at
+      most a_k = rho (k+2v+1) / (t0 (k+2)) + rho^2 / ((k+1)(k+2))
+      + rho^3 / (t0 (k+1)(k+2)), and each step floors once, so with
+      G = prod_k max(1, a_k) every d_k is within G (2 + k) units; the
+      seeds' error is carried along the ODE this way too;
+    - Horner: one floor per step, earlier errors times |u| <= 1, so the
+      sum is within K + K G (K + 2) units of the truncated series.
+    wp = prec + 41 + bits(K + K G (K + 2)) makes the rounding add at most
+    2^-(prec+41), so _f_taylor is within 2^-(prec+40) of f_v(t) before
+    it rounds: closer than _f_nu's own O(K 2^-(prec+40)).
+    """
+    prec = mp.mp.prec
+    nu = float(v)
+    r, c = float(rad), float(t0)
+    e = max(0, mp.mag(rad))
+    rho = 2.0**e
+    K = 2
+    while K * math.log2(r) - math.lgamma(K + 1) / math.log(2) + r / math.log(2) >= -(prec + 42):
+        K += 1
+    G = 1.0
+    for k in range(K - 2):
+        G *= max(1.0, (rho * (k + 2 * nu + 1) / (c * (k + 2)) + rho**2 / ((k + 1) * (k + 2))
+                       + rho**3 / (c * (k + 1) * (k + 2))))
+    wp = prec + 41 + math.ceil(K + K * G * (K + 2) + 1).bit_length()
+    with mp.workprec(wp + e + mp.mag(t0) + 4):
+        f0, f1 = _f_slope(v, t0, mp.mp.prec)
+    p, q = v.numerator, v.denominator
+    T = to_fixed(t0._mpf_, wp)
+    d = [to_fixed(f0._mpf_, wp), to_fixed(f1._mpf_, wp + e)]
+    for k in range(K - 2):
+        num = ((k + 1) * (q * (k + 1) + 2 * p) * d[k + 1] << (wp + e)) + (q * T * d[k] << 2 * e)
+        if k:
+            num += q * d[k - 1] << (wp + 3 * e)
+        d.append(-num // (q * T * (k + 1) * (k + 2)))
+    return wp, e, to_fixed(t0._mpf_, wp - e), tuple(d)
+
+
+def _f_taylor(series: TaylorSeries, t: mp.mpf, prec: int | None = None) -> mp.mpf:
+    """f_v(t) from its Taylor series about t0 (_taylor_series), rounded to
+    prec bits (default: the ambient precision).  For |t - t0| <= rad the
+    sum is within 2^-(p+40) of f_v(t) before it rounds, p the precision
+    the series was built for."""
+    wp, e, t0, d = series
+    u = to_fixed(t._mpf_, wp - e) - t0
+    s = d[-1]
+    for dk in reversed(d[:-1]):
+        s = (s * u >> wp) + dk
+    return mp.make_mpf(from_man_exp(s, -wp, prec or mp.mp.prec, round_nearest))
+
+
 def _zero_start(nu: float, k: int) -> float:
     """A float start for the k-th zero of J_nu: McMahon's expansion
     (DLMF 10.21.19), or for k = 1 at nu > 2, where McMahon's is poor, the
@@ -723,8 +799,10 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
 
     The zeros, the pieces, and |f_nu| and the weight t^{2nu-1} at every
     node are computed once for all n; only the n not yet memoised are
-    computed.  If any n misses its target, the PrecisionFailure of the
-    first such n in ns is raised, after the others are memoised.
+    computed.  Each piece past the first builds its Taylor series for f_nu
+    once per working precision and reuses it on every rung.  If any n
+    misses its target, the PrecisionFailure of the first such n in ns is
+    raised, after the others are memoised.
     """
     prec = prec or Precision()
     ns = list(ns)
@@ -753,8 +831,9 @@ def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision,
         X = cutoff_mult * amp
         bounds = [mp.mpf(0), *_bessel_zeros(v, X, wdps), X]
 
-        def direct(t):  # (|f_nu(t)|, t^{2nu-1})
-            return abs(_f_nu(v, t)), mp.power(t, 2 * nv - 1)
+        def direct(a, b):  # t -> (|f_nu(t)|, t^{2nu-1}) on [a, b], from one Taylor series
+            series = _taylor_series(v, (a + b) / 2, (b - a) / 2)
+            return lambda t: (abs(_f_taylor(series, t)), mp.power(t, 2 * nv - 1))
 
         def first_sub(y):  # (|f_nu(t)|, y^{p-1}) at t = y^{q/2}
             return abs(_f_nu(v, mp.power(y, mp.mpf(q) / 2))), y ** (p - 1)
@@ -764,7 +843,7 @@ def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision,
 
         pieces: list[Piece] = [(mp.mpf(0), mp.power(bounds[1], mp.mpf(2) / q), first_sub, first_power)]
         for a, b in zip(bounds[1:-1], bounds[2:]):
-            pieces.append((a, b, direct, _weighted_power))
+            pieces.append((a, b, direct(a, b), _weighted_power))
         every = range(len(pieces))
         setups = {}
         for n in ns:

@@ -27,11 +27,14 @@ from ballint.quadrature import (
     _bessel_zeros,
     _check_zeros,
     _completed_tail_n2,
+    _f_nu,
     _f_slope,
+    _f_taylor,
     _hurwitz_zetas,
     _legendre_rule,
     _sinc_estimates,
     _sinc_mode,
+    _taylor_series,
     bessel_integral,
     bessel_integrals,
     bessel_j_normalized,
@@ -352,6 +355,28 @@ class TestBesselJNormalized:
             bessel_j_normalized(ONE, -0.5)
 
 
+class TestTaylorKernel:
+    # every node of every piece past the first comes from _f_taylor; its
+    # docstring puts the sum within 2^-(prec+40) of f_nu before rounding
+    @pytest.mark.parametrize("dps", [45, 65, 75])
+    @pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(1), Fraction(5, 3), Fraction(2), Fraction(7, 3)], ids=str)
+    def test_within_stated_bound_of_f_nu(self, nu, dps):
+        with mp.workdps(dps):
+            prec = mp.mp.prec
+            bound = mp.ldexp(1, -(prec + 40))
+            X = 6 * amplitude(Nu(nu))
+            zeros = [*_bessel_zeros(nu, X, dps), X]
+            for a, b in zip(zeros, zeros[1:]):
+                mid, rad = (a + b) / 2, (b - a) / 2
+                series = _taylor_series(nu, mid, rad)
+                for order in (16, 32, 64, 128):
+                    for x, _ in _legendre_rule(order, dps):
+                        t = mid + rad * x
+                        # both rounded to 64 more bits, which adds at most 2^-(prec+63)
+                        err = abs(_f_taylor(series, t, prec + 64) - _f_nu(nu, t, prec + 64))
+                        assert err <= bound, (a, b, order, x)
+
+
 class TestBesselZeros:
     WDPS = Precision().working_dps
 
@@ -625,6 +650,33 @@ class TestSweepBitsFrozen:
                       for n, e in rows.items()} for fam, rows in got.items()} == frozen
 
 
+class TestBesselBitsFrozen:
+    # tests/data/bessel_bits.json holds these estimates as the Maclaurin kernel
+    # computed them at every node, before the Taylor kernel: every bit is kept
+    CASES = [  # (nu, ns, cutoff_mult, decimal_digits)
+        ("7/3", (2, 3, 8), 6, 30),
+        ("7/3", (8,), 6, 50),
+        ("2", (2,), 24, 30),
+        ("3/2", (2, 4, 6), 6, 30),
+        ("1/2", (2, 5), 24, 30),
+        ("5/3", (12, 14, 16), 4, 30),
+        ("1", (3, 9), 24, 30),
+        ("9/4", (4, 10), 3, 60),
+    ]
+
+    def test_against_frozen(self):
+        frozen = json.loads((Path(__file__).parent / "data" / "bessel_bits.json").read_text(encoding="utf-8"))
+        _MEMO.clear()
+        got = {}
+        for nu, ns, mult, digits in self.CASES:
+            ests = bessel_integrals(Nu(Fraction(nu)), ns, Precision(decimal_digits=digits), cutoff_mult=mult)
+            for n, e in zip(ns, ests):
+                got[f"nu={nu} n={n} cutoff_mult={mult} digits={digits}"] = [
+                    exact(e.value), exact(e.abs_err_bound), exact(e.cutoff_used), e.pieces]
+        assert len(got) == 17
+        assert got == frozen
+
+
 class TestFsum:
     # the ladder's running sums must be mp.fsum of the same terms, bit for bit,
     # including where fsum drops a term far below the sum or the sum far below a term
@@ -703,11 +755,13 @@ class TestBatchWork:
         time) and evaluates the zeta panel once a node for all eight
         zeta-mode n: 112 Euler-Maclaurin sums (16 + 32 + 64 nodes), where
         mp.zeta took one call per n and node (576).  The nu = 1 sweep, one
-        batch per cutoff, makes 1,971 kernel calls (9,139 one n at a
-        time): 1,600 at the nodes, 216 in the zero search and 155 in the
-        n = 2 tail.
+        batch per cutoff, makes 2,021 kernel evaluations (9,317 one n at a
+        time): 1,600 at the nodes, 1,392 of them Taylor sums on the 25
+        pieces past the first and 208 Maclaurin sums on the first pieces;
+        then 50 seeds (two Maclaurin sums a Taylor series), 216 in the zero
+        search and 155 in the n = 2 tail.
         """
-        calls = {"sin": 0, "zeta": 0, "panel": 0, "f_nu": 0}
+        calls = {"sin": 0, "zeta": 0, "panel": 0, "f_nu": 0, "taylor": 0}
 
         def counted(name, f):
             def wrapper(*args, **kwargs):
@@ -719,20 +773,22 @@ class TestBatchWork:
         monkeypatch.setattr(mp, "zeta", counted("zeta", mp.zeta))
         monkeypatch.setattr(quadrature, "_hurwitz_zetas", counted("panel", quadrature._hurwitz_zetas))
         monkeypatch.setattr(quadrature, "_f_nu", counted("f_nu", quadrature._f_nu))
+        monkeypatch.setattr(quadrature, "_f_taylor", counted("taylor", quadrature._f_taylor))
         _MEMO.clear()
         _bessel_zeros.cache_clear()
         sinc_integrals(range(2, 41))
         for mult, ns in sweep_groups().items():
             bessel_integrals(ONE, ns, cutoff_mult=mult)
-        assert calls == {"sin": 5936, "zeta": 0, "panel": 112, "f_nu": 1971}
+        assert calls == {"sin": 5936, "zeta": 0, "panel": 112, "f_nu": 629, "taylor": 1392}
 
     def test_batch_evaluates_like_its_widest_member(self, monkeypatch):
         # all n of a Bessel batch share one piece list, so the batch makes
         # as many node evaluations as its n that climbs the most rungs
         _bessel_zeros(ONE.value, 6 * amplitude(ONE), Precision().working_dps)  # warm the zeros
         calls = []
-        real = quadrature._f_nu
-        monkeypatch.setattr(quadrature, "_f_nu", lambda *a: calls.append(1) or real(*a))
+        for name in ("_f_nu", "_f_taylor"):  # node values, Taylor seeds included
+            real = getattr(quadrature, name)
+            monkeypatch.setattr(quadrature, name, lambda *a, real=real: calls.append(1) or real(*a))
         counts = {}
         for n in (6, 7, 20):
             _MEMO.clear()
