@@ -122,8 +122,8 @@ def cmd_eval(args) -> int:
     # Precision needs decimal_digits = digits + 10 >= 15
     if args.digits < 5:
         return _usage("--digits must be at least 5")
-    if args.max_refine is not None and args.max_refine < 0:
-        return _usage("--max-refine must be at least 0")
+    if args.max_refine is not None and args.max_refine < 1:
+        return _usage("--max-refine must be at least 1")
     prec = _precision(args.digits, args.max_refine)
     try:
         if args.pipeline == "sinc":
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=20, help="target decimal digits")
     p.add_argument("--cutoff-mult", type=float, default=None,
                    help=f"bessel head length in envelope units, 1 to {CUTOFF_MULT_MAX} (default 24)")
-    p.add_argument("--max-refine", type=int, default=None, help="order-doubling budget per panel set")
+    p.add_argument("--max-refine", type=int, default=None, help="order-doubling budget per panel set, at least 1")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_eval)
 

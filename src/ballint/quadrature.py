@@ -10,7 +10,10 @@ Integration strategy: |f|^n is smooth except at the zeros of f, so the
 domain is split there (multiples of pi for sinc, the zeros of J_nu for
 Bessel, found by Newton's method on the kernel and proven complete by a
 Sturm comparison) and each smooth piece gets a fixed-order
-Gauss-Legendre rule.  One function (_integrate) refines the
+Gauss-Legendre rule.  Each order's roots are found once
+(_legendre_rule: Halley's method from Tricomi's starts, in fixed point)
+and held at the widest precision asked for; a narrower rule rounds them,
+and a wider one refines them.  One function (_integrate) refines the
 whole subdivision together, doubling the order until two successive
 totals agree below target/2, and retries once at twenty more digits, so
 the node set is a deterministic function of the inputs and results are
@@ -97,7 +100,8 @@ class Precision:
     target_abs_err defaults to 10^-(decimal_digits - 10), keeping ten
     guard digits; the working precision adds fifteen more on top of
     decimal_digits.  max_refinements counts quadrature-order doublings
-    and may be zero.
+    and is at least 1: the ladder stops on the gap between two rungs, so a
+    single rung can never meet the target.
     """
 
     decimal_digits: int = 30
@@ -107,8 +111,8 @@ class Precision:
     def __post_init__(self):
         if self.decimal_digits < 15:
             raise ValueError("decimal_digits must be at least 15")
-        if self.max_refinements < 0:
-            raise ValueError("max_refinements must be nonnegative")
+        if self.max_refinements < 1:
+            raise ValueError("max_refinements must be at least 1")
         if self.target_abs_err is None:
             object.__setattr__(self, "target_abs_err", 10.0 ** (-(self.decimal_digits - 10)))
         t = float(self.target_abs_err)
@@ -175,42 +179,104 @@ class PrecisionFailure(ArithmeticError):
         self.estimate = estimate
 
 
+# Positive roots of P_order, decreasing, and P' at each, as integers scaled
+# by 2^wp at the widest wp = prec + 32 asked for so far: {order: (wp, roots, slopes)}.
+_ROOTS: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
+
+
+def _legendre_start(order: int, k: int) -> float:
+    """Tricomi's estimate of the k-th largest root of P_order, within O(order^-4)."""
+    theta = math.pi * (4 * k - 1) / (4 * order + 2)
+    return (1 - (order - 1) / (8 * order**3)
+            - (39 - 28 / math.sin(theta) ** 2) / (384 * order**4)) * math.cos(theta)
+
+
+def _legendre_pair(order: int, x: int, wp: int) -> tuple[int, int]:
+    """(P_{order-1}(x), P_order(x)) by the stable forward recurrence, x and
+    both values scaled by 2^wp."""
+    p0, p1 = 1 << wp, x
+    for j in range(2, order + 1):
+        p0, p1 = p1, (((2 * j - 1) * x * p1 >> wp) - (j - 1) * p0) // j
+    return p0, p1
+
+
+def _legendre_roots(order: int, prec: int) -> None:
+    """Find the positive roots of P_order at wp = prec + 32 bits, from
+    Tricomi's starts or from the roots held at a narrower wp, store them in
+    _ROOTS and prove the set complete (see _legendre_rule)."""
+    wp = prec + 32
+    one = 1 << wp
+    nn1 = order * (order + 1)
+    held = _ROOTS.get(order)
+    if held is None:
+        starts = [int(math.ldexp(_legendre_start(order, k), 53)) << (wp - 53)
+                  for k in range(1, order // 2 + 1)]
+    else:
+        starts = [x << (wp - held[0]) for x in held[1]]
+    roots, slopes = [], []
+    for x in starts:
+        for _ in range(100):
+            p0, p1 = _legendre_pair(order, x, wp)
+            d = (x * x >> wp) - one             # x^2 - 1
+            dp = (order * ((x * p1 >> wp) - p0) << wp) // d   # P'
+            ddp = ((nn1 * p1 - (2 * x * dp >> wp)) << wp) // d  # P'', from the ODE
+            u = (p1 << wp) // dp                 # P / P'
+            dx = (u << wp) // (one - (u * ddp // (2 * dp)))
+            x -= dx
+            if abs(dx) < 1 << (wp - prec - 8):
+                break
+        roots.append(x)
+        slopes.append(dp - (ddp * dx >> wp))
+    bounds = [one, *roots, 0]
+    if not all(a - b > 1 << (wp - prec) for a, b in zip(bounds, bounds[1:])):
+        raise ArithmeticError(f"Gauss-Legendre order {order}: the positive roots found "
+                              f"are not {order // 2} distinct points of (0, 1)")
+    _ROOTS[order] = wp, tuple(roots), tuple(slopes)
+
+
 @lru_cache(maxsize=64)
 def _legendre_rule(order: int, dps: int) -> tuple:
     """Gauss-Legendre (node, weight) pairs on [-1, 1] for an even order at dps.
 
-    Newton's method on P_order runs in Python integers in fixed point at
-    wp = prec + 32 bits (prec: the binary precision of dps); the 32 guard bits
-    absorb the rounding of the stable forward recurrence.  Each positive root
-    starts from the float cos(pi (i - 1/4) / (order + 1/2)) and stops once
-    |dx| < 2^-(prec+8).  The weight 2 / ((1 - x^2) P'(x)^2) is taken in mpf at
-    wp bits at the converged node; nodes and weights are then rounded to prec.
+    The positive roots of P = P_order are found once per order and held in
+    _ROOTS, with P' at each, as Python integers in fixed point at wp = prec + 32
+    bits (prec: the binary precision of dps); the 32 guard bits absorb the
+    rounding of the stable forward recurrence.
+
+    - Start: Tricomi's x_k = (1 - (N-1)/(8N^3) - (39 - 28/sin^2 t_k)/(384N^4)) cos t_k,
+      t_k = pi (4k - 1)/(4N + 2), N = order, within O(N^-4) of the k-th largest
+      root (Hale and Townsend, SIAM J. Sci. Comput. 35, 2013).
+    - Step: Halley's, dx = u / (1 - u P''/(2P')) with u = P/P', where P'' comes
+      free from the Legendre ODE, (1 - x^2) P'' = 2x P' - N(N+1) P.  It stops
+      once |dx| < 2^-(prec+8), about three recurrences a root.
+    - Weight: 2 / ((1 - x^2) P'(x)^2) in mpf at the held wp, with P' at the
+      final iterate x = x_prev - dx taken as P'(x_prev) - P''(x_prev) dx.  The
+      dropped term, about N^4 dx^2 relative, is below N^4 2^-(2 prec + 16),
+      far inside the guard bits; no recurrence is run for the weight.
+    - Completeness: the N/2 roots must be strictly decreasing in (0, 1), each
+      gap (to 1 and 0 too) wider than 2^-prec, or ArithmeticError is raised.
+      P_N has exactly N/2 positive roots, so none was found twice or missed.
+
+    A request at a wider wp than the one held starts from the held roots,
+    shifted up, so each takes about two recurrences, and replaces the entry.
+    A narrower request runs no step: the node, and the weight computed at
+    the held wp, are rounded to prec.  Whatever wp is held, both carry about
+    28 correct bits beyond prec, so the rounded values are the correctly
+    rounded ones, the same as a fresh build at dps would give, unless the
+    true value lies within about 2^-28 ulp of a rounding tie.
     """
     if order % 2:
         raise ValueError("Gauss-Legendre order must be even")
     with mp.workdps(dps):
         prec = mp.mp.prec
-        wp = prec + 32
-
-        def legendre(x):  # (P_{order-1}(x), P_order(x)), x and both values scaled by 2^wp
-            p0, p1 = 1 << wp, x
-            for j in range(2, order + 1):
-                p0, p1 = p1, (((2 * j - 1) * x * p1 >> wp) - (j - 1) * p0) // j
-            return p0, p1
-
+        if order not in _ROOTS or _ROOTS[order][0] < prec + 32:
+            _legendre_roots(order, prec)
+        wp, roots, slopes = _ROOTS[order]
         half = []
-        for i in range(1, order // 2 + 1):
-            x = int(math.ldexp(math.cos(math.pi * (i - 0.25) / (order + 0.5)), 53)) << (wp - 53)
-            for _ in range(100):
-                p0, p1 = legendre(x)
-                dx = p1 * ((x * x >> wp) - (1 << wp)) // (order * ((x * p1 >> wp) - p0))
-                x -= dx
-                if abs(dx) < 1 << (wp - prec - 8):
-                    break
+        for x, dp in zip(roots, slopes):
             with mp.workprec(wp):
-                xm, p0m, p1m = (mp.mpf((v, -wp)) for v in (x, *legendre(x)))
-                dp = order * (xm * p1m - p0m) / (xm * xm - 1)
-                w = 2 / ((1 - xm * xm) * dp * dp)
+                xm, dpm = mp.mpf((x, -wp)), mp.mpf((dp, -wp))
+                w = 2 / ((1 - xm * xm) * dpm * dpm)
             half.append((+xm, +w))
         return tuple((-x, w) for x, w in reversed(half)) + tuple(half)
 

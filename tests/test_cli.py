@@ -154,9 +154,11 @@ class TestEval:
         assert code == EXIT_USAGE and "at most 64" in err
 
     def test_negative_max_refine(self, capsys):
-        code, out, err = run_cli(capsys, "eval", "sinc", "--n", "5", "--max-refine", "-1")
-        assert code == EXIT_USAGE and out == ""
-        assert err == "error: --max-refine must be at least 0\n"
+        # zero too: one rung has no gap to stop on, so it could never succeed
+        for value in ("-1", "0"):
+            code, out, err = run_cli(capsys, "eval", "sinc", "--n", "5", "--max-refine", value)
+            assert code == EXIT_USAGE and out == ""
+            assert err == "error: --max-refine must be at least 1\n"
 
     @pytest.mark.parametrize("pipeline", [["sinc"], ["bessel", "--nu", "1"]])
     def test_digits_floor(self, capsys, pipeline):
@@ -166,11 +168,9 @@ class TestEval:
         assert err == "error: --digits must be at least 5\n"
 
     def test_digits_and_max_refine_at_their_floors(self, capsys):
-        code, out, _ = run_cli(capsys, "eval", "sinc", "--n", "4", "--digits", "5")
-        assert code == EXIT_OK and out.splitlines()[0] == "sinc integral, n = 4"
-        # one rung has no gap to stop on: a precision failure, not a usage error
-        code, _, err = run_cli(capsys, "eval", "sinc", "--n", "4", "--digits", "5", "--max-refine", "0")
-        assert code == EXIT_PRECISION and "after 0 order doublings" in err
+        for refine in ([], ["--max-refine", "1"]):
+            code, out, _ = run_cli(capsys, "eval", "sinc", "--n", "4", "--digits", "5", *refine)
+            assert code == EXIT_OK and out.splitlines()[0] == "sinc integral, n = 4"
 
     def test_default_cutoff_has_no_cap(self, capsys):
         # the default cutoff at nu = 2 is 192; the closed form is 2^5 Gamma(3) Gamma(2) = 64
@@ -185,7 +185,7 @@ class TestEval:
 
     def test_precision_failure_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "eval", "sinc", "--n", "97", "--digits", "30",
-                               "--max-refine", "0")
+                               "--max-refine", "1")
         assert code == EXIT_PRECISION
         assert "precision failure" in err and "best estimate" in err
 

@@ -94,6 +94,48 @@ def maclaurin_f_nu(nu: Fraction, t, dps: int = 60) -> mp.mpf:
         return total
 
 
+def reference_rule(order: int, dps: int) -> tuple:
+    """Gauss-Legendre (node, weight) pairs built from scratch at one precision:
+    the oracle for _legendre_rule, which must match it bit for bit.
+
+    Newton's method on P_order runs in Python integers in fixed point at
+    wp = prec + 32 bits.  Each positive root starts from the float
+    cos(pi (i - 1/4) / (order + 1/2)) and stops once |dx| < 2^-(prec+8).
+    The weight 2 / ((1 - x^2) P'(x)^2) is taken in mpf at wp bits from one
+    more recurrence at the converged node; nodes and weights are then
+    rounded to prec.
+    """
+    with mp.workdps(dps):
+        prec = mp.mp.prec
+        wp = prec + 32
+
+        def legendre(x):  # (P_{order-1}(x), P_order(x)), x and both values scaled by 2^wp
+            p0, p1 = 1 << wp, x
+            for j in range(2, order + 1):
+                p0, p1 = p1, (((2 * j - 1) * x * p1 >> wp) - (j - 1) * p0) // j
+            return p0, p1
+
+        half = []
+        for i in range(1, order // 2 + 1):
+            x = int(math.ldexp(math.cos(math.pi * (i - 0.25) / (order + 0.5)), 53)) << (wp - 53)
+            for _ in range(100):
+                p0, p1 = legendre(x)
+                dx = p1 * ((x * x >> wp) - (1 << wp)) // (order * ((x * p1 >> wp) - p0))
+                x -= dx
+                if abs(dx) < 1 << (wp - prec - 8):
+                    break
+            with mp.workprec(wp):
+                xm, p0m, p1m = (mp.mpf((v, -wp)) for v in (x, *legendre(x)))
+                dp = order * (xm * p1m - p0m) / (xm * xm - 1)
+                w = 2 / ((1 - xm * xm) * dp * dp)
+            half.append((+xm, +w))
+        return tuple((-x, w) for x, w in reversed(half)) + tuple(half)
+
+
+def rule_bits(rule: tuple) -> tuple:
+    return tuple((x._mpf_, w._mpf_) for x, w in rule)
+
+
 class TestPrecision:
     def test_defaults(self):
         p = Precision()
@@ -108,9 +150,11 @@ class TestPrecision:
             Precision(target_abs_err=0.0)
         with pytest.raises(ValueError, match="finer than"):
             Precision(decimal_digits=30, target_abs_err=1e-40)
-        with pytest.raises(ValueError, match="max_refinements"):
-            Precision(max_refinements=-1)
-        assert Precision(max_refinements=0).max_refinements == 0
+        # one rung has no gap to stop on, so at least one doubling is needed
+        for refinements in (-1, 0):
+            with pytest.raises(ValueError, match="max_refinements must be at least 1"):
+                Precision(max_refinements=refinements)
+        assert Precision(max_refinements=1).max_refinements == 1
 
     def test_explicit_target(self):
         p = Precision(decimal_digits=40, target_abs_err=1e-30)
@@ -151,6 +195,71 @@ class TestLegendreRule:
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError, match="even"):
             _legendre_rule(17, 45)
+
+
+class TestLegendreStore:
+    """_legendre_rule finds each order's roots once and rounds or refines
+    them for other precisions; every rule must still be reference_rule's."""
+
+    GRID = [(order, dps) for dps in (45, 65, 75, 95) for order in (16, 32, 64, 128, 256)] + [(512, 45)]
+
+    @pytest.fixture(autouse=True)
+    def empty_store(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_ROOTS", {})
+        _legendre_rule.cache_clear()
+        yield
+        _legendre_rule.cache_clear()
+
+    def test_bit_for_bit_with_reference_in_both_orders(self):
+        want = {key: rule_bits(reference_rule(*key)) for key in self.GRID}
+        ascending = sorted(self.GRID, key=lambda key: key[1])
+        # ascending widens the held roots; descending rounds from them
+        for grid in (ascending, ascending[::-1]):
+            quadrature._ROOTS.clear()
+            _legendre_rule.cache_clear()
+            for order, dps in grid:
+                assert rule_bits(_legendre_rule(order, dps)) == want[order, dps], (order, dps)
+
+    def test_small_widening_steps_match_reference(self):
+        # a step of a few digits stops after one Halley step from the held
+        # roots, so the weight rests on the P'' dx update of P'
+        for order in (64, 256):
+            for dps in (45, 50, 55, 60):
+                assert rule_bits(_legendre_rule(order, dps)) == rule_bits(reference_rule(order, dps)), (order, dps)
+
+    def test_recurrences_per_root(self, monkeypatch):
+        calls = []
+        pair = quadrature._legendre_pair
+
+        def counted(order, x, wp):
+            calls.append(order)
+            return pair(order, x, wp)
+
+        monkeypatch.setattr(quadrature, "_legendre_pair", counted)
+        # Halley from Tricomi's start: about three a root; Newton's step takes four
+        _legendre_rule(256, 75)
+        assert len(calls) <= 3.25 * 128
+        # from the held roots: two a root, and none for the weights or a narrower rule
+        calls.clear()
+        _legendre_rule(256, 95)
+        _legendre_rule(256, 45)
+        assert len(calls) == 2 * 128
+
+    def test_narrower_request_rounds_from_the_store(self):
+        _legendre_rule(64, 75)
+        held = quadrature._ROOTS[64]
+        _legendre_rule(64, 45)
+        assert quadrature._ROOTS[64] is held
+        _legendre_rule(64, 95)
+        assert quadrature._ROOTS[64][0] > held[0]
+
+    def test_root_found_twice_is_refused(self, monkeypatch):
+        start = quadrature._legendre_start
+        # the second root starts where the first does, so Halley finds the first twice
+        monkeypatch.setattr(quadrature, "_legendre_start", lambda order, k: start(order, 1 if k == 2 else k))
+        with pytest.raises(ArithmeticError, match="not 8 distinct points"):
+            _legendre_rule(16, 45)
+        assert 16 not in quadrature._ROOTS
 
 
 class TestSincClosedForms:
@@ -711,7 +820,7 @@ class TestFsum:
 
 class TestBatchFailure:
     # the failure a batch raises is the single call's failure for the first failing n of ns
-    PREC = Precision(decimal_digits=40, max_refinements=0)
+    PREC = Precision(decimal_digits=40, max_refinements=1)
 
     def single_failure(self, call) -> PrecisionFailure:
         _MEMO.clear()
@@ -725,7 +834,7 @@ class TestBatchFailure:
         with pytest.raises(PrecisionFailure) as exc:
             sinc_integrals([97, 5, 2, 97], self.PREC)
         assert str(exc.value) == str(want) == (
-            "sinc_integral(n=97): target 1e-30 not reached after 0 order doublings and one precision raise")
+            "sinc_integral(n=97): target 1e-30 not reached after 1 order doublings and one precision raise")
         assert repr(exc.value.estimate) == repr(want.estimate)
         assert bits(exc.value.estimate) == bits(want.estimate)
 
@@ -811,7 +920,7 @@ class TestCutoffConsistency:
 class TestPrecisionFailure:
     def test_exhausted_ladder_carries_estimate(self):
         with pytest.raises(PrecisionFailure) as exc:
-            sinc_integral(97, Precision(decimal_digits=40, max_refinements=0))
+            sinc_integral(97, Precision(decimal_digits=40, max_refinements=1))
         est = exc.value.estimate
         assert isinstance(est, QuadEstimate)
         assert est.abs_err_bound > mp.mpf(10) ** -30
