@@ -70,9 +70,7 @@ def cmd_sinc_coeffs(args) -> int:
         return _usage(f"--order must lie in 0..{SINC_ORDER_CEILING}")
     if args.digits < 1:
         return _usage("--digits must be at least 1")
-    k = args.trunc if args.trunc is not None else m + 1
-    if k <= m:
-        return _usage(f"--trunc must exceed the order (got {k} for order {m})")
+    k = m + 1
     coeffs = None if args.no_cache else load_coeffs("sinc", None, m, k)
     if coeffs is not None:
         expansion = SincExpansion(m=m, k=k, coeffs=tuple(coeffs))
@@ -201,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sinc-coeffs", help="exact sinc expansion coefficients")
     p.add_argument("--order", type=int, required=True, help=f"expansion order, 0..{SINC_ORDER_CEILING}")
-    p.add_argument("--trunc", type=int, default=None, help="truncation index (default order+1)")
     p.add_argument("--digits", type=int, default=30, help="decimal digits in the rendered column")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--no-cache", action="store_true", help="bypass the coefficient cache")

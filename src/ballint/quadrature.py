@@ -27,10 +27,10 @@ Sweeps over n run as batches (sinc_integrals, bessel_integrals) through
 that one ladder (_ladder).  Only the final power depends on n, so each
 piece's base (|sin t|/t, or |f_nu(t)| with its weight) is evaluated once
 a node for every n still on that rung, and each n keeps its own rung,
-stopping test, retry, tail and floor.  Every n's terms are summed in its
-own order by the exact fold of mp.fsum (_Fsum), so a batch returns, bit
-for bit, what each n returns alone; the single-n functions are batches
-of one, sharing one memo keyed per n.
+stopping test, retry, tail and floor.  Every n sums its own terms, in its
+own order, with mp.fsum, so a batch returns, bit for bit, what each n
+returns alone; the single-n functions are batches of one, sharing one
+memo keyed per n.
 
 Two sinc regimes: for large n the integrand dies fast and a finite lobe
 count with the t^{-n} envelope bound suffices; for small n the envelope
@@ -66,7 +66,7 @@ from itertools import count
 from typing import Callable, Iterable, Sequence
 
 import mpmath as mp
-from mpmath.libmp import bitcount, from_man_exp, fzero, mpf_add, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .bessel import Nu, amplitude, bessel_tail_bound
 from .sinc import cutoff_tail_bound, sinc_expansion
@@ -95,17 +95,16 @@ CUTOFF_MULT_MAX = 64  # largest Bessel cutoff, in units of 2^nu Gamma(nu+1)
 
 @dataclass(frozen=True)
 class Precision:
-    """Requested accuracy: decimal_digits of working room, absolute target.
+    """Requested accuracy: decimal_digits of working room.
 
-    target_abs_err defaults to 10^-(decimal_digits - 10), keeping ten
-    guard digits; the working precision adds fifteen more on top of
+    The absolute target is 10^-(decimal_digits - 10), keeping ten guard
+    digits; the working precision adds fifteen more on top of
     decimal_digits.  max_refinements counts quadrature-order doublings
     and is at least 1: the ladder stops on the gap between two rungs, so a
     single rung can never meet the target.
     """
 
     decimal_digits: int = 30
-    target_abs_err: float | None = None
     max_refinements: int = 5
 
     def __post_init__(self):
@@ -113,13 +112,10 @@ class Precision:
             raise ValueError("decimal_digits must be at least 15")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be at least 1")
-        if self.target_abs_err is None:
-            object.__setattr__(self, "target_abs_err", 10.0 ** (-(self.decimal_digits - 10)))
-        t = float(self.target_abs_err)
-        if t <= 0:
-            raise ValueError("target_abs_err must be positive")
-        if t < 10.0 ** (-(self.decimal_digits + 5)):
-            raise ValueError("target finer than the working precision supports")
+
+    @property
+    def target_abs_err(self) -> float:
+        return 10.0 ** -(self.decimal_digits - 10)
 
     @property
     def working_dps(self) -> int:
@@ -281,49 +277,6 @@ def _legendre_rule(order: int, dps: int) -> tuple:
         return tuple((-x, w) for x, w in reversed(half)) + tuple(half)
 
 
-class _Fsum:
-    """mp.fsum fed one term at a time, bit for bit.
-
-    The state is that of mpmath's mpf_sum (libmpf), which folds the terms
-    left to right into one exact (man, exp) pair, drops a term more than
-    twice the precision below the sum (or the sum below it) and rounds once
-    at the end; add() is one step of that fold.  So a ladder can sum every
-    n of a batch node by node without keeping the terms.
-    """
-
-    __slots__ = ("man", "exp", "special", "max_extra")
-
-    def __init__(self):
-        self.man, self.exp, self.special = 0, 0, None
-        self.max_extra = mp.mp.prec * 2
-
-    def add(self, x: mp.mpf) -> None:
-        sign, man, exp, bc = x._mpf_
-        if not man:
-            if exp:  # inf or nan
-                self.special = mpf_add(self.special or fzero, x._mpf_, 1)
-            return
-        if sign:
-            man = -man
-        delta = exp - self.exp
-        if delta >= 0:
-            if delta > self.max_extra and (not self.man or delta - bitcount(abs(self.man)) > self.max_extra):
-                self.man, self.exp = man, exp
-            else:
-                self.man += man << delta
-        elif -delta - bc > self.max_extra:
-            if not self.man:
-                self.man, self.exp = man, exp
-        else:
-            self.man = (self.man << -delta) + man
-            self.exp = exp
-
-    def value(self) -> mp.mpf:
-        if self.special:
-            return mp.make_mpf(self.special)
-        return mp.make_mpf(from_man_exp(self.man, self.exp, *mp.mp._prec_rounding))
-
-
 # A piece (a, b, base, finish) integrates finish(n, base(t)) over [a, b]:
 # base holds what does not depend on n, so a batch evaluates it once a node.
 Piece = tuple[mp.mpf, mp.mpf, Callable[[mp.mpf], object], Callable[[int, object], mp.mpf]]
@@ -334,10 +287,10 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
     """(total, diff) for every n of uses, from one order-doubling ladder.
 
     n integrates the pieces whose indices uses[n] lists, in increasing
-    order.  At each rung every piece is visited once, node by node: its
-    base is evaluated once and finished for every n still on the ladder
-    that integrates it, and each term is folded straight into that n's
-    sums (_Fsum).  An n leaves at its first rung whose total is within
+    order.  At each rung every piece is visited once: its base is
+    evaluated once a node, the node values are kept for that piece, and
+    every n still on the ladder that integrates it sums its terms with
+    mp.fsum.  An n leaves at its first rung whose total is within
     half_target of the one before, or after rung `rungs`.  Each n sums its
     own terms and pieces in its own order, so its (total, diff) is what it
     would be alone.
@@ -347,22 +300,18 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
     r = 0
     while prev:
         rule = _legendre_rule(16 * 2**r, dps)
-        totals = {n: _Fsum() for n in prev}
+        parts = {n: [] for n in prev}
         for i, (a, b, base, finish) in enumerate(pieces):
             users = [n for n in prev if i in uses[n]]
             if not users:
                 continue
             mid = (a + b) / 2
             rad = (b - a) / 2
-            sums = [_Fsum() for _ in users]
-            for x, w in rule:
-                v = base(mid + rad * x)
-                for n, acc in zip(users, sums):
-                    acc.add(w * finish(n, v))
-            for n, acc in zip(users, sums):
-                totals[n].add(rad * acc.value())
-        for n, acc in totals.items():
-            total = acc.value()
+            values = [(w, base(mid + rad * x)) for x, w in rule]
+            for n in users:
+                parts[n].append(rad * mp.fsum(w * finish(n, v) for w, v in values))
+        for n, terms in parts.items():
+            total = mp.fsum(terms)
             diff = mp.inf if prev[n] is None else abs(total - prev[n])
             if diff < half_target or r == rungs:
                 out[n] = total, diff
@@ -444,7 +393,7 @@ def _sinc_mode(n: int, prec: Precision) -> tuple[str, int]:
     target/2; if that cutoff exceeds LOBE_CAP lobes, use the exact tail
     transform with a fixed ZETA_LOBES head.
     """
-    t = float(prec.target_abs_err)
+    t = prec.target_abs_err
     ln_a = (math.log(2 * math.sqrt(n)) - math.log((n - 1) * t)) / (n - 1)
     A = max(math.exp(ln_a) if ln_a < 700 else math.inf, math.sqrt(6))
     lobes = max(2, math.ceil(A / math.pi)) if math.isfinite(A) else LOBE_CAP + 1

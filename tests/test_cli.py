@@ -64,21 +64,9 @@ class TestSincCoeffs:
         assert first == second == bypass
         assert "-124996631/10035200000" in first[1]
 
-    def test_deeper_truncation_flag(self, capsys):
-        base = run_cli(capsys, "sinc-coeffs", "--order", "3")
-        deep = run_cli(capsys, "sinc-coeffs", "--order", "3", "--trunc", "9")
-        assert base[0] == deep[0] == EXIT_OK
-        # identical rationals either way; only the header names the order
-        assert [l.split()[1] for l in base[1].splitlines()[1:]] == \
-               [l.split()[1] for l in deep[1].splitlines()[1:]]
-
     def test_order_ceiling(self, capsys):
         code, _, err = run_cli(capsys, "sinc-coeffs", "--order", "13")
         assert code == EXIT_USAGE and "error:" in err
-
-    def test_bad_trunc(self, capsys):
-        code, _, err = run_cli(capsys, "sinc-coeffs", "--order", "3", "--trunc", "2")
-        assert code == EXIT_USAGE and "--trunc" in err
 
     def test_digits_floor(self, capsys):
         code, out, err = run_cli(capsys, "sinc-coeffs", "--order", "2", "--digits", "0")

@@ -22,7 +22,6 @@ from ballint.quadrature import (
     PrecisionFailure,
     QuadEstimate,
     _MEMO,
-    _Fsum,
     _bessel_estimates,
     _bessel_zeros,
     _check_zeros,
@@ -146,19 +145,11 @@ class TestPrecision:
     def test_validation(self):
         with pytest.raises(ValueError):
             Precision(decimal_digits=14)
-        with pytest.raises(ValueError):
-            Precision(target_abs_err=0.0)
-        with pytest.raises(ValueError, match="finer than"):
-            Precision(decimal_digits=30, target_abs_err=1e-40)
         # one rung has no gap to stop on, so at least one doubling is needed
         for refinements in (-1, 0):
             with pytest.raises(ValueError, match="max_refinements must be at least 1"):
                 Precision(max_refinements=refinements)
         assert Precision(max_refinements=1).max_refinements == 1
-
-    def test_explicit_target(self):
-        p = Precision(decimal_digits=40, target_abs_err=1e-30)
-        assert p.target_abs_err == 1e-30
 
 
 class TestLegendreRule:
@@ -784,38 +775,6 @@ class TestBesselBitsFrozen:
                     exact(e.value), exact(e.abs_err_bound), exact(e.cutoff_used), e.pieces]
         assert len(got) == 17
         assert got == frozen
-
-
-class TestFsum:
-    # the ladder's running sums must be mp.fsum of the same terms, bit for bit,
-    # including where fsum drops a term far below the sum or the sum far below a term
-    @staticmethod
-    def check(terms):
-        acc = _Fsum()
-        for t in terms:
-            acc.add(t)
-        assert acc.value()._mpf_ == mp.fsum(terms)._mpf_
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.integers(-(2**200), 2**200), st.integers(-700, 700)), max_size=12),
-           st.integers(53, 400))
-    def test_matches_fsum(self, parts, prec):
-        with mp.workprec(prec):
-            self.check([mp.ldexp(mp.mpf(m), e) for m, e in parts])
-
-    @pytest.mark.parametrize("terms", [
-        [],
-        ["0", "0"],
-        ["1", "1e-200", "-1"],
-        ["1e-200", "1", "1e-200"],
-        ["1e200", "-1e200", "3"],
-        ["1", "inf"],
-        ["inf", "-inf", "1"],
-        ["nan", "2"],
-    ])
-    def test_edge_cases(self, terms):
-        with mp.workdps(30):
-            self.check([mp.mpf(t) for t in terms])
 
 
 class TestBatchFailure:
