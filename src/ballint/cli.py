@@ -14,7 +14,7 @@ import mpmath as mp
 
 from .bessel import BesselExpansion, Nu, bessel_expansion
 from .cache import load_coeffs, store_coeffs
-from .quadrature import CUTOFF_MULT_MAX, Precision, PrecisionFailure, bessel_integral, sinc_integral
+from .quadrature import CUTOFF_MULT_MAX, X_MAX, Precision, PrecisionFailure, bessel_integral, sinc_integral
 from .rationals import format_rational, parse_rational
 from .records import (
     bessel_coeff_records,
@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", default=None, help="Bessel order as p/q")
     p.add_argument("--digits", type=int, default=20, help="target decimal digits")
     p.add_argument("--cutoff-mult", type=float, default=None,
-                   help=f"bessel head length in envelope units, 1 to {CUTOFF_MULT_MAX} (default 24)")
+                   help=f"bessel head length in envelope units, 1 to {CUTOFF_MULT_MAX} (default 24); "
+                        f"the cutoff, this times 2^nu Gamma(nu+1), may not exceed {X_MAX}")
     p.add_argument("--max-refine", type=int, default=None, help="order-doubling budget per panel set, at least 1")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_eval)

@@ -27,10 +27,13 @@ Sweeps over n run as batches (sinc_integrals, bessel_integrals) through
 that one ladder (_ladder).  Only the final power depends on n, so each
 piece's base (|sin t|/t, or |f_nu(t)| with its weight) is evaluated once
 a node for every n still on that rung, and each n keeps its own rung,
-stopping test, retry, tail and floor.  Every n sums its own terms, in its
-own order, with mp.fsum, so a batch returns, bit for bit, what each n
-returns alone; the single-n functions are batches of one, sharing one
-memo keyed per n.
+stopping test, retry, tail and floor.  The powers are one fixed-point
+running product per node across n (fixedpoint.power_sums), in Python
+integers with LADDER_GUARD bits beyond the working precision, and each
+n's total is added exactly and rounded once: the correctly rounded Gauss
+sum of its node values, within a bound the ladder checks.  So a batch
+returns what each n returns alone; the single-n functions are batches of
+one, sharing one memo keyed per n.
 
 Two sinc regimes: for large n the integrand dies fast and a finite lobe
 count with the t^{-n} envelope bound suffices; for small n the envelope
@@ -66,9 +69,10 @@ from itertools import count
 from typing import Callable, Iterable, Sequence
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, mpf_mul, round_nearest, to_fixed
 
 from .bessel import Nu, amplitude, bessel_tail_bound
+from .fixedpoint import power_sums, round_total
 from .sinc import cutoff_tail_bound, sinc_expansion
 
 __all__ = [
@@ -80,6 +84,7 @@ __all__ = [
     "LOBE_CAP",
     "ZETA_LOBES",
     "CUTOFF_MULT_MAX",
+    "X_MAX",
     "sinc_integral",
     "sinc_integrals",
     "bessel_j_normalized",
@@ -91,6 +96,7 @@ __all__ = [
 LOBE_CAP = 64     # most pi-lobes worth integrating before switching to the zeta tail
 ZETA_LOBES = 24   # head lobes kept in zeta mode
 CUTOFF_MULT_MAX = 64  # largest Bessel cutoff, in units of 2^nu Gamma(nu+1)
+X_MAX = 1024  # largest Bessel cutoff X = cutoff_mult 2^nu Gamma(nu+1)
 
 
 @dataclass(frozen=True)
@@ -277,41 +283,67 @@ def _legendre_rule(order: int, dps: int) -> tuple:
         return tuple((-x, w) for x, w in reversed(half)) + tuple(half)
 
 
-# A piece (a, b, base, finish) integrates finish(n, base(t)) over [a, b]:
-# base holds what does not depend on n, so a batch evaluates it once a node.
-Piece = tuple[mp.mpf, mp.mpf, Callable[[mp.mpf], object], Callable[[int, object], mp.mpf]]
+# A piece (a, b, base) integrates g(t) h(t)^n over [a, b] for every n of a
+# batch.  base(t) returns the n-free node values (h, g): h in [0, 1] and the
+# weight g >= 0, as mpfs.  The sinc zeta panel returns (h, g, {n: f_n}) and
+# integrates g h^n f_n, f_n in [0, 1] its per-n factor at the node.
+Piece = tuple[mp.mpf, mp.mpf, Callable[[mp.mpf], tuple]]
+
+LADDER_GUARD = 64  # bits the ladder's fixed-point power sums carry beyond prec
 
 
 def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
             half_target: mp.mpf, dps: int) -> dict[int, tuple[mp.mpf, mp.mpf]]:
     """(total, diff) for every n of uses, from one order-doubling ladder.
 
-    n integrates the pieces whose indices uses[n] lists, in increasing
-    order.  At each rung every piece is visited once: its base is
-    evaluated once a node, the node values are kept for that piece, and
-    every n still on the ladder that integrates it sums its terms with
-    mp.fsum.  An n leaves at its first rung whose total is within
-    half_target of the one before, or after rung `rungs`.  Each n sums its
-    own terms and pieces in its own order, so its (total, diff) is what it
-    would be alone.
+    n integrates the pieces whose indices uses[n] lists.  At each rung
+    every piece is visited once: base is evaluated once a node, at the
+    ambient precision prec, and one fixed-point power sum (power_sums)
+    gives the piece's Gauss sum rad sum_i w_i g_i h_i^n for every n still
+    on the ladder that integrates it, with g_i = w_i rad g(t_i) the exact
+    product of three mpfs.  Each n's pieces are added exactly and its
+    total is rounded once (round_total).  An n leaves at its first rung
+    whose total is within half_target of the one before, or after rung
+    `rungs`.
+
+    The working precision wp = prec + LADDER_GUARD.  Every fixed-point
+    value lies below its exact counterpart, and power_sums bounds the
+    shortfall of each piece in units of 2^-wp: 2N + 1 at the piece's first
+    n for N nodes, whatever the weights (the first power is taken with
+    more bits when they are large), then N + (2d - 1)(S + 1) for each step
+    of d in n, S the piece's sum so far in units of 1, and N + S + 1 for
+    the panel's factor.  A total's bound E, the sum over its pieces, is
+    about the node count times the number of steps: below 2^15 on every
+    sweep of the verify suites.  So a total above 2^-m lies within
+    2^-(prec+8) of its fixed-point sum once LADDER_GUARD >= 8 + 15 + m;
+    64 guard bits allow m up to 41, and every total of the verify suites
+    exceeds 2^-4.  round_total checks E against the sum itself and raises
+    ArithmeticError if it fails.  So each total is the correctly rounded
+    Gauss sum of its node values, unless that sum lies within
+    2^-(prec+8) of a rounding boundary; a batch returns what each n
+    returns alone under the same proviso.
     """
+    wp = mp.mp.prec + LADDER_GUARD
     out = {}
     prev = dict.fromkeys(uses)
     r = 0
     while prev:
         rule = _legendre_rule(16 * 2**r, dps)
-        parts = {n: [] for n in prev}
-        for i, (a, b, base, finish) in enumerate(pieces):
-            users = [n for n in prev if i in uses[n]]
+        sums = dict.fromkeys(prev, (0, 0))
+        for i, (a, b, base) in enumerate(pieces):
+            users = sorted(n for n in prev if i in uses[n])
             if not users:
                 continue
             mid = (a + b) / 2
             rad = (b - a) / 2
-            values = [(w, base(mid + rad * x)) for x, w in rule]
-            for n in users:
-                parts[n].append(rad * mp.fsum(w * finish(n, v) for w, v in values))
-        for n, terms in parts.items():
-            total = mp.fsum(terms)
+            values = [base(mid + rad * x) for x, _ in rule]
+            hs = [v[0]._mpf_ for v in values]
+            gs = [mpf_mul(mpf_mul(w._mpf_, rad._mpf_), v[1]._mpf_) for (_, w), v in zip(rule, values)]
+            factors = {n: [v[2][n]._mpf_ for v in values] for n in users} if len(values[0]) == 3 else None
+            for n, (s, e) in power_sums(hs, gs, users, wp, factors).items():
+                sums[n] = sums[n][0] + s, sums[n][1] + e
+        for n, (s, e) in sums.items():
+            total = round_total(s, e, wp)
             diff = mp.inf if prev[n] is None else abs(total - prev[n])
             if diff < half_target or r == rungs:
                 out[n] = total, diff
@@ -419,8 +451,9 @@ def sinc_integral(n: int, prec: Precision | None = None) -> QuadEstimate:
 def sinc_integrals(ns: Iterable[int], prec: Precision | None = None) -> list[QuadEstimate]:
     """[sinc_integral(n, prec) for n in ns], bit for bit, from one ladder.
 
-    The lobes' endpoints and |sin t|/t at every node are computed once and
-    raised to each n's power; only the n not yet memoised are computed.
+    The lobes' endpoints and |sin t|/t at every node are computed once, and
+    each node's power runs from one n to the next as a fixed-point product
+    (_ladder); only the n not yet memoised are computed.
     If any n misses its target, the PrecisionFailure of the first such n
     in ns is raised, after the others are memoised.
     """
@@ -431,12 +464,11 @@ def sinc_integrals(ns: Iterable[int], prec: Precision | None = None) -> list[Qua
     return _memoised(("sinc", prec), ns, lambda todo: _sinc_estimates(todo, prec))
 
 
-def _lobe(t: mp.mpf) -> mp.mpf:
-    return abs(mp.sin(t)) / t
+_ONE = mp.mpf(1)
 
 
-def _lobe_power(n: int, lobe: mp.mpf) -> mp.mpf:
-    return lobe ** n
+def _lobe(t: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
+    return abs(mp.sin(t)) / t, _ONE
 
 
 @lru_cache(maxsize=None)
@@ -519,17 +551,15 @@ def _sinc_estimates(ns: list[int], prec: Precision) -> dict[int, QuadEstimate | 
         zeta_ns = [n for n in ns if modes[n][0] == "zeta"]
         pi_powers = {n: pi**n for n in zeta_ns}
 
-        def zeta_base(s):  # (sin s, {n: zeta_H(n, M + s/pi)}) for every zeta-mode n
-            return mp.sin(s), _hurwitz_zetas(zeta_ns, ZETA_LOBES + s / pi)
-
-        def zeta_panel(n, base):
+        def panel_base(s):
             # every lobe from M = ZETA_LOBES on, folded onto (0, pi):
-            # sum_{j >= M} (j pi + s)^-n = pi^-n zeta_H(n, M + s/pi)
-            sin_s, zetas = base
-            return sin_s ** n * zetas[n] / pi_powers[n]
+            # sum_{j >= M} (j pi + s)^-n = pi^-n zeta_H(n, M + s/pi), so the
+            # panel integrates |sin s|^n times that factor for every zeta-mode n
+            zetas = _hurwitz_zetas(zeta_ns, ZETA_LOBES + s / pi)
+            return abs(mp.sin(s)), _ONE, {n: zetas[n] / pi_powers[n] for n in zeta_ns}
 
-        pieces = [(j * pi, (j + 1) * pi, _lobe, _lobe_power) for j in range(lobes)]
-        pieces.append((mp.mpf(0), pi, zeta_base, zeta_panel))
+        pieces: list[Piece] = [(j * pi, (j + 1) * pi, _lobe) for j in range(lobes)]
+        pieces.append((mp.mpf(0), pi, panel_base))
         setups = {}
         for n in ns:
             mode, count = modes[n]
@@ -795,10 +825,13 @@ def bessel_integral(nu: Nu, n: int, prec: Precision | None = None,
     """n^nu int_0^inf (2^nu Gamma(nu+1)|J_nu(t)|/t^nu)^n t^{2nu-1} dt.
 
     Integrates to X = cutoff_mult * 2^nu Gamma(nu+1), splitting at every
-    zero of J_nu below X (_bessel_zeros); the kernel _f_nu has no cap, and
-    cutoff_mult runs from 1 to CUTOFF_MULT_MAX.  The
-    first piece is mapped through t = y^{q/2} (nu = p/q) so the t^{2nu-1}
-    branch point becomes the analytic monomial y^{p-1}.  For n >= 3 the
+    zero of J_nu below X (_bessel_zeros); the kernel _f_nu has no cap.
+    cutoff_mult runs from 1 to CUTOFF_MULT_MAX and X may not exceed X_MAX,
+    or ValueError is raised before any kernel call: the zeros below X, and
+    the terms of each kernel sum, grow with X, and X grows factorially with
+    nu (X = 46080 at nu = 6 and cutoff_mult = 1).  The first piece is
+    mapped through t = y^{q/2} (nu = p/q) so the t^{2nu-1} branch point
+    becomes the analytic monomial y^{p-1}.  For n >= 3 the
     decay-envelope tail bound at X goes into abs_err_bound; at n = 2 the
     tail is instead completed exactly into the value (_completed_tail_n2).
     Results are memoised per (nu, n, prec, float(cutoff_mult)).  This is
@@ -813,9 +846,11 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
     from one ladder.
 
     The zeros, the pieces, and |f_nu| and the weight t^{2nu-1} at every
-    node are computed once for all n; only the n not yet memoised are
-    computed.  Each piece past the first builds its Taylor series for f_nu
-    once per working precision and reuses it on every rung.  If any n
+    node are computed once for all n, and each node's power runs from one
+    n to the next as a fixed-point product (_ladder); only the n not yet
+    memoised are computed.  Each piece past the first builds its Taylor
+    series for f_nu once per working precision and reuses it on every
+    rung.  If any n
     misses its target, the PrecisionFailure of the first such n in ns is
     raised, after the others are memoised.
     """
@@ -826,12 +861,12 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
     if not 1 <= cutoff_mult <= CUTOFF_MULT_MAX:
         raise ValueError(f"cutoff_mult must be finite, at least 1 and at most {CUTOFF_MULT_MAX}")
     cutoff_mult = float(cutoff_mult)
+    X = cutoff_mult * amplitude(nu)
+    if X > X_MAX:
+        raise ValueError(f"the cutoff X = cutoff_mult 2^nu Gamma(nu+1) = {mp.nstr(X, 6)} "
+                         f"at nu = {nu} is above X_MAX = {X_MAX}")
     return _memoised(("bessel", nu, prec, cutoff_mult), ns,
                      lambda todo: _bessel_estimates(nu, todo, prec, cutoff_mult))
-
-
-def _weighted_power(n: int, base: tuple[mp.mpf, mp.mpf]) -> mp.mpf:
-    return base[0] ** n * base[1]
 
 
 def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision,
@@ -850,15 +885,14 @@ def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision,
             series = _taylor_series(v, (a + b) / 2, (b - a) / 2)
             return lambda t: (abs(_f_taylor(series, t)), mp.power(t, 2 * nv - 1))
 
-        def first_sub(y):  # (|f_nu(t)|, y^{p-1}) at t = y^{q/2}
-            return abs(_f_nu(v, mp.power(y, mp.mpf(q) / 2))), y ** (p - 1)
+        half_q = mp.mpf(q) / 2
 
-        def first_power(n, base):
-            return base[0] ** n * mp.mpf(q) / 2 * base[1]
+        def first_sub(y):  # (|f_nu(t)|, q/2 y^{p-1}) at t = y^{q/2}, the weight exact
+            return abs(_f_nu(v, mp.power(y, half_q))), mp.fmul(y ** (p - 1), half_q, exact=True)
 
-        pieces: list[Piece] = [(mp.mpf(0), mp.power(bounds[1], mp.mpf(2) / q), first_sub, first_power)]
+        pieces: list[Piece] = [(mp.mpf(0), mp.power(bounds[1], mp.mpf(2) / q), first_sub)]
         for a, b in zip(bounds[1:-1], bounds[2:]):
-            pieces.append((a, b, direct(a, b), _weighted_power))
+            pieces.append((a, b, direct(a, b)))
         every = range(len(pieces))
         setups = {}
         for n in ns:

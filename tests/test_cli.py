@@ -141,6 +141,12 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "bessel", "--n", "5", "--nu", "1", "--cutoff-mult", value)
         assert code == EXIT_USAGE and "at most 64" in err
 
+    def test_cutoff_above_x_max(self, capsys):
+        # at nu = 6 even the smallest multiplier gives X = 46080, refused before any kernel call
+        code, out, err = run_cli(capsys, "eval", "bessel", "--n", "5", "--nu", "6", "--cutoff-mult", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert "X = cutoff_mult 2^nu Gamma(nu+1) = 46080.0" in err and "X_MAX = 1024" in err
+
     def test_negative_max_refine(self, capsys):
         # zero too: one rung has no gap to stop on, so it could never succeed
         for value in ("-1", "0"):

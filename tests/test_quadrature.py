@@ -8,10 +8,12 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 import ballint.quadrature as quadrature
+from ballint.fixedpoint import power_sums, round_total
 from ballint.bessel import Nu, amplitude, bessel_expansion, c0_value, i_nu_at_2
 from ballint.sinc import sinc_expansion
 from ballint.quadrature import (
@@ -133,6 +135,45 @@ def reference_rule(order: int, dps: int) -> tuple:
 
 def rule_bits(rule: tuple) -> tuple:
     return tuple((x._mpf_, w._mpf_) for x, w in rule)
+
+
+def reference_ladder(pieces, uses, rungs, half_target, dps):
+    """_ladder as a plain mpf sum: the oracle the fixed-point ladder must match
+    bit for bit.
+
+    Node values come from each piece's base at the ambient precision prec;
+    every term w g h^n [f_n], piece sum and total is taken at prec + 300
+    bits, and the total is rounded once to prec.
+    """
+    out = {}
+    prev = dict.fromkeys(uses)
+    r = 0
+    while prev:
+        rule = _legendre_rule(16 * 2**r, dps)
+        parts = {n: [] for n in prev}
+        for i, (a, b, base) in enumerate(pieces):
+            users = [n for n in prev if i in uses[n]]
+            if not users:
+                continue
+            mid = (a + b) / 2
+            rad = (b - a) / 2
+            values = [(w, base(mid + rad * x)) for x, w in rule]
+            with mp.extraprec(300):
+                for n in users:
+                    parts[n].append(rad * mp.fsum(w * v[1] * v[0] ** n * (v[2][n] if len(v) == 3 else 1)
+                                                  for w, v in values))
+        for n, terms in parts.items():
+            with mp.extraprec(300):
+                total = mp.fsum(terms)
+            total = +total
+            diff = mp.inf if prev[n] is None else abs(total - prev[n])
+            if diff < half_target or r == rungs:
+                out[n] = total, diff
+                del prev[n]
+            else:
+                prev[n] = total
+        r += 1
+    return out
 
 
 class TestPrecision:
@@ -357,6 +398,20 @@ class TestBesselClosedForms:
         # at 1e4 the search would walk thousands of zeros and run for minutes
         with pytest.raises(ValueError, match=f"at most {CUTOFF_MULT_MAX}"):
             bessel_integral(ONE, 5, cutoff_mult=cutoff_mult)
+
+    def test_cutoff_above_x_max_rejected(self, monkeypatch):
+        # X = cutoff_mult 2^nu Gamma(nu+1) grows factorially with nu; the refusal
+        # comes before the zero search or any kernel call
+        def no_kernel(*args):
+            raise AssertionError("kernel called")
+        monkeypatch.setattr(quadrature, "_f_nu", no_kernel)
+        with pytest.raises(ValueError, match=r"X = cutoff_mult 2\^nu Gamma\(nu\+1\) = 46080.0 at nu = 6 "
+                                             r"is above X_MAX = 1024"):
+            bessel_integral(Nu(Fraction(6)), 5, cutoff_mult=1)
+        # nu = 3 at the default multiplier 24: X = 1152
+        with pytest.raises(ValueError, match="X_MAX"):
+            bessel_integrals(Nu(Fraction(3)), [5, 6])
+        assert quadrature.X_MAX == 1024
 
     def test_cutoff_mult_limit_accepted(self):
         est = bessel_integral(ONE, 40, cutoff_mult=CUTOFF_MULT_MAX)
@@ -732,49 +787,144 @@ def exact(x: mp.mpf) -> str:
     return f"{'-' if sign else ''}{hex(man)}p{exp}"
 
 
+def frozen(name: str) -> dict:
+    return json.loads((Path(__file__).parent / "data" / name).read_text(encoding="utf-8"))
+
+
+def pinned(e: QuadEstimate) -> list:
+    return [exact(e.value), exact(e.abs_err_bound), exact(e.cutoff_used), e.pieces]
+
+
+def sweep_bits() -> dict:
+    """The sweeps pinned by tests/data/sweep_bits.json, on a cleared memo."""
+    _MEMO.clear()
+    got = {
+        "sinc": dict(zip(range(2, 41), sinc_integrals(range(2, 41)))),
+        "sinc-60-digits": dict(zip((90, 135, 200, 300),
+                                   sinc_integrals((90, 135, 200, 300), Precision(decimal_digits=60)))),
+        "bessel-nu1": {},
+    }
+    for mult, ns in sweep_groups().items():
+        got["bessel-nu1"].update(zip(ns, bessel_integrals(ONE, ns, cutoff_mult=mult)))
+    return {fam: {str(n): pinned(e) for n, e in rows.items()} for fam, rows in got.items()}
+
+
+BESSEL_BITS_CASES = [  # (nu, ns, cutoff_mult, decimal_digits)
+    ("7/3", (2, 3, 8), 6, 30),
+    ("7/3", (8,), 6, 50),
+    ("2", (2,), 24, 30),
+    ("3/2", (2, 4, 6), 6, 30),
+    ("1/2", (2, 5), 24, 30),
+    ("5/3", (12, 14, 16), 4, 30),
+    ("1", (3, 9), 24, 30),
+    ("9/4", (4, 10), 3, 60),
+]
+
+
+def bessel_bits() -> dict:
+    """The Bessel estimates pinned by tests/data/bessel_bits.json, on a cleared memo."""
+    _MEMO.clear()
+    got = {}
+    for nu, ns, mult, digits in BESSEL_BITS_CASES:
+        ests = bessel_integrals(Nu(Fraction(nu)), ns, Precision(decimal_digits=digits), cutoff_mult=mult)
+        for n, e in zip(ns, ests):
+            got[f"nu={nu} n={n} cutoff_mult={mult} digits={digits}"] = pinned(e)
+    return got
+
+
+# tests/data/sweep_bits.json and bessel_bits.json are written by reference_ladder,
+# the ladder summed term by term at 300 extra bits, so they pin every bit of the
+# correctly rounded Gauss sums of the node values
+
+
 class TestSweepBitsFrozen:
-    # tests/data/sweep_bits.json holds the sweeps' estimates as the one-n-at-a-time
-    # ladder computed them before batching: every estimate keeps every bit
     def test_against_frozen(self):
-        frozen = json.loads((Path(__file__).parent / "data" / "sweep_bits.json").read_text(encoding="utf-8"))
-        _MEMO.clear()
-        got = {
-            "sinc": dict(zip(range(2, 41), sinc_integrals(range(2, 41)))),
-            "sinc-60-digits": dict(zip((90, 135, 200, 300),
-                                       sinc_integrals((90, 135, 200, 300), Precision(decimal_digits=60)))),
-            "bessel-nu1": {},
-        }
-        for mult, ns in sweep_groups().items():
-            got["bessel-nu1"].update(zip(ns, bessel_integrals(ONE, ns, cutoff_mult=mult)))
-        assert {fam: {str(n): [exact(e.value), exact(e.abs_err_bound), exact(e.cutoff_used), e.pieces]
-                      for n, e in rows.items()} for fam, rows in got.items()} == frozen
+        assert sweep_bits() == frozen("sweep_bits.json")
 
 
 class TestBesselBitsFrozen:
-    # tests/data/bessel_bits.json holds these estimates as the Maclaurin kernel
-    # computed them at every node, before the Taylor kernel: every bit is kept
-    CASES = [  # (nu, ns, cutoff_mult, decimal_digits)
-        ("7/3", (2, 3, 8), 6, 30),
-        ("7/3", (8,), 6, 50),
-        ("2", (2,), 24, 30),
-        ("3/2", (2, 4, 6), 6, 30),
-        ("1/2", (2, 5), 24, 30),
-        ("5/3", (12, 14, 16), 4, 30),
-        ("1", (3, 9), 24, 30),
-        ("9/4", (4, 10), 3, 60),
-    ]
-
     def test_against_frozen(self):
-        frozen = json.loads((Path(__file__).parent / "data" / "bessel_bits.json").read_text(encoding="utf-8"))
-        _MEMO.clear()
-        got = {}
-        for nu, ns, mult, digits in self.CASES:
-            ests = bessel_integrals(Nu(Fraction(nu)), ns, Precision(decimal_digits=digits), cutoff_mult=mult)
-            for n, e in zip(ns, ests):
-                got[f"nu={nu} n={n} cutoff_mult={mult} digits={digits}"] = [
-                    exact(e.value), exact(e.abs_err_bound), exact(e.cutoff_used), e.pieces]
+        got = bessel_bits()
         assert len(got) == 17
-        assert got == frozen
+        assert got == frozen("bessel_bits.json")
+
+
+class TestReferenceLadder:
+    # the same estimates with the oracle in place of the fixed-point ladder
+    @pytest.fixture(autouse=True)
+    def oracle(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_ladder", reference_ladder)
+        yield
+        _MEMO.clear()
+
+    def test_sweep_bits(self):
+        assert sweep_bits() == frozen("sweep_bits.json")
+
+    def test_bessel_bits(self):
+        assert bessel_bits() == frozen("bessel_bits.json")
+
+
+def dyadic(draw, mantissa_bits: int, lo: int, hi: int) -> Fraction:
+    """m 2^e with m < 2^mantissa_bits and lo <= e <= hi."""
+    return Fraction(draw(st.integers(0, 2**mantissa_bits - 1))) * Fraction(2) ** draw(st.integers(lo, hi))
+
+
+@st.composite
+def power_sum_cases(draw):
+    """(hs, gs, ns, factors) as Fractions: random nodes, h in [0, 1] down to
+    2^-200 and weights up to 2^90, plus one node with h >= 15/16 and g >= 1,
+    whose term keeps the sum away from zero; ns increasing in 2..60, with
+    gaps; factors in [0, 1] per n, or None."""
+    prec = TestPowerSums.PREC
+    count = draw(st.integers(0, 12))
+    hs = [dyadic(draw, prec, -prec - 200, -prec) for _ in range(count)]
+    gs = [dyadic(draw, prec, -prec - 40, 90 - prec) for _ in range(count)]
+    hs.append(1 - dyadic(draw, prec, -prec - 4, -prec - 4))
+    gs.append(1 + dyadic(draw, prec, -prec - 40, 90 - prec))
+    ns = sorted(draw(st.sets(st.integers(2, 60), min_size=1, max_size=6)))
+    factors = None
+    if draw(st.booleans()):
+        factors = {n: [dyadic(draw, prec, -prec - 100, -prec) for _ in range(count)]
+                   + [1 - dyadic(draw, prec, -prec - 1, -prec - 1)] for n in ns}
+    return hs, gs, ns, factors
+
+
+class TestPowerSums:
+    PREC = 120
+
+    @staticmethod
+    def raw(q: Fraction) -> tuple:
+        """A dyadic Fraction as an exact raw mpf."""
+        k = q.denominator.bit_length() - 1
+        assert q.denominator == 1 << k
+        return from_man_exp(q.numerator, -k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(power_sum_cases())
+    @example(([Fraction(3, 4) + Fraction(1, 2**130)], [Fraction(2**80 + 1)], [2], None))  # n = 2 alone
+    @example(([Fraction(1), Fraction(1, 2**150)], [Fraction(3, 8), Fraction(2**90)], [2, 3, 50], None))
+    def test_matches_correctly_rounded_exact_sum(self, case):
+        hs, gs, ns, factors = case
+        raw_h, raw_g = [self.raw(h) for h in hs], [self.raw(g) for g in gs]
+        raw_f = factors and {n: [self.raw(f) for f in fs] for n, fs in factors.items()}
+        wp = self.PREC + quadrature.LADDER_GUARD
+        sums = power_sums(raw_h, raw_g, ns, wp, raw_f)
+        assert list(sums) == ns
+        with mp.workprec(self.PREC):
+            for n, (S, E) in sums.items():
+                want = sum(g * h**n * (factors[n][i] if factors else 1) for i, (h, g) in enumerate(zip(hs, gs)))
+                assert Fraction(S, 2**wp) <= want <= Fraction(S + E, 2**wp)
+                rounded = from_rational(want.numerator, want.denominator, self.PREC, round_nearest)
+                assert round_total(S, E, wp)._mpf_ == rounded
+
+    def test_base_above_one_refused(self):
+        with mp.workprec(self.PREC), pytest.raises(ArithmeticError, match="above 1"):
+            power_sums([mp.mpf(1.5)._mpf_], [mp.mpf(1)._mpf_], [2], self.PREC + 64)
+
+    def test_total_too_small_for_its_error_refused(self):
+        # an error bound above 2^-(prec+8) of the sum must raise, not round
+        with mp.workprec(self.PREC), pytest.raises(ArithmeticError, match="not within"):
+            round_total(1 << 200, 1 << 100, self.PREC + 64)
 
 
 class TestBatchFailure:
