@@ -29,9 +29,10 @@ piece's base (|sin t|/t, or |f_nu(t)| with its weight) is evaluated once
 a node for every n still on that rung, and each n keeps its own rung,
 stopping test, retry, tail and floor.  The powers are one fixed-point
 running product per node across n (fixedpoint.power_sums), in Python
-integers with LADDER_GUARD bits beyond the working precision, and each
-n's total is added exactly and rounded once: the correctly rounded Gauss
-sum of its node values, within a bound the ladder checks.  So a batch
+integers with LADDER_GUARD bits beyond the working precision in a unit
+that follows each piece's sum, however small, and each n's total is
+added exactly and rounded once: the correctly rounded Gauss sum of its
+node values, which the ladder checks.  So a batch
 returns what each n returns alone; the single-n functions are batches of
 one, sharing one memo keyed per n.
 
@@ -299,29 +300,34 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
     n integrates the pieces whose indices uses[n] lists.  At each rung
     every piece is visited once: base is evaluated once a node, at the
     ambient precision prec, and one fixed-point power sum (power_sums)
-    gives the piece's Gauss sum rad sum_i w_i g_i h_i^n for every n still
-    on the ladder that integrates it, with g_i = w_i rad g(t_i) the exact
-    product of three mpfs.  Each n's pieces are added exactly and its
-    total is rounded once (round_total).  An n leaves at its first rung
+    gives the piece's Gauss sum sum_i g_i h_i^n for every n still on the
+    ladder that integrates it, with h_i = h(t_i) and g_i = w_i rad g(t_i)
+    the exact product of three mpfs.  Each n's pieces are added exactly
+    and its total is rounded once (round_total).  An n leaves at its first rung
     whose total is within half_target of the one before, or after rung
     `rungs`.
 
-    The working precision wp = prec + LADDER_GUARD.  Every fixed-point
-    value lies below its exact counterpart, and power_sums bounds the
-    shortfall of each piece in units of 2^-wp: 2N + 1 at the piece's first
-    n for N nodes, whatever the weights (the first power is taken with
-    more bits when they are large), then N + (2d - 1)(S + 1) for each step
-    of d in n, S the piece's sum so far in units of 1, and N + S + 1 for
-    the panel's factor.  A total's bound E, the sum over its pieces, is
-    about the node count times the number of steps: below 2^15 on every
-    sweep of the verify suites.  So a total above 2^-m lies within
-    2^-(prec+8) of its fixed-point sum once LADDER_GUARD >= 8 + 15 + m;
-    64 guard bits allow m up to 41, and every total of the verify suites
-    exceeds 2^-4.  round_total checks E against the sum itself and raises
-    ArithmeticError if it fails.  So each total is the correctly rounded
-    Gauss sum of its node values, unless that sum lies within
-    2^-(prec+8) of a rounding boundary; a batch returns what each n
-    returns alone under the same proviso.
+    The working precision wp = prec + LADDER_GUARD.  power_sums keeps
+    each piece's sum S for each n in a unit of its own, which leaves S
+    about wp bits whatever the size of the sum, and bounds its shortfall E
+    in that unit: about N at the piece's first n for N nodes, growing by
+    about N + 2d for each step of d in n.  It starts a piece's terms
+    afresh whenever E exceeds 2^(ERROR_BITS - wp) S (fixedpoint), so every
+    piece's sum is that close, relatively; the zeta panel's is that close
+    to its sum before the per-n factor, which varies across the panel by
+    under (1 + 1/ZETA_LOBES)^n.  round_total floors the P pieces of a total to the coarsest unit among
+    them, at most one unit each, so the total lies within about
+    (P + 1) 2^(ERROR_BITS - wp) of its fixed-point sum: within 2^-(prec+8)
+    once LADDER_GUARD >= 8 + ERROR_BITS + log2(P + 1), which 64 guard bits
+    meet for up to 2^23 pieces.  On every total of the five verify suites
+    and of the frozen-bits estimates, E is at most 2^14 against S at most
+    2 bits short of wp: 45 bits to spare.  round_total checks that bound,
+    and that S and S + E round alike, so a total it calls sure is the
+    correctly rounded Gauss sum of the node values, however the batch was
+    formed: a batch returns what each n returns alone.  A total that is
+    not sure, as one within E of a rounding boundary may be, does not
+    count: its diff is inf and the next rung compares against nothing, so
+    such an n refines and, at the last rung, misses its target.
     """
     wp = mp.mp.prec + LADDER_GUARD
     out = {}
@@ -329,7 +335,7 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
     r = 0
     while prev:
         rule = _legendre_rule(16 * 2**r, dps)
-        sums = dict.fromkeys(prev, (0, 0))
+        sums = {n: [] for n in prev}
         for i, (a, b, base) in enumerate(pieces):
             users = sorted(n for n in prev if i in uses[n])
             if not users:
@@ -340,16 +346,16 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
             hs = [v[0]._mpf_ for v in values]
             gs = [mpf_mul(mpf_mul(w._mpf_, rad._mpf_), v[1]._mpf_) for (_, w), v in zip(rule, values)]
             factors = {n: [v[2][n]._mpf_ for v in values] for n in users} if len(values[0]) == 3 else None
-            for n, (s, e) in power_sums(hs, gs, users, wp, factors).items():
-                sums[n] = sums[n][0] + s, sums[n][1] + e
-        for n, (s, e) in sums.items():
-            total = round_total(s, e, wp)
-            diff = mp.inf if prev[n] is None else abs(total - prev[n])
+            for n, part in power_sums(hs, gs, users, wp, factors).items():
+                sums[n].append(part)
+        for n, parts in sums.items():
+            total, sure = round_total(parts)
+            diff = abs(total - prev[n]) if sure and prev[n] is not None else mp.inf
             if diff < half_target or r == rungs:
                 out[n] = total, diff
                 del prev[n]
             else:
-                prev[n] = total
+                prev[n] = total if sure else None
         r += 1
     return out
 

@@ -177,6 +177,14 @@ class TestEval:
         half_place = mp.mpf(10) ** -len(doc["value"].split(".")[1]) / 2
         assert abs(mp.mpf(doc["value"]) - 64) <= mp.mpf(doc["abs_err_bound"]) + half_place
 
+    @pytest.mark.parametrize("argv", [["bessel", "--nu", "1", "--n", "4000"], ["sinc", "--n", "1000000"]])
+    def test_large_n_is_a_precision_failure(self, capsys, argv):
+        # the peak lies between the origin and the first node, so the ladder cannot converge;
+        # its Gauss sums, about 2^-60 at the first rung, keep their precision: exit 3, no traceback
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert code == EXIT_PRECISION and out == ""
+        assert "precision failure" in err and "best estimate" in err
+
     def test_precision_failure_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "eval", "sinc", "--n", "97", "--digits", "30",
                                "--max-refine", "1")

@@ -13,7 +13,7 @@ from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 import ballint.quadrature as quadrature
-from ballint.fixedpoint import power_sums, round_total
+from ballint.fixedpoint import ERROR_BITS, power_sums, round_total
 from ballint.bessel import Nu, amplitude, bessel_expansion, c0_value, i_nu_at_2
 from ballint.sinc import sinc_expansion
 from ballint.quadrature import (
@@ -726,6 +726,28 @@ class TestBatches:
                 assert bits(fresh[n]) == bits(singles[n])
         assert {n for n in ns if isinstance(fresh[n], PrecisionFailure)} == {7, 9}
 
+    def test_wide_gaps(self):
+        # steps of 997 and 999000 take the sums down by far more than the guard bits, so the
+        # running products start afresh there; n = 10^6 fails alone and in the batch alike
+        ns = [10**6, 3, 1000, 2]
+        fresh = _sinc_estimates(ns, Precision())
+        for n in ns:
+            single = _sinc_estimates([n], Precision())[n]
+            assert type(fresh[n]) is type(single)
+            if isinstance(single, PrecisionFailure):
+                assert str(fresh[n]) == str(single) and bits(fresh[n].estimate) == bits(single.estimate)
+            else:
+                assert bits(fresh[n]) == bits(single)
+        assert isinstance(fresh[10**6], PrecisionFailure) and not isinstance(fresh[1000], PrecisionFailure)
+
+    def test_unsure_totals_do_not_count(self, monkeypatch):
+        # a total round_total is not sure of has diff inf, and the next rung compares against
+        # nothing: the n refines to its last rung and fails after the precision raise
+        monkeypatch.setattr(quadrature, "round_total", lambda parts: (round_total(parts)[0], False))
+        failure = _sinc_estimates([5], Precision(max_refinements=2))[5]
+        assert isinstance(failure, PrecisionFailure)
+        assert mp.isinf(failure.estimate.abs_err_bound)
+
     def test_bessel_sweep_by_cutoff_group(self):
         groups = sweep_groups()
         # n = 2, whose tail is completed exactly, shares its batch with n = 3
@@ -871,21 +893,19 @@ def dyadic(draw, mantissa_bits: int, lo: int, hi: int) -> Fraction:
 
 @st.composite
 def power_sum_cases(draw):
-    """(hs, gs, ns, factors) as Fractions: random nodes, h in [0, 1] down to
-    2^-200 and weights up to 2^90, plus one node with h >= 15/16 and g >= 1,
-    whose term keeps the sum away from zero; ns increasing in 2..60, with
-    gaps; factors in [0, 1] per n, or None."""
+    """(hs, gs, ns, factors) as Fractions: 1 to 13 random nodes, h in [0, 1]
+    down to 2^-200 (some near 1) and weights from 2^-40 up to 2^90, so a sum
+    may lie anywhere from about 2^100 down to 2^-12000; ns increasing in
+    2..60, with gaps; factors in [0, 1] per n, or None."""
     prec = TestPowerSums.PREC
-    count = draw(st.integers(0, 12))
-    hs = [dyadic(draw, prec, -prec - 200, -prec) for _ in range(count)]
+    count = draw(st.integers(1, 13))
+    hs = [1 - dyadic(draw, prec, -prec - 8, -prec - 1) if draw(st.booleans())
+          else dyadic(draw, prec, -prec - 200, -prec) for _ in range(count)]
     gs = [dyadic(draw, prec, -prec - 40, 90 - prec) for _ in range(count)]
-    hs.append(1 - dyadic(draw, prec, -prec - 4, -prec - 4))
-    gs.append(1 + dyadic(draw, prec, -prec - 40, 90 - prec))
     ns = sorted(draw(st.sets(st.integers(2, 60), min_size=1, max_size=6)))
     factors = None
     if draw(st.booleans()):
-        factors = {n: [dyadic(draw, prec, -prec - 100, -prec) for _ in range(count)]
-                   + [1 - dyadic(draw, prec, -prec - 1, -prec - 1)] for n in ns}
+        factors = {n: [dyadic(draw, prec, -prec - 100, -prec) for _ in range(count)] for n in ns}
     return hs, gs, ns, factors
 
 
@@ -903,6 +923,12 @@ class TestPowerSums:
     @given(power_sum_cases())
     @example(([Fraction(3, 4) + Fraction(1, 2**130)], [Fraction(2**80 + 1)], [2], None))  # n = 2 alone
     @example(([Fraction(1), Fraction(1, 2**150)], [Fraction(3, 8), Fraction(2**90)], [2, 3, 50], None))
+    # every term far below 2^-wp: the sums are about 2^-8000, 2^-9600 and 2^-12000
+    @example(([Fraction(1, 2**200) + Fraction(1, 2**300)], [Fraction(3, 2)], [40, 48, 60], None))
+    # an early peak: the 2^90 term leads until n = 8, losing 15 bits a step, then the start
+    # afresh keeps the node at h near 1
+    @example(([Fraction(1, 2**15), 1 - Fraction(1, 2**100)], [Fraction(2**90), Fraction(1, 2**40)],
+              list(range(2, 14)), None))
     def test_matches_correctly_rounded_exact_sum(self, case):
         hs, gs, ns, factors = case
         raw_h, raw_g = [self.raw(h) for h in hs], [self.raw(g) for g in gs]
@@ -911,20 +937,48 @@ class TestPowerSums:
         sums = power_sums(raw_h, raw_g, ns, wp, raw_f)
         assert list(sums) == ns
         with mp.workprec(self.PREC):
-            for n, (S, E) in sums.items():
+            for n, (S, E, k) in sums.items():
                 want = sum(g * h**n * (factors[n][i] if factors else 1) for i, (h, g) in enumerate(zip(hs, gs)))
-                assert Fraction(S, 2**wp) <= want <= Fraction(S + E, 2**wp)
-                rounded = from_rational(want.numerator, want.denominator, self.PREC, round_nearest)
-                assert round_total(S, E, wp)._mpf_ == rounded
+                unit = Fraction(2) ** -k
+                assert S * unit <= want <= (S + E) * unit
+                total, sure = round_total([(S, E, k)])
+                if factors is None:
+                    # relative, whatever the size of the sum: E <= 2^(ERROR_BITS - wp) S, or all is 0,
+                    # so only a rounding boundary between S and S + E can leave the total unsure
+                    assert E.bit_length() <= max(S.bit_length() - wp + ERROR_BITS, 0)
+                    assert E <= S >> (self.PREC + 8)
+                if sure:
+                    assert total._mpf_ == from_rational(want.numerator, want.denominator, self.PREC, round_nearest)
+
+    def test_pieces_of_every_size_add_exactly(self):
+        # a total of parts in units far apart is floored to the coarsest and still rounds correctly
+        parts, want = [], Fraction(0)
+        for k, h in ((0, Fraction(1, 3)), (500, Fraction(1, 5)), (-40, Fraction(1, 7))):
+            part = power_sums([self.raw(Fraction(round(h * 2**self.PREC), 2**self.PREC))],
+                              [self.raw(Fraction(2) ** -k)], [2], self.PREC + quadrature.LADDER_GUARD)[2]
+            parts.append(part)
+            want += Fraction(round(h * 2**self.PREC), 2**self.PREC) ** 2 * Fraction(2) ** -k
+        with mp.workprec(self.PREC):
+            total, sure = round_total(parts)
+        assert sure
+        assert total._mpf_ == from_rational(want.numerator, want.denominator, self.PREC, round_nearest)
 
     def test_base_above_one_refused(self):
         with mp.workprec(self.PREC), pytest.raises(ArithmeticError, match="above 1"):
             power_sums([mp.mpf(1.5)._mpf_], [mp.mpf(1)._mpf_], [2], self.PREC + 64)
 
-    def test_total_too_small_for_its_error_refused(self):
-        # an error bound above 2^-(prec+8) of the sum must raise, not round
-        with mp.workprec(self.PREC), pytest.raises(ArithmeticError, match="not within"):
-            round_total(1 << 200, 1 << 100, self.PREC + 64)
+    def test_large_error_is_not_sure(self):
+        # an error bound above 2^-(prec+8) of the sum is not sure, whatever the rounding
+        with mp.workprec(self.PREC):
+            assert round_total([(1 << 200, 1 << 100, 0)]) == (mp.mpf(2) ** 200, False)
+
+    def test_rounding_boundary_is_not_sure(self):
+        # S rounds down and S + E up: a small E, but the exact sum's rounding is unknown
+        S = (1 << 184) + (1 << 63) * 2 - 1  # just below the midpoint to the next 120-bit float
+        with mp.workprec(self.PREC):
+            total, sure = round_total([(S, 2, 0)])
+            assert total == mp.mpf(2) ** 184 and not sure
+            assert round_total([(S - 2, 1, 0)]) == (mp.mpf(2) ** 184, True)
 
 
 class TestBatchFailure:
