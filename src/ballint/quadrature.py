@@ -15,13 +15,13 @@ Gauss-Legendre rule.  Each order's roots are found once
 and held at the widest precision asked for; a narrower rule rounds them,
 and a wider one refines them.  One function (_integrate) refines the
 whole subdivision together, doubling the order until two successive
-totals agree below target/2, and retries once at twenty more digits, so
-the node set is a deterministic function of the inputs and results are
-bit-reproducible.  The Bessel kernel from scratch is its own Maclaurin
-series, summed in fixed-point Python integers (_f_nu).  On every piece
-past the first, the nodes instead take a short Taylor series about the
-piece's centre (_taylor_series, _f_taylor): two Maclaurin sums seed it,
-the Bessel ODE gives the rest, and each node costs one Horner sum.
+totals, times sqrt(n) or n^nu, agree below target/2, and retries once at
+twenty more digits, so the node set is a deterministic function of the
+inputs and results are bit-reproducible.  The Bessel kernel is its own
+Maclaurin series, summed in fixed-point Python integers (_f_nu).  On
+every piece past the first, the nodes take a short Taylor series about
+the piece's centre (_taylor_series, _f_taylor): two Maclaurin sums seed
+it, the Bessel ODE gives the rest, and each node costs one Horner sum.
 
 Sweeps over n run as batches (sinc_integrals, bessel_integrals) through
 that one ladder (_ladder).  Only the final power depends on n, so each
@@ -36,15 +36,15 @@ node values, which the ladder checks.  So a batch
 returns what each n returns alone; the single-n functions are batches of
 one, sharing one memo keyed per n.
 
-Two sinc regimes: for large n the integrand dies fast and a finite lobe
-count with the t^{-n} envelope bound suffices; for small n the envelope
-would need astronomically many lobes, so the entire tail is folded into
-one finite panel exactly via sum_{j>=M} (j pi + s)^{-n} =
-pi^{-n} zeta_H(n, M + s/pi), keeping the value a finite-interval
-quadrature of an exactly transformed integrand.  The panel's base at
-each node holds zeta_H(n, M + s/pi) for every zeta-mode n at once, from
-one Euler-Maclaurin sum in fixed-point Python integers (_hurwitz_zetas)
-whose direct terms are shared across n.
+Two sinc regimes, split by one threshold (_sinc_mode): for large n the
+integrand dies fast and at most ZETA_LOBES lobes with the t^{-n}
+envelope bound suffice; for any n that would need more, the entire tail
+past M = ZETA_LOBES lobes is folded into one finite panel exactly via
+sum_{j>=M} (j pi + s)^{-n} = pi^{-n} zeta_H(n, M + s/pi), keeping the
+value a finite-interval quadrature of an exactly transformed integrand.
+The panel's base at each node holds zeta_H(n, M + s/pi) for every
+zeta-mode n at once, from one Euler-Maclaurin sum in fixed-point Python
+integers (_hurwitz_zetas) whose direct terms are shared across n.
 
 For the Bessel integral at n = 2 no usable envelope exists (the tail
 decays only like 1/X); there the tail equals
@@ -82,7 +82,6 @@ __all__ = [
     "BesselEval",
     "DecayFit",
     "PrecisionFailure",
-    "LOBE_CAP",
     "ZETA_LOBES",
     "CUTOFF_MULT_MAX",
     "X_MAX",
@@ -94,7 +93,6 @@ __all__ = [
     "remainder_decay_fit",
 ]
 
-LOBE_CAP = 64     # most pi-lobes worth integrating before switching to the zeta tail
 ZETA_LOBES = 24   # head lobes kept in zeta mode
 CUTOFF_MULT_MAX = 64  # largest Bessel cutoff, in units of 2^nu Gamma(nu+1)
 X_MAX = 1024  # largest Bessel cutoff X = cutoff_mult 2^nu Gamma(nu+1)
@@ -294,7 +292,7 @@ LADDER_GUARD = 64  # bits the ladder's fixed-point power sums carry beyond prec
 
 
 def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
-            half_target: mp.mpf, dps: int) -> dict[int, tuple[mp.mpf, mp.mpf]]:
+            half_targets: dict[int, mp.mpf], dps: int) -> dict[int, tuple[mp.mpf, mp.mpf]]:
     """(total, diff) for every n of uses, from one order-doubling ladder.
 
     n integrates the pieces whose indices uses[n] lists.  At each rung
@@ -304,7 +302,7 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
     ladder that integrates it, with h_i = h(t_i) and g_i = w_i rad g(t_i)
     the exact product of three mpfs.  Each n's pieces are added exactly
     and its total is rounded once (round_total).  An n leaves at its first rung
-    whose total is within half_target of the one before, or after rung
+    whose total is within half_targets[n] of the one before, or after rung
     `rungs`.
 
     The working precision wp = prec + LADDER_GUARD.  power_sums keeps
@@ -351,7 +349,7 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
         for n, parts in sums.items():
             total, sure = round_total(parts)
             diff = abs(total - prev[n]) if sure and prev[n] is not None else mp.inf
-            if diff < half_target or r == rungs:
+            if diff < half_targets[n] or r == rungs:
                 out[n] = total, diff
                 del prev[n]
             else:
@@ -363,8 +361,8 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
 def _integrate(build, ns: list[int], prec: Precision,
                label: Callable[[int], str]) -> dict[int, QuadEstimate | PrecisionFailure]:
     """Run the order-doubling ladder (_ladder) for every n of ns at working
-    precision, then once more with twenty extra digits for those that
-    missed the target.
+    precision, until scale |Q_2N - Q_N| < target/2, then once more with
+    twenty extra digits for those that missed the target.
 
     build(wdps, ns) returns (pieces, {n: (uses, scale, offset, err, cutoff)}):
     n integrates the pieces listed by uses (indices into pieces, increasing),
@@ -374,13 +372,13 @@ def _integrate(build, ns: list[int], prec: Precision,
     An n whose ladder fails at both precisions maps to a PrecisionFailure,
     named by label(n), carrying its last rung's estimate.
     """
-    target = mp.mpf(prec.target_abs_err)
+    half = mp.mpf(prec.target_abs_err) / 2
     out: dict[int, QuadEstimate | PrecisionFailure] = {}
     for wdps in (prec.working_dps, prec.working_dps + 20):
         with mp.workdps(wdps):
             pieces, setups = build(wdps, ns)
-            half = target / 2
-            ladder = _ladder(pieces, {n: setups[n][0] for n in ns}, prec.max_refinements, half, wdps)
+            ladder = _ladder(pieces, {n: setups[n][0] for n in ns}, prec.max_refinements,
+                             {n: half / setups[n][1] for n in ns}, wdps)
             missed = []
             for n in ns:
                 (uses, scale, offset, err, cutoff), (total, diff) = setups[n], ladder[n]
@@ -388,7 +386,7 @@ def _integrate(build, ns: list[int], prec: Precision,
                 bound = scale * diff + err + mp.mpf(10) ** (2 - wdps) * (1 + abs(value))
                 out[n] = QuadEstimate(value=+value, abs_err_bound=+bound, cutoff_used=+mp.mpf(cutoff),
                                       pieces=len(uses))
-                if not diff < half:
+                if not scale * diff < half:
                     missed.append(n)
         ns = missed
         if not ns:
@@ -428,14 +426,14 @@ def _sinc_mode(n: int, prec: Precision) -> tuple[str, int]:
     """Pick lobe-truncation or zeta-tail mode, deterministically.
 
     Truncation needs the envelope bound sqrt(n) A^{1-n}/(n-1) below
-    target/2; if that cutoff exceeds LOBE_CAP lobes, use the exact tail
-    transform with a fixed ZETA_LOBES head.
+    target/2; if that cutoff takes more than ZETA_LOBES lobes, the exact
+    tail transform with its ZETA_LOBES head and one panel is cheaper.
     """
     t = prec.target_abs_err
     ln_a = (math.log(2 * math.sqrt(n)) - math.log((n - 1) * t)) / (n - 1)
-    A = max(math.exp(ln_a) if ln_a < 700 else math.inf, math.sqrt(6))
-    lobes = max(2, math.ceil(A / math.pi)) if math.isfinite(A) else LOBE_CAP + 1
-    if lobes <= LOBE_CAP:
+    A = max(math.exp(min(ln_a, 700)), math.sqrt(6))
+    lobes = max(2, math.ceil(A / math.pi))
+    if lobes <= ZETA_LOBES:
         return "truncate", lobes
     return "zeta", ZETA_LOBES
 

@@ -50,7 +50,6 @@ __all__ = [
     "SUITES",
     "run_suite",
     "suite_exit_code",
-    "sweep_cutoff_mult",
     "sinc_coefficient_fit",
 ]
 
@@ -319,16 +318,6 @@ def decay_suite() -> list[VerifyReport]:
     return reports
 
 
-def sweep_cutoff_mult(n: int) -> float:
-    """Cutoff multiplier for the order-1 sweep: long head where the decay
-    envelope is weak (small n), short head once the envelope bites."""
-    if n <= 3:
-        return 24
-    if n <= 5:
-        return 12
-    return 6
-
-
 def inequalities_suite() -> list[VerifyReport]:
     reports: list[VerifyReport] = []
     with mp.workdps(40):
@@ -360,15 +349,9 @@ def inequalities_suite() -> list[VerifyReport]:
             provenance="paper",
         ))
 
-        one = Nu(Fraction(1))
-        # one batch per cutoff: the n of a batch share its zeros and kernel values
-        groups: dict[float, list[int]] = {}
-        for n in range(2, 21):
-            groups.setdefault(sweep_cutoff_mult(n), []).append(n)
-        sweep_b = {}
-        for mult, ns in groups.items():
-            sweep_b.update(zip(ns, bessel_integrals(one, ns, cutoff_mult=mult)))
-        est2 = bessel_integral(one, 2, cutoff_mult=sweep_cutoff_mult(2))
+        # one batch: every n shares its zeros and kernel values
+        sweep_b = dict(zip(range(2, 21), bessel_integrals(Nu(Fraction(1)), range(2, 21))))
+        est2 = sweep_b[2]
         gap = abs(est2.value - 4)
         reports.append(VerifyReport(
             id="bessel-nu1-n2-value",

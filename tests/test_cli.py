@@ -177,6 +177,14 @@ class TestEval:
         half_place = mp.mpf(10) ** -len(doc["value"].split(".")[1]) / 2
         assert abs(mp.mpf(doc["value"]) - 64) <= mp.mpf(doc["abs_err_bound"]) + half_place
 
+    def test_gap_in_final_units(self, capsys):
+        # the ladder holds the gap below target/2 times n^nu = 2.3e5, not before that
+        # scale, so this bound meets the 1e-20 target (it was 1.3e-17)
+        code, out, _ = run_cli(capsys, "eval", "bessel", "--n", "200", "--nu", "7/3",
+                               "--cutoff-mult", "6", "--format", "json")
+        assert code == EXIT_OK
+        assert mp.mpf(json.loads(out)["abs_err_bound"]) <= mp.mpf(10) ** -20
+
     @pytest.mark.parametrize("argv", [["bessel", "--nu", "1", "--n", "4000"], ["sinc", "--n", "1000000"]])
     def test_large_n_is_a_precision_failure(self, capsys, argv):
         # the peak lies between the origin and the first node, so the ladder cannot converge;

@@ -43,7 +43,6 @@ from ballint.quadrature import (
     sinc_integral,
     sinc_integrals,
 )
-from ballint.verify import sweep_cutoff_mult
 from test_acceptance import polya_density
 
 HALF = Nu(Fraction(1, 2))
@@ -137,7 +136,7 @@ def rule_bits(rule: tuple) -> tuple:
     return tuple((x._mpf_, w._mpf_) for x, w in rule)
 
 
-def reference_ladder(pieces, uses, rungs, half_target, dps):
+def reference_ladder(pieces, uses, rungs, half_targets, dps):
     """_ladder as a plain mpf sum: the oracle the fixed-point ladder must match
     bit for bit.
 
@@ -167,7 +166,7 @@ def reference_ladder(pieces, uses, rungs, half_target, dps):
                 total = mp.fsum(terms)
             total = +total
             diff = mp.inf if prev[n] is None else abs(total - prev[n])
-            if diff < half_target or r == rungs:
+            if diff < half_targets[n] or r == rungs:
                 out[n] = total, diff
                 del prev[n]
             else:
@@ -323,7 +322,7 @@ class TestSincClosedForms:
         assert mp.isinf(sinc_integral(3).cutoff_used)
         assert mp.isfinite(sinc_integral(12).cutoff_used)
 
-    @pytest.mark.parametrize("digits, top", [(30, 9), (40, 13), (50, 18), (60, 22)])
+    @pytest.mark.parametrize("digits, top", [(30, 11), (40, 16), (50, 22), (60, 27)])
     def test_polya_at_every_even_zeta_mode_n(self, digits, top):
         # I(n) = pi sqrt(n) p_n(0) exactly for even n; the zeta panel carries
         # every lobe from ZETA_LOBES on
@@ -337,13 +336,26 @@ class TestSincClosedForms:
                 exact = mp.pi * mp.sqrt(n) * p.numerator / p.denominator
                 assert abs(est.value - exact) <= est.abs_err_bound, n
 
+    def test_n10_within_1e40_of_polya(self):
+        # n = 10 takes the zeta panel; 52 truncated lobes left it 1.0e-21 off
+        est = sinc_integral(10)
+        p = polya_density(10)
+        with mp.workdps(80):
+            assert abs(est.value - mp.pi * mp.sqrt(10) * p.numerator / p.denominator) <= mp.mpf(10) ** -40
+
+    def test_n11_against_fifty_digits(self):
+        est = sinc_integral(11)
+        ref = sinc_integral(11, Precision(decimal_digits=50))
+        with mp.workdps(80):
+            assert abs(est.value - ref.value) <= est.abs_err_bound
+
 
 class TestHurwitzZetas:
     # mp.zeta(n, a) near a = 24 loses about n digits (24 at n = 22 and 45
     # digits), so the reference runs at 40 more digits
     @pytest.mark.parametrize("dps", [45, 65, 85])
     def test_against_mp_zeta(self, dps):
-        ns = range(2, 23)
+        ns = range(2, 28)
         with mp.workdps(dps):
             prec = mp.mp.prec
             for i in range(9):
@@ -683,14 +695,6 @@ def bits(est: QuadEstimate) -> tuple:
     return est.value._mpf_, est.abs_err_bound._mpf_, est.cutoff_used._mpf_, est.pieces
 
 
-def sweep_groups() -> dict[float, list[int]]:
-    """The nu = 1 sweep n = 2..20 of the inequalities suite, by cutoff."""
-    groups: dict[float, list[int]] = {}
-    for n in range(2, 21):
-        groups.setdefault(sweep_cutoff_mult(n), []).append(n)
-    return groups
-
-
 class TestBatches:
     # each batch runs on a cleared memo and is compared with the unmemoised
     # single-n computation, which is what sinc_integral(n) runs on a miss
@@ -701,7 +705,7 @@ class TestBatches:
         batch = sinc_integrals(ns)
         assert [bits(e) for e in batch] == [bits(singles[n]) for n in ns]
         modes = {n: mp.isinf(e.cutoff_used) for n, e in zip(ns, batch)}
-        assert {n for n, zeta in modes.items() if zeta} == set(range(2, 10))
+        assert {n for n, zeta in modes.items() if zeta} == set(range(2, 12))
 
     def test_sinc_sixty_digits(self):
         prec = Precision(decimal_digits=60)
@@ -749,15 +753,12 @@ class TestBatches:
         assert mp.isinf(failure.estimate.abs_err_bound)
 
     def test_bessel_sweep_by_cutoff_group(self):
-        groups = sweep_groups()
-        # n = 2, whose tail is completed exactly, shares its batch with n = 3
-        assert groups == {24: [2, 3], 12: [4, 5], 6: list(range(6, 21))}
-        for mult, ns in groups.items():
-            ns = ns[::-1]
-            singles = {n: _bessel_estimates(ONE, [n], Precision(), float(mult))[n] for n in ns}
-            _MEMO.clear()
-            assert [bits(e) for e in bessel_integrals(ONE, ns, cutoff_mult=mult)] == \
-                [bits(singles[n]) for n in ns], mult
+        # the nu = 1 sweep of the inequalities suite is one group, at the default
+        # cutoff; n = 2, whose tail is completed exactly, shares it with every other n
+        ns = list(range(20, 1, -1))
+        singles = {n: _bessel_estimates(ONE, [n], Precision(), 24.0)[n] for n in ns}
+        _MEMO.clear()
+        assert [bits(e) for e in bessel_integrals(ONE, ns)] == [bits(singles[n]) for n in ns]
 
     def test_bessel_seven_thirds(self):
         # nu = p/q = 7/3: the first piece is mapped through t = y^(3/2)
@@ -824,10 +825,8 @@ def sweep_bits() -> dict:
         "sinc": dict(zip(range(2, 41), sinc_integrals(range(2, 41)))),
         "sinc-60-digits": dict(zip((90, 135, 200, 300),
                                    sinc_integrals((90, 135, 200, 300), Precision(decimal_digits=60)))),
-        "bessel-nu1": {},
+        "bessel-nu1": dict(zip(range(2, 21), bessel_integrals(ONE, range(2, 21)))),
     }
-    for mult, ns in sweep_groups().items():
-        got["bessel-nu1"].update(zip(ns, bessel_integrals(ONE, ns, cutoff_mult=mult)))
     return {fam: {str(n): pinned(e) for n, e in rows.items()} for fam, rows in got.items()}
 
 
@@ -1023,15 +1022,15 @@ class TestBatchWork:
     def test_node_values_shared_across_n(self, monkeypatch):
         """On cold memos each sweep evaluates every (piece, order) node once.
 
-        The sinc sweep n = 2..40 makes 5,936 sines (38,032 one n at a
-        time) and evaluates the zeta panel once a node for all eight
-        zeta-mode n: 112 Euler-Maclaurin sums (16 + 32 + 64 nodes), where
-        mp.zeta took one call per n and node (576).  The nu = 1 sweep, one
-        batch per cutoff, makes 2,021 kernel evaluations (9,317 one n at a
-        time): 1,600 at the nodes, 1,392 of them Taylor sums on the 25
-        pieces past the first and 208 Maclaurin sums on the first pieces;
-        then 50 seeds (two Maclaurin sums a Taylor series), 216 in the zero
-        search and 155 in the n = 2 tail.
+        The sinc sweep n = 2..40 makes 2,800 sines (34,336 one n at a
+        time) and evaluates the zeta panel once a node for all ten
+        zeta-mode n: 112 Euler-Maclaurin sums (16 + 32 + 64 nodes), and no
+        mp.zeta call.  The nu = 1 sweep, one batch at the default cutoff,
+        makes 2,093 kernel evaluations (32,881 one n at a time): 1,792 at
+        the nodes of its 16 pieces (16 + 32 + 64 each), 1,680 of them
+        Taylor sums on the 15 pieces past the first and 112 Maclaurin sums
+        on the first; then 30 seeds (two Maclaurin sums a Taylor series),
+        116 in the zero search and 155 in the n = 2 tail.
         """
         calls = {"sin": 0, "zeta": 0, "panel": 0, "f_nu": 0, "taylor": 0}
 
@@ -1049,28 +1048,28 @@ class TestBatchWork:
         _MEMO.clear()
         _bessel_zeros.cache_clear()
         sinc_integrals(range(2, 41))
-        for mult, ns in sweep_groups().items():
-            bessel_integrals(ONE, ns, cutoff_mult=mult)
-        assert calls == {"sin": 5936, "zeta": 0, "panel": 112, "f_nu": 629, "taylor": 1392}
+        bessel_integrals(ONE, range(2, 21))
+        assert calls == {"sin": 2800, "zeta": 0, "panel": 112, "f_nu": 413, "taylor": 1680}
 
     def test_batch_evaluates_like_its_widest_member(self, monkeypatch):
         # all n of a Bessel batch share one piece list, so the batch makes
-        # as many node evaluations as its n that climbs the most rungs
+        # as many node evaluations as its n that climbs the most rungs; at
+        # cutoff 6, n = 3..5 stop a rung below n >= 6
         _bessel_zeros(ONE.value, 6 * amplitude(ONE), Precision().working_dps)  # warm the zeros
         calls = []
         for name in ("_f_nu", "_f_taylor"):  # node values, Taylor seeds included
             real = getattr(quadrature, name)
             monkeypatch.setattr(quadrature, name, lambda *a, real=real: calls.append(1) or real(*a))
         counts = {}
-        for n in (6, 7, 20):
+        for n in (5, 7, 20):
             _MEMO.clear()
             calls.clear()
             bessel_integral(ONE, n, cutoff_mult=6)
             counts[n] = len(calls)
         _MEMO.clear()
         calls.clear()
-        bessel_integrals(ONE, [6, 7, 20], cutoff_mult=6)
-        assert len(calls) == max(counts.values()) == counts[7] > counts[6]
+        bessel_integrals(ONE, [5, 7, 20], cutoff_mult=6)
+        assert len(calls) == max(counts.values()) == counts[7] > counts[5]
 
 
 class TestCutoffConsistency:
@@ -1078,6 +1077,22 @@ class TestCutoffConsistency:
         lo = bessel_integral(ONE, 6, cutoff_mult=12)
         hi = bessel_integral(ONE, 6, cutoff_mult=24)
         assert abs(hi.value - lo.value) <= lo.abs_err_bound
+
+
+class TestGapInFinalUnits:
+    # the ladder stops once scale |Q_2N - Q_N| < target/2, with scale = n^nu here: the
+    # unscaled gap alone left nu = 7/3, n = 200 with a bound of 1.3e-17
+    @pytest.mark.parametrize("nu", ["1", "7/3"])
+    def test_large_n_meets_target(self, nu):
+        ns = (50, 100, 200, 400)
+        for n, est in zip(ns, bessel_integrals(Nu(Fraction(nu)), ns, cutoff_mult=6)):
+            assert est.abs_err_bound <= Precision().target_abs_err, n
+
+    def test_scaled_gap_at_last_rung_is_a_miss(self):
+        # after three doublings the unscaled gap of n = 200 is below target/2, but n^nu
+        # times it is 1.3e-17: the retry and the failure test the scaled gap too
+        with pytest.raises(PrecisionFailure):
+            bessel_integral(Nu(Fraction(7, 3)), 200, Precision(max_refinements=3), cutoff_mult=6)
 
 
 class TestPrecisionFailure:
