@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .rationals import format_rational
+from .rationals import format_rational, to_mpf
 from .series import EvenPoly, moment_coeffs
 
 __all__ = [
@@ -138,7 +138,7 @@ class BesselExpansion:
         with mp.workdps(digits + 10):
             nn = mp.mpf(n)
             s = mp.fsum(
-                mp.mpf(g.numerator) / g.denominator / nn**j for j, g in enumerate(self.gamma_coeffs)
+                to_mpf(g) / nn**j for j, g in enumerate(self.gamma_coeffs)
             )
             return +(c0_value(self.nu, digits + 10) * s)
 
@@ -181,10 +181,10 @@ def c0_value(nu: Nu, digits: int = 30) -> mp.mpf:
     with mp.workdps(digits + 10):
         exact = c0_exact(nu)
         if exact is not None:
-            return +(mp.mpf(exact.numerator) / exact.denominator)
-        prefactor = mp.power(4, mp.mpf(v.numerator) / v.denominator) / 2
-        prefactor *= mp.power(mp.mpf((v + 1).numerator) / (v + 1).denominator, mp.mpf(v.numerator) / v.denominator)
-        return +(prefactor * mp.gamma(mp.mpf(v.numerator) / v.denominator))
+            return +to_mpf(exact)
+        prefactor = mp.power(4, to_mpf(v)) / 2
+        prefactor *= mp.power(to_mpf(v + 1), to_mpf(v))
+        return +(prefactor * mp.gamma(to_mpf(v)))
 
 
 def i_nu_at_2(nu: Nu) -> Fraction:
@@ -208,7 +208,7 @@ def i_nu_at_2(nu: Nu) -> Fraction:
 
 def amplitude(nu: Nu) -> mp.mpf:
     """2^nu Gamma(nu+1) at the ambient precision: the factor that makes f_nu(0) = 1."""
-    v = mp.mpf(nu.value.numerator) / nu.value.denominator
+    v = to_mpf(nu.value)
     return mp.power(2, v) * mp.gamma(v + 1)
 
 
@@ -224,12 +224,12 @@ def bessel_tail_bound(nu: Nu, n: int, X, digits: int = 30) -> mp.mpf:
         raise ValueError("n must be at least 2")
     v = nu.value
     with mp.workdps(digits + 10):
-        nv = mp.mpf(v.numerator) / v.denominator
+        nv = to_mpf(v)
         amp = amplitude(nu)
         Xv = mp.mpf(X)
         if Xv < amp:
             raise ValueError("cutoff below 2^nu Gamma(nu+1)")
-        c = mp.mpf(LANDAU_BOUND_C.numerator) / LANDAU_BOUND_C.denominator
+        c = to_mpf(LANDAU_BOUND_C)
         expo = -(nv + mp.mpf(1) / 3) * n + 2 * nv
         denom = (nv + mp.mpf(1) / 3) * n - 2 * nv
         val = mp.power(n, nv) * mp.power(amp * c, n) * mp.power(Xv, expo) / denom

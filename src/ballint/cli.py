@@ -15,7 +15,7 @@ import mpmath as mp
 from .bessel import BesselExpansion, Nu, bessel_expansion
 from .cache import load_coeffs, store_coeffs
 from .quadrature import CUTOFF_MULT_MAX, X_MAX, Precision, PrecisionFailure, bessel_integral, sinc_integral
-from .rationals import format_rational, parse_rational
+from .rationals import Rat, format_rational, parse_rational
 from .records import (
     bessel_coeff_records,
     estimate_to_json,
@@ -49,6 +49,8 @@ def _parse_nu(text: str) -> Nu:
 
 
 def _precision(digits: int, max_refine: int | None = None) -> Precision:
+    """Precision(decimal_digits=digits + 10): eval --digits d targets an
+    absolute error of 1e-d, while Precision()'s 30 digits target 1e-20."""
     kwargs = {"decimal_digits": digits + 10}
     if max_refine is not None:
         kwargs["max_refinements"] = max_refine
@@ -64,20 +66,27 @@ def _emit_records(records, fmt: str, header: str, order: int) -> None:
         print(records_to_text(records, header))
 
 
+def _cached_coeffs(args, pipeline: str, nu: Rat | None, compute) -> tuple[Rat, ...]:
+    """The exact coefficients of order m = args.order, k = m + 1: from the
+    cache, or compute(k) and stored; --no-cache neither reads nor stores."""
+    m, k = args.order, args.order + 1
+    coeffs = None if args.no_cache else load_coeffs(pipeline, nu, m, k)
+    if coeffs is not None:
+        return tuple(coeffs)
+    coeffs = compute(k)
+    if not args.no_cache:
+        store_coeffs(pipeline, nu, m, k, coeffs)
+    return coeffs
+
+
 def cmd_sinc_coeffs(args) -> int:
     m = args.order
     if not 0 <= m <= SINC_ORDER_CEILING:
         return _usage(f"--order must lie in 0..{SINC_ORDER_CEILING}")
     if args.digits < 1:
         return _usage("--digits must be at least 1")
-    k = m + 1
-    coeffs = None if args.no_cache else load_coeffs("sinc", None, m, k)
-    if coeffs is not None:
-        expansion = SincExpansion(m=m, k=k, coeffs=tuple(coeffs))
-    else:
-        expansion = sinc_expansion(m, k)
-        if not args.no_cache:
-            store_coeffs("sinc", None, m, k, expansion.coeffs)
+    coeffs = _cached_coeffs(args, "sinc", None, lambda k: sinc_expansion(m, k).coeffs)
+    expansion = SincExpansion(m=m, k=m + 1, coeffs=coeffs)
     records = sinc_coeff_records(expansion, digits=args.digits)
     _emit_records(records, args.format, f"sinc coefficients, order {m}, unit {SINC_UNIT}", m)
     return EXIT_OK
@@ -93,14 +102,8 @@ def cmd_bessel_coeffs(args) -> int:
         return _usage(f"--order must lie in 0..{BESSEL_ORDER_CEILING}")
     if args.digits < 1:
         return _usage("--digits must be at least 1")
-    k = m + 1
-    coeffs = None if args.no_cache else load_coeffs("bessel", nu.value, m, k)
-    if coeffs is not None:
-        expansion = BesselExpansion(nu=nu, m=m, k=k, gamma_coeffs=tuple(coeffs))
-    else:
-        expansion = bessel_expansion(nu, m, k)
-        if not args.no_cache:
-            store_coeffs("bessel", nu.value, m, k, expansion.gamma_coeffs)
+    coeffs = _cached_coeffs(args, "bessel", nu.value, lambda k: bessel_expansion(nu, m, k).gamma_coeffs)
+    expansion = BesselExpansion(nu=nu, m=m, k=m + 1, gamma_coeffs=coeffs)
     records = bessel_coeff_records(expansion, digits=args.digits)
     _emit_records(records, args.format, f"bessel coefficients, nu {nu}, order {m}, unit c0(nu)", m)
     return EXIT_OK
@@ -138,7 +141,7 @@ def cmd_eval(args) -> int:
         return _usage(str(exc))
     except PrecisionFailure as exc:
         with mp.workdps(args.digits + 10):
-            best = mp.nstr(exc.estimate.value, args.digits) if exc.estimate else "unavailable"
+            best = mp.nstr(exc.estimate.value, args.digits)
         print(f"precision failure: {exc}; best estimate {best}", file=sys.stderr)
         return EXIT_PRECISION
     if args.format == "json":
@@ -216,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pipeline", choices=("sinc", "bessel"))
     p.add_argument("--n", type=int, required=True, help="power, at least 2")
     p.add_argument("--nu", default=None, help="Bessel order as p/q")
-    p.add_argument("--digits", type=int, default=20, help="target decimal digits")
+    p.add_argument("--digits", type=int, default=20,
+                   help="target absolute error 1e-DIGITS; builds Precision(decimal_digits=DIGITS + 10)")
     p.add_argument("--cutoff-mult", type=float, default=None,
                    help=f"bessel head length in envelope units, 1 to {CUTOFF_MULT_MAX} (default 24); "
                         f"the cutoff, this times 2^nu Gamma(nu+1), may not exceed {X_MAX}")

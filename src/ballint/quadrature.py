@@ -15,8 +15,8 @@ Gauss-Legendre rule.  Each order's roots are found once
 and held at the widest precision asked for; a narrower rule rounds them,
 and a wider one refines them.  One function (_integrate) refines the
 whole subdivision together, doubling the order until two successive
-totals, times sqrt(n) or n^nu, agree below target/2, and retries once at
-twenty more digits, so the node set is a deterministic function of the
+totals, times sqrt(n) or n^nu, agree below target/2, in one pass at the
+working precision, so the node set is a deterministic function of the
 inputs and results are bit-reproducible.  The Bessel kernel is its own
 Maclaurin series, summed in fixed-point Python integers (_f_nu).  On
 every piece past the first, the nodes take a short Taylor series about
@@ -27,7 +27,7 @@ Sweeps over n run as batches (sinc_integrals, bessel_integrals) through
 that one ladder (_ladder).  Only the final power depends on n, so each
 piece's base (|sin t|/t, or |f_nu(t)| with its weight) is evaluated once
 a node for every n still on that rung, and each n keeps its own rung,
-stopping test, retry, tail and floor.  The powers are one fixed-point
+stopping test, tail and floor.  The powers are one fixed-point
 running product per node across n (fixedpoint.power_sums), in Python
 integers with LADDER_GUARD bits beyond the working precision in a unit
 that follows each piece's sum, however small, and each n's total is
@@ -74,6 +74,7 @@ from mpmath.libmp import from_man_exp, mpf_mul, round_nearest, to_fixed
 
 from .bessel import Nu, amplitude, bessel_tail_bound
 from .fixedpoint import power_sums, round_total
+from .rationals import to_mpf
 from .sinc import cutoff_tail_bound, sinc_expansion
 
 __all__ = [
@@ -103,10 +104,12 @@ class Precision:
     """Requested accuracy: decimal_digits of working room.
 
     The absolute target is 10^-(decimal_digits - 10), keeping ten guard
-    digits; the working precision adds fifteen more on top of
-    decimal_digits.  max_refinements counts quadrature-order doublings
-    and is at least 1: the ladder stops on the gap between two rungs, so a
-    single rung can never meet the target.
+    digits, so Precision()'s 30 digits target 1e-20; `ballint eval
+    --digits d` targets 1e-d and builds Precision(decimal_digits=d + 10).
+    The working precision adds fifteen more on top of decimal_digits.
+    max_refinements counts quadrature-order doublings and is at least 1:
+    the ladder stops on the gap between two rungs, so a single rung can
+    never meet the target.
     """
 
     decimal_digits: int = 30
@@ -358,42 +361,32 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
     return out
 
 
-def _integrate(build, ns: list[int], prec: Precision,
+def _integrate(pieces: Sequence[Piece], setups: dict[int, tuple], prec: Precision,
                label: Callable[[int], str]) -> dict[int, QuadEstimate | PrecisionFailure]:
-    """Run the order-doubling ladder (_ladder) for every n of ns at working
-    precision, until scale |Q_2N - Q_N| < target/2, then once more with
-    twenty extra digits for those that missed the target.
+    """Run the order-doubling ladder (_ladder) once for every n of setups,
+    until scale |Q_2N - Q_N| < target/2; the caller builds pieces and
+    setups, and calls this, inside mp.workdps(prec.working_dps).
 
-    build(wdps, ns) returns (pieces, {n: (uses, scale, offset, err, cutoff)}):
-    n integrates the pieces listed by uses (indices into pieces, increasing),
-    the value is scale * (sum of those integrals) + offset, and err is the
-    absolute error of whatever the pieces leave out (the analytic tail
-    bound, or the error of an offset completed exactly), in final units.
-    An n whose ladder fails at both precisions maps to a PrecisionFailure,
-    named by label(n), carrying its last rung's estimate.
+    setups maps each n to (uses, scale, offset, err, cutoff): n integrates
+    the pieces listed by uses (indices into pieces, increasing), the value
+    is scale * (sum of those integrals) + offset, and err is the absolute
+    error of whatever the pieces leave out (the analytic tail bound, or the
+    error of an offset completed exactly), in final units.  An n whose
+    scaled gap is not below target/2 after max_refinements doublings maps
+    to a PrecisionFailure, named by label(n), carrying that estimate.
     """
+    wdps = prec.working_dps
     half = mp.mpf(prec.target_abs_err) / 2
+    ladder = _ladder(pieces, {n: setup[0] for n, setup in setups.items()}, prec.max_refinements,
+                     {n: half / setup[1] for n, setup in setups.items()}, wdps)
     out: dict[int, QuadEstimate | PrecisionFailure] = {}
-    for wdps in (prec.working_dps, prec.working_dps + 20):
-        with mp.workdps(wdps):
-            pieces, setups = build(wdps, ns)
-            ladder = _ladder(pieces, {n: setups[n][0] for n in ns}, prec.max_refinements,
-                             {n: half / setups[n][1] for n in ns}, wdps)
-            missed = []
-            for n in ns:
-                (uses, scale, offset, err, cutoff), (total, diff) = setups[n], ladder[n]
-                value = scale * total + offset
-                bound = scale * diff + err + mp.mpf(10) ** (2 - wdps) * (1 + abs(value))
-                out[n] = QuadEstimate(value=+value, abs_err_bound=+bound, cutoff_used=+mp.mpf(cutoff),
-                                      pieces=len(uses))
-                if not scale * diff < half:
-                    missed.append(n)
-        ns = missed
-        if not ns:
-            return out
-    for n in ns:
-        out[n] = PrecisionFailure(f"{label(n)}: target {prec.target_abs_err} not reached "
-                                  f"after {prec.max_refinements} order doublings and one precision raise", out[n])
+    for n, (uses, scale, offset, err, cutoff) in setups.items():
+        total, diff = ladder[n]
+        value = scale * total + offset
+        bound = scale * diff + err + mp.mpf(10) ** (2 - wdps) * (1 + abs(value))
+        est = QuadEstimate(value=+value, abs_err_bound=+bound, cutoff_used=+mp.mpf(cutoff), pieces=len(uses))
+        out[n] = est if scale * diff < half else PrecisionFailure(
+            f"{label(n)}: target {prec.target_abs_err} not reached after {prec.max_refinements} order doublings", est)
     return out
 
 
@@ -548,8 +541,7 @@ def _hurwitz_zetas(ns: Sequence[int], a: mp.mpf) -> dict[int, mp.mpf]:
 def _sinc_estimates(ns: list[int], prec: Precision) -> dict[int, QuadEstimate | PrecisionFailure]:
     """sinc_integral for each n of ns, unmemoised, from one ladder."""
     modes = {n: _sinc_mode(n, prec) for n in ns}
-
-    def build(wdps, ns):
+    with mp.workdps(prec.working_dps):
         pi = mp.pi
         lobes = max(modes[n][1] for n in ns)
         zeta_ns = [n for n in ns if modes[n][0] == "zeta"]
@@ -572,13 +564,7 @@ def _sinc_estimates(ns: list[int], prec: Precision) -> dict[int, QuadEstimate | 
                 setups[n] = range(count), mp.sqrt(n), mp.mpf(0), cutoff_tail_bound(n, cutoff), cutoff
             else:
                 setups[n] = (*range(count), lobes), mp.sqrt(n), mp.mpf(0), mp.mpf(0), mp.inf
-        return pieces, setups
-
-    return _integrate(build, ns, prec, lambda n: f"sinc_integral(n={n})")
-
-
-def _mpq(q: Fraction) -> mp.mpf:
-    return mp.mpf(q.numerator) / q.denominator
+        return _integrate(pieces, setups, prec, lambda n: f"sinc_integral(n={n})")
 
 
 def _f_nu(v: Fraction, t: mp.mpf, prec: int | None = None) -> mp.mpf:
@@ -624,7 +610,7 @@ def bessel_j_normalized(nu: Nu, t, prec: Precision | None = None) -> BesselEval:
 
 def _f_slope(v: Fraction, t: mp.mpf, prec: int) -> tuple[mp.mpf, mp.mpf]:
     """(f_v(t), f_v'(t)), the kernel at prec bits; f_v' = -t f_{v+1} / (2 (v+1))."""
-    return _f_nu(v, t, prec), -t * _f_nu(v + 1, t, prec) / (2 * _mpq(v + 1))
+    return _f_nu(v, t, prec), -t * _f_nu(v + 1, t, prec) / (2 * to_mpf(v + 1))
 
 
 # (wp, e, t0 2^(wp-e), (d_0 2^wp, ..., d_(K-1) 2^wp)): see _taylor_series
@@ -806,7 +792,7 @@ def _completed_tail_n2(nu: Nu, X: mp.mpf, amp: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
     final rounding of the tail to the ambient precision, |tail| 2^-prec.
     """
     with mp.extradps(10):
-        nv = _mpq(nu.value)
+        nv = to_mpf(nu.value)
         pref = mp.power(X / 2, nv) / mp.gamma(nv + 1)
         stop = mp.mpf(10) ** (-(mp.mp.dps + 5))
         S = mp.mpf(0)
@@ -853,10 +839,9 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
     node are computed once for all n, and each node's power runs from one
     n to the next as a fixed-point product (_ladder); only the n not yet
     memoised are computed.  Each piece past the first builds its Taylor
-    series for f_nu once per working precision and reuses it on every
-    rung.  If any n
-    misses its target, the PrecisionFailure of the first such n in ns is
-    raised, after the others are memoised.
+    series for f_nu once and reuses it on every rung.  If any n misses
+    its target, the PrecisionFailure of the first such n in ns is raised,
+    after the others are memoised.
     """
     prec = prec or Precision()
     ns = list(ns)
@@ -878,9 +863,9 @@ def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision,
     """bessel_integral for each n of ns, unmemoised, from one ladder."""
     v = nu.value
     p, q = v.numerator, v.denominator
-
-    def build(wdps, ns):
-        nv = _mpq(v)
+    wdps = prec.working_dps
+    with mp.workdps(wdps):
+        nv = to_mpf(v)
         amp = amplitude(nu)
         X = cutoff_mult * amp
         bounds = [mp.mpf(0), *_bessel_zeros(v, X, wdps), X]
@@ -906,9 +891,7 @@ def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision,
                 setups[n] = every, scale, scale * tail, scale * tail_err, X
             else:
                 setups[n] = every, scale, mp.mpf(0), bessel_tail_bound(nu, n, X, digits=wdps), X
-        return pieces, setups
-
-    return _integrate(build, ns, prec, lambda n: f"bessel_integral(nu={nu}, n={n})")
+        return _integrate(pieces, setups, prec, lambda n: f"bessel_integral(nu={nu}, n={n})")
 
 
 def remainder_decay_fit(m: int, n_grid: Sequence[int], prec: Precision | None = None) -> DecayFit:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+import mpmath as mp
+
 Rat = Fraction
 
 # canonical literal: optional sign, no leading zeros, denominator >= 2 when present
@@ -27,6 +29,11 @@ def double_factorial(j: int) -> Rat:
     for x in range(2 * j - 1, 0, -2):
         out *= x
     return Fraction(out)
+
+
+def to_mpf(q: Rat) -> mp.mpf:
+    """q at the ambient precision: the numerator as an mpf, divided once."""
+    return mp.mpf(q.numerator) / q.denominator
 
 
 def format_rational(q: Rat) -> str:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bessel import c0_value
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, to_mpf
 from .sinc import SINC_UNIT
 
 __all__ = [
@@ -71,7 +71,7 @@ class VerifyReport:
 
 def _decimal_in_unit(q: Fraction, unit_value: mp.mpf, digits: int) -> str:
     with mp.workdps(digits + 10):
-        val = mp.mpf(q.numerator) / q.denominator * unit_value
+        val = to_mpf(q) * unit_value
         return mp.nstr(val, digits, strip_zeros=False)
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import mpmath as mp
 
-from .rationals import Rat, format_rational
+from .rationals import Rat, format_rational, to_mpf
 
 __all__ = ["EvenPoly", "InvNSeries", "nseries_pow_binomial", "collect_binomial_rows", "moment_coeffs"]
 
@@ -75,7 +75,7 @@ class EvenPoly:
             acc = acc * s
             v = self._c.get(2 * w)
             if v is not None:
-                acc += mp.mpf(v.numerator) / v.denominator
+                acc += to_mpf(v)
         return acc
 
     def __repr__(self) -> str:

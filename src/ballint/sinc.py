@@ -36,7 +36,7 @@ from typing import Mapping
 
 import mpmath as mp
 
-from .rationals import double_factorial, format_rational, parse_rational
+from .rationals import double_factorial, format_rational, parse_rational, to_mpf
 from .series import EvenPoly, InvNSeries, collect_binomial_rows, moment_coeffs
 
 __all__ = [
@@ -119,7 +119,7 @@ class SincExpansion:
     def partial_sum_mpf(self, n) -> mp.mpf:
         """sum_j c_j / n^j at current mpmath precision (unit not applied)."""
         nn = mp.mpf(n)
-        return mp.fsum(mp.mpf(c.numerator) / c.denominator / nn**j for j, c in enumerate(self.coeffs))
+        return mp.fsum(to_mpf(c) / nn**j for j, c in enumerate(self.coeffs))
 
 
 def sinc_expansion(m: int, k: int | None = None) -> SincExpansion:

@@ -714,9 +714,9 @@ class TestBatches:
         _MEMO.clear()
         assert [bits(e) for e in sinc_integrals(ns, prec)] == [bits(singles[n]) for n in ns]
 
-    def test_sinc_retry_rung(self):
-        # at one doubling n = 2..6 converge at the working precision, while
-        # n >= 7 go on to the +20-digit retry and fail there as well
+    def test_sinc_failing_rung(self):
+        # at one doubling n = 2..6 converge, while n >= 7 miss the target and
+        # fail, in the batch and alone alike
         prec = Precision(max_refinements=1)
         ns = [3, 9, 2, 7]
         fresh = _sinc_estimates(ns, prec)
@@ -746,7 +746,7 @@ class TestBatches:
 
     def test_unsure_totals_do_not_count(self, monkeypatch):
         # a total round_total is not sure of has diff inf, and the next rung compares against
-        # nothing: the n refines to its last rung and fails after the precision raise
+        # nothing: the n refines to its last rung and fails there
         monkeypatch.setattr(quadrature, "round_total", lambda parts: (round_total(parts)[0], False))
         failure = _sinc_estimates([5], Precision(max_refinements=2))[5]
         assert isinstance(failure, PrecisionFailure)
@@ -996,7 +996,7 @@ class TestBatchFailure:
         with pytest.raises(PrecisionFailure) as exc:
             sinc_integrals([97, 5, 2, 97], self.PREC)
         assert str(exc.value) == str(want) == (
-            "sinc_integral(n=97): target 1e-30 not reached after 1 order doublings and one precision raise")
+            "sinc_integral(n=97): target 1e-30 not reached after 1 order doublings")
         assert repr(exc.value.estimate) == repr(want.estimate)
         assert bits(exc.value.estimate) == bits(want.estimate)
 
@@ -1090,7 +1090,7 @@ class TestGapInFinalUnits:
 
     def test_scaled_gap_at_last_rung_is_a_miss(self):
         # after three doublings the unscaled gap of n = 200 is below target/2, but n^nu
-        # times it is 1.3e-17: the retry and the failure test the scaled gap too
+        # times it is 1.3e-17: the failure tests the scaled gap too
         with pytest.raises(PrecisionFailure):
             bessel_integral(Nu(Fraction(7, 3)), 200, Precision(max_refinements=3), cutoff_mult=6)
 
@@ -1102,6 +1102,19 @@ class TestPrecisionFailure:
         est = exc.value.estimate
         assert isinstance(est, QuadEstimate)
         assert est.abs_err_bound > mp.mpf(10) ** -30
+
+    def test_failing_n_runs_one_ladder(self, monkeypatch):
+        # a miss fails from the one ladder it ran, at the working precision
+        calls, ladder = [], quadrature._ladder
+
+        def counted(*args):
+            calls.append(args[-1])
+            return ladder(*args)
+
+        monkeypatch.setattr(quadrature, "_ladder", counted)
+        prec = Precision(decimal_digits=40, max_refinements=1)
+        assert isinstance(_sinc_estimates([97], prec)[97], PrecisionFailure)
+        assert calls == [prec.working_dps]
 
 
 class TestDecayFit:
