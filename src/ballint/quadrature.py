@@ -47,10 +47,11 @@ zeta-mode n at once, from one Euler-Maclaurin sum in fixed-point Python
 integers (_hurwitz_zetas) whose direct terms are shared across n.
 
 For the Bessel integral at n = 2 no usable envelope exists (the tail
-decays only like 1/X); there the tail equals
+decays only like 1/X), but the tail past any X equals
 (2^nu Gamma(nu+1))^2 (1 - S(X)) / (2 nu) with
-S(X) = J_nu(X)^2 + 2 sum_{k>=1} J_{nu+k}(X)^2, which is evaluated as a
-convergent series and added to the value, with its truncation error in
+S(X) = J_nu(X)^2 + 2 sum_{k>=1} J_{nu+k}(X)^2.  So n = 2 integrates
+only the first piece, up to X = min(j_{nu,1}, cutoff), and adds that
+tail to the value as a convergent series, with its truncation error in
 the bound; J_{nu+k}(X) comes from the same kernel.  This is the one
 documented exception to the finite-interval-only rule.
 
@@ -136,7 +137,9 @@ class QuadEstimate:
 
     abs_err_bound = stabilization gap + analytic bound beyond cutoff_used
     + precision floor.  cutoff_used is inf when the tail was transformed
-    into the integrand itself and nothing lies beyond.
+    into the integrand itself and nothing lies beyond.  A Bessel n = 2
+    estimate integrates up to cutoff_used = min(j_{nu,1}, X) and adds the
+    exact tail beyond it, whose error is in the bound.
     """
 
     value: mp.mpf
@@ -762,7 +765,8 @@ def _check_zeros(v: Fraction, X: mp.mpf, points: Sequence[tuple[mp.mpf, mp.mpf, 
 
 @lru_cache(maxsize=256)
 def _bessel_zeros(v: Fraction, X: mp.mpf, wdps: int) -> tuple:
-    """All zeros of J_v in (0, X), each rounded once to wdps digits.
+    """All zeros of J_v in (0, X), then the first at or beyond X, each
+    rounded once to wdps digits; at X = 0, the first zero j_{v,1} alone.
 
     Newton's method on the kernel (_newton_zero) runs from _zero_start
     for k = 1, 2, ... up to the first zero at or beyond X, and
@@ -777,7 +781,7 @@ def _bessel_zeros(v: Fraction, X: mp.mpf, wdps: int) -> tuple:
                 break
             slope_mag = mp.mag(fp)
         _check_zeros(v, X, points)
-        return tuple(z for z, _, _ in points[:-1])
+        return tuple(z for z, _, _ in points)
 
 
 def _completed_tail_n2(nu: Nu, X: mp.mpf, amp: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
@@ -785,7 +789,9 @@ def _completed_tail_n2(nu: Nu, X: mp.mpf, amp: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
 
     S(X) = J_nu(X)^2 + 2 sum_{k>=1} J_{nu+k}(X)^2 telescopes
     d/dx S = 2 nu J_nu^2 / x, so the tail integral of amp^2 J_nu^2 / t
-    beyond X is exactly amp^2 (1 - S(X)) / (2 nu).  Terms are summed until
+    beyond X is exactly amp^2 (1 - S(X)) / (2 nu), at every X.
+    bessel_integral takes it from X = min(j_{nu,1}, cutoff), where the
+    sum below is short (56 terms at nu = 1).  Terms are summed until
     the (X/2)^{nu+k}/Gamma(nu+k+1) prefactor is negligible; it bounds
     |J_{nu+k}(X)| and so the truncated terms; J_{nu+k}(X) = pref f_{nu+k}(X).
     The error covers the truncation, the sum at ten extra digits and the
@@ -814,16 +820,19 @@ def bessel_integral(nu: Nu, n: int, prec: Precision | None = None,
                     cutoff_mult: float = 24) -> QuadEstimate:
     """n^nu int_0^inf (2^nu Gamma(nu+1)|J_nu(t)|/t^nu)^n t^{2nu-1} dt.
 
-    Integrates to X = cutoff_mult * 2^nu Gamma(nu+1), splitting at every
-    zero of J_nu below X (_bessel_zeros); the kernel _f_nu has no cap.
+    For n >= 3, integrates to X = cutoff_mult * 2^nu Gamma(nu+1), splitting
+    at every zero of J_nu below X (_bessel_zeros); the kernel _f_nu has no cap.
     cutoff_mult runs from 1 to CUTOFF_MULT_MAX and X may not exceed X_MAX,
     or ValueError is raised before any kernel call: the zeros below X, and
     the terms of each kernel sum, grow with X, and X grows factorially with
     nu (X = 46080 at nu = 6 and cutoff_mult = 1).  The first piece is
     mapped through t = y^{q/2} (nu = p/q) so the t^{2nu-1} branch point
     becomes the analytic monomial y^{p-1}.  For n >= 3 the
-    decay-envelope tail bound at X goes into abs_err_bound; at n = 2 the
-    tail is instead completed exactly into the value (_completed_tail_n2).
+    decay-envelope tail bound at X goes into abs_err_bound.  At n = 2 only
+    that first piece is integrated, up to min(j_{nu,1}, X), and the whole
+    tail past its end is completed exactly into the value
+    (_completed_tail_n2), so value, bound and cutoff_used are the same
+    at every cutoff_mult with X >= j_{nu,1}.
     Results are memoised per (nu, n, prec, float(cutoff_mult)).  This is
     bessel_integrals(nu, [n], prec, cutoff_mult)[0].
     """
@@ -839,7 +848,9 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
     node are computed once for all n, and each node's power runs from one
     n to the next as a fixed-point product (_ladder); only the n not yet
     memoised are computed.  Each piece past the first builds its Taylor
-    series for f_nu once and reuses it on every rung.  If any n misses
+    series for f_nu once and reuses it on every rung.  n = 2 integrates the
+    first piece alone, so a batch of n = 2 alone finds only the first
+    zero and builds no other piece.  If any n misses
     its target, the PrecisionFailure of the first such n in ns is raised,
     after the others are memoised.
     """
@@ -868,11 +879,16 @@ def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision,
         nv = to_mpf(v)
         amp = amplitude(nu)
         X = cutoff_mult * amp
-        bounds = [mp.mpf(0), *_bessel_zeros(v, X, wdps), X]
+        # the zeros below X, then the first beyond; n = 2 integrates only up to
+        # the first zero, so a batch of n = 2 alone searches from 0 for that one
+        zeros = _bessel_zeros(v, X if max(ns) > 2 else mp.mpf(0), wdps)
+        bounds = [mp.mpf(0), *zeros[:-1], min(zeros[-1], X)]
+        # t^{2nu-1}: an exact integer power wherever 2nu - 1 is an integer
+        alpha = int(2 * v - 1) if (2 * v).denominator == 1 else 2 * nv - 1
 
         def direct(a, b):  # t -> (|f_nu(t)|, t^{2nu-1}) on [a, b], from one Taylor series
             series = _taylor_series(v, (a + b) / 2, (b - a) / 2)
-            return lambda t: (abs(_f_taylor(series, t)), mp.power(t, 2 * nv - 1))
+            return lambda t: (abs(_f_taylor(series, t)), t ** alpha)
 
         half_q = mp.mpf(q) / 2
 
@@ -887,8 +903,8 @@ def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision,
         for n in ns:
             scale = mp.power(n, nv)
             if n == 2:
-                tail, tail_err = _completed_tail_n2(nu, X, amp)
-                setups[n] = every, scale, scale * tail, scale * tail_err, X
+                tail, tail_err = _completed_tail_n2(nu, bounds[1], amp)
+                setups[n] = range(1), scale, scale * tail, scale * tail_err, bounds[1]
             else:
                 setups[n] = every, scale, mp.mpf(0), bessel_tail_bound(nu, n, X, digits=wdps), X
         return _integrate(pieces, setups, prec, lambda n: f"bessel_integral(nu={nu}, n={n})")

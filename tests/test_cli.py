@@ -167,15 +167,25 @@ class TestEval:
             assert code == EXIT_OK and out.splitlines()[0] == "sinc integral, n = 4"
 
     def test_default_cutoff_has_no_cap(self, capsys):
-        # the default cutoff at nu = 2 is 192; the closed form is 2^5 Gamma(3) Gamma(2) = 64
+        # at n = 2 the integral stops at j_{2,1} = 5.1356..., inside the default
+        # cutoff 192 at nu = 2, and the tail is exact; the closed form is
+        # 2^5 Gamma(3) Gamma(2) = 64
         code, out, _ = run_cli(capsys, "eval", "bessel", "--n", "2", "--nu", "2",
                                "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert mp.mpf(doc["cutoff"]) == 192
+        assert doc["cutoff"] == mp.nstr(mp.besseljzero(2, 1), 10) == "5.135622302"
+        assert doc["pieces"] == 1
+        assert mp.mpf(doc["abs_err_bound"]) <= mp.mpf(1e-20)
         # the value is printed to a fixed number of digits: allow half its last place
         half_place = mp.mpf(10) ** -len(doc["value"].split(".")[1]) / 2
         assert abs(mp.mpf(doc["value"]) - 64) <= mp.mpf(doc["abs_err_bound"]) + half_place
+        # the kernel has no evaluation cap: at the cutoff 192 it meets mpmath's
+        # besselj at 30 more digits within its stated bound
+        kernel = ballint.bessel_j_normalized(ballint.Nu(2), 192)
+        with mp.workdps(ballint.Precision().working_dps + 30):
+            want = 8 * mp.besselj(2, 192) / mp.mpf(192) ** 2
+            assert abs(kernel.value - want) <= kernel.err_bound
 
     def test_gap_in_final_units(self, capsys):
         # the ladder holds the gap below target/2 times n^nu = 2.3e5, not before that

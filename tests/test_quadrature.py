@@ -384,14 +384,18 @@ class TestBesselClosedForms:
 
     @pytest.mark.parametrize("nu,mult", [
         (Fraction(3, 2), 24), (Fraction(5, 2), 4), (Fraction(7, 3), 6),
+        # every other nu = k/12 from 1/2 to 17/6, at the default cutoff
+        *((Fraction(k, 12), 24) for k in range(6, 35) if k != 18),
     ])
     def test_n2_general_closed_form(self, nu, mult):
-        # I_nu(2) = 2^(3 nu - 1) Gamma(nu+1) Gamma(nu), any nu >= 1/2
+        # I_nu(2) = 2^(3 nu - 1) Gamma(nu+1) Gamma(nu), any nu >= 1/2, from one
+        # piece and the exact tail, within a bound that meets the target
         est = bessel_integral(Nu(nu), 2, cutoff_mult=mult)
+        assert est.pieces == 1
         with mp.workdps(60):
             v = mp.mpf(nu.numerator) / nu.denominator
             want = mp.power(2, 3 * v - 1) * mp.gamma(v + 1) * mp.gamma(v)
-            assert abs(est.value - want) <= est.abs_err_bound
+            assert abs(est.value - want) <= est.abs_err_bound <= mp.mpf(1e-20)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -430,13 +434,46 @@ class TestBesselClosedForms:
         assert est.cutoff_used == 2 * CUTOFF_MULT_MAX
 
     def test_nu2_n2_default_cutoff(self):
-        # the default cutoff is 24 * 2^2 Gamma(3) = 192; the kernel has no
-        # evaluation cap, so the closed form 2^5 Gamma(3) Gamma(2) = 64 is met
+        # n = 2 integrates up to j_{2,1} = 5.1356..., well inside the default
+        # cutoff 24 * 2^2 Gamma(3) = 192, and completes the rest exactly; the
+        # closed form 2^5 Gamma(3) Gamma(2) = 64 is met
+        wdps = Precision().working_dps
         est = bessel_integral(Nu(Fraction(2)), 2)
-        assert est.cutoff_used == 192
+        with mp.workdps(wdps + 20):
+            j1 = mp.besseljzero(2, 1)
+        with mp.workdps(wdps):
+            assert est.cutoff_used == +j1
+        assert est.pieces == 1
         with mp.workdps(60):
-            assert abs(est.value - 64) <= est.abs_err_bound
-        assert est.abs_err_bound <= mp.mpf(1e-20)
+            assert abs(est.value - 64) <= est.abs_err_bound <= mp.mpf(1e-20)
+        # the kernel has no evaluation cap: at t = 192 it meets mpmath's besselj
+        # at 30 more digits within its stated bound
+        kernel = bessel_j_normalized(Nu(Fraction(2)), 192)
+        with mp.workdps(wdps + 30):
+            want = 8 * mp.besselj(2, 192) / mp.mpf(192) ** 2
+            assert abs(kernel.value - want) <= kernel.err_bound
+
+    @pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(1), Fraction(7, 3)], ids=str)
+    def test_n2_independent_of_cutoff(self, nu):
+        # once X >= j_{nu,1}, n = 2 integrates [0, j_{nu,1}] and adds the exact
+        # tail from there, whatever the cutoff and whatever batch it is in
+        _MEMO.clear()
+        ests = [bessel_integral(Nu(nu), 2, cutoff_mult=mult) for mult in (6, 24, 64)]
+        ests.append(bessel_integrals(Nu(nu), [3, 2], cutoff_mult=6)[1])
+        assert len({bits(e) for e in ests}) == 1
+        with mp.workdps(Precision().working_dps):
+            assert ests[0].cutoff_used == _bessel_zeros(nu, mp.mpf(0), Precision().working_dps)[0]
+
+    @pytest.mark.parametrize("nu", [Fraction(1), Fraction(3, 2)], ids=str)
+    def test_n2_in_a_batch_as_alone(self, nu):
+        # the batch searches every zero below X and integrates every piece for
+        # n = 5; n = 2 takes only the first, as it does alone
+        _MEMO.clear()
+        batch = bessel_integrals(Nu(nu), [5, 2])
+        _MEMO.clear()
+        alone = bessel_integral(Nu(nu), 2)
+        assert bits(batch[1]) == bits(alone)
+        assert alone.pieces == 1 < batch[0].pieces
 
 
 class TestCompletedTail:
@@ -532,7 +569,7 @@ class TestTaylorKernel:
             prec = mp.mp.prec
             bound = mp.ldexp(1, -(prec + 40))
             X = 6 * amplitude(Nu(nu))
-            zeros = [*_bessel_zeros(nu, X, dps), X]
+            zeros = [*_bessel_zeros(nu, X, dps)[:-1], X]
             for a, b in zip(zeros, zeros[1:]):
                 mid, rad = (a + b) / 2, (b - a) / 2
                 series = _taylor_series(nu, mid, rad)
@@ -549,17 +586,19 @@ class TestBesselZeros:
 
     def test_half_zeros_are_multiples_of_pi(self):
         with mp.workdps(self.WDPS):
+            # 15 zeros below 50, then 16 pi beyond it
             zeros = _bessel_zeros(Fraction(1, 2), mp.mpf(50), self.WDPS)
-            assert len(zeros) == 15
+            assert len(zeros) == 16
             for k, z in enumerate(zeros, 1):
                 assert abs(z - k * mp.pi) <= mp.mpf(10) ** (2 - self.WDPS) * z
 
     def test_three_halves_zeros_solve_tan_t_eq_t(self):
         # J_{3/2}(t) = 0 exactly when tan t = t: one root in each
-        # (k pi, k pi + pi/2), k >= 1, so none is missed or doubled
+        # (k pi, k pi + pi/2), k >= 1, so none is missed or doubled; the
+        # 16th is the first beyond 50
         with mp.workdps(self.WDPS):
             zeros = _bessel_zeros(Fraction(3, 2), mp.mpf(50), self.WDPS)
-        assert len(zeros) == 15
+        assert len(zeros) == 16
         with mp.workdps(self.WDPS + 20):
             for k, z in enumerate(zeros, 1):
                 assert k * mp.pi < z < k * mp.pi + mp.pi / 2
@@ -568,8 +607,8 @@ class TestBesselZeros:
 
     @staticmethod
     def library_zeros(nu: Fraction, cutoff, dps: int) -> list:
-        """mp.besseljzero's zeros of J_nu below cutoff(first zero), found at
-        dps + 20 digits and rounded to dps."""
+        """mp.besseljzero's zeros of J_nu below cutoff(first zero), then the
+        first at or beyond it, found at dps + 20 digits and rounded to dps."""
         with mp.workdps(dps + 20):
             v = mp.mpf(nu.numerator) / nu.denominator
             zeros = [mp.besseljzero(v, 1)]
@@ -577,31 +616,32 @@ class TestBesselZeros:
             while zeros[-1] < X:
                 zeros.append(mp.besseljzero(v, len(zeros) + 1))
         with mp.workdps(dps):
-            return [+z for z in zeros[:-1]]
+            return [+z for z in zeros]
 
     @pytest.mark.parametrize("nu", [Fraction(i, 4) for i in range(2, 81)], ids=str)
     def test_against_library(self, nu):
-        # every zero below j_{nu,1} + 40, for nu = 1/2, 3/4, ..., 20, bit for bit
+        # every zero below j_{nu,1} + 40 and the next, for nu = 1/2, 3/4, ..., 20, bit for bit
         want = self.library_zeros(nu, lambda z1: z1 + 40, self.WDPS)
         with mp.workdps(self.WDPS):
             X = +(want[0] + 40)
             assert _bessel_zeros(nu, X, self.WDPS) == tuple(want)
 
     def test_seven_thirds_readme_cutoff(self):
-        # the zeros of the README line, X = 6 * 2^(7/3) Gamma(10/3); at k = 3
-        # and k = 24 besseljzero at the working precision itself is 1 ulp off
+        # the 25 zeros below the README line's X = 6 * 2^(7/3) Gamma(10/3) and the
+        # next; at k = 3 and k = 24 besseljzero at the working precision itself is 1 ulp off
         nu = Nu(Fraction(7, 3))
         with mp.workdps(self.WDPS):
             X = 6.0 * amplitude(nu)
             got = _bessel_zeros(nu.value, X, self.WDPS)
-        assert len(got) == 25
+        assert len(got) == 26
         assert got == tuple(self.library_zeros(nu.value, lambda z1: X, self.WDPS))
 
     def test_no_zero_below_cutoff(self):
         # nu = 1/2, cutoff_mult = 1: X = sqrt(pi/2) < pi = j_{1/2,1}, so the
         # integral is one piece; at n = 2 it is I(2) = pi / sqrt(2)
         with mp.workdps(self.WDPS):
-            assert _bessel_zeros(HALF.value, +mp.sqrt(mp.pi / 2), self.WDPS) == ()
+            X = +mp.sqrt(mp.pi / 2)
+            assert _bessel_zeros(HALF.value, X, self.WDPS) == (+mp.pi,)
         est = bessel_integral(HALF, 2, cutoff_mult=1)
         assert est.pieces == 1
         with mp.workdps(60):
@@ -637,9 +677,7 @@ class TestCheckZeros:
 
     def zeros(self, nu, X):
         """The zeros below X and the first one at or beyond it."""
-        zs = _bessel_zeros(nu, X + 10, self.WDPS)
-        below = [z for z in zs if z < X]
-        return below + [zs[len(below)]]
+        return list(_bessel_zeros(nu, X, self.WDPS))
 
     @pytest.mark.parametrize("nu", [Fraction(1), Fraction(7)], ids=str)
     def test_complete_set_passes(self, nu):
@@ -1026,11 +1064,14 @@ class TestBatchWork:
         time) and evaluates the zeta panel once a node for all ten
         zeta-mode n: 112 Euler-Maclaurin sums (16 + 32 + 64 nodes), and no
         mp.zeta call.  The nu = 1 sweep, one batch at the default cutoff,
-        makes 2,093 kernel evaluations (32,881 one n at a time): 1,792 at
+        makes 1,994 kernel evaluations (31,926 one n at a time): 1,792 at
         the nodes of its 16 pieces (16 + 32 + 64 each), 1,680 of them
         Taylor sums on the 15 pieces past the first and 112 Maclaurin sums
         on the first; then 30 seeds (two Maclaurin sums a Taylor series),
-        116 in the zero search and 155 in the n = 2 tail.
+        116 in the zero search and 56 in the n = 2 tail.  That tail starts
+        at X = j_{1,1} = 3.8317..., and its terms k = 0..55 each take one
+        kernel call, until the prefactor (X/2)^(1+k)/(1+k)! falls below
+        10^-60 (3.1e-61 at k = 56).
         """
         calls = {"sin": 0, "zeta": 0, "panel": 0, "f_nu": 0, "taylor": 0}
 
@@ -1049,7 +1090,18 @@ class TestBatchWork:
         _bessel_zeros.cache_clear()
         sinc_integrals(range(2, 41))
         bessel_integrals(ONE, range(2, 21))
-        assert calls == {"sin": 2800, "zeta": 0, "panel": 112, "f_nu": 413, "taylor": 1680}
+        assert calls == {"sin": 2800, "zeta": 0, "panel": 112, "f_nu": 314, "taylor": 1680}
+
+    def test_n2_alone_solves_for_one_zero(self, monkeypatch):
+        # a batch of n = 2 alone needs only j_{nu,1}: one Newton solve, not the
+        # 60 zeros below the default cutoff 192 at nu = 2
+        solves = []
+        real = quadrature._newton_zero
+        monkeypatch.setattr(quadrature, "_newton_zero", lambda *a: solves.append(1) or real(*a))
+        _MEMO.clear()
+        _bessel_zeros.cache_clear()
+        bessel_integral(Nu(Fraction(2)), 2)
+        assert len(solves) == 1
 
     def test_batch_evaluates_like_its_widest_member(self, monkeypatch):
         # all n of a Bessel batch share one piece list, so the batch makes
