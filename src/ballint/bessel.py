@@ -218,7 +218,9 @@ def bessel_tail_bound(nu: Nu, n: int, X, digits: int = 30) -> mp.mpf:
 
     Valid once X is at least 2^nu Gamma(nu+1), the point where the decay
     envelope c t^{-1/3} gives the integrand modulus below 1; the bound is
-    monotone decreasing in X.
+    monotone decreasing in X.  X formed at `digits` digits, as
+    cutoff_mult 2^nu Gamma(nu+1) is, may round below that point, so X is
+    refused only if it lies more than a relative 10^-digits below it.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -227,7 +229,7 @@ def bessel_tail_bound(nu: Nu, n: int, X, digits: int = 30) -> mp.mpf:
         nv = to_mpf(v)
         amp = amplitude(nu)
         Xv = mp.mpf(X)
-        if Xv < amp:
+        if Xv < amp * (1 - mp.mpf(10) ** -digits):
             raise ValueError("cutoff below 2^nu Gamma(nu+1)")
         c = to_mpf(LANDAU_BOUND_C)
         expo = -(nv + mp.mpf(1) / 3) * n + 2 * nv

@@ -34,7 +34,12 @@ that follows each piece's sum, however small, and each n's total is
 added exactly and rounded once: the correctly rounded Gauss sum of its
 node values, which the ladder checks.  So a batch
 returns what each n returns alone; the single-n functions are batches of
-one, sharing one memo keyed per n.
+one, sharing one memo keyed per n.  A loop of Bessel calls over n shares
+the rest through one family store (_FAMILY): it holds the last family's
+pieces, with their Taylor series, and from the family's second
+consecutive call on the node values of every rung climbed, so each node
+is evaluated once.  Node values depend only on the piece, the rule order
+and the precision, so every estimate keeps every bit.
 
 Two sinc regimes, split by one threshold (_sinc_mode): for large n the
 integrand dies fast and at most ZETA_LOBES lobes with the t^{-n}
@@ -298,7 +303,7 @@ LADDER_GUARD = 64  # bits the ladder's fixed-point power sums carry beyond prec
 
 
 def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
-            half_targets: dict[int, mp.mpf], dps: int) -> dict[int, tuple[mp.mpf, mp.mpf]]:
+            half_targets: dict[int, mp.mpf], nodes: dict | None, dps: int) -> dict[int, tuple[mp.mpf, mp.mpf]]:
     """(total, diff) for every n of uses, from one order-doubling ladder.
 
     n integrates the pieces whose indices uses[n] lists.  At each rung
@@ -309,7 +314,9 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
     the exact product of three mpfs.  Each n's pieces are added exactly
     and its total is rounded once (round_total).  An n leaves at its first rung
     whose total is within half_targets[n] of the one before, or after rung
-    `rungs`.
+    `rungs`.  nodes, if not None, holds the raw node values (hs, gs) of
+    pieces whose base returns (h, g), keyed (piece index, rule order): a
+    held piece skips base, and one evaluated here is added to it.
 
     The working precision wp = prec + LADDER_GUARD.  power_sums keeps
     each piece's sum S for each n in a unit of its own, which leaves S
@@ -344,13 +351,18 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
             users = sorted(n for n in prev if i in uses[n])
             if not users:
                 continue
-            mid = (a + b) / 2
-            rad = (b - a) / 2
-            values = [base(mid + rad * x) for x, _ in rule]
-            hs = [v[0]._mpf_ for v in values]
-            gs = [mpf_mul(mpf_mul(w._mpf_, rad._mpf_), v[1]._mpf_) for (_, w), v in zip(rule, values)]
-            factors = {n: [v[2][n]._mpf_ for v in values] for n in users} if len(values[0]) == 3 else None
-            for n, part in power_sums(hs, gs, users, wp, factors).items():
+            held, factors = nodes.get((i, len(rule))) if nodes is not None else None, None
+            if held is None:
+                mid = (a + b) / 2
+                rad = (b - a) / 2
+                values = [base(mid + rad * x) for x, _ in rule]
+                held = ([v[0]._mpf_ for v in values],
+                        [mpf_mul(mpf_mul(w._mpf_, rad._mpf_), v[1]._mpf_) for (_, w), v in zip(rule, values)])
+                if len(values[0]) == 3:
+                    factors = {n: [v[2][n]._mpf_ for v in values] for n in users}
+                elif nodes is not None:
+                    nodes[i, len(rule)] = held
+            for n, part in power_sums(*held, users, wp, factors).items():
                 sums[n].append(part)
         for n, parts in sums.items():
             total, sure = round_total(parts)
@@ -365,10 +377,11 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
 
 
 def _integrate(pieces: Sequence[Piece], setups: dict[int, tuple], prec: Precision,
-               label: Callable[[int], str]) -> dict[int, QuadEstimate | PrecisionFailure]:
+               label: Callable[[int], str], nodes: dict | None = None) -> dict[int, QuadEstimate | PrecisionFailure]:
     """Run the order-doubling ladder (_ladder) once for every n of setups,
     until scale |Q_2N - Q_N| < target/2; the caller builds pieces and
-    setups, and calls this, inside mp.workdps(prec.working_dps).
+    setups, and calls this, inside mp.workdps(prec.working_dps).  nodes
+    is the ladder's store of node values, or None.
 
     setups maps each n to (uses, scale, offset, err, cutoff): n integrates
     the pieces listed by uses (indices into pieces, increasing), the value
@@ -381,7 +394,7 @@ def _integrate(pieces: Sequence[Piece], setups: dict[int, tuple], prec: Precisio
     wdps = prec.working_dps
     half = mp.mpf(prec.target_abs_err) / 2
     ladder = _ladder(pieces, {n: setup[0] for n, setup in setups.items()}, prec.max_refinements,
-                     {n: half / setup[1] for n, setup in setups.items()}, wdps)
+                     {n: half / setup[1] for n, setup in setups.items()}, nodes, wdps)
     out: dict[int, QuadEstimate | PrecisionFailure] = {}
     for n, (uses, scale, offset, err, cutoff) in setups.items():
         total, diff = ladder[n]
@@ -763,14 +776,15 @@ def _check_zeros(v: Fraction, X: mp.mpf, points: Sequence[tuple[mp.mpf, mp.mpf, 
         fail(f"a zero may lie below {mp.nstr(z1, 10)}")
 
 
-@lru_cache(maxsize=256)
 def _bessel_zeros(v: Fraction, X: mp.mpf, wdps: int) -> tuple:
     """All zeros of J_v in (0, X), then the first at or beyond X, each
     rounded once to wdps digits; at X = 0, the first zero j_{v,1} alone.
 
     Newton's method on the kernel (_newton_zero) runs from _zero_start
     for k = 1, 2, ... up to the first zero at or beyond X, and
-    _check_zeros proves the set complete before it is returned.
+    _check_zeros proves the set complete before it is returned.  It is
+    not memoised: _bessel_estimates holds the pieces built from the
+    zeros of the last family (_FAMILY).
     """
     with mp.workdps(wdps):
         points, slope_mag = [], 0
@@ -850,7 +864,11 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
     memoised are computed.  Each piece past the first builds its Taylor
     series for f_nu once and reuses it on every rung.  n = 2 integrates the
     first piece alone, so a batch of n = 2 alone finds only the first
-    zero and builds no other piece.  If any n misses
+    zero and builds no other piece.  The pieces of the last family, keyed
+    by nu, X, whether any n >= 3 and the working precision, are held for
+    the next call (_FAMILY); from that family's second consecutive call
+    on, so are the node values of every rung it climbs, and no later call
+    evaluates a node held.  If any n misses
     its target, the PrecisionFailure of the first such n in ns is raised,
     after the others are memoised.
     """
@@ -869,6 +887,12 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
                      lambda todo: _bessel_estimates(nu, todo, prec, cutoff_mult))
 
 
+# The last Bessel family, one entry: {(v, X, any n >= 3, wdps): [bounds, pieces, nodes]}.
+# nodes, the ladder's node values, is None on the family's first call and held
+# from its second consecutive call on; a call for another family replaces the entry.
+_FAMILY: dict[tuple, list] = {}
+
+
 def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision,
                       cutoff_mult: float) -> dict[int, QuadEstimate | PrecisionFailure]:
     """bessel_integral for each n of ns, unmemoised, from one ladder."""
@@ -879,25 +903,33 @@ def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision,
         nv = to_mpf(v)
         amp = amplitude(nu)
         X = cutoff_mult * amp
-        # the zeros below X, then the first beyond; n = 2 integrates only up to
-        # the first zero, so a batch of n = 2 alone searches from 0 for that one
-        zeros = _bessel_zeros(v, X if max(ns) > 2 else mp.mpf(0), wdps)
-        bounds = [mp.mpf(0), *zeros[:-1], min(zeros[-1], X)]
-        # t^{2nu-1}: an exact integer power wherever 2nu - 1 is an integer
-        alpha = int(2 * v - 1) if (2 * v).denominator == 1 else 2 * nv - 1
+        key = v, X, max(ns) > 2, wdps
+        family = _FAMILY.get(key)
+        if family is None:
+            # the zeros below X, then the first beyond; n = 2 integrates only up to
+            # the first zero, so a batch of n = 2 alone searches from 0 for that one
+            zeros = _bessel_zeros(v, X if key[2] else mp.mpf(0), wdps)
+            bounds = [mp.mpf(0), *zeros[:-1], min(zeros[-1], X)]
+            # t^{2nu-1}: an exact integer power wherever 2nu - 1 is an integer
+            alpha = int(2 * v - 1) if (2 * v).denominator == 1 else 2 * nv - 1
 
-        def direct(a, b):  # t -> (|f_nu(t)|, t^{2nu-1}) on [a, b], from one Taylor series
-            series = _taylor_series(v, (a + b) / 2, (b - a) / 2)
-            return lambda t: (abs(_f_taylor(series, t)), t ** alpha)
+            def direct(a, b):  # t -> (|f_nu(t)|, t^{2nu-1}) on [a, b], from one Taylor series
+                series = _taylor_series(v, (a + b) / 2, (b - a) / 2)
+                return lambda t: (abs(_f_taylor(series, t)), t ** alpha)
 
-        half_q = mp.mpf(q) / 2
+            half_q = mp.mpf(q) / 2
 
-        def first_sub(y):  # (|f_nu(t)|, q/2 y^{p-1}) at t = y^{q/2}, the weight exact
-            return abs(_f_nu(v, mp.power(y, half_q))), mp.fmul(y ** (p - 1), half_q, exact=True)
+            def first_sub(y):  # (|f_nu(t)|, q/2 y^{p-1}) at t = y^{q/2}, the weight exact
+                return abs(_f_nu(v, mp.power(y, half_q))), mp.fmul(y ** (p - 1), half_q, exact=True)
 
-        pieces: list[Piece] = [(mp.mpf(0), mp.power(bounds[1], mp.mpf(2) / q), first_sub)]
-        for a, b in zip(bounds[1:-1], bounds[2:]):
-            pieces.append((a, b, direct(a, b)))
+            pieces: list[Piece] = [(mp.mpf(0), mp.power(bounds[1], mp.mpf(2) / q), first_sub)]
+            for a, b in zip(bounds[1:-1], bounds[2:]):
+                pieces.append((a, b, direct(a, b)))
+            _FAMILY.clear()
+            family = _FAMILY[key] = [bounds, pieces, None]
+        elif family[2] is None:
+            family[2] = {}
+        bounds, pieces, nodes = family
         every = range(len(pieces))
         setups = {}
         for n in ns:
@@ -907,7 +939,7 @@ def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision,
                 setups[n] = range(1), scale, scale * tail, scale * tail_err, bounds[1]
             else:
                 setups[n] = every, scale, mp.mpf(0), bessel_tail_bound(nu, n, X, digits=wdps), X
-        return _integrate(pieces, setups, prec, lambda n: f"bessel_integral(nu={nu}, n={n})")
+        return _integrate(pieces, setups, prec, lambda n: f"bessel_integral(nu={nu}, n={n})", nodes)
 
 
 def remainder_decay_fit(m: int, n_grid: Sequence[int], prec: Precision | None = None) -> DecayFit:

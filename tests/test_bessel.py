@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ballint.bessel import (
     BesselExpansion,
     Nu,
+    amplitude,
     bessel_aj,
     bessel_expansion,
     bessel_moment_ratio,
@@ -254,4 +255,15 @@ class TestTailBound:
             bessel_tail_bound(Nu(Fraction(1)), 1, 10)
         with pytest.raises(ValueError, match="cutoff below"):
             bessel_tail_bound(Nu(Fraction(7, 3)), 4, 10)
+
+    def test_cutoff_at_the_amplitude(self):
+        # bessel_integral forms X = cutoff_mult 2^nu Gamma(nu+1) at the working
+        # precision, 45 digits by default, and hands that precision on; at
+        # cutoff_mult = 1, 21 of these 43 orders rounded X below the amplitude
+        # taken at ten more digits, and the cutoff was refused
+        for k in range(6, 49):
+            nu = Nu(Fraction(k, 12))
+            with mp.workdps(45):
+                X = 1.0 * amplitude(nu)
+            assert bessel_tail_bound(nu, 3, X, digits=45) > 0, nu
 

@@ -23,6 +23,7 @@ from ballint.quadrature import (
     Precision,
     PrecisionFailure,
     QuadEstimate,
+    _FAMILY,
     _MEMO,
     _bessel_estimates,
     _bessel_zeros,
@@ -136,12 +137,12 @@ def rule_bits(rule: tuple) -> tuple:
     return tuple((x._mpf_, w._mpf_) for x, w in rule)
 
 
-def reference_ladder(pieces, uses, rungs, half_targets, dps):
+def reference_ladder(pieces, uses, rungs, half_targets, nodes, dps):
     """_ladder as a plain mpf sum: the oracle the fixed-point ladder must match
     bit for bit.
 
-    Node values come from each piece's base at the ambient precision prec;
-    every term w g h^n [f_n], piece sum and total is taken at prec + 300
+    Node values come from each piece's base at the ambient precision prec,
+    at every rung: the node values held in nodes are ignored.  Every term w g h^n [f_n], piece sum and total is taken at prec + 300
     bits, and the total is rounded once to prec.
     """
     out = {}
@@ -1087,7 +1088,7 @@ class TestBatchWork:
         monkeypatch.setattr(quadrature, "_f_nu", counted("f_nu", quadrature._f_nu))
         monkeypatch.setattr(quadrature, "_f_taylor", counted("taylor", quadrature._f_taylor))
         _MEMO.clear()
-        _bessel_zeros.cache_clear()
+        _FAMILY.clear()
         sinc_integrals(range(2, 41))
         bessel_integrals(ONE, range(2, 21))
         assert calls == {"sin": 2800, "zeta": 0, "panel": 112, "f_nu": 314, "taylor": 1680}
@@ -1099,15 +1100,15 @@ class TestBatchWork:
         real = quadrature._newton_zero
         monkeypatch.setattr(quadrature, "_newton_zero", lambda *a: solves.append(1) or real(*a))
         _MEMO.clear()
-        _bessel_zeros.cache_clear()
+        _FAMILY.clear()
         bessel_integral(Nu(Fraction(2)), 2)
         assert len(solves) == 1
 
     def test_batch_evaluates_like_its_widest_member(self, monkeypatch):
         # all n of a Bessel batch share one piece list, so the batch makes
         # as many node evaluations as its n that climbs the most rungs; at
-        # cutoff 6, n = 3..5 stop a rung below n >= 6
-        _bessel_zeros(ONE.value, 6 * amplitude(ONE), Precision().working_dps)  # warm the zeros
+        # cutoff 6, n = 3..5 stop a rung below n >= 6.  Each call starts
+        # from an empty family store, so each count holds one zero search
         calls = []
         for name in ("_f_nu", "_f_taylor"):  # node values, Taylor seeds included
             real = getattr(quadrature, name)
@@ -1115,13 +1116,88 @@ class TestBatchWork:
         counts = {}
         for n in (5, 7, 20):
             _MEMO.clear()
+            _FAMILY.clear()
             calls.clear()
             bessel_integral(ONE, n, cutoff_mult=6)
             counts[n] = len(calls)
         _MEMO.clear()
+        _FAMILY.clear()
         calls.clear()
         bessel_integrals(ONE, [5, 7, 20], cutoff_mult=6)
         assert len(calls) == max(counts.values()) == counts[7] > counts[5]
+
+    @staticmethod
+    def cold_batch(nu: Nu, ns: list[int], prec: Precision | None = None, cutoff_mult: float = 6) -> list:
+        _MEMO.clear()
+        _FAMILY.clear()
+        return [bits(e) for e in bessel_integrals(nu, ns, prec, cutoff_mult)]
+
+    def test_loop_equals_cold_batch(self):
+        # one n a call, as a sweep over n runs: from a family's third call on
+        # the ladder reads the node values held, and every bit stays the same
+        seven_thirds = Nu(Fraction(7, 3))
+        sweep = list(range(23, 38))
+        random.Random(19).shuffle(sweep)
+        want = self.cold_batch(ONE, sweep)
+        _MEMO.clear()
+        _FAMILY.clear()
+        assert [bits(bessel_integral(ONE, n, cutoff_mult=6)) for n in sweep] == want
+        ns = list(range(3, 13))
+        random.Random(20).shuffle(ns)
+        want = self.cold_batch(seven_thirds, ns)
+        _MEMO.clear()
+        _FAMILY.clear()
+        got = []
+        for i, n in enumerate(ns):
+            got.append(bits(bessel_integral(seven_thirds, n, cutoff_mult=6)))
+            if i == 4:  # another family replaces the entry, and the loop builds it again
+                bessel_integral(ONE, 5, cutoff_mult=6)
+        assert got == want
+
+    def test_nodes_held_from_the_second_call(self, monkeypatch):
+        # a family's first call holds its pieces but no node values, its second
+        # holds the node values of every rung it climbs, and its third
+        # evaluates no kernel, series or zero on the rungs held
+        _MEMO.clear()
+        _FAMILY.clear()
+        bessel_integral(ONE, 23, cutoff_mult=6)
+        (_, pieces, nodes), = _FAMILY.values()
+        assert nodes is None and len(pieces) == 4
+        bessel_integral(ONE, 24, cutoff_mult=6)
+        (_, held, nodes), = _FAMILY.values()
+        assert held is pieces
+        assert sorted(nodes) == [(i, order) for i in range(4) for order in (16, 32, 64)]
+        calls = []
+        for name in ("_f_nu", "_f_taylor", "_taylor_series", "_bessel_zeros"):
+            real = getattr(quadrature, name)
+            monkeypatch.setattr(quadrature, name, lambda *a, real=real: calls.append(1) or real(*a))
+        est = bessel_integral(ONE, 25, cutoff_mult=6)
+        assert calls == []
+        monkeypatch.undo()
+        assert [bits(est)] == self.cold_batch(ONE, [25])
+
+    @pytest.mark.parametrize("first, then", [
+        ((ONE, 5, None, 6), (Nu(Fraction(3, 2)), 5, None, 6)),
+        ((ONE, 5, None, 6), (ONE, 5, None, 12)),
+        ((ONE, 5, None, 6), (ONE, 5, Precision(decimal_digits=40), 6)),
+        ((ONE, 5, None, 6), (ONE, 2, None, 6)),
+        ((ONE, 2, None, 6), (ONE, 5, None, 6)),
+    ], ids=["nu", "cutoff", "precision", "to-n2-alone", "from-n2-alone"])
+    def test_another_family_replaces_the_entry(self, first, then):
+        # a family whose entry holds node values, then another that differs in
+        # one part of the key: nu, the cutoff X, the working precision (X = 12
+        # exactly at nu = 1, whatever the precision), or whether any n >= 3
+        nu, n, prec, cutoff_mult = then
+        want = self.cold_batch(nu, [n], prec, cutoff_mult)
+        key, = _FAMILY
+        _FAMILY.clear()
+        for _ in range(2):
+            _MEMO.clear()
+            bessel_integral(*first)
+        assert next(iter(_FAMILY.values()))[2]
+        _MEMO.clear()
+        assert [bits(bessel_integral(nu, n, prec, cutoff_mult))] == want
+        assert list(_FAMILY) == [key] and _FAMILY[key][2] is None
 
 
 class TestCutoffConsistency:
@@ -1129,6 +1205,16 @@ class TestCutoffConsistency:
         lo = bessel_integral(ONE, 6, cutoff_mult=12)
         hi = bessel_integral(ONE, 6, cutoff_mult=24)
         assert abs(hi.value - lo.value) <= lo.abs_err_bound
+
+    @pytest.mark.parametrize("nu", ["1/2", "4/3", "3/2", "7/4"])
+    def test_cutoff_mult_one(self, nu):
+        # the smallest cutoff allowed, X = 2^nu Gamma(nu+1) itself, was refused at these orders
+        nu = Nu(Fraction(nu))
+        est = bessel_integral(nu, 3, cutoff_mult=1)
+        with mp.workdps(Precision().working_dps):
+            assert est.cutoff_used == amplitude(nu)
+        far = bessel_integral(nu, 3, cutoff_mult=6)
+        assert abs(far.value - est.value) <= est.abs_err_bound
 
 
 class TestGapInFinalUnits:
