@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff-mult", type=float, default=None,
                    help=f"bessel head length in envelope units, 1 to {CUTOFF_MULT_MAX} (default 24); "
                         f"the cutoff, this times 2^nu Gamma(nu+1), may not exceed {X_MAX}")
-    p.add_argument("--max-refine", type=int, default=None, help="order-doubling budget per panel set, at least 1")
+    p.add_argument("--max-refine", type=int, default=None, help="order-doubling budget for each n, at least 1")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_eval)
 

@@ -84,19 +84,17 @@ def _fresh_terms(hs: Sequence[tuple], gs: Sequence[tuple], n: int, wp: int) -> t
     return T, len(T) + 1 + (c * (sum(T) + len(T)) >> (wp - 2)), k
 
 
-def power_sums(hs: Sequence[tuple], gs: Sequence[tuple], ns: Sequence[int], wp: int,
-               factors: dict[int, Sequence[tuple]] | None = None) -> dict[int, tuple[int, int, int]]:
-    """{n: (S, E, k)} for increasing ns: S 2^-k <= sum_i g_i h_i^n [f_i,n] <= (S + E) 2^-k.
+def power_sums(hs: Sequence[tuple], gs: Sequence[tuple], ns: Sequence[int], wp: int) -> dict[int, tuple[int, int, int]]:
+    """{n: (S, E, k)} for increasing ns: S 2^-k <= sum_i g_i h_i^n <= (S + E) 2^-k.
 
-    hs, gs and factors[n] hold the N nodes' values as raw mpfs: h and f in
-    [0, 1] (ArithmeticError otherwise) and g >= 0.  Each node's term g h^n
-    is one running product across ns, in a unit 2^-k that follows the sum.
-    At the first n the terms start afresh (_fresh_terms), the largest at
-    wp bits.  Each later n multiplies every term by floor(h^d 2^wp) for the
+    hs and gs hold the N nodes' values as raw mpfs: h in [0, 1]
+    (ArithmeticError otherwise) and g >= 0.  Each node's term g h^n is one
+    running product across ns, in a unit 2^-k that follows the sum.  At
+    the first n the terms start afresh (_fresh_terms), the largest at wp
+    bits.  Each later n multiplies every term by floor(h^d 2^wp) for the
     gap d, by binary powering (fixed_powers, once per d), and raises k by
     the s bits the sum fell short of wp at the n before, in the same
-    floored product.  The factors are taken likewise, with s from the
-    largest of them.
+    floored product.
 
     Error, in units u = 2^-k, at n + d after a step: each h^d is within
     2d - 1 units of 2^-wp, so each term's error shrinks by h^d <= m_d =
@@ -107,9 +105,8 @@ def power_sums(hs: Sequence[tuple], gs: Sequence[tuple], ns: Sequence[int], wp: 
     at a step that takes the sum S(n) down to S: little while the sum falls
     like max(h)^n, more when a large gap or an early peak leaves the
     largest terms with few bits.  So once E exceeds 2^(ERROR_BITS - wp) S
-    the terms start afresh at that n, and every sum this returns without a
-    factor has E <= 2^(ERROR_BITS - wp) S.  A factor f_n <= 1 adds
-    N + floor(S 2^(s-wp)) + 1, an error relative to S max(f).
+    the terms start afresh at that n, and every sum this returns has
+    E <= 2^(ERROR_BITS - wp) S.
     """
     one = 1 << wp
     H = [to_fixed(h, wp) for h in hs]
@@ -134,14 +131,7 @@ def power_sums(hs: Sequence[tuple], gs: Sequence[tuple], ns: Sequence[int], wp: 
             if E.bit_length() > S.bit_length() - wp + ERROR_BITS:
                 T, E, k = _fresh_terms(hs, gs, n, wp)
                 S = sum(T)
-        if factors is None:
-            out[n] = S, E, k
-        else:
-            F = [to_fixed(f, wp) for f in factors[n]]
-            if F and max(F) > one:
-                raise ArithmeticError("a power-sum factor lies above 1")
-            s = wp - max(F, default=0).bit_length()
-            out[n] = sum(t * f >> (wp - s) for t, f in zip(T, F)), E + (S >> (wp - s)) + 1 + len(T), k + s
+        out[n] = S, E, k
     return out
 
 

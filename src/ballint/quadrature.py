@@ -44,12 +44,11 @@ and the precision, so every estimate keeps every bit.
 Two sinc regimes, split by one threshold (_sinc_mode): for large n the
 integrand dies fast and at most ZETA_LOBES lobes with the t^{-n}
 envelope bound suffice; for any n that would need more, the entire tail
-past M = ZETA_LOBES lobes is folded into one finite panel exactly via
-sum_{j>=M} (j pi + s)^{-n} = pi^{-n} zeta_H(n, M + s/pi), keeping the
-value a finite-interval quadrature of an exactly transformed integrand.
-The panel's base at each node holds zeta_H(n, M + s/pi) for every
-zeta-mode n at once, from one Euler-Maclaurin sum in fixed-point Python
-integers (_hurwitz_zetas) whose direct terms are shared across n.
+past M = ZETA_LOBES lobes is folded onto one panel on (0, pi) exactly via
+sum_{j>=M} (j pi + s)^{-n} = pi^{-n} zeta_H(n, M + s/pi): an ordinary
+piece per zeta-mode n, with node values (|sin s|, zeta_H(n, M + s/pi) /
+pi^n).  The panels share each node's sine and one Euler-Maclaurin sum in
+fixed-point Python integers (_hurwitz_zetas) for every zeta-mode n.
 
 For the Bessel integral at n = 2 no usable envelope exists (the tail
 decays only like 1/X), but the tail past any X equals
@@ -109,9 +108,10 @@ X_MAX = 1024  # largest Bessel cutoff X = cutoff_mult 2^nu Gamma(nu+1)
 class Precision:
     """Requested accuracy: decimal_digits of working room.
 
-    The absolute target is 10^-(decimal_digits - 10), keeping ten guard
-    digits, so Precision()'s 30 digits target 1e-20; `ballint eval
-    --digits d` targets 1e-d and builds Precision(decimal_digits=d + 10).
+    The absolute target is 10^-target_digits, held as that exponent,
+    target_digits = decimal_digits - 10: Precision()'s 30 digits target
+    1e-20; `ballint eval --digits d` targets 1e-d and builds
+    Precision(decimal_digits=d + 10).
     The working precision adds fifteen more on top of decimal_digits.
     max_refinements counts quadrature-order doublings and is at least 1:
     the ladder stops on the gap between two rungs, so a single rung can
@@ -128,8 +128,8 @@ class Precision:
             raise ValueError("max_refinements must be at least 1")
 
     @property
-    def target_abs_err(self) -> float:
-        return 10.0 ** -(self.decimal_digits - 10)
+    def target_digits(self) -> int:
+        return self.decimal_digits - 10
 
     @property
     def working_dps(self) -> int:
@@ -295,8 +295,7 @@ def _legendre_rule(order: int, dps: int) -> tuple:
 
 # A piece (a, b, base) integrates g(t) h(t)^n over [a, b] for every n of a
 # batch.  base(t) returns the n-free node values (h, g): h in [0, 1] and the
-# weight g >= 0, as mpfs.  The sinc zeta panel returns (h, g, {n: f_n}) and
-# integrates g h^n f_n, f_n in [0, 1] its per-n factor at the node.
+# weight g >= 0, as mpfs.
 Piece = tuple[mp.mpf, mp.mpf, Callable[[mp.mpf], tuple]]
 
 LADDER_GUARD = 64  # bits the ladder's fixed-point power sums carry beyond prec
@@ -315,8 +314,8 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
     and its total is rounded once (round_total).  An n leaves at its first rung
     whose total is within half_targets[n] of the one before, or after rung
     `rungs`.  nodes, if not None, holds the raw node values (hs, gs) of
-    pieces whose base returns (h, g), keyed (piece index, rule order): a
-    held piece skips base, and one evaluated here is added to it.
+    the pieces, keyed (piece index, rule order): a held piece skips base,
+    and one evaluated here is added to it.
 
     The working precision wp = prec + LADDER_GUARD.  power_sums keeps
     each piece's sum S for each n in a unit of its own, which leaves S
@@ -324,13 +323,12 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
     in that unit: about N at the piece's first n for N nodes, growing by
     about N + 2d for each step of d in n.  It starts a piece's terms
     afresh whenever E exceeds 2^(ERROR_BITS - wp) S (fixedpoint), so every
-    piece's sum is that close, relatively; the zeta panel's is that close
-    to its sum before the per-n factor, which varies across the panel by
-    under (1 + 1/ZETA_LOBES)^n.  round_total floors the P pieces of a total to the coarsest unit among
-    them, at most one unit each, so the total lies within about
-    (P + 1) 2^(ERROR_BITS - wp) of its fixed-point sum: within 2^-(prec+8)
-    once LADDER_GUARD >= 8 + ERROR_BITS + log2(P + 1), which 64 guard bits
-    meet for up to 2^23 pieces.  On every total of the five verify suites
+    piece's sum is that close, relatively.  round_total floors the P
+    pieces of a total to the coarsest unit among them, at most one unit
+    each, so the total lies within about (P + 1) 2^(ERROR_BITS - wp) of
+    its fixed-point sum: within 2^-(prec+8) once LADDER_GUARD >= 8 +
+    ERROR_BITS + log2(P + 1), which 64 guard bits meet for up to 2^23
+    pieces.  On every total of the five verify suites
     and of the frozen-bits estimates, E is at most 2^14 against S at most
     2 bits short of wp: 45 bits to spare.  round_total checks that bound,
     and that S and S + E round alike, so a total it calls sure is the
@@ -351,18 +349,16 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
             users = sorted(n for n in prev if i in uses[n])
             if not users:
                 continue
-            held, factors = nodes.get((i, len(rule))) if nodes is not None else None, None
+            held = nodes.get((i, len(rule))) if nodes is not None else None
             if held is None:
                 mid = (a + b) / 2
                 rad = (b - a) / 2
                 values = [base(mid + rad * x) for x, _ in rule]
-                held = ([v[0]._mpf_ for v in values],
-                        [mpf_mul(mpf_mul(w._mpf_, rad._mpf_), v[1]._mpf_) for (_, w), v in zip(rule, values)])
-                if len(values[0]) == 3:
-                    factors = {n: [v[2][n]._mpf_ for v in values] for n in users}
-                elif nodes is not None:
+                held = ([h._mpf_ for h, _ in values],
+                        [mpf_mul(mpf_mul(w._mpf_, rad._mpf_), g._mpf_) for (_, w), (_, g) in zip(rule, values)])
+                if nodes is not None:
                     nodes[i, len(rule)] = held
-            for n, part in power_sums(*held, users, wp, factors).items():
+            for n, part in power_sums(*held, users, wp).items():
                 sums[n].append(part)
         for n, parts in sums.items():
             total, sure = round_total(parts)
@@ -391,8 +387,8 @@ def _integrate(pieces: Sequence[Piece], setups: dict[int, tuple], prec: Precisio
     scaled gap is not below target/2 after max_refinements doublings maps
     to a PrecisionFailure, named by label(n), carrying that estimate.
     """
-    wdps = prec.working_dps
-    half = mp.mpf(prec.target_abs_err) / 2
+    wdps, k = prec.working_dps, prec.target_digits
+    half = mp.mpf(10) ** -k / 2
     ladder = _ladder(pieces, {n: setup[0] for n, setup in setups.items()}, prec.max_refinements,
                      {n: half / setup[1] for n, setup in setups.items()}, nodes, wdps)
     out: dict[int, QuadEstimate | PrecisionFailure] = {}
@@ -402,7 +398,7 @@ def _integrate(pieces: Sequence[Piece], setups: dict[int, tuple], prec: Precisio
         bound = scale * diff + err + mp.mpf(10) ** (2 - wdps) * (1 + abs(value))
         est = QuadEstimate(value=+value, abs_err_bound=+bound, cutoff_used=+mp.mpf(cutoff), pieces=len(uses))
         out[n] = est if scale * diff < half else PrecisionFailure(
-            f"{label(n)}: target {prec.target_abs_err} not reached after {prec.max_refinements} order doublings", est)
+            f"{label(n)}: target 1e-{k:02d} not reached after {prec.max_refinements} order doublings", est)
     return out
 
 
@@ -435,11 +431,10 @@ def _sinc_mode(n: int, prec: Precision) -> tuple[str, int]:
     """Pick lobe-truncation or zeta-tail mode, deterministically.
 
     Truncation needs the envelope bound sqrt(n) A^{1-n}/(n-1) below
-    target/2; if that cutoff takes more than ZETA_LOBES lobes, the exact
-    tail transform with its ZETA_LOBES head and one panel is cheaper.
+    target/2 = 10^-k/2; if that cutoff takes more than ZETA_LOBES lobes,
+    the exact tail transform with its ZETA_LOBES head and panel is cheaper.
     """
-    t = prec.target_abs_err
-    ln_a = (math.log(2 * math.sqrt(n)) - math.log((n - 1) * t)) / (n - 1)
+    ln_a = (math.log(2 * math.sqrt(n) / (n - 1)) + prec.target_digits * math.log(10)) / (n - 1)
     A = max(math.exp(min(ln_a, 700)), math.sqrt(6))
     lobes = max(2, math.ceil(A / math.pi))
     if lobes <= ZETA_LOBES:
@@ -562,16 +557,27 @@ def _sinc_estimates(ns: list[int], prec: Precision) -> dict[int, QuadEstimate | 
         lobes = max(modes[n][1] for n in ns)
         zeta_ns = [n for n in ns if modes[n][0] == "zeta"]
         pi_powers = {n: pi**n for n in zeta_ns}
+        # node -> (|sin s|, {n: zeta_H(n, M + s/pi) / pi^n}) for every zeta-mode n,
+        # filled by a rung's first panel and read by the rest; a miss after a hit
+        # is the next rung's first panel, which drops the rung before
+        shared = {}
+        hit = False
 
-        def panel_base(s):
-            # every lobe from M = ZETA_LOBES on, folded onto (0, pi):
-            # sum_{j >= M} (j pi + s)^-n = pi^-n zeta_H(n, M + s/pi), so the
-            # panel integrates |sin s|^n times that factor for every zeta-mode n
-            zetas = _hurwitz_zetas(zeta_ns, ZETA_LOBES + s / pi)
-            return abs(mp.sin(s)), _ONE, {n: zetas[n] / pi_powers[n] for n in zeta_ns}
+        def panel(n):
+            # the lobes j >= M = ZETA_LOBES folded onto (0, pi): sum_j (j pi + s)^-n = pi^-n zeta_H(n, M + s/pi)
+            def base(s):
+                nonlocal hit
+                values = shared.get(s._mpf_)
+                if hit and values is None:
+                    shared.clear()
+                hit = values is not None
+                if not hit:
+                    zetas = _hurwitz_zetas(zeta_ns, ZETA_LOBES + s / pi)
+                    values = shared[s._mpf_] = abs(mp.sin(s)), {m: zetas[m] / pi_powers[m] for m in zeta_ns}
+                return values[0], values[1][n]
+            return base
 
         pieces: list[Piece] = [(j * pi, (j + 1) * pi, _lobe) for j in range(lobes)]
-        pieces.append((mp.mpf(0), pi, panel_base))
         setups = {}
         for n in ns:
             mode, count = modes[n]
@@ -579,7 +585,8 @@ def _sinc_estimates(ns: list[int], prec: Precision) -> dict[int, QuadEstimate | 
                 cutoff = count * pi
                 setups[n] = range(count), mp.sqrt(n), mp.mpf(0), cutoff_tail_bound(n, cutoff), cutoff
             else:
-                setups[n] = (*range(count), lobes), mp.sqrt(n), mp.mpf(0), mp.mpf(0), mp.inf
+                setups[n] = (*range(count), len(pieces)), mp.sqrt(n), mp.mpf(0), mp.mpf(0), mp.inf
+                pieces.append((mp.mpf(0), pi, panel(n)))
         return _integrate(pieces, setups, prec, lambda n: f"sinc_integral(n={n})")
 
 

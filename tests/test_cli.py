@@ -203,6 +203,16 @@ class TestEval:
         assert code == EXIT_PRECISION and out == ""
         assert "precision failure" in err and "best estimate" in err
 
+    def test_target_past_the_float_range(self, capsys):
+        # --digits 330 targets 10^-330, which is 0.0 as a float: the ladder stops
+        # at the exact target, and a miss prints it as 1e-330
+        argv = ["eval", "bessel", "--n", "5", "--nu", "1", "--cutoff-mult", "1", "--digits", "330"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK and out.splitlines()[0] == "bessel integral, nu = 1, n = 5"
+        code, out, err = run_cli(capsys, *argv, "--max-refine", "1")
+        assert code == EXIT_PRECISION and out == ""
+        assert err.startswith("precision failure: bessel_integral(nu=1, n=5): target 1e-330 not reached")
+
     def test_precision_failure_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "eval", "sinc", "--n", "97", "--digits", "30",
                                "--max-refine", "1")

@@ -142,8 +142,9 @@ def reference_ladder(pieces, uses, rungs, half_targets, nodes, dps):
     bit for bit.
 
     Node values come from each piece's base at the ambient precision prec,
-    at every rung: the node values held in nodes are ignored.  Every term w g h^n [f_n], piece sum and total is taken at prec + 300
-    bits, and the total is rounded once to prec.
+    at every rung: the node values held in nodes are ignored.  Every term
+    w g h^n, piece sum and total is taken at prec + 300 bits, and the total
+    is rounded once to prec.
     """
     out = {}
     prev = dict.fromkeys(uses)
@@ -160,8 +161,7 @@ def reference_ladder(pieces, uses, rungs, half_targets, nodes, dps):
             values = [(w, base(mid + rad * x)) for x, w in rule]
             with mp.extraprec(300):
                 for n in users:
-                    parts[n].append(rad * mp.fsum(w * v[1] * v[0] ** n * (v[2][n] if len(v) == 3 else 1)
-                                                  for w, v in values))
+                    parts[n].append(rad * mp.fsum(w * g * h**n for w, (h, g) in values))
         for n, terms in parts.items():
             with mp.extraprec(300):
                 total = mp.fsum(terms)
@@ -181,7 +181,7 @@ class TestPrecision:
         p = Precision()
         assert p.decimal_digits == 30
         assert p.working_dps == 45
-        assert math.isclose(p.target_abs_err, 1e-20)
+        assert p.target_digits == 20
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -191,6 +191,15 @@ class TestPrecision:
             with pytest.raises(ValueError, match="max_refinements must be at least 1"):
                 Precision(max_refinements=refinements)
         assert Precision(max_refinements=1).max_refinements == 1
+
+    def test_target_past_the_float_range(self):
+        # 10^-330 is 0.0 as a float, whose log raised a math domain error: held
+        # as its exponent, the target still picks a sinc mode (the Bessel ladder
+        # and the failure message at this target: test_cli.py)
+        prec = Precision(decimal_digits=340)
+        assert prec.target_digits == 330
+        assert _sinc_mode(5, prec) == ("zeta", quadrature.ZETA_LOBES)
+        assert _sinc_mode(10**6, prec) == ("truncate", 2)
 
 
 class TestLegendreRule:
@@ -931,20 +940,17 @@ def dyadic(draw, mantissa_bits: int, lo: int, hi: int) -> Fraction:
 
 @st.composite
 def power_sum_cases(draw):
-    """(hs, gs, ns, factors) as Fractions: 1 to 13 random nodes, h in [0, 1]
-    down to 2^-200 (some near 1) and weights from 2^-40 up to 2^90, so a sum
-    may lie anywhere from about 2^100 down to 2^-12000; ns increasing in
-    2..60, with gaps; factors in [0, 1] per n, or None."""
+    """(hs, gs, ns) as Fractions: 1 to 13 random nodes, h in [0, 1] down to
+    2^-200 (some near 1) and weights from 2^-40 up to 2^90, so a sum may lie
+    anywhere from about 2^100 down to 2^-12000; ns increasing in 2..60, with
+    gaps."""
     prec = TestPowerSums.PREC
     count = draw(st.integers(1, 13))
     hs = [1 - dyadic(draw, prec, -prec - 8, -prec - 1) if draw(st.booleans())
           else dyadic(draw, prec, -prec - 200, -prec) for _ in range(count)]
     gs = [dyadic(draw, prec, -prec - 40, 90 - prec) for _ in range(count)]
     ns = sorted(draw(st.sets(st.integers(2, 60), min_size=1, max_size=6)))
-    factors = None
-    if draw(st.booleans()):
-        factors = {n: [dyadic(draw, prec, -prec - 100, -prec) for _ in range(count)] for n in ns}
-    return hs, gs, ns, factors
+    return hs, gs, ns
 
 
 class TestPowerSums:
@@ -959,32 +965,30 @@ class TestPowerSums:
 
     @settings(max_examples=60, deadline=None)
     @given(power_sum_cases())
-    @example(([Fraction(3, 4) + Fraction(1, 2**130)], [Fraction(2**80 + 1)], [2], None))  # n = 2 alone
-    @example(([Fraction(1), Fraction(1, 2**150)], [Fraction(3, 8), Fraction(2**90)], [2, 3, 50], None))
+    @example(([Fraction(3, 4) + Fraction(1, 2**130)], [Fraction(2**80 + 1)], [2]))  # n = 2 alone
+    @example(([Fraction(1), Fraction(1, 2**150)], [Fraction(3, 8), Fraction(2**90)], [2, 3, 50]))
     # every term far below 2^-wp: the sums are about 2^-8000, 2^-9600 and 2^-12000
-    @example(([Fraction(1, 2**200) + Fraction(1, 2**300)], [Fraction(3, 2)], [40, 48, 60], None))
+    @example(([Fraction(1, 2**200) + Fraction(1, 2**300)], [Fraction(3, 2)], [40, 48, 60]))
     # an early peak: the 2^90 term leads until n = 8, losing 15 bits a step, then the start
     # afresh keeps the node at h near 1
     @example(([Fraction(1, 2**15), 1 - Fraction(1, 2**100)], [Fraction(2**90), Fraction(1, 2**40)],
-              list(range(2, 14)), None))
+              list(range(2, 14))))
     def test_matches_correctly_rounded_exact_sum(self, case):
-        hs, gs, ns, factors = case
+        hs, gs, ns = case
         raw_h, raw_g = [self.raw(h) for h in hs], [self.raw(g) for g in gs]
-        raw_f = factors and {n: [self.raw(f) for f in fs] for n, fs in factors.items()}
         wp = self.PREC + quadrature.LADDER_GUARD
-        sums = power_sums(raw_h, raw_g, ns, wp, raw_f)
+        sums = power_sums(raw_h, raw_g, ns, wp)
         assert list(sums) == ns
         with mp.workprec(self.PREC):
             for n, (S, E, k) in sums.items():
-                want = sum(g * h**n * (factors[n][i] if factors else 1) for i, (h, g) in enumerate(zip(hs, gs)))
+                want = sum(g * h**n for h, g in zip(hs, gs))
                 unit = Fraction(2) ** -k
                 assert S * unit <= want <= (S + E) * unit
                 total, sure = round_total([(S, E, k)])
-                if factors is None:
-                    # relative, whatever the size of the sum: E <= 2^(ERROR_BITS - wp) S, or all is 0,
-                    # so only a rounding boundary between S and S + E can leave the total unsure
-                    assert E.bit_length() <= max(S.bit_length() - wp + ERROR_BITS, 0)
-                    assert E <= S >> (self.PREC + 8)
+                # relative, whatever the size of the sum: E <= 2^(ERROR_BITS - wp) S, or all is 0,
+                # so only a rounding boundary between S and S + E can leave the total unsure
+                assert E.bit_length() <= max(S.bit_length() - wp + ERROR_BITS, 0)
+                assert E <= S >> (self.PREC + 8)
                 if sure:
                     assert total._mpf_ == from_rational(want.numerator, want.denominator, self.PREC, round_nearest)
 
@@ -1000,6 +1004,25 @@ class TestPowerSums:
             total, sure = round_total(parts)
         assert sure
         assert total._mpf_ == from_rational(want.numerator, want.denominator, self.PREC, round_nearest)
+
+    def test_sweep_sums_are_relatively_close(self, monkeypatch):
+        # every sum the sinc sweep adds, the ten zeta panels' among them, has
+        # E <= 2^(ERROR_BITS - wp) S, or is all zero
+        seen, real = [], quadrature.power_sums
+
+        def checked(hs, gs, ns, wp):
+            sums = real(hs, gs, ns, wp)
+            seen.append(ns)
+            for S, E, k in sums.values():
+                assert E << (wp - ERROR_BITS) <= S or S == E == k == 0
+            return sums
+
+        monkeypatch.setattr(quadrature, "power_sums", checked)
+        _MEMO.clear()
+        sinc_integrals(range(2, 41))
+        zeta_ns = [n for n in range(2, 41) if _sinc_mode(n, Precision())[0] == "zeta"]
+        assert zeta_ns == list(range(2, 12))
+        assert all([n] in seen for n in zeta_ns)
 
     def test_base_above_one_refused(self):
         with mp.workprec(self.PREC), pytest.raises(ArithmeticError, match="above 1"):
@@ -1062,8 +1085,8 @@ class TestBatchWork:
         """On cold memos each sweep evaluates every (piece, order) node once.
 
         The sinc sweep n = 2..40 makes 2,800 sines (34,336 one n at a
-        time) and evaluates the zeta panel once a node for all ten
-        zeta-mode n: 112 Euler-Maclaurin sums (16 + 32 + 64 nodes), and no
+        time), and its ten zeta panels share one sine and one
+        Euler-Maclaurin sum a node: 112 sums (16 + 32 + 64 nodes), and no
         mp.zeta call.  The nu = 1 sweep, one batch at the default cutoff,
         makes 1,994 kernel evaluations (31,926 one n at a time): 1,792 at
         the nodes of its 16 pieces (16 + 32 + 64 each), 1,680 of them
@@ -1224,7 +1247,7 @@ class TestGapInFinalUnits:
     def test_large_n_meets_target(self, nu):
         ns = (50, 100, 200, 400)
         for n, est in zip(ns, bessel_integrals(Nu(Fraction(nu)), ns, cutoff_mult=6)):
-            assert est.abs_err_bound <= Precision().target_abs_err, n
+            assert est.abs_err_bound <= mp.mpf(10) ** -Precision().target_digits, n
 
     def test_scaled_gap_at_last_rung_is_a_miss(self):
         # after three doublings the unscaled gap of n = 200 is below target/2, but n^nu
