@@ -18,10 +18,14 @@ whole subdivision together, doubling the order until two successive
 totals, times sqrt(n) or n^nu, agree below target/2, in one pass at the
 working precision, so the node set is a deterministic function of the
 inputs and results are bit-reproducible.  The Bessel kernel is its own
-Maclaurin series, summed in fixed-point Python integers (_f_nu).  On
-every piece past the first, the nodes take a short Taylor series about
-the piece's centre (_taylor_series, _f_taylor): two Maclaurin sums seed
-it, the Bessel ODE gives the rest, and each node costs one Horner sum.
+Maclaurin series, summed in fixed-point Python integers (_f_nu).  Every
+piece past the first takes its node values from two short series about
+its centre t0 (_taylor_series): f_nu's Taylor series, which two
+Maclaurin sums seed and the Bessel ODE continues, and the binomial series
+of the weight t^(2nu-1) with the exact rational exponent.  The Gauss rule
+is symmetric, so the nodes t0 +- rad x come in pairs, and one Horner pass
+in (rad x)^2 over each series' even and odd parts gives both nodes of a
+pair (_direct_nodes).
 
 Sweeps over n run as batches (sinc_integrals, bessel_integrals) through
 that one ladder (_ladder).  Only the final power depends on n, so each
@@ -36,7 +40,7 @@ node values, which the ladder checks.  So a batch
 returns what each n returns alone; the single-n functions are batches of
 one, sharing one memo keyed per n.  A loop of Bessel calls over n shares
 the rest through one family store (_FAMILY): it holds the last family's
-pieces, with their Taylor series, and from the family's second
+pieces, with their series, and from the family's second
 consecutive call on the node values of every rung climbed, so each node
 is evaluated once.  Node values depend only on the piece, the rule order
 and the precision, so every estimate keeps every bit.
@@ -293,10 +297,22 @@ def _legendre_rule(order: int, dps: int) -> tuple:
         return tuple((-x, w) for x, w in reversed(half)) + tuple(half)
 
 
-# A piece (a, b, base) integrates g(t) h(t)^n over [a, b] for every n of a
-# batch.  base(t) returns the n-free node values (h, g): h in [0, 1] and the
-# weight g >= 0, as mpfs.
-Piece = tuple[mp.mpf, mp.mpf, Callable[[mp.mpf], tuple]]
+# A piece (a, b, nodes) integrates g(t) h(t)^n over [a, b] for every n of a
+# batch.  nodes(rule) returns the n-free node values (hs, gs) at the nodes of a
+# Gauss rule ((x, w) on [-1, 1], mapped to the piece), in the rule's order, as
+# raw mpfs at the ambient precision: h in [0, 1] and the weight g >= 0.
+Piece = tuple[mp.mpf, mp.mpf, Callable[[tuple], tuple[list, list]]]
+
+
+def _pointwise(a: mp.mpf, b: mp.mpf, base: Callable[[mp.mpf], tuple]) -> Piece:
+    """The piece on [a, b] whose nodes evaluate base(t) -> (h, g), as mpfs,
+    at each node t = mid + rad x rounded to the ambient precision."""
+    def nodes(rule):
+        mid, rad = (a + b) / 2, (b - a) / 2
+        values = [base(mid + rad * x) for x, _ in rule]
+        return [h._mpf_ for h, _ in values], [g._mpf_ for _, g in values]
+    return a, b, nodes
+
 
 LADDER_GUARD = 64  # bits the ladder's fixed-point power sums carry beyond prec
 
@@ -306,16 +322,17 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
     """(total, diff) for every n of uses, from one order-doubling ladder.
 
     n integrates the pieces whose indices uses[n] lists.  At each rung
-    every piece is visited once: base is evaluated once a node, at the
-    ambient precision prec, and one fixed-point power sum (power_sums)
-    gives the piece's Gauss sum sum_i g_i h_i^n for every n still on the
-    ladder that integrates it, with h_i = h(t_i) and g_i = w_i rad g(t_i)
-    the exact product of three mpfs.  Each n's pieces are added exactly
+    every piece is visited once: its nodes function gives the node values
+    h(t_i) and g(t_i) for the whole rule, at the ambient precision prec,
+    and one fixed-point power sum (power_sums) gives the piece's Gauss sum
+    sum_i g_i h_i^n for every n still on the ladder that integrates it,
+    with h_i = h(t_i) and g_i = w_i rad g(t_i) the exact product of three
+    mpfs.  Each n's pieces are added exactly
     and its total is rounded once (round_total).  An n leaves at its first rung
     whose total is within half_targets[n] of the one before, or after rung
     `rungs`.  nodes, if not None, holds the raw node values (hs, gs) of
-    the pieces, keyed (piece index, rule order): a held piece skips base,
-    and one evaluated here is added to it.
+    the pieces, keyed (piece index, rule order): a held piece skips its
+    nodes function, and one evaluated here is added to it.
 
     The working precision wp = prec + LADDER_GUARD.  power_sums keeps
     each piece's sum S for each n in a unit of its own, which leaves S
@@ -345,17 +362,15 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
     while prev:
         rule = _legendre_rule(16 * 2**r, dps)
         sums = {n: [] for n in prev}
-        for i, (a, b, base) in enumerate(pieces):
+        for i, (a, b, evaluate) in enumerate(pieces):
             users = sorted(n for n in prev if i in uses[n])
             if not users:
                 continue
             held = nodes.get((i, len(rule))) if nodes is not None else None
             if held is None:
-                mid = (a + b) / 2
-                rad = (b - a) / 2
-                values = [base(mid + rad * x) for x, _ in rule]
-                held = ([h._mpf_ for h, _ in values],
-                        [mpf_mul(mpf_mul(w._mpf_, rad._mpf_), g._mpf_) for (_, w), (_, g) in zip(rule, values)])
+                hs, gs = evaluate(rule)
+                rad = ((b - a) / 2)._mpf_
+                held = hs, [mpf_mul(mpf_mul(w._mpf_, rad), g) for (_, w), g in zip(rule, gs)]
                 if nodes is not None:
                     nodes[i, len(rule)] = held
             for n, part in power_sums(*held, users, wp).items():
@@ -577,7 +592,7 @@ def _sinc_estimates(ns: list[int], prec: Precision) -> dict[int, QuadEstimate | 
                 return values[0], values[1][n]
             return base
 
-        pieces: list[Piece] = [(j * pi, (j + 1) * pi, _lobe) for j in range(lobes)]
+        pieces: list[Piece] = [_pointwise(j * pi, (j + 1) * pi, _lobe) for j in range(lobes)]
         setups = {}
         for n in ns:
             mode, count = modes[n]
@@ -586,7 +601,7 @@ def _sinc_estimates(ns: list[int], prec: Precision) -> dict[int, QuadEstimate | 
                 setups[n] = range(count), mp.sqrt(n), mp.mpf(0), cutoff_tail_bound(n, cutoff), cutoff
             else:
                 setups[n] = (*range(count), len(pieces)), mp.sqrt(n), mp.mpf(0), mp.mpf(0), mp.inf
-                pieces.append((mp.mpf(0), pi, panel(n)))
+                pieces.append(_pointwise(mp.mpf(0), pi, panel(n)))
         return _integrate(pieces, setups, prec, lambda n: f"sinc_integral(n={n})")
 
 
@@ -636,53 +651,93 @@ def _f_slope(v: Fraction, t: mp.mpf, prec: int) -> tuple[mp.mpf, mp.mpf]:
     return _f_nu(v, t, prec), -t * _f_nu(v + 1, t, prec) / (2 * to_mpf(v + 1))
 
 
-# (wp, e, t0 2^(wp-e), (d_0 2^wp, ..., d_(K-1) 2^wp)): see _taylor_series
-TaylorSeries = tuple[int, int, int, tuple[int, ...]]
+# (wp, e, rad, (d_0 2^wp, ..., d_(K-1) 2^wp), (b_0 2^wp, ..., b_(L-1) 2^wp),
+# t0^alpha), rad and t0^alpha as raw mpfs: see _taylor_series
+TaylorSeries = tuple[int, int, tuple, tuple[int, ...], tuple[int, ...], tuple]
 
 
 def _taylor_series(v: Fraction, t0: mp.mpf, rad: mp.mpf) -> TaylorSeries:
-    """The Taylor series of f_v about t0 for |t - t0| <= rad, built for the
-    ambient precision prec: (wp, e, t0 2^(wp-e), (d_0 2^wp, ..., d_(K-1) 2^wp)).
+    """The node values of a direct Bessel piece, f_v(t) and t^alpha with the
+    exact alpha = 2v - 1, as two series in u = (t - t0) / rho for
+    |t - t0| <= rad, rho = 2^e >= rad so that |u| <= 1, built for the
+    ambient precision prec: (wp, e, rad, (d_0 2^wp, ..., d_(K-1) 2^wp),
+    (b_0 2^wp, ..., b_(L-1) 2^wp), t0^alpha).  _direct_nodes sums them.
+    Every direct piece has rad < pi (_check_zeros' gap test) and
+    t0 >= j_{v,1} + rad >= pi + rad, so rad < t0 / 2 and rho < t0, which
+    the weight's series needs (ValueError otherwise).
 
     f = f_v solves t f'' + (2v+1) f' + t f = 0, so its coefficients c_k
     about t0 obey t0 (k+1)(k+2) c_(k+2) = -[(k+1)(k+2v+1) c_(k+1) + t0 c_k
     + c_(k-1)] from the seeds c_0 = f_v(t0) and c_1 = f_v'(t0) (_f_slope).
-    They are held scaled, d_k = c_k rho^k with rho = 2^e >= rad, in
-    fixed point at wp bits, and the recurrence runs on d_k, one floor
-    division per coefficient.  _f_taylor sums them by Horner's rule in
-    u = (t - t0) / rho, |u| <= 1, so every rounding stays absolute.
+    They are held scaled, d_k = c_k rho^k, in fixed point at wp bits, and
+    the recurrence runs on d_k, one floor division per coefficient.  The
+    weight is t^alpha = t0^alpha sum_k b_k u^k, b_k = C(alpha, k) (rho/t0)^k:
+    each b_k is the exact rational C(alpha, k) times the k-th power of
+    rho/t0 in fixed point, and t0^alpha, taken once at wp + 20 bits, is
+    the ad-th root of t0^an for alpha = an/ad.  For integer alpha the
+    series is the finite binomial sum, L = alpha + 1.
 
-    Error, in units of 2^-wp, of the sum before its final rounding:
-    - truncation: |f_v^(k)| <= 1 (f_v is the characteristic function of a
+    Error, in units of 2^-wp, of each sum before its final rounding:
+    - f's truncation: |f_v^(k)| <= 1 (f_v is the characteristic function of a
       law on [-1, 1]), so |c_k| <= 1/k! and the terms k >= K add at most
       rad^K e^rad / K!; K is the first with that below 2^-(prec+42) in
       floating point, so below 2^-(prec+41);
-    - seeds: taken by _f_nu at wp + e + mag(t0) + 4 bits, each is within
+    - f's seeds: taken by _f_nu at wp + e + mag(t0) + 4 bits, each is within
       2 units once scaled and floored;
-    - recurrence: errors in d_(k-1), d_k, d_(k+1) reach d_(k+2) times at
+    - f's recurrence: errors in d_(k-1), d_k, d_(k+1) reach d_(k+2) times at
       most a_k = rho (k+2v+1) / (t0 (k+2)) + rho^2 / ((k+1)(k+2))
       + rho^3 / (t0 (k+1)(k+2)), and each step floors once, so with
       G = prod_k max(1, a_k) every d_k is within G (2 + k) units; the
       seeds' error is carried along the ODE this way too;
-    - Horner: one floor per step, earlier errors times |u| <= 1, so the
-      sum is within K + K G (K + 2) units of the truncated series.
-    wp = prec + 41 + bits(K + K G (K + 2)) makes the rounding add at most
-    2^-(prec+41), so _f_taylor is within 2^-(prec+40) of f_v(t) before
-    it rounds: closer than _f_nu's own O(K 2^-(prec+40)).
+    - the weight's truncation: with r = rad / t0 < 1/2, each term past
+      k > alpha is at most r times the one before, so the terms k >= L add
+      at most 2 |C(alpha, L)| r^L; L is the first k > alpha with that below
+      2^-(prec+42) (1 - r)^alpha in floating point, so below 2^-(prec+41) of
+      the sum, which is at least (1 - r)^alpha;
+    - the weight's coefficients: rho/t0 < 1 is floored at wp + g bits, its
+      k-th power is then within 2k units of that width, and b_k, floored to wp
+      bits, is within 2 units once 2^g > 2 L max_k |C(alpha, k)|;
+    - the pair sum (_direct_nodes) of a series P(u) = sum_k p_k u^k of N
+      terms, at u = +-U: U is floored once, Y = U^2 once more, so they are
+      within 1 and 3 units of u and u^2; the N - 2 Horner steps in Y and
+      the product U O(Y) floor once each, earlier errors times Y <= 1; each
+      coefficient's error counts once; and moving the point costs at most
+      3/2 D units, D = sum_k k |p_k|, as E and O have slopes at most
+      sum_j j |p_2j| and sum_j j |p_(2j+1)| on [0, 1], and |O| <= D.
+      D <= rho e^rho for f, and the weight's D_w is summed in floating point.
+    So f's sum is within A_f = K + KG(K + 2) + 3/2 rho e^rho units of its
+    truncated series, and the weight's within A_w = 3L + 3/2 D_w.
+    wp = prec + 42 + bits(max(A_f, A_w / (1 - r)^alpha)) puts both below
+    2^-(prec+42), the weight's relative to its sum.  So f's sum is within
+    2^-(prec+40) of f_v(t), closer than _f_nu's own O(K 2^-(prec+40)), and,
+    with t0^alpha within 2^-(wp+18) of itself, the weight's product is
+    within 2^-(prec+40) of t^alpha, relatively.
     """
     prec = mp.mp.prec
-    nu = float(v)
-    r, c = float(rad), float(t0)
     e = max(0, mp.mag(rad))
+    if not (2 * rad < t0 and 2**e < t0):
+        raise ValueError("a direct Bessel piece needs rad < t0 / 2 and rho < t0")
+    nu = float(v)
+    alpha = 2 * nu - 1
+    an, ad = (2 * v - 1).as_integer_ratio()
+    h, c = float(rad), float(t0)
     rho = 2.0**e
     K = 2
-    while K * math.log2(r) - math.lgamma(K + 1) / math.log(2) + r / math.log(2) >= -(prec + 42):
+    while K * math.log2(h) - math.lgamma(K + 1) / math.log(2) + h / math.log(2) >= -(prec + 42):
         K += 1
     G = 1.0
     for k in range(K - 2):
         G *= max(1.0, (rho * (k + 2 * nu + 1) / (c * (k + 2)) + rho**2 / ((k + 1) * (k + 2))
                        + rho**3 / (c * (k + 1) * (k + 2))))
-    wp = prec + 41 + math.ceil(K + K * G * (K + 2) + 1).bit_length()
+    r, s = h / c, rho / c
+    tol = alpha * math.log2(1 - r) - (prec + 42)  # log2 of the weight's truncation tolerance
+    L, C, top, D = 0, 1.0, 1.0, 0.0
+    while L <= alpha or (C and 1 + math.log2(abs(C)) + L * math.log2(r) >= tol):
+        top, D = max(top, abs(C)), D + L * abs(C) * s**L
+        C *= (alpha - L) / (L + 1)
+        L += 1
+    wp = prec + 42 + math.ceil(max(K + K * G * (K + 2) + 1.5 * rho * math.exp(rho),
+                                   (3 * L + 1.5 * D) / (1 - r) ** alpha)).bit_length()
     with mp.workprec(wp + e + mp.mag(t0) + 4):
         f0, f1 = _f_slope(v, t0, mp.mp.prec)
     p, q = v.numerator, v.denominator
@@ -693,20 +748,61 @@ def _taylor_series(v: Fraction, t0: mp.mpf, rad: mp.mpf) -> TaylorSeries:
         if k:
             num += q * d[k - 1] << (wp + 3 * e)
         d.append(-num // (q * T * (k + 1) * (k + 2)))
-    return wp, e, to_fixed(t0._mpf_, wp - e), tuple(d)
+    g = (2 * L * math.ceil(top) + 1).bit_length()
+    _, tm, te, _ = t0._mpf_
+    W = wp + g
+    S = (1 << (W + e - te)) // tm  # rho / t0, floored at W bits
+    power, cnum, cden, b = 1 << W, 1, 1, []
+    for k in range(L):  # C(alpha, k) = cnum / cden
+        b.append(cnum * power // cden >> g)
+        power = power * S >> W
+        cnum, cden = cnum * (an - k * ad), cden * (k + 1) * ad
+    with mp.workprec(wp + 20):
+        t0_alpha = mp.root(t0**an, ad)
+    return wp, e, rad._mpf_, tuple(d), tuple(b), t0_alpha._mpf_
 
 
-def _f_taylor(series: TaylorSeries, t: mp.mpf, prec: int | None = None) -> mp.mpf:
-    """f_v(t) from its Taylor series about t0 (_taylor_series), rounded to
-    prec bits (default: the ambient precision).  For |t - t0| <= rad the
-    sum is within 2^-(p+40) of f_v(t) before it rounds, p the precision
-    the series was built for."""
-    wp, e, t0, d = series
-    u = to_fixed(t._mpf_, wp - e) - t0
-    s = d[-1]
-    for dk in reversed(d[:-1]):
-        s = (s * u >> wp) + dk
-    return mp.make_mpf(from_man_exp(s, -wp, prec or mp.mp.prec, round_nearest))
+def _even_odd(even: Sequence[int], odd: Sequence[int], U: int, Y: int, wp: int) -> tuple[int, int]:
+    """(E(Y), U O(Y)) in fixed point at wp bits, for E and O given by their
+    coefficients, highest first: one Horner pass in Y each."""
+    s = 0
+    for c in even:
+        s = (s * Y >> wp) + c
+    o = 0
+    for c in odd:
+        o = (o * Y >> wp) + c
+    return s, U * o >> wp
+
+
+def _direct_nodes(series: TaylorSeries, rule: tuple, prec: int | None = None) -> tuple[list, list]:
+    """The raw node values (hs, gs), in the rule's order, of a direct Bessel
+    piece: h = |f_v(t)| and g = t^alpha at each node t = t0 + rad x of a
+    Gauss rule, from the piece's series (_taylor_series), each rounded once
+    to prec bits (default: the ambient precision).
+
+    _legendre_rule is symmetric, its first half the second negated in
+    reverse order, so the nodes pair up as t0 +- rho U, U = x rad / rho for
+    each positive x, and a series P(u) = E(u^2) + u O(u^2) gives both nodes
+    of a pair from one Horner pass in Y = U^2 over each of E and O:
+    P(+-U) = E(Y) +- U O(Y).  U is the exact x rad, scaled and floored once
+    to wp bits.
+    """
+    wp, e, (_, rm, re, _), d, b, (_, tm, te, _) = series
+    prec = prec or mp.mp.prec
+    f_even, f_odd, w_even, w_odd = d[::2][::-1], d[1::2][::-1], b[::2][::-1], b[1::2][::-1]
+    hs, gs, hs_minus, gs_minus = [], [], [], []
+    for x, _ in rule[len(rule) // 2:]:
+        _, xm, xe, _ = x._mpf_
+        shift = xe + re + wp - e
+        U = xm * rm << shift if shift >= 0 else xm * rm >> -shift
+        Y = U * U >> wp
+        f, fu = _even_odd(f_even, f_odd, U, Y, wp)
+        w, wu = _even_odd(w_even, w_odd, U, Y, wp)
+        hs.append(from_man_exp(abs(f + fu), -wp, prec, round_nearest))
+        hs_minus.append(from_man_exp(abs(f - fu), -wp, prec, round_nearest))
+        gs.append(from_man_exp((w + wu) * tm, te - wp, prec, round_nearest))
+        gs_minus.append(from_man_exp((w - wu) * tm, te - wp, prec, round_nearest))
+    return hs_minus[::-1] + hs, gs_minus[::-1] + gs
 
 
 def _zero_start(nu: float, k: int) -> float:
@@ -868,8 +964,11 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
     The zeros, the pieces, and |f_nu| and the weight t^{2nu-1} at every
     node are computed once for all n, and each node's power runs from one
     n to the next as a fixed-point product (_ladder); only the n not yet
-    memoised are computed.  Each piece past the first builds its Taylor
-    series for f_nu once and reuses it on every rung.  n = 2 integrates the
+    memoised are computed.  Each piece past the first builds its series for
+    f_nu and for the weight, with the exact exponent 2nu - 1, once, and
+    evaluates a whole rule from them on each rung, its nodes in +- pairs
+    at t0 + rad x to the series' working precision (_direct_nodes); the
+    first piece evaluates each node alone.  n = 2 integrates the
     first piece alone, so a batch of n = 2 alone finds only the first
     zero and builds no other piece.  The pieces of the last family, keyed
     by nu, X, whether any n >= 3 and the working precision, are held for
@@ -917,21 +1016,18 @@ def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision,
             # the first zero, so a batch of n = 2 alone searches from 0 for that one
             zeros = _bessel_zeros(v, X if key[2] else mp.mpf(0), wdps)
             bounds = [mp.mpf(0), *zeros[:-1], min(zeros[-1], X)]
-            # t^{2nu-1}: an exact integer power wherever 2nu - 1 is an integer
-            alpha = int(2 * v - 1) if (2 * v).denominator == 1 else 2 * nv - 1
 
-            def direct(a, b):  # t -> (|f_nu(t)|, t^{2nu-1}) on [a, b], from one Taylor series
+            def direct(a, b) -> Piece:  # (|f_nu(t)|, t^{2nu-1}) on [a, b], from two series about its centre
                 series = _taylor_series(v, (a + b) / 2, (b - a) / 2)
-                return lambda t: (abs(_f_taylor(series, t)), t ** alpha)
+                return a, b, lambda rule: _direct_nodes(series, rule)
 
             half_q = mp.mpf(q) / 2
 
             def first_sub(y):  # (|f_nu(t)|, q/2 y^{p-1}) at t = y^{q/2}, the weight exact
                 return abs(_f_nu(v, mp.power(y, half_q))), mp.fmul(y ** (p - 1), half_q, exact=True)
 
-            pieces: list[Piece] = [(mp.mpf(0), mp.power(bounds[1], mp.mpf(2) / q), first_sub)]
-            for a, b in zip(bounds[1:-1], bounds[2:]):
-                pieces.append((a, b, direct(a, b)))
+            pieces: list[Piece] = [_pointwise(mp.mpf(0), mp.power(bounds[1], mp.mpf(2) / q), first_sub)]
+            pieces += [direct(a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
             _FAMILY.clear()
             family = _FAMILY[key] = [bounds, pieces, None]
         elif family[2] is None:

@@ -29,9 +29,9 @@ from ballint.quadrature import (
     _bessel_zeros,
     _check_zeros,
     _completed_tail_n2,
+    _direct_nodes,
     _f_nu,
     _f_slope,
-    _f_taylor,
     _hurwitz_zetas,
     _legendre_rule,
     _sinc_estimates,
@@ -141,10 +141,10 @@ def reference_ladder(pieces, uses, rungs, half_targets, nodes, dps):
     """_ladder as a plain mpf sum: the oracle the fixed-point ladder must match
     bit for bit.
 
-    Node values come from each piece's base at the ambient precision prec,
-    at every rung: the node values held in nodes are ignored.  Every term
-    w g h^n, piece sum and total is taken at prec + 300 bits, and the total
-    is rounded once to prec.
+    Node values come from each piece's own nodes function, as _ladder reads
+    them, at the ambient precision prec and at every rung: the node values
+    held in nodes are ignored.  Every term w g h^n, piece sum and total is
+    taken at prec + 300 bits, and the total is rounded once to prec.
     """
     out = {}
     prev = dict.fromkeys(uses)
@@ -152,16 +152,16 @@ def reference_ladder(pieces, uses, rungs, half_targets, nodes, dps):
     while prev:
         rule = _legendre_rule(16 * 2**r, dps)
         parts = {n: [] for n in prev}
-        for i, (a, b, base) in enumerate(pieces):
+        for i, (a, b, evaluate) in enumerate(pieces):
             users = [n for n in prev if i in uses[n]]
             if not users:
                 continue
-            mid = (a + b) / 2
             rad = (b - a) / 2
-            values = [(w, base(mid + rad * x)) for x, w in rule]
+            hs, gs = evaluate(rule)
+            values = [(w, mp.make_mpf(h), mp.make_mpf(g)) for (_, w), h, g in zip(rule, hs, gs)]
             with mp.extraprec(300):
                 for n in users:
-                    parts[n].append(rad * mp.fsum(w * g * h**n for w, (h, g) in values))
+                    parts[n].append(rad * mp.fsum(w * g * h**n for w, h, g in values))
         for n, terms in parts.items():
             with mp.extraprec(300):
                 total = mp.fsum(terms)
@@ -569,26 +569,64 @@ class TestBesselJNormalized:
             bessel_j_normalized(ONE, -0.5)
 
 
+def direct_pieces(nu: Fraction, cutoff_mult: float, dps: int) -> list:
+    """[(t0, rad)] of every Bessel piece past the first up to the cutoff, as
+    _bessel_estimates forms them at dps digits."""
+    X = cutoff_mult * amplitude(Nu(nu))
+    bounds = [*_bessel_zeros(nu, X, dps)[:-1], X]
+    return [((a + b) / 2, (b - a) / 2) for a, b in zip(bounds, bounds[1:])]
+
+
+def exact_node(t0, rad, x):
+    return mp.fadd(t0, mp.fmul(rad, x, exact=True), exact=True)
+
+
 class TestTaylorKernel:
-    # every node of every piece past the first comes from _f_taylor; its
-    # docstring puts the sum within 2^-(prec+40) of f_nu before rounding
+    # every node of every piece past the first comes from _direct_nodes, in
+    # +- pairs about the piece's centre t0; _taylor_series states that before
+    # rounding |f_nu(t)| is within 2^-(prec+40) and t^alpha within
+    # 2^-(prec+40) of itself at the exact node t = t0 + rad x
     @pytest.mark.parametrize("dps", [45, 65, 75])
-    @pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(1), Fraction(5, 3), Fraction(2), Fraction(7, 3)], ids=str)
+    @pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(2),
+                                    Fraction(9, 4), Fraction(7, 3)], ids=str)
     def test_within_stated_bound_of_f_nu(self, nu, dps):
+        alpha = 2 * nu - 1
         with mp.workdps(dps):
             prec = mp.mp.prec
             bound = mp.ldexp(1, -(prec + 40))
-            X = 6 * amplitude(Nu(nu))
-            zeros = [*_bessel_zeros(nu, X, dps)[:-1], X]
-            for a, b in zip(zeros, zeros[1:]):
-                mid, rad = (a + b) / 2, (b - a) / 2
-                series = _taylor_series(nu, mid, rad)
+            for cutoff_mult in (6, 1):
+                for t0, rad in direct_pieces(nu, cutoff_mult, dps):
+                    series = _taylor_series(nu, t0, rad)
+                    for order in (16, 32, 64, 128):
+                        rule = _legendre_rule(order, dps)
+                        # the node values rounded to 64 more bits, which adds at most 2^-(prec+64)
+                        hs, gs = _direct_nodes(series, rule, prec + 64)
+                        for (x, _), h, g in zip(rule, hs, gs):
+                            t = exact_node(t0, rad, x)
+                            with mp.workprec(prec + 64):
+                                f = abs(_f_nu(nu, t))
+                                weight = mp.power(t, mp.mpf(alpha.numerator) / alpha.denominator)
+                            assert abs(mp.make_mpf(h) - f) <= bound, (cutoff_mult, t0, order, x)
+                            assert abs(mp.make_mpf(g) - weight) <= bound * weight, (cutoff_mult, t0, order, x)
+
+    @pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)], ids=str)
+    def test_integer_weight_is_finite_and_correctly_rounded(self, nu):
+        # at integer alpha = 2 nu - 1 the weight series is the binomial sum
+        # (1 + u rho / t0)^alpha itself, alpha + 1 terms, and each g is the
+        # exact t^alpha at the exact node, rounded once
+        alpha = int(2 * nu - 1)
+        dps = 45
+        with mp.workdps(dps):
+            prec = mp.mp.prec
+            for t0, rad in direct_pieces(nu, 6, dps):
+                series = _taylor_series(nu, t0, rad)
+                assert len(series[4]) == alpha + 1
                 for order in (16, 32, 64, 128):
-                    for x, _ in _legendre_rule(order, dps):
-                        t = mid + rad * x
-                        # both rounded to 64 more bits, which adds at most 2^-(prec+63)
-                        err = abs(_f_taylor(series, t, prec + 64) - _f_nu(nu, t, prec + 64))
-                        assert err <= bound, (a, b, order, x)
+                    rule = _legendre_rule(order, dps)
+                    _, gs = _direct_nodes(series, rule)
+                    for (x, _), g in zip(rule, gs):
+                        _, man, exp, _ = exact_node(t0, rad, x)._mpf_
+                        assert g == from_man_exp(man**alpha, exp * alpha, prec, round_nearest), (t0, order, x)
 
 
 class TestBesselZeros:
@@ -1090,12 +1128,12 @@ class TestBatchWork:
         mp.zeta call.  The nu = 1 sweep, one batch at the default cutoff,
         makes 1,994 kernel evaluations (31,926 one n at a time): 1,792 at
         the nodes of its 16 pieces (16 + 32 + 64 each), 1,680 of them
-        Taylor sums on the 15 pieces past the first and 112 Maclaurin sums
-        on the first; then 30 seeds (two Maclaurin sums a Taylor series),
-        116 in the zero search and 56 in the n = 2 tail.  That tail starts
-        at X = j_{1,1} = 3.8317..., and its terms k = 0..55 each take one
-        kernel call, until the prefactor (X/2)^(1+k)/(1+k)! falls below
-        10^-60 (3.1e-61 at k = 56).
+        Taylor nodes on the 15 pieces past the first, summed in 840 +-
+        pairs, and 112 Maclaurin sums on the first; then 30 seeds (two
+        Maclaurin sums a Taylor series), 116 in the zero search and 56 in
+        the n = 2 tail.  That tail starts at X = j_{1,1} = 3.8317..., and
+        its terms k = 0..55 each take one kernel call, until the prefactor
+        (X/2)^(1+k)/(1+k)! falls below 10^-60 (3.1e-61 at k = 56).
         """
         calls = {"sin": 0, "zeta": 0, "panel": 0, "f_nu": 0, "taylor": 0}
 
@@ -1109,7 +1147,13 @@ class TestBatchWork:
         monkeypatch.setattr(mp, "zeta", counted("zeta", mp.zeta))
         monkeypatch.setattr(quadrature, "_hurwitz_zetas", counted("panel", quadrature._hurwitz_zetas))
         monkeypatch.setattr(quadrature, "_f_nu", counted("f_nu", quadrature._f_nu))
-        monkeypatch.setattr(quadrature, "_f_taylor", counted("taylor", quadrature._f_taylor))
+        real_nodes = quadrature._direct_nodes
+
+        def counted_nodes(series, rule, *args):  # counts Taylor nodes, two a +- pair
+            calls["taylor"] += len(rule)
+            return real_nodes(series, rule, *args)
+
+        monkeypatch.setattr(quadrature, "_direct_nodes", counted_nodes)
         _MEMO.clear()
         _FAMILY.clear()
         sinc_integrals(range(2, 41))
@@ -1132,10 +1176,11 @@ class TestBatchWork:
         # as many node evaluations as its n that climbs the most rungs; at
         # cutoff 6, n = 3..5 stop a rung below n >= 6.  Each call starts
         # from an empty family store, so each count holds one zero search
-        calls = []
-        for name in ("_f_nu", "_f_taylor"):  # node values, Taylor seeds included
-            real = getattr(quadrature, name)
-            monkeypatch.setattr(quadrature, name, lambda *a, real=real: calls.append(1) or real(*a))
+        calls = []  # one entry a kernel call, Taylor seeds included, and one a Taylor node
+        real_f_nu, real_nodes = quadrature._f_nu, quadrature._direct_nodes
+        monkeypatch.setattr(quadrature, "_f_nu", lambda *a: calls.append(1) or real_f_nu(*a))
+        monkeypatch.setattr(quadrature, "_direct_nodes",
+                            lambda series, rule, *a: calls.extend(rule) or real_nodes(series, rule, *a))
         counts = {}
         for n in (5, 7, 20):
             _MEMO.clear()
@@ -1191,7 +1236,7 @@ class TestBatchWork:
         assert held is pieces
         assert sorted(nodes) == [(i, order) for i in range(4) for order in (16, 32, 64)]
         calls = []
-        for name in ("_f_nu", "_f_taylor", "_taylor_series", "_bessel_zeros"):
+        for name in ("_f_nu", "_direct_nodes", "_taylor_series", "_bessel_zeros"):
             real = getattr(quadrature, name)
             monkeypatch.setattr(quadrature, name, lambda *a, real=real: calls.append(1) or real(*a))
         est = bessel_integral(ONE, 25, cutoff_mult=6)
