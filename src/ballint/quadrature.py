@@ -45,14 +45,13 @@ consecutive call on the node values of every rung climbed, so each node
 is evaluated once.  Node values depend only on the piece, the rule order
 and the precision, so every estimate keeps every bit.
 
-Two sinc regimes, split by one threshold (_sinc_mode): for large n the
-integrand dies fast and at most ZETA_LOBES lobes with the t^{-n}
-envelope bound suffice; for any n that would need more, the entire tail
-past M = ZETA_LOBES lobes is folded onto one panel on (0, pi) exactly via
-sum_{j>=M} (j pi + s)^{-n} = pi^{-n} zeta_H(n, M + s/pi): an ordinary
-piece per zeta-mode n, with node values (|sin s|, zeta_H(n, M + s/pi) /
-pi^n).  The panels share each node's sine and one Euler-Maclaurin sum in
-fixed-point Python integers (_hurwitz_zetas) for every zeta-mode n.
+Two sinc regimes, split by one threshold (_sinc_mode): for large n at most
+ZETA_LOBES lobes with the t^{-n} envelope bound suffice; any other n folds
+the tail past M = ZETA_LOBES lobes onto a panel on (0, pi) exactly, via
+sum_{j>=M} (j pi + s)^{-n} = pi^{-n} zeta_H(n, M + s/pi).  Lobe j's node for
+a rule node x is t = (pi/2)(2j+1+x), so |sin t| = cos(pi x/2) on every lobe
+and panel, one table a rule (_cosines), and each panel's weight for every
+zeta-mode n is one Euler-Maclaurin sum a node (_hurwitz_zetas), once a rung.
 
 For the Bessel integral at n = 2 no usable envelope exists (the tail
 decays only like 1/X), but the tail past any X equals
@@ -79,7 +78,8 @@ from itertools import count
 from typing import Callable, Iterable, Sequence
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_mul, round_nearest, to_fixed
+from mpmath.libmp import (fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_pi, mpf_pos,
+                          mpf_shift, round_nearest, to_fixed)
 
 from .bessel import Nu, amplitude, bessel_tail_bound
 from .fixedpoint import power_sums, round_total
@@ -106,6 +106,7 @@ __all__ = [
 ZETA_LOBES = 24   # head lobes kept in zeta mode
 CUTOFF_MULT_MAX = 64  # largest Bessel cutoff, in units of 2^nu Gamma(nu+1)
 X_MAX = 1024  # largest Bessel cutoff X = cutoff_mult 2^nu Gamma(nu+1)
+COS_GUARD = 20  # bits the sinc cosine table (_cosines) holds beyond prec
 
 
 @dataclass(frozen=True)
@@ -297,21 +298,20 @@ def _legendre_rule(order: int, dps: int) -> tuple:
         return tuple((-x, w) for x, w in reversed(half)) + tuple(half)
 
 
+@lru_cache(maxsize=64)
+def _cosines(order: int, dps: int) -> tuple:
+    """cos(pi x/2) at the nodes x of _legendre_rule(order, dps), in its order, as raw mpfs at
+    wp = prec + COS_GUARD bits within 2^(2-wp) relatively: sin(pi (1 - |x|)/2), 1 - |x| exact."""
+    with mp.workdps(dps), mp.extraprec(COS_GUARD):
+        half = [mp.sin(mp.pi * mp.fsub(1, x, exact=True) / 2)._mpf_ for x, _ in _legendre_rule(order, dps)[order // 2:]]
+    return tuple(half[::-1] + half)
+
+
 # A piece (a, b, nodes) integrates g(t) h(t)^n over [a, b] for every n of a
 # batch.  nodes(rule) returns the n-free node values (hs, gs) at the nodes of a
 # Gauss rule ((x, w) on [-1, 1], mapped to the piece), in the rule's order, as
 # raw mpfs at the ambient precision: h in [0, 1] and the weight g >= 0.
 Piece = tuple[mp.mpf, mp.mpf, Callable[[tuple], tuple[list, list]]]
-
-
-def _pointwise(a: mp.mpf, b: mp.mpf, base: Callable[[mp.mpf], tuple]) -> Piece:
-    """The piece on [a, b] whose nodes evaluate base(t) -> (h, g), as mpfs,
-    at each node t = mid + rad x rounded to the ambient precision."""
-    def nodes(rule):
-        mid, rad = (a + b) / 2, (b - a) / 2
-        values = [base(mid + rad * x) for x, _ in rule]
-        return [h._mpf_ for h, _ in values], [g._mpf_ for _, g in values]
-    return a, b, nodes
 
 
 LADDER_GUARD = 64  # bits the ladder's fixed-point power sums carry beyond prec
@@ -474,24 +474,17 @@ def sinc_integral(n: int, prec: Precision | None = None) -> QuadEstimate:
 def sinc_integrals(ns: Iterable[int], prec: Precision | None = None) -> list[QuadEstimate]:
     """[sinc_integral(n, prec) for n in ns], bit for bit, from one ladder.
 
-    The lobes' endpoints and |sin t|/t at every node are computed once, and
-    each node's power runs from one n to the next as a fixed-point product
-    (_ladder); only the n not yet memoised are computed.
-    If any n misses its target, the PrecisionFailure of the first such n
-    in ns is raised, after the others are memoised.
+    |sin t|/t at every node is computed once, from one table of cosines a
+    rule (_cosines), and each node's power runs across n as a fixed-point
+    product (_ladder); only the n not yet memoised are computed.  If any n
+    misses its target, the PrecisionFailure of the first such n in ns is
+    raised, after the others are memoised.
     """
     prec = prec or Precision()
     ns = list(ns)
     if any(n < 2 for n in ns):
         raise ValueError("n must be at least 2")
     return _memoised(("sinc", prec), ns, lambda todo: _sinc_estimates(todo, prec))
-
-
-_ONE = mp.mpf(1)
-
-
-def _lobe(t: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
-    return abs(mp.sin(t)) / t, _ONE
 
 
 @lru_cache(maxsize=None)
@@ -567,32 +560,31 @@ def _hurwitz_zetas(ns: Sequence[int], a: mp.mpf) -> dict[int, mp.mpf]:
 def _sinc_estimates(ns: list[int], prec: Precision) -> dict[int, QuadEstimate | PrecisionFailure]:
     """sinc_integral for each n of ns, unmemoised, from one ladder."""
     modes = {n: _sinc_mode(n, prec) for n in ns}
-    with mp.workdps(prec.working_dps):
-        pi = mp.pi
-        lobes = max(modes[n][1] for n in ns)
+    dps = prec.working_dps
+    with mp.workdps(dps):
+        pi, bits, half_pi = mp.pi, mp.mp.prec, mpf_shift(mpf_pi(mp.mp.prec + COS_GUARD), -1)
         zeta_ns = [n for n in ns if modes[n][0] == "zeta"]
         pi_powers = {n: pi**n for n in zeta_ns}
-        # node -> (|sin s|, {n: zeta_H(n, M + s/pi) / pi^n}) for every zeta-mode n,
-        # filled by a rung's first panel and read by the rest; a miss after a hit
-        # is the next rung's first panel, which drops the rung before
-        shared = {}
-        hit = False
 
-        def panel(n):
-            # the lobes j >= M = ZETA_LOBES folded onto (0, pi): sum_j (j pi + s)^-n = pi^-n zeta_H(n, M + s/pi)
-            def base(s):
-                nonlocal hit
-                values = shared.get(s._mpf_)
-                if hit and values is None:
-                    shared.clear()
-                hit = values is not None
-                if not hit:
-                    zetas = _hurwitz_zetas(zeta_ns, ZETA_LOBES + s / pi)
-                    values = shared[s._mpf_] = abs(mp.sin(s)), {m: zetas[m] / pi_powers[m] for m in zeta_ns}
-                return values[0], values[1][n]
-            return base
+        @lru_cache(maxsize=1)  # one rung at a time: zeta_H(n, (2M+1+x)/2) / pi^n for every zeta-mode n and node x
+        def zeta_rows(order):
+            return [{m: (z[m] / pi_powers[m])._mpf_ for m in zeta_ns}
+                    for z in (_hurwitz_zetas(zeta_ns, mp.ldexp(mp.fadd(2 * ZETA_LOBES + 1, x, exact=True), -1))
+                              for x, _ in _legendre_rule(order, dps))]
 
-        pieces: list[Piece] = [_pointwise(j * pi, (j + 1) * pi, _lobe) for j in range(lobes)]
+        def lobe(j) -> Piece:  # h = cos(pi x/2) / ((pi/2)(2j+1+x)), 2j+1+x exact and h rounded once, and g = 1
+            def nodes(rule):
+                ds = [mpf_mul(half_pi, mpf_add(from_int(2 * j + 1), x._mpf_, 0), bits + COS_GUARD) for x, _ in rule]
+                return [mpf_div(c, d, bits, round_nearest) for c, d in zip(_cosines(len(ds), dps), ds)], [fone] * len(ds)
+            return j * pi, (j + 1) * pi, nodes
+
+        def panel(n) -> Piece:
+            def nodes(rule):  # h = cos(pi x/2), and g = zeta_H(n, (2M+1+x)/2) / pi^n
+                return ([mpf_pos(c, bits, round_nearest) for c in _cosines(len(rule), dps)],
+                        [row[n] for row in zeta_rows(len(rule))])
+            return mp.mpf(0), pi, nodes
+
+        pieces: list[Piece] = [lobe(j) for j in range(max(modes[n][1] for n in ns))]
         setups = {}
         for n in ns:
             mode, count = modes[n]
@@ -601,7 +593,7 @@ def _sinc_estimates(ns: list[int], prec: Precision) -> dict[int, QuadEstimate | 
                 setups[n] = range(count), mp.sqrt(n), mp.mpf(0), cutoff_tail_bound(n, cutoff), cutoff
             else:
                 setups[n] = (*range(count), len(pieces)), mp.sqrt(n), mp.mpf(0), mp.mpf(0), mp.inf
-                pieces.append(_pointwise(mp.mpf(0), pi, panel(n)))
+                pieces.append(panel(n))
         return _integrate(pieces, setups, prec, lambda n: f"sinc_integral(n={n})")
 
 
@@ -636,14 +628,20 @@ def bessel_j_normalized(nu: Nu, t, prec: Precision | None = None) -> BesselEval:
     Evaluated at the working precision for any t >= 0; err_bound is the
     working-precision floor, which covers the kernel's absolute error.
     """
-    prec = prec or Precision()
-    with mp.workdps(prec.working_dps):
+    dps, floor = _kernel_floor(prec)
+    with mp.workdps(dps):
         tt = mp.mpf(t)
         if tt < 0:
             raise ValueError("t must be nonnegative")
         value = _f_nu(nu.value, tt)
-        err = mp.mpf(10) ** (1 - prec.working_dps) * (1 + abs(value))
+        err = floor * (1 + abs(value))
         return BesselEval(nu=nu, t=+tt, value=value, err_bound=+err)
+
+
+@lru_cache(maxsize=16)
+def _kernel_floor(prec: Precision | None) -> tuple[int, mp.mpf]:  # (dps, 10^(1 - dps)), prec's working dps
+    with mp.workdps((prec or Precision()).working_dps):
+        return mp.mp.dps, mp.mpf(10) ** (1 - mp.mp.dps)
 
 
 def _f_slope(v: Fraction, t: mp.mpf, prec: int) -> tuple[mp.mpf, mp.mpf]:
@@ -1021,12 +1019,14 @@ def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision,
                 series = _taylor_series(v, (a + b) / 2, (b - a) / 2)
                 return a, b, lambda rule: _direct_nodes(series, rule)
 
-            half_q = mp.mpf(q) / 2
+            half_q, half_y = mp.mpf(q) / 2, mp.power(bounds[1], mp.mpf(2) / q) / 2
 
-            def first_sub(y):  # (|f_nu(t)|, q/2 y^{p-1}) at t = y^{q/2}, the weight exact
-                return abs(_f_nu(v, mp.power(y, half_q))), mp.fmul(y ** (p - 1), half_q, exact=True)
+            def first(rule):  # (|f_nu(t)|, q/2 y^{p-1}) at t = y^{q/2}, y = half_y (1 + x) rounded
+                ys = [half_y + half_y * x for x, _ in rule]
+                return ([abs(_f_nu(v, mp.power(y, half_q)))._mpf_ for y in ys],
+                        [mp.fmul(y ** (p - 1), half_q, exact=True)._mpf_ for y in ys])
 
-            pieces: list[Piece] = [_pointwise(mp.mpf(0), mp.power(bounds[1], mp.mpf(2) / q), first_sub)]
+            pieces: list[Piece] = [(mp.mpf(0), 2 * half_y, first)]
             pieces += [direct(a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
             _FAMILY.clear()
             family = _FAMILY[key] = [bounds, pieces, None]

@@ -380,11 +380,12 @@ def inequalities_suite() -> list[VerifyReport]:
 
         # tested assumption: the normalized kernel never exceeds 1
         bounded = True
+        slack = 1 + mp.mpf(10) ** (-25)
         for v in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 3)):
             nu = Nu(v)
             for i in range(1, 201):
                 t = mp.mpf(i) / 10
-                if abs(bessel_j_normalized(nu, t).value) > 1 + mp.mpf(10) ** (-25):
+                if abs(bessel_j_normalized(nu, t).value) > slack:
                     bounded = False
         reports.append(VerifyReport(
             id="normalized-kernel-bounded",

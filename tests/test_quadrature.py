@@ -380,6 +380,98 @@ class TestHurwitzZetas:
                         assert abs(got[n] - ref) <= ulp * 9 / 16, (n, a)
 
 
+def fraction(x: mp.mpf) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def ulp(x: mp.mpf, prec: int) -> mp.mpf:
+    """The unit in the last place of x in a prec-bit format."""
+    _, _, exp, bc = x._mpf_
+    return mp.ldexp(1, exp + bc - prec)
+
+
+class TestSincNodes:
+    # lobe j's node for a rule node x is t = (pi/2)(2j+1+x), taken exactly: its
+    # value is |sin t|/t at that t, rounded once, and the panel's zeta argument
+    # is M + (1+x)/2 exactly, M = ZETA_LOBES; a rounded t moves |sin t| near
+    # t = j pi by far more than an ulp
+    @staticmethod
+    def ladder_inputs(monkeypatch, ns, prec) -> dict:
+        """The pieces and the total of each n that _sinc_estimates(ns, prec)
+        hands to and gets from _ladder, and the largest rule order it used."""
+        seen = {"orders": []}
+        ladder, rule = quadrature._ladder, quadrature._legendre_rule
+
+        def spy(pieces, *args):
+            out = ladder(pieces, *args)
+            seen["pieces"], seen["totals"] = pieces, {n: total for n, (total, _) in out.items()}
+            return out
+
+        monkeypatch.setattr(quadrature, "_ladder", spy)
+        monkeypatch.setattr(quadrature, "_legendre_rule", lambda order, dps: seen["orders"].append(order) or rule(order, dps))
+        _sinc_estimates(ns, prec)
+        monkeypatch.undo()
+        return seen
+
+    @pytest.mark.parametrize("order, digits", [(16, 30), (64, 30), (256, 60)])
+    def test_lobe_nodes_round_the_exact_node_value(self, monkeypatch, order, digits):
+        prec = Precision(decimal_digits=digits)
+        pieces = self.ladder_inputs(monkeypatch, [3], prec)["pieces"]
+        assert len(pieces) == quadrature.ZETA_LOBES + 1
+        dps = prec.working_dps
+        rule = _legendre_rule(order, dps)
+        with mp.workdps(dps):
+            bits = mp.mp.prec
+            for j in (0, 1, 23):
+                hs, gs = pieces[j][2](rule)
+                assert gs == [mp.mpf(1)._mpf_] * order
+                for (x, _), h in zip(rule, hs):
+                    h = mp.make_mpf(h)
+                    with mp.extradps(60):
+                        t = mp.pi / 2 * (2 * j + 1 + x)
+                        ref = abs(mp.sin(t)) / t
+                        assert abs(h - ref) <= ulp(h, bits) / 2 + mp.ldexp(ref, -bits - 10), (j, x)
+
+    @pytest.mark.parametrize("order", [16, 64])
+    def test_panel_zeta_argument_is_exact(self, monkeypatch, order):
+        prec = Precision()
+        pieces = self.ladder_inputs(monkeypatch, [2, 3], prec)["pieces"]
+        rule = _legendre_rule(order, prec.working_dps)
+        asked = []
+        real = quadrature._hurwitz_zetas
+        monkeypatch.setattr(quadrature, "_hurwitz_zetas", lambda ns, a: asked.append(a) or real(ns, a))
+        with mp.workdps(prec.working_dps):
+            hs, _ = pieces[-1][2](rule)
+            again, _ = pieces[-2][2](rule)  # the other panel reads the same rung
+        assert [fraction(a) for a in asked] == [quadrature.ZETA_LOBES + (1 + fraction(x)) / 2 for x, _ in rule]
+        assert again == hs
+        with mp.workdps(prec.working_dps):
+            bits = mp.mp.prec
+            for (x, _), h in zip(rule, hs):
+                h = mp.make_mpf(h)
+                with mp.extradps(60):
+                    ref = mp.cos(mp.pi * x / 2)
+                    assert abs(h - ref) <= ulp(h, bits) / 2 + mp.ldexp(ref, -bits - 10), x
+
+    def test_sweep_total_within_an_ulp_of_the_exact_gauss_sum(self, monkeypatch):
+        # the Gauss sum of the exact node values, with the ladder's weights w rad:
+        # only the node values' roundings, amplified n times, set the two apart
+        n, prec = 35, Precision()
+        seen = self.ladder_inputs(monkeypatch, [n], prec)
+        dps = prec.working_dps
+        rule = _legendre_rule(max(seen["orders"]), dps)
+        total = seen["totals"][n]
+        with mp.workdps(dps):
+            bits = mp.mp.prec
+            rads = [(b - a) / 2 for a, b, _ in seen["pieces"]]
+            with mp.extradps(60):
+                exact = mp.fsum(rad * w * (abs(mp.sin(t)) / t) ** n
+                                for j, rad in enumerate(rads) for x, w in rule
+                                for t in [mp.pi / 2 * (2 * j + 1 + x)])
+                assert abs(total - exact) <= ulp(total, bits)
+
+
 class TestBesselClosedForms:
     def test_nu1_n2(self):
         est = bessel_integral(ONE, 2)
@@ -1122,8 +1214,10 @@ class TestBatchWork:
     def test_node_values_shared_across_n(self, monkeypatch):
         """On cold memos each sweep evaluates every (piece, order) node once.
 
-        The sinc sweep n = 2..40 makes 2,800 sines (34,336 one n at a
-        time), and its ten zeta panels share one sine and one
+        The sinc sweep n = 2..40 makes 56 sines on a cleared cosine table,
+        one a positive node of each rule it climbs (8 + 16 + 32), and a
+        second sweep at the same precision none (2,800 before the table, one
+        a lobe or panel node).  Its ten zeta panels share one
         Euler-Maclaurin sum a node: 112 sums (16 + 32 + 64 nodes), and no
         mp.zeta call.  The nu = 1 sweep, one batch at the default cutoff,
         makes 1,994 kernel evaluations (31,926 one n at a time): 1,792 at
@@ -1156,9 +1250,13 @@ class TestBatchWork:
         monkeypatch.setattr(quadrature, "_direct_nodes", counted_nodes)
         _MEMO.clear()
         _FAMILY.clear()
+        quadrature._cosines.cache_clear()
         sinc_integrals(range(2, 41))
         bessel_integrals(ONE, range(2, 21))
-        assert calls == {"sin": 2800, "zeta": 0, "panel": 112, "f_nu": 314, "taylor": 1680}
+        assert calls == {"sin": 56, "zeta": 0, "panel": 112, "f_nu": 314, "taylor": 1680}
+        _MEMO.clear()
+        sinc_integrals(range(2, 41))
+        assert calls["sin"] == 56 and calls["panel"] == 224
 
     def test_n2_alone_solves_for_one_zero(self, monkeypatch):
         # a batch of n = 2 alone needs only j_{nu,1}: one Newton solve, not the
