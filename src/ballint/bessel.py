@@ -70,12 +70,10 @@ class Nu:
         return format_rational(self.value)
 
 
-def _rising(nu: Fraction, count: int, start: int = 1) -> Fraction:
-    """(nu+start)(nu+start+1)...(nu+start+count-1)."""
-    out = Fraction(1)
-    for r in range(start, start + count):
-        out *= nu + r
-    return out
+def _rising(p: int, q: int, count: int, start: int = 1) -> int:
+    """q^count (nu+start)(nu+start+1)...(nu+start+count-1) for nu = p/q:
+    the integer product of p + r q over start <= r < start + count."""
+    return math.prod(p + r * q for r in range(start, start + count))
 
 
 def bessel_partial_sum(nu: Nu, k: int) -> EvenPoly:
@@ -86,11 +84,8 @@ def bessel_partial_sum(nu: Nu, k: int) -> EvenPoly:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    v = nu.value
-    coeffs = {}
-    for j in range(k + 1):
-        coeffs[2 * j] = Fraction((-1) ** j, 4**j * math.factorial(j)) / _rising(v, j)
-    return EvenPoly(coeffs)
+    p, q = nu.value.numerator, nu.value.denominator
+    return EvenPoly({2 * j: Fraction((-q) ** j, 4**j * math.factorial(j) * _rising(p, q, j)) for j in range(k + 1)})
 
 
 def bessel_aj(nu: Nu, j: int, k: int) -> Fraction:
@@ -104,13 +99,15 @@ def bessel_aj(nu: Nu, j: int, k: int) -> Fraction:
         raise ValueError("j must be nonnegative")
     if k < 1:
         raise ValueError("k must be at least 1")
-    v = nu.value
-    total = Fraction(0)
-    rising = Fraction(1)  # (nu+1)...(nu+i)
-    for i in range(0, min(j, k) + 1):
-        total += Fraction((-1) ** i, math.factorial(j - i) * math.factorial(i)) / ((v + 1) ** (j - i) * rising)
-        rising *= v + i + 1
-    return total
+    # over j! (p+q)^j R, R = (p+q)(p+2q)...(p+top q), term i is
+    # (-1)^i q^j binom(j, i) (p+q)^i (p+(i+1)q)...(p+top q)
+    p, q = nu.value.numerator, nu.value.denominator
+    top = min(j, k)
+    total, tail = 0, 1  # tail = (p+(i+1)q)...(p+top q)
+    for i in range(top, -1, -1):
+        total += math.comb(j, i) * (-(p + q)) ** i * tail
+        tail *= p + i * q
+    return Fraction(q**j * total, math.factorial(j) * (p + q) ** j * _rising(p, q, top))
 
 
 def bessel_moment_ratio(nu: Nu, j: int) -> Fraction:
@@ -120,8 +117,8 @@ def bessel_moment_ratio(nu: Nu, j: int) -> Fraction:
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
-    v = nu.value
-    return Fraction(4 * (v + 1)) ** j * _rising(v, j, start=0)
+    p, q = nu.value.numerator, nu.value.denominator
+    return Fraction((4 * (p + q)) ** j * _rising(p, q, j, start=0), q ** (2 * j))
 
 
 @dataclass(frozen=True)

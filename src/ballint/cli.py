@@ -7,6 +7,7 @@ failure (the message then carries the best estimate reached).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -241,8 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser as it was, so one serves every main call of a process
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

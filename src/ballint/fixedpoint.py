@@ -66,13 +66,16 @@ def _fresh_terms(hs: Sequence[tuple], gs: Sequence[tuple], n: int, wp: int) -> t
     wp bits, their sum short of the exact one by at most E units; k = 0 if
     every term is exactly 0.
 
-    Each term is a floating binary power with wp-bit mantissas (_power),
-    c = 2 bitcount(n) floored products (n more if some h has more than wp
-    bits), so it is short by at most rho = c 2^(1-wp) of its value; floored
-    to the unit, the N terms' sum S is short by at most N + 2 rho (S + N),
-    as rho <= 1/2 (ArithmeticError otherwise).
+    Each term is a floating binary power with wp-bit mantissas (_power)
+    times g.  Every floored product is short by under 2^(1-wp) of itself,
+    and the later squarings double that: a floor in h^(2^i) counts
+    floor(n/2^i) times in h^n.  So the power counts at most n - 1 of them,
+    and the term, with g floored and multiplied in, c = n + 1 (n more if
+    some h has more than wp bits): it is short by at most rho = c 2^(1-wp)
+    of its value.  Floored to the unit, the N terms' sum S is short by at
+    most N + 2 rho (S + N), as rho <= 1/2 (ArithmeticError otherwise).
     """
-    c = 2 * n.bit_length() + (n if any(h[3] > wp for h in hs) else 0)
+    c = n + 1 + (n if any(h[3] > wp for h in hs) else 0)
     if c > 1 << (wp - 2):
         raise ArithmeticError(f"n = {n} is too large for {wp}-bit power sums")
     terms = [_mul(_floor_bits(g, wp), _power(_floor_bits(h, wp), n, wp), wp) for h, g in zip(hs, gs)]

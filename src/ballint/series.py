@@ -14,6 +14,8 @@ each monomial x^w of it has i < w <= 2i (i >= 1); row 0 is exactly 1.
 moment_coeffs finishes the three-stage pipeline that sinc and bessel share:
 given a pipeline's a_j and the moments of its Gaussian weight, it collects
 the power and integrates each row, giving the exact coefficient of 1/n^i.
+It reads the collector's integer rows directly; nseries_pow_binomial is
+the same rows as an InvNSeries of EvenPolys.
 """
 
 from __future__ import annotations
@@ -140,23 +142,20 @@ def _log_coeffs(a: Mapping[int, Rat], top: int) -> list[Fraction]:
     aa = [Fraction(a.get(j, 0)) for j in range(top + 1)]
     b = [Fraction(0)] * (top + 1)
     for j in range(2, top + 1):
-        b[j] = aa[j] - sum((k * b[k] * aa[j - k] for k in range(2, j - 1)), Fraction(0)) / j
+        # the sum over the lcm of its terms' denominators, one Fraction a j
+        terms = [(k * b[k].numerator * aa[j - k].numerator, b[k].denominator * aa[j - k].denominator)
+                 for k in range(2, j - 1) if b[k] and aa[j - k]]
+        den = math.lcm(*(d for _, d in terms))
+        b[j] = aa[j] - Fraction(sum(v * (den // d) for v, d in terms), j * den)
     return b
 
 
-def collect_binomial_rows(a: Mapping[int, Rat], max_row: int, max_w: int) -> list[dict[int, Fraction]]:
-    """Rows of [1 + sum a_j t^{2j}/n^j]^n, keeping t^{2w} with w <= max_w.
-
-    Returns dicts mapping w (half the t-exponent) to the exact coefficient
-    of t^{2w} / n^i for each row i <= max_row.  Shared by the order-m
-    expansion (max_row = m, max_w = 2m) and by the wider bookkeeping table
-    that mirrors the degree-28 fixture (max_row = 13, max_w = 14).  Only
-    a_j with 2 <= j <= min(max_row + 1, max_w) are read; a missing one is 0.
-    """
+def _binomial_rows(a: Mapping[int, Rat], max_row: int, max_w: int) -> list[tuple[int, dict[int, int]]]:
+    """collect_binomial_rows as (d_i, {w: integer numerator}) per row, each
+    row over its one denominator d_i, reduced."""
     b = _log_coeffs(a, min(max_row + 1, max_w))
     # grade k of the log, with the factor k of E' = L' E: shift k + 1, value p / q
     grades = [(k, k * b[k + 1].numerator, b[k + 1].denominator) for k in range(1, len(b) - 1) if b[k + 1]]
-    # each row as integer numerators over one denominator, reduced once per row
     rows: list[tuple[int, dict[int, int]]] = [(1, {0: 1})]
     for i in range(1, max_row + 1):
         terms = [(k + 1, p, q * rows[i - k][0], rows[i - k][1]) for k, p, q in grades if k <= i]
@@ -170,7 +169,19 @@ def collect_binomial_rows(a: Mapping[int, Rat], max_row: int, max_w: int) -> lis
         acc = {w: v for w, v in acc.items() if v}
         g = math.gcd(den * i, *acc.values())
         rows.append((den * i // g, {w: v // g for w, v in acc.items()}))
-    return [{w: Fraction(v, d) for w, v in row.items()} for d, row in rows]
+    return rows
+
+
+def collect_binomial_rows(a: Mapping[int, Rat], max_row: int, max_w: int) -> list[dict[int, Fraction]]:
+    """Rows of [1 + sum a_j t^{2j}/n^j]^n, keeping t^{2w} with w <= max_w.
+
+    Returns dicts mapping w (half the t-exponent) to the exact coefficient
+    of t^{2w} / n^i for each row i <= max_row.  Shared by the order-m
+    expansion (max_row = m, max_w = 2m) and by the wider bookkeeping table
+    that mirrors the degree-28 fixture (max_row = 13, max_w = 14).  Only
+    a_j with 2 <= j <= min(max_row + 1, max_w) are read; a missing one is 0.
+    """
+    return [{w: Fraction(v, d) for w, v in row.items()} for d, row in _binomial_rows(a, max_row, max_w)]
 
 
 def nseries_pow_binomial(a: Mapping[int, Rat], m: int) -> InvNSeries:
@@ -193,8 +204,13 @@ def moment_coeffs(a: Mapping[int, Rat], m: int, moment: Callable[[int], Rat]) ->
     Collects [1 + sum_j a_j t^{2j}/n^j]^n through order m and integrates
     row i against the pipeline's weight: each monomial t^{2w} becomes
     moment(w), the weight's 2w-th moment over its zeroth, so row i turns
-    into sum_w row_i[w] moment(w).
+    into sum_w row_i[w] moment(w).  The moments go over their lcm D once,
+    and row i, integer numerators over d_i, becomes one Fraction over d_i D.
     """
-    series = nseries_pow_binomial(a, m)
-    moments = [moment(w) for w in range(2 * m + 1)]
-    return tuple(sum((v * moments[exp // 2] for exp, v in row.items()), Fraction(0)) for row in series.rows)
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    rows = _binomial_rows(_validate_a(a, m + 1), max_row=m, max_w=2 * m)
+    moments = [Fraction(moment(w)) for w in range(2 * m + 1)]
+    D = math.lcm(*(v.denominator for v in moments))
+    M = [v.numerator * (D // v.denominator) for v in moments]
+    return tuple(Fraction(sum(v * M[w] for w, v in row.items()), d * D) for d, row in rows)

@@ -95,12 +95,12 @@ def sinc_aj(j: int, k: int) -> Fraction:
         raise ValueError("j must be nonnegative")
     if k < 1:
         raise ValueError("k must be at least 1")
-    total = Fraction(0)
-    for i in range(0, min(j, k) + 1):
-        exp_part = Fraction(1, math.factorial(i) * 6**i)
-        sinc_part = Fraction((-1) ** (j - i), math.factorial(2 * (j - i) + 1))
-        total += exp_part * sinc_part
-    return total
+    # over 6^j (2j+1)!, term i is (-6)^(j-i) (2j+1)! / (i! (2j-2i+1)!)
+    total, term = 0, (-6) ** j
+    for i in range(min(j, k) + 1):
+        total += term
+        term = term * (2 * (j - i) + 1) * (2 * (j - i)) // (-6 * (i + 1))
+    return Fraction(total, 6**j * math.factorial(2 * j + 1))
 
 
 def gaussian_moment_ratio(j: int) -> Fraction:

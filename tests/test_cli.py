@@ -12,7 +12,7 @@ import mpmath as mp
 import pytest
 
 import ballint
-from ballint import sinc
+from ballint import cli, sinc
 from ballint.cli import EXIT_OK, EXIT_PRECISION, EXIT_USAGE, EXIT_VERIFY, main
 from ballint.rationals import parse_rational
 
@@ -240,6 +240,19 @@ class TestVerifyCommand:
             main(["verify", "nonsense"])
         assert exc.value.code == EXIT_USAGE
         capsys.readouterr()
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, capsys):
+        # a usage error in between, then the same tables again: byte for byte, from the one parser
+        first = run_cli(capsys, "sinc-coeffs", "--order", "3", "--no-cache")
+        with pytest.raises(SystemExit):
+            main(["sinc-coeffs", "--order", "x"])
+        capsys.readouterr()
+        bessel = run_cli(capsys, "bessel-coeffs", "--nu", "7/3", "--order", "2", "--format", "csv", "--no-cache")
+        assert run_cli(capsys, "sinc-coeffs", "--order", "3", "--no-cache") == first
+        assert run_cli(capsys, "bessel-coeffs", "--nu", "7/3", "--order", "2", "--format", "csv", "--no-cache") == bessel
+        assert cli._parser.cache_info().currsize == 1
 
 
 class TestAppendixCheck:

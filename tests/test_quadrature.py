@@ -1071,15 +1071,19 @@ def dyadic(draw, mantissa_bits: int, lo: int, hi: int) -> Fraction:
 @st.composite
 def power_sum_cases(draw):
     """(hs, gs, ns) as Fractions: 1 to 13 random nodes, h in [0, 1] down to
-    2^-200 (some near 1) and weights from 2^-40 up to 2^90, so a sum may lie
-    anywhere from about 2^100 down to 2^-12000; ns increasing in 2..60, with
-    gaps."""
+    2^-200 (some near 1, some with a full mantissa in [1/2, 1)) and weights
+    from 2^-40 up to 2^90, so a sum may lie anywhere from about 2^100 down
+    to 2^-60000; ns increasing in 2..300, with gaps, the first of them
+    often large enough that a fresh power's rounding shortfall, which grows
+    like n, shows."""
     prec = TestPowerSums.PREC
     count = draw(st.integers(1, 13))
-    hs = [1 - dyadic(draw, prec, -prec - 8, -prec - 1) if draw(st.booleans())
-          else dyadic(draw, prec, -prec - 200, -prec) for _ in range(count)]
+    kinds = (lambda: 1 - dyadic(draw, prec, -prec - 8, -prec - 1),
+             lambda: dyadic(draw, prec, -prec - 200, -prec),
+             lambda: Fraction(draw(st.integers(2 ** (prec - 1), 2**prec - 1)), 2**prec))
+    hs = [draw(st.sampled_from(kinds))() for _ in range(count)]
     gs = [dyadic(draw, prec, -prec - 40, 90 - prec) for _ in range(count)]
-    ns = sorted(draw(st.sets(st.integers(2, 60), min_size=1, max_size=6)))
+    ns = sorted(draw(st.sets(st.integers(2, 300), min_size=1, max_size=6)))
     return hs, gs, ns
 
 
@@ -1103,6 +1107,10 @@ class TestPowerSums:
     # afresh keeps the node at h near 1
     @example(([Fraction(1, 2**15), 1 - Fraction(1, 2**100)], [Fraction(2**90), Fraction(1, 2**40)],
               list(range(2, 14))))
+    # one node with a full mantissa: every squaring doubles the shortfall of the power it squares,
+    # so binary powering falls short by up to n 2^(1-wp), not 2 bitcount(n) 2^(1-wp)
+    @example(([Fraction(0xbf47bf9c6aba8ad2f50152b198d4b8, 2**120)], [Fraction(1)], [60]))
+    @example(([Fraction(0xb7a419800b1b5ac747d7e3c557db96, 2**120)], [Fraction(1)], [1023]))
     def test_matches_correctly_rounded_exact_sum(self, case):
         hs, gs, ns = case
         raw_h, raw_g = [self.raw(h) for h in hs], [self.raw(g) for g in gs]

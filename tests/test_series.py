@@ -221,6 +221,84 @@ class TestLogStage:
         assert b[2] == -8 * sigma2
 
 
+def reference_sinc_aj(j: int, k: int) -> Fraction:
+    """sinc_aj as a sum of Fractions, one per term."""
+    return sum((Fraction((-1) ** (j - i), math.factorial(i) * 6**i * math.factorial(2 * (j - i) + 1))
+                for i in range(min(j, k) + 1)), Fraction(0))
+
+
+def reference_rising(nu: Fraction, count: int, start: int = 1) -> Fraction:
+    """(nu+start)(nu+start+1)...(nu+start+count-1) as a Fraction."""
+    out = Fraction(1)
+    for r in range(start, start + count):
+        out *= nu + r
+    return out
+
+
+def reference_bessel_aj(nu: Fraction, j: int, k: int) -> Fraction:
+    """bessel_aj as a sum of Fractions, one per term."""
+    return sum((Fraction((-1) ** i, math.factorial(j - i) * math.factorial(i))
+                / ((nu + 1) ** (j - i) * reference_rising(nu, i)) for i in range(min(j, k) + 1)), Fraction(0))
+
+
+def reference_moment_coeffs(a, m: int, moment) -> tuple[Fraction, ...]:
+    """moment_coeffs by summing Fraction monomials of the EvenPoly rows."""
+    moments = [moment(w) for w in range(2 * m + 1)]
+    return tuple(sum((v * moments[e // 2] for e, v in row.items()), Fraction(0))
+                 for row in nseries_pow_binomial(a, m).rows)
+
+
+@st.composite
+def rational_nus(draw) -> Fraction:
+    """nu = p/q >= 1/2 with q <= 12, up to 6."""
+    q = draw(st.integers(1, 12))
+    return Fraction(draw(st.integers((q + 1) // 2, 6 * q)), q)
+
+
+class TestIntegerPipeline:
+    """The integer sums and products against the Fraction formulas they replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 8), st.lists(small_fractions, min_size=9, max_size=9),
+           st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=30), min_size=17, max_size=17))
+    def test_moment_coeffs(self, m, a, moments):
+        # a_2..a_10, some of them 0, and moments over unrelated denominators
+        a = dict(enumerate(a, start=2))
+        assert moment_coeffs(a, m, moments.__getitem__) == reference_moment_coeffs(a, m, moments.__getitem__)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 12])
+    def test_sinc(self, m):
+        for k in (m + 1, m + 4):
+            a = {j: reference_sinc_aj(j, k) for j in range(2, m + 2)}
+            assert {j: sinc_aj(j, k) for j in a} == a
+            assert sinc_expansion(m, k).coeffs == reference_moment_coeffs(a, m, ballint.sinc.gaussian_moment_ratio)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_nus(), st.integers(0, 12), st.integers(1, 3))
+    @example(Fraction(1, 2), 12, 1)
+    @example(Fraction(13, 7), 12, 1)
+    @example(Fraction(71, 12), 12, 3)
+    def test_bessel(self, v, m, extra):
+        nu, k = Nu(v), m + extra
+        a = {j: reference_bessel_aj(v, j, k) for j in range(2, m + 2)}
+        assert {j: bessel_aj(nu, j, k) for j in a} == a
+        ratios = [Fraction(4 * (v + 1)) ** w * reference_rising(v, w, start=0) for w in range(2 * m + 1)]
+        assert [ballint.bessel.bessel_moment_ratio(nu, w) for w in range(2 * m + 1)] == ratios
+        want = reference_moment_coeffs(a, m, lambda w: ratios[w] / Fraction(4) ** w)
+        assert bessel_expansion(nu, m, k).gamma_coeffs == want
+        partial = ballint.bessel.bessel_partial_sum(nu, m)
+        assert partial == EvenPoly({2 * j: Fraction((-1) ** j, 4**j * math.factorial(j)) / reference_rising(v, j)
+                                    for j in range(m + 1)})
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_aj_beyond_the_truncation(self, k):
+        # appendix_table reads sinc_aj(j, 8) up to j = 14; verify's bessel-a{j} rows read bessel_aj at k = 8 too
+        for j in range(k + 1, k + 12):
+            assert sinc_aj(j, k) == reference_sinc_aj(j, k), j
+            for v in (Fraction(1, 2), Fraction(1), Fraction(7, 3), Fraction(13, 7)):
+                assert bessel_aj(Nu(v), j, k) == reference_bessel_aj(v, j, k), (v, j)
+
+
 def _counting(fn):
     def wrapper(*args):
         wrapper.calls += 1
