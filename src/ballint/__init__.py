@@ -14,8 +14,8 @@ as an independent oracle for every expansion coefficient.
 
 __version__ = "0.1.0"
 
-from .rationals import Rat, double_factorial, format_rational, parse_rational
-from .series import EvenPoly, InvNSeries, nseries_pow_binomial
+from .rationals import double_factorial, format_rational, parse_rational
+from .series import InvNSeries, nseries_pow_binomial
 from .sinc import (
     SincExpansion,
     sinc_partial_sum,
@@ -57,11 +57,9 @@ from .verify import SUITES, run_suite, suite_exit_code
 
 __all__ = [
     "__version__",
-    "Rat",
     "double_factorial",
     "format_rational",
     "parse_rational",
-    "EvenPoly",
     "InvNSeries",
     "nseries_pow_binomial",
     "SincExpansion",

@@ -15,7 +15,8 @@ exp(-t^2/(4(nu+1))) t^{2nu-1} gives
 with c_0 = (4^nu/2) (nu+1)^nu Gamma(nu) and every gamma_j an exact
 rational function of nu.  At nu = 1/2 the kernel reduces to sinc and the
 gamma_j coincide with the sinc pipeline's coefficients, which the tests
-pin as the keystone identity.
+pin as the keystone identity.  Partial sums are dicts from t-exponent to
+exact coefficient, as in the sinc module.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .rationals import format_rational, to_mpf
-from .series import EvenPoly, moment_coeffs
+from .series import moment_coeffs
 
 __all__ = [
     "Nu",
@@ -76,8 +77,9 @@ def _rising(p: int, q: int, count: int, start: int = 1) -> int:
     return math.prod(p + r * q for r in range(start, start + count))
 
 
-def bessel_partial_sum(nu: Nu, k: int) -> EvenPoly:
-    """Degree-2k Maclaurin partial sum of 2^nu Gamma(nu+1) J_nu(t)/t^nu.
+def bessel_partial_sum(nu: Nu, k: int) -> dict[int, Fraction]:
+    """Degree-2k Maclaurin partial sum of 2^nu Gamma(nu+1) J_nu(t)/t^nu,
+    keyed by the t-exponent 2j.
 
     Coefficient of t^{2j} is (-1)^j / (4^j j! (nu+1)(nu+2)...(nu+j)),
     rational for rational nu; at nu = 1/2 this is the sinc partial sum.
@@ -85,7 +87,7 @@ def bessel_partial_sum(nu: Nu, k: int) -> EvenPoly:
     if k < 0:
         raise ValueError("k must be nonnegative")
     p, q = nu.value.numerator, nu.value.denominator
-    return EvenPoly({2 * j: Fraction((-q) ** j, 4**j * math.factorial(j) * _rising(p, q, j)) for j in range(k + 1)})
+    return {2 * j: Fraction((-q) ** j, 4**j * math.factorial(j) * _rising(p, q, j)) for j in range(k + 1)}
 
 
 def bessel_aj(nu: Nu, j: int, k: int) -> Fraction:
@@ -143,7 +145,7 @@ class BesselExpansion:
 def bessel_expansion(nu: Nu, m: int, k: int | None = None) -> BesselExpansion:
     """Exact gamma_0..gamma_m for rational nu; k defaults to m + 1.
 
-    The collection runs in the variable u = t^2/4 (EvenPoly exponent 2w
+    The collection runs in the variable u = t^2/4 (the row monomial t^{2w}
     standing for u^w); the 4^w from the moment ratio cancels against the
     u-normalization, leaving (nu+1)^w nu(nu+1)...(nu+w-1) per monomial.
     """
@@ -187,19 +189,18 @@ def c0_value(nu: Nu, digits: int = 30) -> mp.mpf:
 def i_nu_at_2(nu: Nu) -> Fraction:
     """Closed form I_nu(2) = 2^{3nu-1} nu! (nu-1)! for positive integer nu.
 
-    Also checks the stated comparison against c_0: equality at nu = 1,
-    strict inequality I_nu(2) < c_0 for nu > 1.
+    Also checks the stated comparison against c_0, equality at nu = 1 and
+    strict inequality I_nu(2) < c_0 for nu > 1, and raises ArithmeticError
+    when it fails.
     """
     if not nu.is_integer:
         raise ValueError("closed form only supported for positive integer nu")
     p = int(nu.value)
     value = Fraction(2) ** (3 * p - 1) * math.factorial(p) * math.factorial(p - 1)
     c0 = c0_exact(nu)
-    assert c0 is not None
-    if p == 1:
-        assert value == c0
-    else:
-        assert value < c0, "closed form exceeds the limiting constant"
+    if p == 1 and value != c0 or p > 1 and value >= c0:
+        raise ArithmeticError(f"I_nu(2) = {value} against c_0 = {c0} at nu = {p}: "
+                              "expected equality at nu = 1 and I_nu(2) < c_0 above")
     return value
 
 

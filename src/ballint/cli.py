@@ -10,13 +10,14 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 
 from .bessel import BesselExpansion, Nu, bessel_expansion
 from .cache import load_coeffs, store_coeffs
 from .quadrature import CUTOFF_MULT_MAX, X_MAX, Precision, PrecisionFailure, bessel_integral, sinc_integral
-from .rationals import Rat, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 from .records import (
     bessel_coeff_records,
     estimate_to_json,
@@ -67,7 +68,7 @@ def _emit_records(records, fmt: str, header: str, order: int) -> None:
         print(records_to_text(records, header))
 
 
-def _cached_coeffs(args, pipeline: str, nu: Rat | None, compute) -> tuple[Rat, ...]:
+def _cached_coeffs(args, pipeline: str, nu: Fraction | None, compute) -> tuple[Fraction, ...]:
     """The exact coefficients of order m = args.order, k = m + 1: from the
     cache, or compute(k) and stored; --no-cache neither reads nor stores."""
     m, k = args.order, args.order + 1

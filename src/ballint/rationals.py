@@ -1,11 +1,11 @@
-"""Exact rational scalars: the Rat type, double factorials, canonical strings.
+"""Exact rational scalars: double factorials, canonical strings.
 
 Every symbolic coefficient in this package is an exact rational.  The
 standard-library Fraction already guarantees the canonical form we need
 (positive denominator, reduced to lowest terms, arbitrary-precision
-integers), so it is the Rat type used throughout; this module adds the
-few scalar helpers the pipelines share and the strict string format used
-by fixtures and machine-readable output.
+integers), so it is used throughout; this module adds the few scalar
+helpers the pipelines share and the strict string format used by
+fixtures and machine-readable output.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ from fractions import Fraction
 
 import mpmath as mp
 
-Rat = Fraction
-
 # canonical literal: optional sign, no leading zeros, denominator >= 2 when present
 _RAT_RE = re.compile(r"(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?\Z")
 
 
-def double_factorial(j: int) -> Rat:
+def double_factorial(j: int) -> Fraction:
     """(2j - 1)!! = (2j-1)(2j-3)...3*1, with the empty product (-1)!! = 1."""
     if j < 0:
         raise ValueError("j must be nonnegative")
@@ -31,12 +29,12 @@ def double_factorial(j: int) -> Rat:
     return Fraction(out)
 
 
-def to_mpf(q: Rat) -> mp.mpf:
+def to_mpf(q: Fraction) -> mp.mpf:
     """q at the ambient precision: the numerator as an mpf, divided once."""
     return mp.mpf(q.numerator) / q.denominator
 
 
-def format_rational(q: Rat) -> str:
+def format_rational(q: Fraction) -> str:
     """Canonical string "p/q" with the denominator omitted when it is 1."""
     q = Fraction(q)
     if q.denominator == 1:
@@ -44,7 +42,7 @@ def format_rational(q: Rat) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text: str) -> Rat:
+def parse_rational(text: str) -> Fraction:
     """Parse a canonical rational string, rejecting anything malformed.
 
     Accepted: an optionally negated integer with no leading zeros, or

@@ -1,8 +1,8 @@
-"""Even polynomials and truncated 1/n series with exact coefficients.
+"""Truncated 1/n series with exact coefficients, and their collection.
 
-EvenPoly is a sparse polynomial in t containing only even powers; it houses
-Maclaurin partial sums and the per-row polynomials of collected expansions.
-InvNSeries is the truncated expansion sum_i row_i(t) / n^i.
+An exact polynomial in t is a dict mapping each t-exponent to a nonzero
+Fraction.  InvNSeries is the truncated expansion sum_i row_i(t) / n^i,
+one such dict per row.
 
 nseries_pow_binomial collects [1 + sum_{j>=2} a_j x^j / n^j]^n, x = t^2, by
 powers of 1/n as exp(n log(...)).  The log b of 1 + sum_j a_j x^j has b_1 = 0,
@@ -14,8 +14,8 @@ each monomial x^w of it has i < w <= 2i (i >= 1); row 0 is exactly 1.
 moment_coeffs finishes the three-stage pipeline that sinc and bessel share:
 given a pipeline's a_j and the moments of its Gaussian weight, it collects
 the power and integrates each row, giving the exact coefficient of 1/n^i.
-It reads the collector's integer rows directly; nseries_pow_binomial is
-the same rows as an InvNSeries of EvenPolys.
+It reads the collector's integer rows directly; nseries_pow_binomial shows
+the same rows as an InvNSeries keyed by the t-exponent 2w.
 """
 
 from __future__ import annotations
@@ -24,87 +24,28 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
-import mpmath as mp
-
-from .rationals import Rat, format_rational, to_mpf
-
-__all__ = ["EvenPoly", "InvNSeries", "nseries_pow_binomial", "collect_binomial_rows", "moment_coeffs"]
-
-
-class EvenPoly:
-    """Sparse exact polynomial in t with even exponents only.
-
-    Zero coefficients are never stored, so structural equality is value
-    equality.  Instances are immutable.
-    """
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Mapping[int, Rat] | None = None):
-        c: dict[int, Fraction] = {}
-        for exp, val in (coeffs or {}).items():
-            exp = int(exp)
-            if exp < 0 or exp % 2 != 0:
-                raise ValueError(f"exponent {exp} is not a nonnegative even integer")
-            v = Fraction(val)
-            if v:
-                c[exp] = v
-        self._c = c
-
-    def items(self) -> list[tuple[int, Fraction]]:
-        """(exponent, coefficient) pairs in increasing exponent order."""
-        return sorted(self._c.items())
-
-    @property
-    def max_degree(self) -> int:
-        return max(self._c, default=0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EvenPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.items()))
-
-    def eval_mpf(self, t) -> mp.mpf:
-        """Value at an mpmath point, Horner in t^2 at current precision."""
-        if not self._c:
-            return mp.mpf(0)
-        s = mp.mpf(t) ** 2
-        acc = mp.mpf(0)
-        for w in range(self.max_degree // 2, -1, -1):
-            acc = acc * s
-            v = self._c.get(2 * w)
-            if v is not None:
-                acc += to_mpf(v)
-        return acc
-
-    def __repr__(self) -> str:
-        if not self._c:
-            return "EvenPoly(0)"
-        parts = [f"{format_rational(v)}*t^{e}" if e else format_rational(v) for e, v in self.items()]
-        return "EvenPoly(" + " + ".join(parts) + ")"
+__all__ = ["InvNSeries", "nseries_pow_binomial", "collect_binomial_rows", "moment_coeffs"]
 
 
 class InvNSeries:
-    """Truncated expansion sum_{i=0}^{order} row_i(t) / n^i with exact rows."""
+    """Truncated expansion sum_{i=0}^{order} row_i(t) / n^i with exact rows,
+    each a dict from t-exponent to coefficient."""
 
     __slots__ = ("_rows",)
 
-    def __init__(self, rows: Sequence[EvenPoly]):
+    def __init__(self, rows: Sequence[dict[int, Fraction]]):
         if not rows:
             raise ValueError("at least row 0 is required")
         self._rows = tuple(rows)
 
     @property
-    def rows(self) -> tuple[EvenPoly, ...]:
+    def rows(self) -> tuple[dict[int, Fraction], ...]:
         return self._rows
 
     def monomials(self) -> Iterator[tuple[int, int, Fraction]]:
         """All (row, exponent, coefficient) entries, row-major, sorted."""
         for i, r in enumerate(self._rows):
-            for exp, v in r.items():
+            for exp, v in sorted(r.items()):
                 yield i, exp, v
 
     def __eq__(self, other: object) -> bool:
@@ -112,14 +53,11 @@ class InvNSeries:
             return NotImplemented
         return self._rows == other._rows
 
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
     def __repr__(self) -> str:
         return f"InvNSeries(order={len(self._rows) - 1}, rows={list(self._rows)!r})"
 
 
-def _validate_a(a: Mapping[int, Rat], min_j_needed: int) -> dict[int, Fraction]:
+def _validate_a(a: Mapping[int, Fraction], min_j_needed: int) -> dict[int, Fraction]:
     if min_j_needed >= 2:
         if not a:
             raise ValueError("insufficient input coefficients: a_j required for 2 <= j <= "
@@ -136,7 +74,7 @@ def _validate_a(a: Mapping[int, Rat], min_j_needed: int) -> dict[int, Fraction]:
     return {int(j): Fraction(v) for j, v in a.items()}
 
 
-def _log_coeffs(a: Mapping[int, Rat], top: int) -> list[Fraction]:
+def _log_coeffs(a: Mapping[int, Fraction], top: int) -> list[Fraction]:
     """b_0..b_top of log(1 + sum_{j>=2} a_j x^j), a missing a_j counting as 0:
     (1 + A) b' = A' gives b_j = a_j - (1/j) sum_{k=2}^{j-2} k b_k a_{j-k}."""
     aa = [Fraction(a.get(j, 0)) for j in range(top + 1)]
@@ -150,7 +88,7 @@ def _log_coeffs(a: Mapping[int, Rat], top: int) -> list[Fraction]:
     return b
 
 
-def _binomial_rows(a: Mapping[int, Rat], max_row: int, max_w: int) -> list[tuple[int, dict[int, int]]]:
+def _binomial_rows(a: Mapping[int, Fraction], max_row: int, max_w: int) -> list[tuple[int, dict[int, int]]]:
     """collect_binomial_rows as (d_i, {w: integer numerator}) per row, each
     row over its one denominator d_i, reduced."""
     b = _log_coeffs(a, min(max_row + 1, max_w))
@@ -172,7 +110,7 @@ def _binomial_rows(a: Mapping[int, Rat], max_row: int, max_w: int) -> list[tuple
     return rows
 
 
-def collect_binomial_rows(a: Mapping[int, Rat], max_row: int, max_w: int) -> list[dict[int, Fraction]]:
+def collect_binomial_rows(a: Mapping[int, Fraction], max_row: int, max_w: int) -> list[dict[int, Fraction]]:
     """Rows of [1 + sum a_j t^{2j}/n^j]^n, keeping t^{2w} with w <= max_w.
 
     Returns dicts mapping w (half the t-exponent) to the exact coefficient
@@ -184,7 +122,7 @@ def collect_binomial_rows(a: Mapping[int, Rat], max_row: int, max_w: int) -> lis
     return [{w: Fraction(v, d) for w, v in row.items()} for d, row in _binomial_rows(a, max_row, max_w)]
 
 
-def nseries_pow_binomial(a: Mapping[int, Rat], m: int) -> InvNSeries:
+def nseries_pow_binomial(a: Mapping[int, Fraction], m: int) -> InvNSeries:
     """Collect [1 + sum_{j>=2} a_j t^{2j}/n^j]^n through order m in 1/n.
 
     Requires a_j for every 2 <= j <= m + 1: row i draws on a_2..a_{i+1}
@@ -193,12 +131,15 @@ def nseries_pow_binomial(a: Mapping[int, Rat], m: int) -> InvNSeries:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    aa = _validate_a(a, m + 1)
-    raw = collect_binomial_rows(aa, max_row=m, max_w=2 * m)
-    return InvNSeries([EvenPoly({2 * w: v for w, v in r.items()}) for r in raw])
+    return _t_series(collect_binomial_rows(_validate_a(a, m + 1), max_row=m, max_w=2 * m))
 
 
-def moment_coeffs(a: Mapping[int, Rat], m: int, moment: Callable[[int], Rat]) -> tuple[Fraction, ...]:
+def _t_series(rows: Sequence[Mapping[int, Fraction]]) -> InvNSeries:
+    """Collected rows, keyed by w, as an InvNSeries keyed by the t-exponent 2w."""
+    return InvNSeries([{2 * w: v for w, v in r.items()} for r in rows])
+
+
+def moment_coeffs(a: Mapping[int, Fraction], m: int, moment: Callable[[int], Fraction]) -> tuple[Fraction, ...]:
     """Exact coefficients of 1/n^0..1/n^m of the integrated expansion.
 
     Collects [1 + sum_j a_j t^{2j}/n^j]^n through order m and integrates

@@ -18,6 +18,7 @@ sqrt(3 pi / 2).  Order m reads a_2..a_{m+1} only, so the coefficients are
 independent of k as long as k >= m + 1, which the pipeline enforces and
 the tests exercise.
 
+Partial sums and table rows are dicts from t-exponent to exact coefficient.
 The module also carries the degree-28 bookkeeping table (rows through
 1/n^13, exponents through t^28) against which the shipped fixture file is
 regression-checked, the printed coefficients, and the erratum ledger for
@@ -37,7 +38,7 @@ from typing import Mapping
 import mpmath as mp
 
 from .rationals import double_factorial, format_rational, parse_rational, to_mpf
-from .series import EvenPoly, InvNSeries, collect_binomial_rows, moment_coeffs
+from .series import InvNSeries, _t_series, collect_binomial_rows, moment_coeffs
 
 __all__ = [
     "SincExpansion",
@@ -76,11 +77,11 @@ APPENDIX_MAX_W = 14     # half the top t-exponent (t^28)
 APPENDIX_K = 8          # truncation index the order-7 pipeline pins
 
 
-def sinc_partial_sum(k: int) -> EvenPoly:
-    """T_k(t) = sum_{j=0}^k (-1)^j t^{2j} / (2j+1)!."""
+def sinc_partial_sum(k: int) -> dict[int, Fraction]:
+    """T_k(t) = sum_{j=0}^k (-1)^j t^{2j} / (2j+1)!, keyed by the exponent 2j."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return EvenPoly({2 * j: Fraction((-1) ** j, math.factorial(2 * j + 1)) for j in range(k + 1)})
+    return {2 * j: Fraction((-1) ** j, math.factorial(2 * j + 1)) for j in range(k + 1)}
 
 
 def sinc_aj(j: int, k: int) -> Fraction:
@@ -164,8 +165,7 @@ def appendix_table(k: int = APPENDIX_K) -> InvNSeries:
     if k < APPENDIX_K:
         raise ValueError(f"k must be at least {APPENDIX_K}")
     a = {j: sinc_aj(j, k) for j in range(2, APPENDIX_MAX_W + 1)}
-    raw = collect_binomial_rows(a, max_row=APPENDIX_MAX_ROW, max_w=APPENDIX_MAX_W)
-    return InvNSeries([EvenPoly({2 * w: v for w, v in r.items()}) for r in raw])
+    return _t_series(collect_binomial_rows(a, max_row=APPENDIX_MAX_ROW, max_w=APPENDIX_MAX_W))
 
 
 def _data_text(name: str) -> str:

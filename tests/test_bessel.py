@@ -20,6 +20,7 @@ from ballint.bessel import (
     c0_value,
     i_nu_at_2,
 )
+from ballint.rationals import to_mpf
 from ballint.sinc import sinc_aj, sinc_expansion, sinc_partial_sum
 
 NUS = [Nu(Fraction(1, 2)), Nu(Fraction(1)), Nu(Fraction(3, 2)),
@@ -80,7 +81,7 @@ class TestPartialSum:
 
     def test_nu_one_coefficients(self):
         p = bessel_partial_sum(Nu(Fraction(1)), 2)
-        assert p.items() == [(0, Fraction(1)), (2, Fraction(-1, 8)), (4, Fraction(1, 192))]
+        assert p == {0: Fraction(1), 2: Fraction(-1, 8), 4: Fraction(1, 192)}
 
     def test_matches_library_bessel(self):
         # 2^nu Gamma(nu+1) J_nu(t) / t^nu at small t, where the degree-12
@@ -91,7 +92,8 @@ class TestPartialSum:
                 v = mp.mpf(nu.value.numerator) / nu.value.denominator
                 t = mp.mpf(1) / 3
                 want = mp.power(2, v) * mp.gamma(v + 1) * mp.besselj(v, t) / mp.power(t, v)
-                assert abs(p.eval_mpf(t) - want) < mp.mpf(10) ** -14
+                got = mp.polyval([to_mpf(p[e]) for e in range(12, -1, -2)], t * t)
+                assert abs(got - want) < mp.mpf(10) ** -14
 
     def test_negative_k(self):
         with pytest.raises(ValueError):
@@ -241,6 +243,14 @@ class TestINuAt2:
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             i_nu_at_2(Nu(Fraction(3, 2)))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_failed_comparison_raises(self, monkeypatch, p):
+        # a c_0 halved breaks equality at nu = 1 and I_nu(2) < c_0 above;
+        # the check must raise, not vanish under python -O as an assert would
+        monkeypatch.setattr("ballint.bessel.c0_exact", lambda nu: c0_exact(nu) / 2)
+        with pytest.raises(ArithmeticError, match="c_0"):
+            i_nu_at_2(Nu(Fraction(p)))
 
 
 class TestTailBound:

@@ -1,11 +1,13 @@
-"""Sparse even polynomials and the collection of [1 + S]^n by powers of 1/n.
+"""The collection of [1 + S]^n by powers of 1/n, and the shape of its rows.
 
 The central oracle: for every fixed integer n0, expanding [1 + S]^{n0}
 directly by repeated truncated multiplication must agree monomial by
 monomial with regrouping the collected rows at n = n0, because the
 collection is an exact polynomial identity in n.  A second, independent
 derivation, Newton's binomial formula, is kept here as a reference for the
-log-exp recurrence of the library collector.
+log-exp recurrence of the library collector.  Rows keyed by the t-exponent
+are checked for the shape the collection guarantees: even, nonnegative
+exponents, at most 4i in row i, and no zero coefficient.
 """
 
 import json
@@ -22,46 +24,15 @@ import ballint.sinc
 from ballint.bessel import Nu, bessel_aj, bessel_expansion
 from ballint.rationals import format_rational
 from ballint.series import (
-    EvenPoly,
     InvNSeries,
     _log_coeffs,
     collect_binomial_rows,
     moment_coeffs,
     nseries_pow_binomial,
 )
-from ballint.sinc import sinc_aj, sinc_expansion
+from ballint.sinc import appendix_table, sinc_aj, sinc_expansion
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=12)
-
-
-class TestEvenPoly:
-    def test_rejects_odd_or_negative_exponents(self):
-        with pytest.raises(ValueError):
-            EvenPoly({3: Fraction(1)})
-        with pytest.raises(ValueError):
-            EvenPoly({-2: Fraction(1)})
-
-    def test_zero_coefficients_dropped(self):
-        assert EvenPoly({2: Fraction(0), 4: Fraction(1)}) == EvenPoly({4: Fraction(1)})
-
-    @given(st.dictionaries(st.integers(0, 6).map(lambda w: 2 * w), small_fractions, max_size=5),
-           st.fractions(min_value=-2, max_value=2, max_denominator=8))
-    def test_eval_matches_horner_reference(self, coeffs, t):
-        # exact monomial sum at a rational point against eval_mpf's Horner
-        # scheme in t^2; no term exceeds 3 * 2^12, so at 40 digits the
-        # rounding stays some eight orders below the 1e-25 margin
-        p = EvenPoly(coeffs)
-        reference = sum((v * t**e for e, v in coeffs.items()), Fraction(0))
-        with mp.workdps(40):
-            got = p.eval_mpf(mp.mpf(t.numerator) / t.denominator)
-            assert abs(got - mp.mpf(reference.numerator) / reference.denominator) < mp.mpf(10) ** -25
-
-    def test_eval_mpf_tracks_exact(self):
-        p = EvenPoly({0: Fraction(1), 2: Fraction(-1, 6), 4: Fraction(1, 120)})
-        want = 1 - Fraction(9, 49) / 6 + Fraction(9, 49) ** 2 / 120  # p at t = 3/7
-        with mp.workdps(30):
-            got = p.eval_mpf(mp.mpf(3) / 7)
-            assert abs(got - mp.mpf(want.numerator) / want.denominator) < mp.mpf(10) ** -25
 
 
 def _pow_truncated(a: dict[int, Fraction], n0: int, max_w: int) -> dict[int, Fraction]:
@@ -190,7 +161,7 @@ class TestNseriesPowBinomial:
         a = {j: Fraction(1, j * j) for j in range(2, 7)}
         series = nseries_pow_binomial(a, 3)
         raw = collect_binomial_rows(a, max_row=3, max_w=6)
-        assert series.rows == tuple(EvenPoly({2 * w: v for w, v in r.items()}) for r in raw)
+        assert series.rows == tuple({2 * w: v for w, v in r.items()} for r in raw)
 
 class TestInvNSeries:
     def test_requires_rows(self):
@@ -198,8 +169,32 @@ class TestInvNSeries:
             InvNSeries([])
 
     def test_monomials_sorted_row_major(self):
-        series = InvNSeries([EvenPoly({0: Fraction(1)}), EvenPoly({4: Fraction(-1, 180)})])
-        assert list(series.monomials()) == [(0, 0, Fraction(1)), (1, 4, Fraction(-1, 180))]
+        series = InvNSeries([{0: Fraction(1)}, {4: Fraction(-1, 180)},
+                             {8: Fraction(1, 64800), 6: Fraction(-1, 2835)}])
+        assert list(series.monomials()) == [(0, 0, Fraction(1)), (1, 4, Fraction(-1, 180)),
+                                            (2, 6, Fraction(-1, 2835)), (2, 8, Fraction(1, 64800))]
+
+
+def assert_row_shape(series: InvNSeries) -> None:
+    """Row i holds even exponents 0 <= e <= 4i, each with a nonzero coefficient."""
+    for i, row in enumerate(series.rows):
+        assert all(e >= 0 and e % 2 == 0 and e <= 4 * i for e in row), (i, row)
+        assert all(row.values()), (i, row)
+
+
+class TestRowShape:
+    @pytest.mark.parametrize("k", [8, 14])
+    def test_appendix_table(self, k):
+        assert_row_shape(appendix_table(k))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(small_fractions, max_size=9))
+    # log b_2..b_5 = 1, 1, -1/2, 0: the t^12 coefficient of row 4,
+    # b_2 b_4 + b_3^2 / 2, cancels and must be dropped
+    @example([Fraction(1), Fraction(1), Fraction(0), Fraction(1)])
+    def test_nseries_pow_binomial(self, a):
+        # a_2..a_{m+1}, some of them 0, is exactly what order m reads
+        assert_row_shape(nseries_pow_binomial(dict(enumerate(a, start=2)), len(a)))
 
 
 class TestLogStage:
@@ -242,7 +237,7 @@ def reference_bessel_aj(nu: Fraction, j: int, k: int) -> Fraction:
 
 
 def reference_moment_coeffs(a, m: int, moment) -> tuple[Fraction, ...]:
-    """moment_coeffs by summing Fraction monomials of the EvenPoly rows."""
+    """moment_coeffs by summing Fraction monomials of the nseries_pow_binomial rows."""
     moments = [moment(w) for w in range(2 * m + 1)]
     return tuple(sum((v * moments[e // 2] for e, v in row.items()), Fraction(0))
                  for row in nseries_pow_binomial(a, m).rows)
@@ -287,8 +282,8 @@ class TestIntegerPipeline:
         want = reference_moment_coeffs(a, m, lambda w: ratios[w] / Fraction(4) ** w)
         assert bessel_expansion(nu, m, k).gamma_coeffs == want
         partial = ballint.bessel.bessel_partial_sum(nu, m)
-        assert partial == EvenPoly({2 * j: Fraction((-1) ** j, 4**j * math.factorial(j)) / reference_rising(v, j)
-                                    for j in range(m + 1)})
+        assert partial == {2 * j: Fraction((-1) ** j, 4**j * math.factorial(j)) / reference_rising(v, j)
+                           for j in range(m + 1)}
 
     @pytest.mark.parametrize("k", [1, 2, 8])
     def test_aj_beyond_the_truncation(self, k):
