@@ -10,10 +10,11 @@ Integration strategy: |f|^n is smooth except at the zeros of f, so the
 domain is split there (multiples of pi for sinc, the zeros of J_nu for
 Bessel, found by Newton's method on the kernel and proven complete by a
 Sturm comparison) and each smooth piece gets a fixed-order
-Gauss-Legendre rule.  Each order's roots are found once
-(_legendre_rule: Halley's method from Tricomi's starts, in fixed point)
-and held at the widest precision asked for; a narrower rule rounds them,
-and a wider one refines them.  One function (_integrate) refines the
+Gauss-Legendre rule.  The rules come from legendre._legendre_rule, which
+holds each order's roots at the widest precision asked for: orders 16 to
+256 are read at 75 digits from data/legendre_roots.txt, any other is found
+by Halley's method; a narrower rule rounds them, and a wider one refines
+them.  One function (_integrate) refines the
 whole subdivision together, doubling the order until two successive
 totals, times sqrt(n) or n^nu, agree below target/2, in one pass at the
 working precision, so the node set is a deterministic function of the
@@ -83,6 +84,7 @@ from mpmath.libmp import (fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_mu
 
 from .bessel import Nu, amplitude, bessel_tail_bound
 from .fixedpoint import power_sums, round_total
+from .legendre import _legendre_rule
 from .rationals import to_mpf
 from .sinc import cutoff_tail_bound, sinc_expansion
 
@@ -194,108 +196,6 @@ class PrecisionFailure(ArithmeticError):
     def __init__(self, message: str, estimate: QuadEstimate):
         super().__init__(message)
         self.estimate = estimate
-
-
-# Positive roots of P_order, decreasing, and P' at each, as integers scaled
-# by 2^wp at the widest wp = prec + 32 asked for so far: {order: (wp, roots, slopes)}.
-_ROOTS: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
-
-
-def _legendre_start(order: int, k: int) -> float:
-    """Tricomi's estimate of the k-th largest root of P_order, within O(order^-4)."""
-    theta = math.pi * (4 * k - 1) / (4 * order + 2)
-    return (1 - (order - 1) / (8 * order**3)
-            - (39 - 28 / math.sin(theta) ** 2) / (384 * order**4)) * math.cos(theta)
-
-
-def _legendre_pair(order: int, x: int, wp: int) -> tuple[int, int]:
-    """(P_{order-1}(x), P_order(x)) by the stable forward recurrence, x and
-    both values scaled by 2^wp."""
-    p0, p1 = 1 << wp, x
-    for j in range(2, order + 1):
-        p0, p1 = p1, (((2 * j - 1) * x * p1 >> wp) - (j - 1) * p0) // j
-    return p0, p1
-
-
-def _legendre_roots(order: int, prec: int) -> None:
-    """Find the positive roots of P_order at wp = prec + 32 bits, from
-    Tricomi's starts or from the roots held at a narrower wp, store them in
-    _ROOTS and prove the set complete (see _legendre_rule)."""
-    wp = prec + 32
-    one = 1 << wp
-    nn1 = order * (order + 1)
-    held = _ROOTS.get(order)
-    if held is None:
-        starts = [int(math.ldexp(_legendre_start(order, k), 53)) << (wp - 53)
-                  for k in range(1, order // 2 + 1)]
-    else:
-        starts = [x << (wp - held[0]) for x in held[1]]
-    roots, slopes = [], []
-    for x in starts:
-        for _ in range(100):
-            p0, p1 = _legendre_pair(order, x, wp)
-            d = (x * x >> wp) - one             # x^2 - 1
-            dp = (order * ((x * p1 >> wp) - p0) << wp) // d   # P'
-            ddp = ((nn1 * p1 - (2 * x * dp >> wp)) << wp) // d  # P'', from the ODE
-            u = (p1 << wp) // dp                 # P / P'
-            dx = (u << wp) // (one - (u * ddp // (2 * dp)))
-            x -= dx
-            if abs(dx) < 1 << (wp - prec - 8):
-                break
-        roots.append(x)
-        slopes.append(dp - (ddp * dx >> wp))
-    bounds = [one, *roots, 0]
-    if not all(a - b > 1 << (wp - prec) for a, b in zip(bounds, bounds[1:])):
-        raise ArithmeticError(f"Gauss-Legendre order {order}: the positive roots found "
-                              f"are not {order // 2} distinct points of (0, 1)")
-    _ROOTS[order] = wp, tuple(roots), tuple(slopes)
-
-
-@lru_cache(maxsize=64)
-def _legendre_rule(order: int, dps: int) -> tuple:
-    """Gauss-Legendre (node, weight) pairs on [-1, 1] for an even order at dps.
-
-    The positive roots of P = P_order are found once per order and held in
-    _ROOTS, with P' at each, as Python integers in fixed point at wp = prec + 32
-    bits (prec: the binary precision of dps); the 32 guard bits absorb the
-    rounding of the stable forward recurrence.
-
-    - Start: Tricomi's x_k = (1 - (N-1)/(8N^3) - (39 - 28/sin^2 t_k)/(384N^4)) cos t_k,
-      t_k = pi (4k - 1)/(4N + 2), N = order, within O(N^-4) of the k-th largest
-      root (Hale and Townsend, SIAM J. Sci. Comput. 35, 2013).
-    - Step: Halley's, dx = u / (1 - u P''/(2P')) with u = P/P', where P'' comes
-      free from the Legendre ODE, (1 - x^2) P'' = 2x P' - N(N+1) P.  It stops
-      once |dx| < 2^-(prec+8), about three recurrences a root.
-    - Weight: 2 / ((1 - x^2) P'(x)^2) in mpf at the held wp, with P' at the
-      final iterate x = x_prev - dx taken as P'(x_prev) - P''(x_prev) dx.  The
-      dropped term, about N^4 dx^2 relative, is below N^4 2^-(2 prec + 16),
-      far inside the guard bits; no recurrence is run for the weight.
-    - Completeness: the N/2 roots must be strictly decreasing in (0, 1), each
-      gap (to 1 and 0 too) wider than 2^-prec, or ArithmeticError is raised.
-      P_N has exactly N/2 positive roots, so none was found twice or missed.
-
-    A request at a wider wp than the one held starts from the held roots,
-    shifted up, so each takes about two recurrences, and replaces the entry.
-    A narrower request runs no step: the node, and the weight computed at
-    the held wp, are rounded to prec.  Whatever wp is held, both carry about
-    28 correct bits beyond prec, so the rounded values are the correctly
-    rounded ones, the same as a fresh build at dps would give, unless the
-    true value lies within about 2^-28 ulp of a rounding tie.
-    """
-    if order % 2:
-        raise ValueError("Gauss-Legendre order must be even")
-    with mp.workdps(dps):
-        prec = mp.mp.prec
-        if order not in _ROOTS or _ROOTS[order][0] < prec + 32:
-            _legendre_roots(order, prec)
-        wp, roots, slopes = _ROOTS[order]
-        half = []
-        for x, dp in zip(roots, slopes):
-            with mp.workprec(wp):
-                xm, dpm = mp.mpf((x, -wp)), mp.mpf((dp, -wp))
-                w = 2 / ((1 - xm * xm) * dpm * dpm)
-            half.append((+xm, +w))
-        return tuple((-x, w) for x, w in reversed(half)) + tuple(half)
 
 
 @lru_cache(maxsize=64)

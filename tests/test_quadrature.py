@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath as mp
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
+import ballint.legendre as legendre
 import ballint.quadrature as quadrature
 from ballint.fixedpoint import ERROR_BITS, power_sums, round_total
 from ballint.bessel import Nu, amplitude, bessel_expansion, c0_value, i_nu_at_2
@@ -95,6 +97,7 @@ def maclaurin_f_nu(nu: Fraction, t, dps: int = 60) -> mp.mpf:
         return total
 
 
+@lru_cache(maxsize=None)
 def reference_rule(order: int, dps: int) -> tuple:
     """Gauss-Legendre (node, weight) pairs built from scratch at one precision:
     the oracle for _legendre_rule, which must match it bit for bit.
@@ -238,28 +241,49 @@ class TestLegendreRule:
             _legendre_rule(17, 45)
 
 
+def count_pairs(monkeypatch) -> list:
+    """Record the order of every _legendre_pair call from now on."""
+    calls = []
+    pair = legendre._legendre_pair
+
+    def counted(order, x, wp):
+        calls.append(order)
+        return pair(order, x, wp)
+
+    monkeypatch.setattr(legendre, "_legendre_pair", counted)
+    return calls
+
+
+def check_both_orders(grid) -> None:
+    """Every (order, dps) of grid gives reference_rule's rule bit for bit,
+    from an empty store asked in rising precision, which widens the held
+    roots, and again in falling precision, which rounds from them."""
+    want = {key: rule_bits(reference_rule(*key)) for key in grid}
+    ascending = sorted(grid, key=lambda key: key[1])
+    for keys in (ascending, ascending[::-1]):
+        legendre._ROOTS.clear()
+        _legendre_rule.cache_clear()
+        for order, dps in keys:
+            assert rule_bits(_legendre_rule(order, dps)) == want[order, dps], (order, dps)
+
+
 class TestLegendreStore:
     """_legendre_rule finds each order's roots once and rounds or refines
-    them for other precisions; every rule must still be reference_rule's."""
+    them for other precisions; every rule must still be reference_rule's.
+    The shipped table is off here, so every order is searched for."""
 
     GRID = [(order, dps) for dps in (45, 65, 75, 95) for order in (16, 32, 64, 128, 256)] + [(512, 45)]
 
     @pytest.fixture(autouse=True)
     def empty_store(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_ROOTS", {})
+        monkeypatch.setattr(legendre, "_ROOTS", {})
+        monkeypatch.setattr(legendre, "_legendre_table", dict)
         _legendre_rule.cache_clear()
         yield
         _legendre_rule.cache_clear()
 
     def test_bit_for_bit_with_reference_in_both_orders(self):
-        want = {key: rule_bits(reference_rule(*key)) for key in self.GRID}
-        ascending = sorted(self.GRID, key=lambda key: key[1])
-        # ascending widens the held roots; descending rounds from them
-        for grid in (ascending, ascending[::-1]):
-            quadrature._ROOTS.clear()
-            _legendre_rule.cache_clear()
-            for order, dps in grid:
-                assert rule_bits(_legendre_rule(order, dps)) == want[order, dps], (order, dps)
+        check_both_orders(self.GRID)
 
     def test_small_widening_steps_match_reference(self):
         # a step of a few digits stops after one Halley step from the held
@@ -269,14 +293,7 @@ class TestLegendreStore:
                 assert rule_bits(_legendre_rule(order, dps)) == rule_bits(reference_rule(order, dps)), (order, dps)
 
     def test_recurrences_per_root(self, monkeypatch):
-        calls = []
-        pair = quadrature._legendre_pair
-
-        def counted(order, x, wp):
-            calls.append(order)
-            return pair(order, x, wp)
-
-        monkeypatch.setattr(quadrature, "_legendre_pair", counted)
+        calls = count_pairs(monkeypatch)
         # Halley from Tricomi's start: about three a root; Newton's step takes four
         _legendre_rule(256, 75)
         assert len(calls) <= 3.25 * 128
@@ -288,19 +305,89 @@ class TestLegendreStore:
 
     def test_narrower_request_rounds_from_the_store(self):
         _legendre_rule(64, 75)
-        held = quadrature._ROOTS[64]
+        held = legendre._ROOTS[64]
         _legendre_rule(64, 45)
-        assert quadrature._ROOTS[64] is held
+        assert legendre._ROOTS[64] is held
         _legendre_rule(64, 95)
-        assert quadrature._ROOTS[64][0] > held[0]
+        assert legendre._ROOTS[64][0] > held[0]
 
     def test_root_found_twice_is_refused(self, monkeypatch):
-        start = quadrature._legendre_start
+        start = legendre._legendre_start
         # the second root starts where the first does, so Halley finds the first twice
-        monkeypatch.setattr(quadrature, "_legendre_start", lambda order, k: start(order, 1 if k == 2 else k))
+        monkeypatch.setattr(legendre, "_legendre_start", lambda order, k: start(order, 1 if k == 2 else k))
         with pytest.raises(ArithmeticError, match="not 8 distinct points"):
             _legendre_rule(16, 45)
-        assert 16 not in quadrature._ROOTS
+        assert 16 not in legendre._ROOTS
+
+
+class TestLegendreTable:
+    """Orders 16 to 256 start from data/legendre_roots.txt, held at 75
+    digits: the rules must be the ones the search gives, bit for bit."""
+
+    GRID = [key for key in TestLegendreStore.GRID if key[0] <= 256]
+
+    @pytest.fixture(autouse=True)
+    def empty_store(self, monkeypatch):
+        monkeypatch.setattr(legendre, "_ROOTS", {})
+        _legendre_rule.cache_clear()
+        yield
+        _legendre_rule.cache_clear()
+
+    def test_bit_for_bit_with_reference_in_both_orders(self):
+        check_both_orders(self.GRID)
+
+    def test_no_recurrence_up_to_75_digits(self, monkeypatch):
+        calls = count_pairs(monkeypatch)
+        for dps in (45, 65, 75):
+            for order in (16, 32, 64, 128, 256):
+                _legendre_rule(order, dps)
+        assert calls == []
+        assert {wp for wp, _, _ in legendre._ROOTS.values()} == {284}
+
+    def test_wider_request_refines_at_two_recurrences_a_root(self, monkeypatch):
+        calls = count_pairs(monkeypatch)
+        _legendre_rule(256, 95)
+        assert len(calls) == 2 * 128
+
+    def test_shipped_lines_equal_a_fresh_search(self, monkeypatch):
+        shipped = legendre._legendre_table.__wrapped__()
+        monkeypatch.setattr(legendre, "_legendre_table", dict)
+        with mp.workdps(75):
+            prec = mp.mp.prec
+        for order in (16, 32, 64, 128, 256):
+            legendre._legendre_roots(order, prec)
+        assert legendre._ROOTS == shipped
+
+    @pytest.mark.parametrize("damage, match", [
+        (lambda roots, slopes: ((roots[1], roots[0], *roots[2:]), slopes), "not 8 distinct points"),
+        (lambda roots, slopes: (roots[:3] + roots[4:], slopes), "not 8 distinct points"),
+        (lambda roots, slopes: (roots, (slopes[1], slopes[0], *slopes[2:])), "alternating in sign"),
+    ], ids=["roots-swapped", "root-missing", "slopes-swapped"])
+    def test_damaged_entry_is_refused(self, monkeypatch, damage, match):
+        wp, roots, slopes = legendre._legendre_table()[16]
+        monkeypatch.setattr(legendre, "_legendre_table", lambda: {16: (wp, *damage(roots, slopes))})
+        _legendre_rule(32, 45)
+        held = dict(legendre._ROOTS)
+        with pytest.raises(ArithmeticError, match=match):
+            _legendre_rule(16, 45)
+        assert legendre._ROOTS == held
+
+    @pytest.mark.parametrize("read, error", [
+        (lambda text: text("legendre_roots.txt").rsplit("\n", 2)[0], ValueError),
+        (lambda text: text("legendre_roots.txt").rstrip() + " zz", ValueError),
+        (lambda text: text("legendre_roots.tx"), FileNotFoundError),
+    ], ids=["order-missing", "not-hex", "file-missing"])
+    def test_bad_file_raises_and_nothing_is_searched(self, monkeypatch, read, error):
+        text = legendre._data_text
+        monkeypatch.setattr(legendre, "_data_text", lambda name: read(text))
+        calls = count_pairs(monkeypatch)
+        legendre._legendre_table.cache_clear()
+        try:
+            with pytest.raises(error):
+                _legendre_rule(16, 45)
+        finally:
+            legendre._legendre_table.cache_clear()
+        assert calls == [] and legendre._ROOTS == {}
 
 
 class TestSincClosedForms:
