@@ -72,6 +72,7 @@ estimate the next coefficient.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -327,7 +328,9 @@ def _memoised(family: tuple, ns: list[int], compute) -> list[QuadEstimate]:
     computed first, each once, in one batch by compute(missing), which
     returns {n: QuadEstimate or PrecisionFailure}.  Every estimate is
     memoised before the failure of the first failing n in ns is raised.
+    An n that is not an integer raises TypeError: 5.0 would find 5's entry.
     """
+    ns = [operator.index(n) for n in ns]
     missing = list(dict.fromkeys(n for n in ns if (*family, n) not in _MEMO))
     failures = {}
     if missing:

@@ -1,17 +1,27 @@
 """Output records and renderers for the command-line surface.
 
-Every machine-readable artifact flows through the two record types here:
-coefficient tables (exact rational plus a decimal rendering in the
-table's unit) and verification case rows.  The JSON field names are a
-stable contract: kind, pipeline, nu, order, unit,
-coefficients[{j, rational, decimal}], value, abs_err_bound,
-reports[{id, expected, computed, tolerance, status, provenance}].
+Every machine-readable artifact but appendix-check's (rendered in cli)
+flows through the renderers here: coefficient tables (exact rational plus
+a decimal rendering in the table's unit), quadrature estimates and
+verification case rows.  The JSON field names are a stable contract:
+
+  coefficients  kind = "coefficients", pipeline, nu, order, unit,
+                coefficients[{j, rational, decimal}]
+  estimate      kind = "estimate", pipeline, nu, n, value, abs_err_bound,
+                cutoff, pieces
+  verify        kind = "verify", suite,
+                reports[{id, expected, computed, tolerance, status,
+                provenance, notes}]
+
+pipeline is "sinc" or "bessel"; nu is a canonical p/q string, null for
+sinc.  order, j, n and pieces are integers; every other value is a
+string, decimals included.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -69,44 +79,24 @@ class VerifyReport:
             raise ValueError(f"bad provenance {self.provenance!r}")
 
 
-def _decimal_in_unit(q: Fraction, unit_value: mp.mpf, digits: int) -> str:
-    with mp.workdps(digits + 10):
-        val = to_mpf(q) * unit_value
-        return mp.nstr(val, digits, strip_zeros=False)
+def _coeff_records(pipeline: str, nu: Fraction | None, unit: str, coeffs, unit_value: mp.mpf,
+                   digits: int) -> list[CoeffRecord]:
+    return [CoeffRecord(pipeline, nu, j, format_rational(c),
+                        mp.nstr(to_mpf(c) * unit_value, digits, strip_zeros=False), unit)
+            for j, c in enumerate(coeffs)]
 
 
 def sinc_coeff_records(expansion, digits: int = 30) -> list[CoeffRecord]:
     """Records for a SincExpansion, decimals in units of sqrt(3 pi/2)."""
     with mp.workdps(digits + 10):
-        unit_value = mp.sqrt(3 * mp.pi / 2)
-        return [
-            CoeffRecord(
-                pipeline="sinc",
-                nu=None,
-                j=j,
-                rational=format_rational(c),
-                decimal=_decimal_in_unit(c, unit_value, digits),
-                unit=SINC_UNIT,
-            )
-            for j, c in enumerate(expansion.coeffs)
-        ]
+        return _coeff_records("sinc", None, SINC_UNIT, expansion.coeffs, mp.sqrt(3 * mp.pi / 2), digits)
 
 
 def bessel_coeff_records(expansion, digits: int = 30) -> list[CoeffRecord]:
     """Records for a BesselExpansion, decimals in units of c0(nu)."""
     with mp.workdps(digits + 10):
-        unit_value = c0_value(expansion.nu, digits)
-        return [
-            CoeffRecord(
-                pipeline="bessel",
-                nu=expansion.nu.value,
-                j=j,
-                rational=format_rational(g),
-                decimal=_decimal_in_unit(g, unit_value, digits),
-                unit=f"c0({expansion.nu})",
-            )
-            for j, g in enumerate(expansion.gamma_coeffs)
-        ]
+        return _coeff_records("bessel", expansion.nu.value, f"c0({expansion.nu})", expansion.gamma_coeffs,
+                              c0_value(expansion.nu, digits), digits)
 
 
 def records_to_text(records: list[CoeffRecord], header: str) -> str:
@@ -141,29 +131,29 @@ def records_to_csv(records: list[CoeffRecord]) -> str:
     return "\n".join(lines)
 
 
-def estimate_to_text(est, label: str, digits: int) -> str:
+def _estimate_fields(est, digits: int) -> dict:
+    """value, abs_err_bound, cutoff and pieces as both estimate renderers print them."""
     with mp.workdps(digits + 10):
-        return "\n".join([
-            label,
-            f"  value         = {mp.nstr(est.value, digits, strip_zeros=False)}",
-            f"  abs_err_bound = {mp.nstr(est.abs_err_bound, 6)}",
-            f"  cutoff        = {mp.nstr(est.cutoff_used, 10)}",
-            f"  pieces        = {est.pieces}",
-        ])
-
-
-def estimate_to_json(est, pipeline: str, nu: Fraction | None, n: int, digits: int) -> str:
-    with mp.workdps(digits + 10):
-        doc = {
-            "kind": "estimate",
-            "pipeline": pipeline,
-            "nu": format_rational(nu) if nu is not None else None,
-            "n": n,
+        return {
             "value": mp.nstr(est.value, digits, strip_zeros=False),
             "abs_err_bound": mp.nstr(est.abs_err_bound, 6),
             "cutoff": mp.nstr(est.cutoff_used, 10),
             "pieces": est.pieces,
         }
+
+
+def estimate_to_text(est, label: str, digits: int) -> str:
+    return "\n".join([label] + [f"  {k:<13} = {v}" for k, v in _estimate_fields(est, digits).items()])
+
+
+def estimate_to_json(est, pipeline: str, nu: Fraction | None, n: int, digits: int) -> str:
+    doc = {
+        "kind": "estimate",
+        "pipeline": pipeline,
+        "nu": format_rational(nu) if nu is not None else None,
+        "n": n,
+        **_estimate_fields(est, digits),
+    }
     return json.dumps(doc, indent=2)
 
 
@@ -181,20 +171,4 @@ def reports_to_text(reports: list[VerifyReport], suite: str) -> str:
 
 
 def reports_to_json(reports: list[VerifyReport], suite: str) -> str:
-    doc = {
-        "kind": "verify",
-        "suite": suite,
-        "reports": [
-            {
-                "id": r.id,
-                "expected": r.expected,
-                "computed": r.computed,
-                "tolerance": r.tolerance,
-                "status": r.status,
-                "provenance": r.provenance,
-                "notes": r.notes,
-            }
-            for r in reports
-        ],
-    }
-    return json.dumps(doc, indent=2)
+    return json.dumps({"kind": "verify", "suite": suite, "reports": [asdict(r) for r in reports]}, indent=2)

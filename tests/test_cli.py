@@ -220,6 +220,23 @@ class TestEval:
         assert "precision failure" in err and "best estimate" in err
 
 
+DATA = Path(__file__).parent / "data"
+
+
+class TestTextGoldens:
+    # the text form of the README eval lines and of a verify report, byte for
+    # byte; a changed line needs a regenerated file and a reason
+    @pytest.mark.parametrize("golden, argv", [
+        ("eval/sinc-5-30.txt", ["eval", "sinc", "--n", "5", "--digits", "30"]),
+        ("eval/bessel-7_3-8.txt", ["eval", "bessel", "--n", "8", "--nu", "7/3", "--cutoff-mult", "6"]),
+        ("verify/reduction.txt", ["verify", "reduction"]),
+    ])
+    def test_text_bytes(self, capsys, golden, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        assert out == (DATA / golden).read_text(encoding="utf-8")
+
+
 class TestVerifyCommand:
     def test_reduction_suite(self, capsys, tmp_path):
         report = tmp_path / "report.json"

@@ -954,6 +954,22 @@ class TestMemoTransparency:
         assert bessel_integral(ONE, 5, Precision(), 24) is first
         assert bessel_integral(ONE, 5, cutoff_mult=24.0) is first
 
+    @pytest.mark.parametrize("n", [5.0, Fraction(5)])
+    def test_non_integer_n_refused(self, n):
+        # n == 5 and hash(n) == hash(5), so a memo lookup would return 5's
+        # estimate once 5 is memoised; refused cold and warm alike
+        for integral in (sinc_integral, lambda n: bessel_integral(ONE, n)):
+            _MEMO.clear()
+            with pytest.raises(TypeError):
+                integral(n)
+            integral(5)
+            with pytest.raises(TypeError):
+                integral(n)
+        with pytest.raises(TypeError):
+            sinc_integrals([5, n])
+        with pytest.raises(TypeError):
+            bessel_integrals(ONE, [5, n])
+
 
 def bits(est: QuadEstimate) -> tuple:
     """Every bit of an estimate; repr shows only the digits of the ambient precision."""

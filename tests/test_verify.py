@@ -1,10 +1,12 @@
 """Verification suites: composition, statuses, exit-code mapping."""
 
+from dataclasses import replace
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
-from ballint import sinc
+from ballint import sinc, verify
 from ballint.quadrature import remainder_decay_fit
 from ballint.records import VerifyReport, reports_to_json
 from ballint.verify import SUITES, run_suite, suite_exit_code
@@ -75,12 +77,73 @@ class TestAppendixSuite:
         assert all(r.status == "pass" for r in crosschecks)
 
 
+class TestFailBranches:
+    # each row that a check decides must turn "fail", and only it, when its
+    # inputs are pushed past the check; the real values come from the memos
+
+    @pytest.fixture
+    def fit_disagrees(self, monkeypatch):
+        fit = verify.sinc_coefficient_fit
+        monkeypatch.setattr(verify, "sinc_coefficient_fit", lambda order: (*fit(order)[:4], False))
+
+    def test_appendix_rows_fail_without_the_fit(self, fit_disagrees):
+        reports = run_suite("appendix")
+        failed = [r.id for r in reports if r.status == "fail"]
+        assert not any(r.status == "erratum" for r in reports)
+        assert len(failed) == 20
+        assert sum(i.startswith("decay-crosscheck-c") for i in failed) == 7
+        assert {r.id for r in reports if r.status == "pass"} == {
+            "appendix-monomials-matched", "appendix-rows-k-stable"}
+
+    def test_ledgered_sinc_c5_fails_without_the_fit(self, fit_disagrees):
+        reports = {r.id: r for r in run_suite("paper-constants")}
+        assert [i for i, r in reports.items() if r.status != "pass"] == ["sinc-c5"]
+        assert reports["sinc-c5"].status == "fail" and "decay fit at order 5" in reports["sinc-c5"].notes
+
+    def test_sinc_sweep_names_the_worst_n(self, monkeypatch):
+        real = verify.sinc_integrals
+
+        def pushed(ns):
+            ests = real(ns)
+            with mp.workdps(40):
+                over = mp.sqrt(2) * mp.pi / 2 + mp.mpf(10) ** -11
+            return [replace(e, value=over) if n == 17 else e for n, e in zip(ns, ests)]
+
+        monkeypatch.setattr(verify, "sinc_integrals", pushed)
+        reports = {r.id: r for r in run_suite("inequalities")}
+        assert reports["ball-sweep-2-40"].status == "fail"
+        assert reports["ball-sweep-2-40"].computed == "max excess 2.0e-11 at n=17"
+        assert [i for i, r in reports.items() if r.status != "pass"] == ["ball-sweep-2-40"]
+
+    def test_bessel_sweep_names_the_worst_n(self, monkeypatch):
+        real = verify.bessel_integrals
+
+        def pushed(nu, ns):
+            ests = real(nu, ns)
+            return [replace(e, value=4 + e.abs_err_bound + mp.mpf(10) ** -6) if n == 11 else e
+                    for n, e in zip(ns, ests)]
+
+        monkeypatch.setattr(verify, "bessel_integrals", pushed)
+        reports = {r.id: r for r in run_suite("inequalities")}
+        assert reports["bessel-nu1-sweep-2-20"].status == "fail"
+        assert reports["bessel-nu1-sweep-2-20"].computed == "max excess 1.0e-6 at n=11"
+        assert [i for i, r in reports.items() if r.status != "pass"] == ["bessel-nu1-sweep-2-20"]
+
+    def test_reduction_quadrature_fails_past_both_bounds(self, monkeypatch):
+        real = verify.bessel_integral
+
+        def shifted(nu, n):
+            est = real(nu, n)
+            return replace(est, value=est.value + 2 * est.abs_err_bound + mp.mpf(10) ** -4)
+
+        monkeypatch.setattr(verify, "bessel_integral", shifted)
+        reports = {r.id: r for r in run_suite("reduction")}
+        assert reports["reduction-quadrature-n5"].status == "fail"
+        assert [i for i, r in reports.items() if r.status != "pass"] == ["reduction-quadrature-n5"]
+
+
 class TestDecaySuite:
     def test_dropped_ratio_point_fails_the_row(self, monkeypatch):
-        from dataclasses import replace
-
-        from ballint import verify
-
         def without_100(m, grid, prec=None):
             fit = remainder_decay_fit(m, grid, prec=prec)
             keep = [i for i, n in enumerate(fit.used_n) if n != 100]
