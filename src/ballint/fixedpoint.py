@@ -1,22 +1,40 @@
 """Sums of powers g h^n for many n at once, in fixed-point Python integers.
 
 The quadrature ladder (quadrature._ladder) integrates g(t) h(t)^n over a
-piece for every n of a batch from one set of node values.  power_sums
-gives every such Gauss sum as an integer S in units of 2^-k, the unit k
-chosen per piece and n so that S keeps about wp bits however small the sum
-is, with a bound E on how far it falls short of the exact sum of the node
-values.  round_total adds the pieces of one total and rounds it once,
-saying whether that is surely the exact sum's rounding.
+piece for every n of a batch from one set of node values, held as
+integers: h_i = H_i 2^-kh in [0, 1] and g_i = G_i 2^-kg >= 0, each a value
+rounded to the working precision (round_bits) and held exactly
+(fixed_nodes).  power_sums gives every such Gauss sum as an integer S of
+wp bits in units of 2^-k, however small the sum is, with a bound E on how
+far it falls short of the exact sum of the node values.  round_total adds
+the pieces of one total and rounds it once, saying whether that is surely
+the exact sum's rounding.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, mpf_pow_int, round_floor, round_nearest
 
-__all__ = ["ERROR_BITS", "fixed_powers", "power_sums", "round_total"]
+__all__ = ["ERROR_BITS", "fixed_nodes", "fixed_powers", "power_sums", "round_bits", "round_total"]
+
+
+def round_bits(v: int, prec: int) -> int:
+    """v >= 0 rounded half-even to prec significant bits, as an integer."""
+    s = v.bit_length() - prec
+    if s <= 0:
+        return v
+    q, r, half = v >> s, v & ((1 << s) - 1), 1 << (s - 1)
+    return (q + (r > half or r == half and q & 1)) << s
+
+
+def fixed_nodes(hs: list[tuple], gs: list[tuple]) -> tuple[list[int], list[int], int]:
+    """Raw mpfs h, g >= 0 as (hs, gs, k): integers on their finest common scale 2^-k, k >= 0, exactly."""
+    k = max([0] + [-e for _, m, e, _ in hs + gs if m])
+    return [m << (e + k) for _, m, e, _ in hs], [m << (e + k) for _, m, e, _ in gs], k
 
 
 def fixed_powers(xs: list[int], k: int, wp: int) -> list[int]:
@@ -33,108 +51,68 @@ def fixed_powers(xs: list[int], k: int, wp: int) -> list[int]:
         xs = [a * a >> wp for a in xs]
 
 
-def _floor_bits(x: tuple, wp: int) -> tuple[int, int]:
-    """(m, e), m 2^e the raw mpf x >= 0 floored to at most wp bits."""
-    _, man, exp, bc = x
-    return (man >> (bc - wp), exp + bc - wp) if bc > wp else (man, exp)
+ERROR_BITS = 32  # power_sums' E is within 2^(ERROR_BITS - wp) S for every n <= 2^(ERROR_BITS - 2) - 6
 
 
-def _mul(x: tuple[int, int], y: tuple[int, int], wp: int) -> tuple[int, int]:
-    """x y floored to at most wp bits: short by under 2^(1-wp) of itself."""
-    m, e = x[0] * y[0], x[1] + y[1]
-    s = m.bit_length() - wp
-    return (m >> s, e + s) if s > 0 else (m, e)
+def power_sums(hs: Sequence[int], gs: Sequence[int], kh: int, kg: int, ns: Sequence[int],
+               wp: int) -> dict[int, tuple[int, int, int]]:
+    """{n: (S, E, k)} for increasing ns >= 1: S 2^-k <= sum_i g_i h_i^n <=
+    (S + E) 2^-k, for the nodes h_i = hs_i 2^-kh in [0, 1] (ArithmeticError
+    otherwise) and g_i = gs_i 2^-kg >= 0; S has wp bits, or S = E = k = 0
+    when every term is 0.
 
+    The nodes of weight 0 are dropped and the rest scaled once to their
+    largest h, c = H 2^-kh: each ratio r_i = h_i / c is floored to
+    R_i = floor(r_i 2^W), and the sum is c^n T* for T* = sum_i g_i r_i^n.
+    The powers r_i^n are one fixed-point running product across ns:
+    fixed_powers(R, n) at the first n, then times fixed_powers(R, d), once
+    for each gap d, floored to W bits, so no integer widens with n and the
+    node at c stays exactly 2^W.  T, the sum of g_i times those powers,
+    times c^n floored to wp bits by mpf_pow_int gives S.
 
-def _power(x: tuple[int, int], k: int, wp: int) -> tuple[int, int]:
-    """x^k, k >= 1, by binary powering with _mul: at most 2 bitcount(k) - 2 products."""
-    out = None
-    while True:
-        if k & 1:
-            out = x if out is None else _mul(out, x, wp)
-        k >>= 1
-        if not k:
-            return out
-        x = _mul(x, x, wp)
-
-
-ERROR_BITS = 32  # a running product starts afresh once its E exceeds 2^(ERROR_BITS - wp) S
-
-
-def _fresh_terms(hs: Sequence[tuple], gs: Sequence[tuple], n: int, wp: int) -> tuple[list[int], int, int]:
-    """(T, E, k): each g h^n floored to the unit 2^-k that puts the largest at
-    wp bits, their sum short of the exact one by at most E units; k = 0 if
-    every term is exactly 0.
-
-    Each term is a floating binary power with wp-bit mantissas (_power)
-    times g.  Every floored product is short by under 2^(1-wp) of itself,
-    and the later squarings double that: a floor in h^(2^i) counts
-    floor(n/2^i) times in h^n.  So the power counts at most n - 1 of them,
-    and the term, with g floored and multiplied in, c = n + 1 (n more if
-    some h has more than wp bits): it is short by at most rho = c 2^(1-wp)
-    of its value.  Floored to the unit, the N terms' sum S is short by at
-    most N + 2 rho (S + N), as rho <= 1/2 (ArithmeticError otherwise).
+    Error: fixed_powers(R, n) is within n - 1 units of 2^-W of R^n, and R^n
+    within n of r^n, so the first n's powers fall short by at most 2n - 1
+    units.  A step by d multiplies a power short by e by one short by at
+    most 2d - 1 and floors once: short by at most e r^d + (2d - 1) + 1 <=
+    e + 2d.  So at every n, after any steps, each power is short by at most
+    D = 2n - 1, and T* - T <= D sum g in those units.  mpf_pow_int rounds
+    toward zero throughout, at wp + 4 bitcount(n) + 4 bits before its last
+    floor to wp bits (it backs mpmath's interval arithmetic), so its F 2^f
+    is short of c^n by under 2^(2-wp) of it: c^n <= F 2^f (1 + 2^(3-wp)).
+    So X = F T falls short of the sum by at most X 2^(3-wp) + F D (sum g)
+    (1 + 2^(3-wp)), and S, X floored to wp bits, by one unit more.  The
+    first node at c weighs G_c, so T >= G_c 2^W, and W = wp + bits(sum G)
+    - bits(G_c) + 1 puts D sum G below D 2^-wp T: E < (2n + 8) 2^-wp
+    (S + 1) + 3 <= 2n + 11, within 2^(ERROR_BITS - wp) S for every
+    n <= 2^(ERROR_BITS - 2) - 6.
     """
-    c = n + 1 + (n if any(h[3] > wp for h in hs) else 0)
-    if c > 1 << (wp - 2):
-        raise ArithmeticError(f"n = {n} is too large for {wp}-bit power sums")
-    terms = [_mul(_floor_bits(g, wp), _power(_floor_bits(h, wp), n, wp), wp) for h, g in zip(hs, gs)]
-    tops = [m.bit_length() + e for m, e in terms if m]
-    if not tops:
-        return [0] * len(terms), 0, 0
-    k = wp - max(tops)
-    T = [m << (e + k) if e + k >= 0 else m >> -(e + k) for m, e in terms]
-    return T, len(T) + 1 + (c * (sum(T) + len(T)) >> (wp - 2)), k
-
-
-def power_sums(hs: Sequence[tuple], gs: Sequence[tuple], ns: Sequence[int], wp: int) -> dict[int, tuple[int, int, int]]:
-    """{n: (S, E, k)} for increasing ns: S 2^-k <= sum_i g_i h_i^n <= (S + E) 2^-k.
-
-    hs and gs hold the N nodes' values as raw mpfs: h in [0, 1]
-    (ArithmeticError otherwise) and g >= 0.  Each node's term g h^n is one
-    running product across ns, in a unit 2^-k that follows the sum.  At
-    the first n the terms start afresh (_fresh_terms), the largest at wp
-    bits.  Each later n multiplies every term by floor(h^d 2^wp) for the
-    gap d, by binary powering (fixed_powers, once per d), and raises k by
-    the s bits the sum fell short of wp at the n before, in the same
-    floored product.
-
-    Error, in units u = 2^-k, at n + d after a step: each h^d is within
-    2d - 1 units of 2^-wp, so each term's error shrinks by h^d <= m_d =
-    (max floor(h^d 2^wp) + 2d - 1) 2^-wp, each product floors once, and
-    h^d's own error is scaled by the term: E becomes (E m_d + (2d - 1) S
-    2^-wp) 2^s + N, rounded up.  The sum falls by about h^d a step, so E/S,
-    the relative error, grows by m_d/h^d a step, and by about 2^-wp S(n)/S
-    at a step that takes the sum S(n) down to S: little while the sum falls
-    like max(h)^n, more when a large gap or an early peak leaves the
-    largest terms with few bits.  So once E exceeds 2^(ERROR_BITS - wp) S
-    the terms start afresh at that n, and every sum this returns has
-    E <= 2^(ERROR_BITS - wp) S.
-    """
-    one = 1 << wp
-    H = [to_fixed(h, wp) for h in hs]
-    if H and max(H) > one:
+    if not all(gs):
+        hs, gs = [h for h, g in zip(hs, gs) if g], [g for g in gs if g]
+    top = max(hs, default=0)
+    if top > 1 << kh:
         raise ArithmeticError("a power-sum base lies above 1")
-    T, E, k = _fresh_terms(hs, gs, ns[0], wp)
-    S = sum(T)
-    gaps = {}
+    if not top:
+        return dict.fromkeys(ns, (0, 0, 0))
+    weight = sum(gs)
+    W = wp + weight.bit_length() - gs[hs.index(top)].bit_length() + 1
+    R = [(h << W) // top for h in hs]
+    c = from_man_exp(top, -kh)
+    gaps: dict[int, list[int]] = {}
     out = {}
-    for prev, n in zip((ns[0], *ns), ns):
-        if n > prev and S:
-            d = n - prev
-            if d not in gaps:
-                Q = fixed_powers(H, d, wp)
-                gaps[d] = Q, min(max(Q) + 2 * d - 1, one)
-            Q, m_d = gaps[d]
-            s = max(wp - S.bit_length(), 0)
-            T = [t * q >> (wp - s) for t, q in zip(T, Q)]
-            E = ((E * m_d + (2 * d - 1) * S) >> (wp - s)) + 1 + len(T)
-            S = sum(T)
-            k += s
-            if E.bit_length() > S.bit_length() - wp + ERROR_BITS:
-                T, E, k = _fresh_terms(hs, gs, n, wp)
-                S = sum(T)
-        out[n] = S, E, k
+    P, prev = None, 0
+    for n in ns:
+        if n > prev:
+            if n - prev not in gaps:
+                gaps[n - prev] = fixed_powers(R, n - prev, W)
+            Q = gaps[n - prev]
+            P = Q if P is None else [p * q >> W for p, q in zip(P, Q)]
+            prev = n
+        _, F, f, _ = mpf_pow_int(c, n, wp, round_floor)
+        X = F * sum(map(mul, gs, P))
+        Y = F * (2 * n - 1) * weight
+        short = (X >> (wp - 3)) + Y + (Y >> (wp - 3)) + 2
+        s = X.bit_length() - wp  # > 0, as X >= G_c 2^W
+        out[n] = X >> s, 1 - (-short >> s), kg + W - f - s
     return out
 
 

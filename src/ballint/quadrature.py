@@ -32,19 +32,20 @@ Sweeps over n run as batches (sinc_integrals, bessel_integrals) through
 that one ladder (_ladder).  Only the final power depends on n, so each
 piece's base (|sin t|/t, or |f_nu(t)| with its weight) is evaluated once
 a node for every n still on that rung, and each n keeps its own rung,
-stopping test, tail and floor.  The powers are one fixed-point
-running product per node across n (fixedpoint.power_sums), in Python
-integers with LADDER_GUARD bits beyond the working precision in a unit
-that follows each piece's sum, however small, and each n's total is
-added exactly and rounded once: the correctly rounded Gauss sum of its
-node values, which the ladder checks.  So a batch
-returns what each n returns alone; the single-n functions are batches of
-one, sharing one memo keyed per n.  A loop of Bessel calls over n shares
-the rest through one family store (_FAMILY): it holds the last family's
-pieces, with their series, and from the family's second
-consecutive call on the node values of every rung climbed, so each node
-is evaluated once.  Node values depend only on the piece, the rule order
-and the precision, so every estimate keeps every bit.
+stopping test, tail and floor.  Every node value is rounded once to the
+working precision and held exactly as a Python integer on its piece's
+scale.  The powers are one fixed-point running product per node across
+n (fixedpoint.power_sums), of each node's ratio to its piece's largest
+h, with LADDER_GUARD bits beyond the working precision, and each n's
+total is added exactly and rounded once: the correctly rounded Gauss sum
+of its node values, which the ladder checks.  So a batch returns what
+each n returns alone; the single-n functions are batches of one, sharing
+one memo keyed per n.  A loop of Bessel calls over n shares the rest
+through one family store (_FAMILY): it holds the last family's pieces,
+with their series, and from the family's second consecutive call on the
+node values of every rung climbed, as integers, so each node is
+evaluated once.  Node values depend only on the piece, the rule order and
+the precision, so every estimate keeps every bit.
 
 Two sinc regimes, split by one threshold (_sinc_mode): for large n at most
 ZETA_LOBES lobes with the t^{-n} envelope bound suffice; any other n folds
@@ -84,7 +85,7 @@ from mpmath.libmp import (fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_mu
                           mpf_shift, round_nearest, to_fixed)
 
 from .bessel import Nu, amplitude, bessel_tail_bound
-from .fixedpoint import power_sums, round_total
+from .fixedpoint import fixed_nodes, power_sums, round_bits, round_total
 from .legendre import _legendre_rule
 from .rationals import to_mpf
 from .sinc import cutoff_tail_bound, sinc_expansion
@@ -209,10 +210,11 @@ def _cosines(order: int, dps: int) -> tuple:
 
 
 # A piece (a, b, nodes) integrates g(t) h(t)^n over [a, b] for every n of a
-# batch.  nodes(rule) returns the n-free node values (hs, gs) at the nodes of a
-# Gauss rule ((x, w) on [-1, 1], mapped to the piece), in the rule's order, as
-# raw mpfs at the ambient precision: h in [0, 1] and the weight g >= 0.
-Piece = tuple[mp.mpf, mp.mpf, Callable[[tuple], tuple[list, list]]]
+# batch.  nodes(rule) returns the n-free node values (hs, gs, k) at the nodes of
+# a Gauss rule ((x, w) on [-1, 1], mapped to the piece), in the rule's order, as
+# integers on one scale: h = hs_i 2^-k in [0, 1] and the weight g = gs_i 2^-k >= 0,
+# each a value rounded once to the ambient precision and held exactly.
+Piece = tuple[mp.mpf, mp.mpf, Callable[[tuple], tuple[list[int], list[int], int]]]
 
 
 LADDER_GUARD = 64  # bits the ladder's fixed-point power sums carry beyond prec
@@ -224,31 +226,24 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
 
     n integrates the pieces whose indices uses[n] lists.  At each rung
     every piece is visited once: its nodes function gives the node values
-    h(t_i) and g(t_i) for the whole rule, at the ambient precision prec,
-    and one fixed-point power sum (power_sums) gives the piece's Gauss sum
-    sum_i g_i h_i^n for every n still on the ladder that integrates it,
-    with h_i = h(t_i) and g_i = w_i rad g(t_i) the exact product of three
-    mpfs.  Each n's pieces are added exactly
-    and its total is rounded once (round_total).  An n leaves at its first rung
-    whose total is within half_targets[n] of the one before, or after rung
-    `rungs`.  nodes, if not None, holds the raw node values (hs, gs) of
-    the pieces, keyed (piece index, rule order): a held piece skips its
-    nodes function, and one evaluated here is added to it.
+    h(t_i) and g(t_i) of the whole rule as integers (Piece), and the exact
+    products g_i = w_i rad g(t_i) are formed once, in fixed point on the
+    finest scale the rule's weights need.  One power sum (power_sums) then
+    gives the piece's Gauss sum sum_i g_i h_i^n for every n still on the
+    ladder that integrates it, and each n's pieces are added exactly and
+    rounded once (round_total).  An n leaves at its first rung whose total
+    is within half_targets[n] of the one before, or after rung `rungs`.
+    nodes, if not None, holds those integers (hs, gs, kh, kg), keyed
+    (piece index, rule order): a held piece skips its nodes function, and
+    one evaluated here is added to it.
 
-    The working precision wp = prec + LADDER_GUARD.  power_sums keeps
-    each piece's sum S for each n in a unit of its own, which leaves S
-    about wp bits whatever the size of the sum, and bounds its shortfall E
-    in that unit: about N at the piece's first n for N nodes, growing by
-    about N + 2d for each step of d in n.  It starts a piece's terms
-    afresh whenever E exceeds 2^(ERROR_BITS - wp) S (fixedpoint), so every
-    piece's sum is that close, relatively.  round_total floors the P
-    pieces of a total to the coarsest unit among them, at most one unit
-    each, so the total lies within about (P + 1) 2^(ERROR_BITS - wp) of
-    its fixed-point sum: within 2^-(prec+8) once LADDER_GUARD >= 8 +
-    ERROR_BITS + log2(P + 1), which 64 guard bits meet for up to 2^23
-    pieces.  On every total of the five verify suites
-    and of the frozen-bits estimates, E is at most 2^14 against S at most
-    2 bits short of wp: 45 bits to spare.  round_total checks that bound,
+    At wp = prec + LADDER_GUARD bits power_sums gives each piece's sum S
+    for each n, of wp bits in a unit of its own, within 2^(ERROR_BITS - wp)
+    S (fixedpoint).  round_total floors the P pieces of a total to the
+    coarsest unit among them, at most one unit each, so the total lies
+    within about (P + 1) 2^(ERROR_BITS - wp) of its fixed-point sum: within
+    2^-(prec+8) once LADDER_GUARD >= 8 + ERROR_BITS + log2(P + 1), which 64
+    guard bits meet for up to 2^23 pieces.  round_total checks that bound,
     and that S and S + E round alike, so a total it calls sure is the
     correctly rounded Gauss sum of the node values, however the batch was
     formed: a batch returns what each n returns alone.  A total that is
@@ -262,6 +257,8 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
     r = 0
     while prev:
         rule = _legendre_rule(16 * 2**r, dps)
+        ws = [w._mpf_ for _, w in rule]
+        low = min(e for _, _, e, _ in ws)
         sums = {n: [] for n in prev}
         for i, (a, b, evaluate) in enumerate(pieces):
             users = sorted(n for n in prev if i in uses[n])
@@ -269,9 +266,9 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
                 continue
             held = nodes.get((i, len(rule))) if nodes is not None else None
             if held is None:
-                hs, gs = evaluate(rule)
-                rad = ((b - a) / 2)._mpf_
-                held = hs, [mpf_mul(mpf_mul(w._mpf_, rad), g) for (_, w), g in zip(rule, gs)]
+                hs, gs, k = evaluate(rule)
+                _, rm, re, _ = ((b - a) / 2)._mpf_
+                held = hs, [m * rm * g << (e - low) for (_, m, e, _), g in zip(ws, gs)], k, k - re - low
                 if nodes is not None:
                     nodes[i, len(rule)] = held
             for n, part in power_sums(*held, users, wp).items():
@@ -478,13 +475,14 @@ def _sinc_estimates(ns: list[int], prec: Precision) -> dict[int, QuadEstimate | 
         def lobe(j) -> Piece:  # h = cos(pi x/2) / ((pi/2)(2j+1+x)), 2j+1+x exact and h rounded once, and g = 1
             def nodes(rule):
                 ds = [mpf_mul(half_pi, mpf_add(from_int(2 * j + 1), x._mpf_, 0), bits + COS_GUARD) for x, _ in rule]
-                return [mpf_div(c, d, bits, round_nearest) for c, d in zip(_cosines(len(ds), dps), ds)], [fone] * len(ds)
+                return fixed_nodes([mpf_div(c, d, bits, round_nearest) for c, d in zip(_cosines(len(ds), dps), ds)],
+                                    [fone] * len(ds))
             return j * pi, (j + 1) * pi, nodes
 
         def panel(n) -> Piece:
             def nodes(rule):  # h = cos(pi x/2), and g = zeta_H(n, (2M+1+x)/2) / pi^n
-                return ([mpf_pos(c, bits, round_nearest) for c in _cosines(len(rule), dps)],
-                        [row[n] for row in zeta_rows(len(rule))])
+                return fixed_nodes([mpf_pos(c, bits, round_nearest) for c in _cosines(len(rule), dps)],
+                                    [row[n] for row in zeta_rows(len(rule))])
             return mp.mpf(0), pi, nodes
 
         pieces: list[Piece] = [lobe(j) for j in range(max(modes[n][1] for n in ns))]
@@ -528,14 +526,14 @@ def _f_nu(v: Fraction, t: mp.mpf, prec: int | None = None) -> mp.mpf:
 def bessel_j_normalized(nu: Nu, t, prec: Precision | None = None) -> BesselEval:
     """f_nu(t) = 2^nu Gamma(nu+1) J_nu(t) / t^nu from the Maclaurin kernel _f_nu.
 
-    Evaluated at the working precision for any t >= 0; err_bound is the
+    Evaluated at the working precision for any finite t >= 0; err_bound is the
     working-precision floor, which covers the kernel's absolute error.
     """
     dps, floor = _kernel_floor(prec)
     with mp.workdps(dps):
         tt = mp.mpf(t)
-        if tt < 0:
-            raise ValueError("t must be nonnegative")
+        if not mp.isfinite(tt) or tt < 0:
+            raise ValueError("t must be finite and nonnegative")
         value = _f_nu(nu.value, tt)
         err = floor * (1 + abs(value))
         return BesselEval(nu=nu, t=+tt, value=value, err_bound=+err)
@@ -675,23 +673,26 @@ def _even_odd(even: Sequence[int], odd: Sequence[int], U: int, Y: int, wp: int) 
     return s, U * o >> wp
 
 
-def _direct_nodes(series: TaylorSeries, rule: tuple, prec: int | None = None) -> tuple[list, list]:
-    """The raw node values (hs, gs), in the rule's order, of a direct Bessel
+def _direct_nodes(series: TaylorSeries, rule: tuple, prec: int | None = None) -> tuple[list[int], list[int], int]:
+    """The node values (hs, gs, k), in the rule's order, of a direct Bessel
     piece: h = |f_v(t)| and g = t^alpha at each node t = t0 + rad x of a
-    Gauss rule, from the piece's series (_taylor_series), each rounded once
-    to prec bits (default: the ambient precision).
+    Gauss rule, from the piece's series (_taylor_series), each sum rounded
+    once half-even to prec bits (default: the ambient precision;
+    round_bits) and held exactly as an integer in units of 2^-k.
 
     _legendre_rule is symmetric, its first half the second negated in
     reverse order, so the nodes pair up as t0 +- rho U, U = x rad / rho for
     each positive x, and a series P(u) = E(u^2) + u O(u^2) gives both nodes
     of a pair from one Horner pass in Y = U^2 over each of E and O:
     P(+-U) = E(Y) +- U O(Y).  U is the exact x rad, scaled and floored once
-    to wp bits.
+    to wp bits.  h is in units of 2^-wp and g = t0^alpha times the weight's
+    sum in units of 2^(te-wp), t0^alpha = tm 2^te: k = wp + max(0, -te).
     """
     wp, e, (_, rm, re, _), d, b, (_, tm, te, _) = series
     prec = prec or mp.mp.prec
+    sh = max(0, -te)
     f_even, f_odd, w_even, w_odd = d[::2][::-1], d[1::2][::-1], b[::2][::-1], b[1::2][::-1]
-    hs, gs, hs_minus, gs_minus = [], [], [], []
+    hs, gs = [], []  # the -U and +U node of each pair, unrounded
     for x, _ in rule[len(rule) // 2:]:
         _, xm, xe, _ = x._mpf_
         shift = xe + re + wp - e
@@ -699,11 +700,10 @@ def _direct_nodes(series: TaylorSeries, rule: tuple, prec: int | None = None) ->
         Y = U * U >> wp
         f, fu = _even_odd(f_even, f_odd, U, Y, wp)
         w, wu = _even_odd(w_even, w_odd, U, Y, wp)
-        hs.append(from_man_exp(abs(f + fu), -wp, prec, round_nearest))
-        hs_minus.append(from_man_exp(abs(f - fu), -wp, prec, round_nearest))
-        gs.append(from_man_exp((w + wu) * tm, te - wp, prec, round_nearest))
-        gs_minus.append(from_man_exp((w - wu) * tm, te - wp, prec, round_nearest))
-    return hs_minus[::-1] + hs, gs_minus[::-1] + gs
+        hs += abs(f - fu), abs(f + fu)
+        gs += (w - wu) * tm, (w + wu) * tm
+    return ([round_bits(v, prec) << sh for v in hs[-2::-2] + hs[1::2]],
+            [round_bits(v, prec) << (te + sh) for v in gs[-2::-2] + gs[1::2]], wp + sh)
 
 
 def _zero_start(nu: float, k: int) -> float:
@@ -926,8 +926,8 @@ def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision,
 
             def first(rule):  # (|f_nu(t)|, q/2 y^{p-1}) at t = y^{q/2}, y = half_y (1 + x) rounded
                 ys = [half_y + half_y * x for x, _ in rule]
-                return ([abs(_f_nu(v, mp.power(y, half_q)))._mpf_ for y in ys],
-                        [mp.fmul(y ** (p - 1), half_q, exact=True)._mpf_ for y in ys])
+                return fixed_nodes([abs(_f_nu(v, mp.power(y, half_q)))._mpf_ for y in ys],
+                                    [mp.fmul(y ** (p - 1), half_q, exact=True)._mpf_ for y in ys])
 
             pieces: list[Piece] = [(mp.mpf(0), 2 * half_y, first)]
             pieces += [direct(a, b) for a, b in zip(bounds[1:-1], bounds[2:])]

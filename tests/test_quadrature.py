@@ -13,9 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
+import ballint.fixedpoint as fixedpoint
 import ballint.legendre as legendre
 import ballint.quadrature as quadrature
-from ballint.fixedpoint import ERROR_BITS, power_sums, round_total
+from ballint.fixedpoint import ERROR_BITS, power_sums, round_bits, round_total
 from ballint.bessel import Nu, amplitude, bessel_expansion, c0_value, i_nu_at_2
 from ballint.sinc import sinc_expansion
 from ballint.quadrature import (
@@ -140,14 +141,20 @@ def rule_bits(rule: tuple) -> tuple:
     return tuple((x._mpf_, w._mpf_) for x, w in rule)
 
 
+def value(m: int, k: int) -> mp.mpf:
+    """m 2^-k as an exact mpf."""
+    return mp.make_mpf(from_man_exp(m, -k))
+
+
 def reference_ladder(pieces, uses, rungs, half_targets, nodes, dps):
     """_ladder as a plain mpf sum: the oracle the fixed-point ladder must match
     bit for bit.
 
     Node values come from each piece's own nodes function, as _ladder reads
-    them, at the ambient precision prec and at every rung: the node values
-    held in nodes are ignored.  Every term w g h^n, piece sum and total is
-    taken at prec + 300 bits, and the total is rounded once to prec.
+    them: integers on the piece's scale, rounded to the ambient precision
+    prec, at every rung; the node values held in nodes are ignored.  Every
+    term w g h^n, piece sum and total is taken at prec + 300 bits, and the
+    total is rounded once to prec.
     """
     out = {}
     prev = dict.fromkeys(uses)
@@ -160,8 +167,8 @@ def reference_ladder(pieces, uses, rungs, half_targets, nodes, dps):
             if not users:
                 continue
             rad = (b - a) / 2
-            hs, gs = evaluate(rule)
-            values = [(w, mp.make_mpf(h), mp.make_mpf(g)) for (_, w), h, g in zip(rule, hs, gs)]
+            hs, gs, k = evaluate(rule)
+            values = [(w, value(h, k), value(g, k)) for (_, w), h, g in zip(rule, hs, gs)]
             with mp.extraprec(300):
                 for n in users:
                     parts[n].append(rad * mp.fsum(w * g * h**n for w, h, g in values))
@@ -511,10 +518,10 @@ class TestSincNodes:
         with mp.workdps(dps):
             bits = mp.mp.prec
             for j in (0, 1, 23):
-                hs, gs = pieces[j][2](rule)
-                assert gs == [mp.mpf(1)._mpf_] * order
+                hs, gs, k = pieces[j][2](rule)
+                assert gs == [1 << k] * order
                 for (x, _), h in zip(rule, hs):
-                    h = mp.make_mpf(h)
+                    h = value(h, k)
                     with mp.extradps(60):
                         t = mp.pi / 2 * (2 * j + 1 + x)
                         ref = abs(mp.sin(t)) / t
@@ -529,14 +536,14 @@ class TestSincNodes:
         real = quadrature._hurwitz_zetas
         monkeypatch.setattr(quadrature, "_hurwitz_zetas", lambda ns, a: asked.append(a) or real(ns, a))
         with mp.workdps(prec.working_dps):
-            hs, _ = pieces[-1][2](rule)
-            again, _ = pieces[-2][2](rule)  # the other panel reads the same rung
+            hs, _, k = pieces[-1][2](rule)
+            again, _, again_k = pieces[-2][2](rule)  # the other panel reads the same rung
         assert [fraction(a) for a in asked] == [quadrature.ZETA_LOBES + (1 + fraction(x)) / 2 for x, _ in rule]
-        assert again == hs
+        assert [value(h, again_k) for h in again] == [value(h, k) for h in hs]
         with mp.workdps(prec.working_dps):
             bits = mp.mp.prec
             for (x, _), h in zip(rule, hs):
-                h = mp.make_mpf(h)
+                h = value(h, k)
                 with mp.extradps(60):
                     ref = mp.cos(mp.pi * x / 2)
                     assert abs(h - ref) <= ulp(h, bits) / 2 + mp.ldexp(ref, -bits - 10), x
@@ -747,6 +754,12 @@ class TestBesselJNormalized:
         with pytest.raises(ValueError):
             bessel_j_normalized(ONE, -0.5)
 
+    @pytest.mark.parametrize("t", [mp.inf, mp.nan, -mp.inf], ids=str)
+    def test_non_finite_t_refused(self, t):
+        # the kernel floors its argument to fixed point, which reads inf and nan as 0
+        with pytest.raises(ValueError, match="finite"):
+            bessel_j_normalized(ONE, t)
+
 
 def direct_pieces(nu: Fraction, cutoff_mult: float, dps: int) -> list:
     """[(t0, rad)] of every Bessel piece past the first up to the cutoff, as
@@ -758,6 +771,34 @@ def direct_pieces(nu: Fraction, cutoff_mult: float, dps: int) -> list:
 
 def exact_node(t0, rad, x):
     return mp.fadd(t0, mp.fmul(rad, x, exact=True), exact=True)
+
+
+@st.composite
+def rounding_cases(draw):
+    """(m, prec): a random mantissa of up to prec + 200 bits, an exact
+    half-way tie q + 1/2 at prec bits, followed by up to 99 zeros, or one of
+    fewer than prec bits."""
+    prec = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["random", "tie", "short"]))
+    if kind == "random":
+        return draw(st.integers(0, 2 ** (prec + 200))), prec
+    if kind == "tie":
+        q = draw(st.integers(2 ** (prec - 1), 2**prec - 1))
+        return (2 * q + 1) << draw(st.integers(0, 99)), prec
+    return draw(st.integers(0, 2 ** (prec - 1))), prec
+
+
+class TestRoundBits:
+    # _direct_nodes rounds each Horner sum half-even to prec bits in integers
+    # (round_bits), as from_man_exp rounds a mantissa, whatever its exponent
+    @settings(max_examples=300, deadline=None)
+    @given(rounding_cases(), st.integers(-400, 400))
+    @example((0b101_1 << 7, 3), 0)  # a tie above an odd q rounds up
+    @example((0b100_1 << 7, 3), -5)  # and above an even q, down
+    @example((0b1011, 4), 2)  # exactly prec bits
+    def test_matches_from_man_exp(self, case, e):
+        m, prec = case
+        assert from_man_exp(round_bits(m, prec), e) == from_man_exp(m, e, prec, round_nearest)
 
 
 class TestTaylorKernel:
@@ -779,14 +820,14 @@ class TestTaylorKernel:
                     for order in (16, 32, 64, 128):
                         rule = _legendre_rule(order, dps)
                         # the node values rounded to 64 more bits, which adds at most 2^-(prec+64)
-                        hs, gs = _direct_nodes(series, rule, prec + 64)
+                        hs, gs, k = _direct_nodes(series, rule, prec + 64)
                         for (x, _), h, g in zip(rule, hs, gs):
                             t = exact_node(t0, rad, x)
                             with mp.workprec(prec + 64):
                                 f = abs(_f_nu(nu, t))
                                 weight = mp.power(t, mp.mpf(alpha.numerator) / alpha.denominator)
-                            assert abs(mp.make_mpf(h) - f) <= bound, (cutoff_mult, t0, order, x)
-                            assert abs(mp.make_mpf(g) - weight) <= bound * weight, (cutoff_mult, t0, order, x)
+                            assert abs(value(h, k) - f) <= bound, (cutoff_mult, t0, order, x)
+                            assert abs(value(g, k) - weight) <= bound * weight, (cutoff_mult, t0, order, x)
 
     @pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)], ids=str)
     def test_integer_weight_is_finite_and_correctly_rounded(self, nu):
@@ -802,10 +843,10 @@ class TestTaylorKernel:
                 assert len(series[4]) == alpha + 1
                 for order in (16, 32, 64, 128):
                     rule = _legendre_rule(order, dps)
-                    _, gs = _direct_nodes(series, rule)
+                    _, gs, k = _direct_nodes(series, rule)
                     for (x, _), g in zip(rule, gs):
                         _, man, exp, _ = exact_node(t0, rad, x)._mpf_
-                        assert g == from_man_exp(man**alpha, exp * alpha, prec, round_nearest), (t0, order, x)
+                        assert from_man_exp(g, -k) == from_man_exp(man**alpha, exp * alpha, prec, round_nearest), (t0, order, x)
 
 
 class TestBesselZeros:
@@ -1012,8 +1053,9 @@ class TestBatches:
         assert {n for n in ns if isinstance(fresh[n], PrecisionFailure)} == {7, 9}
 
     def test_wide_gaps(self):
-        # steps of 997 and 999000 take the sums down by far more than the guard bits, so the
-        # running products start afresh there; n = 10^6 fails alone and in the batch alike
+        # steps of 997 and 999000 take the sums down by far more than the guard bits; the powers
+        # of each node's ratio to its piece's largest h step across them, and n = 10^6 fails
+        # alone and in the batch alike
         ns = [10**6, 3, 1000, 2]
         fresh = _sinc_estimates(ns, Precision())
         for n in ns:
@@ -1194,11 +1236,11 @@ class TestPowerSums:
     PREC = 120
 
     @staticmethod
-    def raw(q: Fraction) -> tuple:
-        """A dyadic Fraction as an exact raw mpf."""
-        k = q.denominator.bit_length() - 1
-        assert q.denominator == 1 << k
-        return from_man_exp(q.numerator, -k)
+    def fixed(qs: list[Fraction]) -> tuple[list[int], int]:
+        """Dyadic Fractions as integers on their finest common scale 2^-k, exactly."""
+        k = max(q.denominator.bit_length() - 1 for q in qs)
+        assert all((q * 2**k).denominator == 1 for q in qs)
+        return [int(q * 2**k) for q in qs], k
 
     @settings(max_examples=60, deadline=None)
     @given(power_sum_cases())
@@ -1206,19 +1248,27 @@ class TestPowerSums:
     @example(([Fraction(1), Fraction(1, 2**150)], [Fraction(3, 8), Fraction(2**90)], [2, 3, 50]))
     # every term far below 2^-wp: the sums are about 2^-8000, 2^-9600 and 2^-12000
     @example(([Fraction(1, 2**200) + Fraction(1, 2**300)], [Fraction(3, 2)], [40, 48, 60]))
-    # an early peak: the 2^90 term leads until n = 8, losing 15 bits a step, then the start
-    # afresh keeps the node at h near 1
+    # an early peak: the 2^90 term leads until n = 8, losing 15 bits a step, then the node at
+    # h near 1 leads; the ratios to it carry the weights' 130-bit spread beyond wp bits
     @example(([Fraction(1, 2**15), 1 - Fraction(1, 2**100)], [Fraction(2**90), Fraction(1, 2**40)],
               list(range(2, 14))))
     # one node with a full mantissa: every squaring doubles the shortfall of the power it squares,
     # so binary powering falls short by up to n 2^(1-wp), not 2 bitcount(n) 2^(1-wp)
     @example(([Fraction(0xbf47bf9c6aba8ad2f50152b198d4b8, 2**120)], [Fraction(1)], [60]))
     @example(([Fraction(0xb7a419800b1b5ac747d7e3c557db96, 2**120)], [Fraction(1)], [1023]))
+    # the node with the largest h carries weight 0, so the sums fall like (3/4)^n
+    @example(([Fraction(1), Fraction(3, 4), Fraction(1, 2**30)], [Fraction(0), Fraction(5), Fraction(2**60)],
+              [2, 40, 300]))
+    # every h equals the largest
+    @example(([Fraction(5, 8)] * 3, [Fraction(1), Fraction(2**60), Fraction(1, 2**40)], [2, 7, 100]))
+    # one node and a gap of 999997: no integer widens with n (h = 1/2 keeps the exact sum's
+    # denominator 2^(10^6), which mpmath's from_rational strips bit by bit, cheap to round)
+    @example(([Fraction(1, 2)], [Fraction(3)], [3, 10**6]))
     def test_matches_correctly_rounded_exact_sum(self, case):
         hs, gs, ns = case
-        raw_h, raw_g = [self.raw(h) for h in hs], [self.raw(g) for g in gs]
+        (H, kh), (G, kg) = self.fixed(hs), self.fixed(gs)
         wp = self.PREC + quadrature.LADDER_GUARD
-        sums = power_sums(raw_h, raw_g, ns, wp)
+        sums = power_sums(H, G, kh, kg, ns, wp)
         assert list(sums) == ns
         with mp.workprec(self.PREC):
             for n, (S, E, k) in sums.items():
@@ -1237,8 +1287,7 @@ class TestPowerSums:
         # a total of parts in units far apart is floored to the coarsest and still rounds correctly
         parts, want = [], Fraction(0)
         for k, h in ((0, Fraction(1, 3)), (500, Fraction(1, 5)), (-40, Fraction(1, 7))):
-            part = power_sums([self.raw(Fraction(round(h * 2**self.PREC), 2**self.PREC))],
-                              [self.raw(Fraction(2) ** -k)], [2], self.PREC + quadrature.LADDER_GUARD)[2]
+            part = power_sums([round(h * 2**self.PREC)], [1], self.PREC, k, [2], self.PREC + quadrature.LADDER_GUARD)[2]
             parts.append(part)
             want += Fraction(round(h * 2**self.PREC), 2**self.PREC) ** 2 * Fraction(2) ** -k
         with mp.workprec(self.PREC):
@@ -1251,8 +1300,8 @@ class TestPowerSums:
         # E <= 2^(ERROR_BITS - wp) S, or is all zero
         seen, real = [], quadrature.power_sums
 
-        def checked(hs, gs, ns, wp):
-            sums = real(hs, gs, ns, wp)
+        def checked(hs, gs, kh, kg, ns, wp):
+            sums = real(hs, gs, kh, kg, ns, wp)
             seen.append(ns)
             for S, E, k in sums.values():
                 assert E << (wp - ERROR_BITS) <= S or S == E == k == 0
@@ -1267,7 +1316,7 @@ class TestPowerSums:
 
     def test_base_above_one_refused(self):
         with mp.workprec(self.PREC), pytest.raises(ArithmeticError, match="above 1"):
-            power_sums([mp.mpf(1.5)._mpf_], [mp.mpf(1)._mpf_], [2], self.PREC + 64)
+            power_sums([3], [1], 1, 0, [2], self.PREC + 64)
 
     def test_large_error_is_not_sure(self):
         # an error bound above 2^-(prec+8) of the sum is not sure, whatever the rounding
@@ -1368,6 +1417,20 @@ class TestBatchWork:
         _MEMO.clear()
         sinc_integrals(range(2, 41))
         assert calls["sin"] == 56 and calls["panel"] == 224
+
+    def test_terms_start_once_a_rung(self, monkeypatch):
+        # on the 60-digit grid every piece raises its nodes from scratch once a
+        # rung, to the first n, and steps to each later n by its gap: 992 fresh
+        # node powers, two lobes of 16 + 32 + 64 + 128 + 256 nodes.  Lobe 1
+        # (max h = 0.217), whose powers lost bits at a gap when they were scaled
+        # to 1 and not to its largest h, started over at each later n: 2,480
+        calls = []
+        real = fixedpoint.fixed_powers
+        monkeypatch.setattr(fixedpoint, "fixed_powers", lambda xs, k, wp: calls.append((len(xs), k)) or real(xs, k, wp))
+        _MEMO.clear()
+        sinc_integrals([90, 135, 200, 300], Precision(decimal_digits=60))
+        assert calls == [(size, k) for size in (16, 32, 64, 128, 256) for _ in range(2) for k in (90, 45, 65, 100)]
+        assert sum(size for size, k in calls if k == 90) == 992
 
     def test_n2_alone_solves_for_one_zero(self, monkeypatch):
         # a batch of n = 2 alone needs only j_{nu,1}: one Newton solve, not the
