@@ -1,12 +1,12 @@
 """Print the Gauss-Legendre root table, src/ballint/data/legendre_roots.txt.
 
 For each order N = 16, 32, ..., 256 it finds the positive roots of P_N,
-and P' at each, from an empty store by ballint.legendre's own search
-(Halley's method from Tricomi's starts, never the shipped table), at 75
-digits: the widest working precision a verify suite or README line asks
-for (a 60-digit fit, plus 15).  Output is one line an order: N and wp in
-decimal, then the N/2 roots, decreasing, and the N/2 slopes, in hex,
-scaled by 2^wp.
+and P' at each, by ballint.legendre's own search (Halley's method from
+Tricomi's starts, never the shipped table), at 75 digits: the widest
+working precision a verify suite asks for (a 60-digit fit, plus 15).
+Each root set is proven complete before it is printed.  Output is one
+line an order: N and wp in decimal, then the N/2 roots, decreasing, and
+the N/2 slopes, in hex, scaled by 2^wp.
 
     PYTHONPATH=src python scripts/legendre_table.py > src/ballint/data/legendre_roots.txt
 """
@@ -24,9 +24,8 @@ def main() -> None:
     print("# Gauss-Legendre roots: order, wp, then the positive roots, decreasing, and P' at each,")
     print(f"# in hex, scaled by 2^wp; built at {DIGITS} digits by scripts/legendre_table.py")
     for order in legendre._TABLE_ORDERS:
-        legendre._ROOTS.pop(order, None)
-        legendre._legendre_roots(order, prec)
-        wp, roots, slopes = legendre._ROOTS.pop(order)
+        wp, roots, slopes = legendre._legendre_roots(order, prec + 32)
+        legendre._check_roots(order, wp, roots, slopes)
         print(order, wp, *(format(v, "x") for v in roots + slopes))
 
 

@@ -11,10 +11,9 @@ domain is split there (multiples of pi for sinc, the zeros of J_nu for
 Bessel, found by Newton's method on the kernel and proven complete by a
 Sturm comparison) and each smooth piece gets a fixed-order
 Gauss-Legendre rule.  The rules come from legendre._legendre_rule, which
-holds each order's roots at the widest precision asked for: orders 16 to
-256 are read at 75 digits from data/legendre_roots.txt, any other is found
-by Halley's method; a narrower rule rounds them, and a wider one refines
-them.  One function (_integrate) refines the
+builds each from its (order, dps) alone: orders 16 to 256 are read at 75
+digits from data/legendre_roots.txt and refined for a wider rule, any
+other is found by Halley's method.  One function (_integrate) refines the
 whole subdivision together, doubling the order until two successive
 totals, times sqrt(n) or n^nu, agree below target/2, in one pass at the
 working precision, so the node set is a deterministic function of the

@@ -263,27 +263,27 @@ def count_pairs(monkeypatch) -> list:
 
 def check_both_orders(grid) -> None:
     """Every (order, dps) of grid gives reference_rule's rule bit for bit,
-    from an empty store asked in rising precision, which widens the held
-    roots, and again in falling precision, which rounds from them."""
+    from a cleared cache asked in rising precision and again in falling
+    precision: no rule depends on what was asked before."""
     want = {key: rule_bits(reference_rule(*key)) for key in grid}
     ascending = sorted(grid, key=lambda key: key[1])
     for keys in (ascending, ascending[::-1]):
-        legendre._ROOTS.clear()
         _legendre_rule.cache_clear()
         for order, dps in keys:
             assert rule_bits(_legendre_rule(order, dps)) == want[order, dps], (order, dps)
 
 
+SHIPPED_TABLE = legendre._legendre_table
+
+
 class TestLegendreStore:
-    """_legendre_rule finds each order's roots once and rounds or refines
-    them for other precisions; every rule must still be reference_rule's.
-    The shipped table is off here, so every order is searched for."""
+    """With the shipped table off every order is searched for, at each
+    rule's own precision; every rule must be reference_rule's."""
 
     GRID = [(order, dps) for dps in (45, 65, 75, 95) for order in (16, 32, 64, 128, 256)] + [(512, 45)]
 
     @pytest.fixture(autouse=True)
-    def empty_store(self, monkeypatch):
-        monkeypatch.setattr(legendre, "_ROOTS", {})
+    def no_table(self, monkeypatch):
         monkeypatch.setattr(legendre, "_legendre_table", dict)
         _legendre_rule.cache_clear()
         yield
@@ -292,31 +292,21 @@ class TestLegendreStore:
     def test_bit_for_bit_with_reference_in_both_orders(self):
         check_both_orders(self.GRID)
 
-    def test_small_widening_steps_match_reference(self):
-        # a step of a few digits stops after one Halley step from the held
-        # roots, so the weight rests on the P'' dx update of P'
+    def test_small_widening_steps_match_reference(self, monkeypatch):
+        # a table entry refined by a few digits stops after one Halley step,
+        # so the weight rests on the P'' dx update of P'
+        monkeypatch.setattr(legendre, "_legendre_table", SHIPPED_TABLE)
         for order in (64, 256):
-            for dps in (45, 50, 55, 60):
+            for dps in (77, 80, 85, 90):
                 assert rule_bits(_legendre_rule(order, dps)) == rule_bits(reference_rule(order, dps)), (order, dps)
 
     def test_recurrences_per_root(self, monkeypatch):
         calls = count_pairs(monkeypatch)
         # Halley from Tricomi's start: about three a root; Newton's step takes four
-        _legendre_rule(256, 75)
-        assert len(calls) <= 3.25 * 128
-        # from the held roots: two a root, and none for the weights or a narrower rule
-        calls.clear()
-        _legendre_rule(256, 95)
-        _legendre_rule(256, 45)
-        assert len(calls) == 2 * 128
-
-    def test_narrower_request_rounds_from_the_store(self):
-        _legendre_rule(64, 75)
-        held = legendre._ROOTS[64]
-        _legendre_rule(64, 45)
-        assert legendre._ROOTS[64] is held
-        _legendre_rule(64, 95)
-        assert legendre._ROOTS[64][0] > held[0]
+        for dps in (75, 45):
+            calls.clear()
+            _legendre_rule(256, dps)
+            assert len(calls) <= 3.25 * 128, dps
 
     def test_root_found_twice_is_refused(self, monkeypatch):
         start = legendre._legendre_start
@@ -324,18 +314,16 @@ class TestLegendreStore:
         monkeypatch.setattr(legendre, "_legendre_start", lambda order, k: start(order, 1 if k == 2 else k))
         with pytest.raises(ArithmeticError, match="not 8 distinct points"):
             _legendre_rule(16, 45)
-        assert 16 not in legendre._ROOTS
 
 
 class TestLegendreTable:
-    """Orders 16 to 256 start from data/legendre_roots.txt, held at 75
-    digits: the rules must be the ones the search gives, bit for bit."""
+    """Orders 16 to 256 start from data/legendre_roots.txt, at 75 digits:
+    the rules must be the ones the search gives, bit for bit."""
 
     GRID = [key for key in TestLegendreStore.GRID if key[0] <= 256]
 
     @pytest.fixture(autouse=True)
-    def empty_store(self, monkeypatch):
-        monkeypatch.setattr(legendre, "_ROOTS", {})
+    def cleared_rules(self):
         _legendre_rule.cache_clear()
         yield
         _legendre_rule.cache_clear()
@@ -349,21 +337,24 @@ class TestLegendreTable:
             for order in (16, 32, 64, 128, 256):
                 _legendre_rule(order, dps)
         assert calls == []
-        assert {wp for wp, _, _ in legendre._ROOTS.values()} == {284}
 
     def test_wider_request_refines_at_two_recurrences_a_root(self, monkeypatch):
         calls = count_pairs(monkeypatch)
         _legendre_rule(256, 95)
         assert len(calls) == 2 * 128
 
-    def test_shipped_lines_equal_a_fresh_search(self, monkeypatch):
-        shipped = legendre._legendre_table.__wrapped__()
-        monkeypatch.setattr(legendre, "_legendre_table", dict)
+    def test_wider_rule_first_leaves_a_narrower_one_as_it_was(self, monkeypatch):
+        # 85 digits refines from the table, not from the 95-digit roots asked first
+        _legendre_rule(256, 95)
+        calls = count_pairs(monkeypatch)
+        assert rule_bits(_legendre_rule(256, 85)) == rule_bits(reference_rule(256, 85))
+        assert len(calls) == 2 * 128
+
+    def test_shipped_lines_equal_a_fresh_search(self):
         with mp.workdps(75):
             prec = mp.mp.prec
-        for order in (16, 32, 64, 128, 256):
-            legendre._legendre_roots(order, prec)
-        assert legendre._ROOTS == shipped
+        fresh = {order: legendre._legendre_roots(order, prec + 32) for order in (16, 32, 64, 128, 256)}
+        assert fresh == legendre._legendre_table.__wrapped__()
 
     @pytest.mark.parametrize("damage, match", [
         (lambda roots, slopes: ((roots[1], roots[0], *roots[2:]), slopes), "not 8 distinct points"),
@@ -373,28 +364,27 @@ class TestLegendreTable:
     def test_damaged_entry_is_refused(self, monkeypatch, damage, match):
         wp, roots, slopes = legendre._legendre_table()[16]
         monkeypatch.setattr(legendre, "_legendre_table", lambda: {16: (wp, *damage(roots, slopes))})
-        _legendre_rule(32, 45)
-        held = dict(legendre._ROOTS)
         with pytest.raises(ArithmeticError, match=match):
             _legendre_rule(16, 45)
-        assert legendre._ROOTS == held
 
-    @pytest.mark.parametrize("read, error", [
-        (lambda text: text("legendre_roots.txt").rsplit("\n", 2)[0], ValueError),
-        (lambda text: text("legendre_roots.txt").rstrip() + " zz", ValueError),
-        (lambda text: text("legendre_roots.tx"), FileNotFoundError),
-    ], ids=["order-missing", "not-hex", "file-missing"])
-    def test_bad_file_raises_and_nothing_is_searched(self, monkeypatch, read, error):
+    @pytest.mark.parametrize("read, error, match", [
+        (lambda text: text("legendre_roots.txt").rsplit("\n", 2)[0], ValueError, "holds orders"),
+        (lambda text: text("legendre_roots.txt").rstrip() + " zz", ValueError, "invalid literal"),
+        (lambda text: text("legendre_roots.tx"), FileNotFoundError, "legendre_roots.tx"),
+        # a second order-16 line, here the shipped one again, would replace the first
+        (lambda text: (t := text("legendre_roots.txt")) + t.splitlines()[2] + "\n", ValueError, "order 16 twice"),
+    ], ids=["order-missing", "not-hex", "file-missing", "order-twice"])
+    def test_bad_file_raises_and_nothing_is_searched(self, monkeypatch, read, error, match):
         text = legendre._data_text
         monkeypatch.setattr(legendre, "_data_text", lambda name: read(text))
         calls = count_pairs(monkeypatch)
         legendre._legendre_table.cache_clear()
         try:
-            with pytest.raises(error):
+            with pytest.raises(error, match=match):
                 _legendre_rule(16, 45)
         finally:
             legendre._legendre_table.cache_clear()
-        assert calls == [] and legendre._ROOTS == {}
+        assert calls == []
 
 
 class TestSincClosedForms:
@@ -1262,7 +1252,7 @@ class TestPowerSums:
     # every h equals the largest
     @example(([Fraction(5, 8)] * 3, [Fraction(1), Fraction(2**60), Fraction(1, 2**40)], [2, 7, 100]))
     # one node and a gap of 999997: no integer widens with n (h = 1/2 keeps the exact sum's
-    # denominator 2^(10^6), which mpmath's from_rational strips bit by bit, cheap to round)
+    # denominator 2^(10^6), rounded as a dyadic; from_rational would strip it 8 bits a pass)
     @example(([Fraction(1, 2)], [Fraction(3)], [3, 10**6]))
     def test_matches_correctly_rounded_exact_sum(self, case):
         hs, gs, ns = case
@@ -1281,7 +1271,11 @@ class TestPowerSums:
                 assert E.bit_length() <= max(S.bit_length() - wp + ERROR_BITS, 0)
                 assert E <= S >> (self.PREC + 8)
                 if sure:
-                    assert total._mpf_ == from_rational(want.numerator, want.denominator, self.PREC, round_nearest)
+                    k = want.denominator.bit_length() - 1
+                    if want.denominator == 1 << k:
+                        assert total._mpf_ == from_man_exp(want.numerator, -k, self.PREC, round_nearest)
+                    else:
+                        assert total._mpf_ == from_rational(want.numerator, want.denominator, self.PREC, round_nearest)
 
     def test_pieces_of_every_size_add_exactly(self):
         # a total of parts in units far apart is floored to the coarsest and still rounds correctly
