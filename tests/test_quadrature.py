@@ -293,8 +293,8 @@ class TestLegendreStore:
         check_both_orders(self.GRID)
 
     def test_small_widening_steps_match_reference(self, monkeypatch):
-        # a table entry refined by a few digits stops after one Halley step,
-        # so the weight rests on the P'' dx update of P'
+        # a table entry refined by a few digits (77 and 80) stops after one
+        # Halley step, so the weight rests on the P'' dx update of P'
         monkeypatch.setattr(legendre, "_legendre_table", SHIPPED_TABLE)
         for order in (64, 256):
             for dps in (77, 80, 85, 90):
