@@ -50,15 +50,6 @@ def _parse_nu(text: str) -> Nu:
     return Nu(parse_rational(text))
 
 
-def _precision(digits: int, max_refine: int | None = None) -> Precision:
-    """Precision(decimal_digits=digits + 10): eval --digits d targets an
-    absolute error of 1e-d, while Precision()'s 30 digits target 1e-20."""
-    kwargs = {"decimal_digits": digits + 10}
-    if max_refine is not None:
-        kwargs["max_refinements"] = max_refine
-    return Precision(**kwargs)
-
-
 def _emit_records(records, fmt: str, header: str, order: int) -> None:
     if fmt == "json":
         print(records_to_json(records, order))
@@ -120,14 +111,11 @@ def cmd_eval(args) -> int:
         return _usage("--cutoff-mult applies to the bessel pipeline only")
     if args.pipeline == "bessel" and args.nu is None:
         return _usage("the bessel pipeline needs --nu")
-    if args.format == "csv":
-        return _usage("csv output applies to coefficient tables only")
-    # Precision needs decimal_digits = digits + 10 >= 15
+    # --digits d targets an absolute error of 1e-d, while Precision()'s 30 digits
+    # target 1e-20; Precision needs decimal_digits = d + 10 >= 15
     if args.digits < 5:
         return _usage("--digits must be at least 5")
-    if args.max_refine is not None and args.max_refine < 1:
-        return _usage("--max-refine must be at least 1")
-    prec = _precision(args.digits, args.max_refine)
+    prec = Precision(decimal_digits=args.digits + 10)
     try:
         if args.pipeline == "sinc":
             nu_frac = None
@@ -226,8 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff-mult", type=float, default=None,
                    help=f"bessel head length in envelope units, 1 to {CUTOFF_MULT_MAX} (default 24); "
                         f"the cutoff, this times 2^nu Gamma(nu+1), may not exceed {X_MAX}")
-    p.add_argument("--max-refine", type=int, default=None, help="order-doubling budget for each n, at least 1")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -107,6 +107,7 @@ __all__ = [
 ]
 
 ZETA_LOBES = 24   # head lobes kept in zeta mode
+MAX_DOUBLINGS = 5  # quadrature-order doublings for each n; the ladder stops on a gap, so at least 1
 CUTOFF_MULT_MAX = 64  # largest Bessel cutoff, in units of 2^nu Gamma(nu+1)
 X_MAX = 1024  # largest Bessel cutoff X = cutoff_mult 2^nu Gamma(nu+1)
 COS_GUARD = 20  # bits the sinc cosine table (_cosines) holds beyond prec
@@ -121,19 +122,13 @@ class Precision:
     1e-20; `ballint eval --digits d` targets 1e-d and builds
     Precision(decimal_digits=d + 10).
     The working precision adds fifteen more on top of decimal_digits.
-    max_refinements counts quadrature-order doublings and is at least 1:
-    the ladder stops on the gap between two rungs, so a single rung can
-    never meet the target.
     """
 
     decimal_digits: int = 30
-    max_refinements: int = 5
 
     def __post_init__(self):
         if self.decimal_digits < 15:
             raise ValueError("decimal_digits must be at least 15")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be at least 1")
 
     @property
     def target_digits(self) -> int:
@@ -296,12 +291,12 @@ def _integrate(pieces: Sequence[Piece], setups: dict[int, tuple], prec: Precisio
     is scale * (sum of those integrals) + offset, and err is the absolute
     error of whatever the pieces leave out (the analytic tail bound, or the
     error of an offset completed exactly), in final units.  An n whose
-    scaled gap is not below target/2 after max_refinements doublings maps
+    scaled gap is not below target/2 after MAX_DOUBLINGS doublings maps
     to a PrecisionFailure, named by label(n), carrying that estimate.
     """
-    wdps, k = prec.working_dps, prec.target_digits
+    wdps, k, rungs = prec.working_dps, prec.target_digits, MAX_DOUBLINGS
     half = mp.mpf(10) ** -k / 2
-    ladder = _ladder(pieces, {n: setup[0] for n, setup in setups.items()}, prec.max_refinements,
+    ladder = _ladder(pieces, {n: setup[0] for n, setup in setups.items()}, rungs,
                      {n: half / setup[1] for n, setup in setups.items()}, nodes, wdps)
     out: dict[int, QuadEstimate | PrecisionFailure] = {}
     for n, (uses, scale, offset, err, cutoff) in setups.items():
@@ -310,7 +305,7 @@ def _integrate(pieces: Sequence[Piece], setups: dict[int, tuple], prec: Precisio
         bound = scale * diff + err + mp.mpf(10) ** (2 - wdps) * (1 + abs(value))
         est = QuadEstimate(value=+value, abs_err_bound=+bound, cutoff_used=+mp.mpf(cutoff), pieces=len(uses))
         out[n] = est if scale * diff < half else PrecisionFailure(
-            f"{label(n)}: target 1e-{k:02d} not reached after {prec.max_refinements} order doublings", est)
+            f"{label(n)}: target 1e-{k:02d} not reached after {rungs} order doublings", est)
     return out
 
 
@@ -672,12 +667,12 @@ def _even_odd(even: Sequence[int], odd: Sequence[int], U: int, Y: int, wp: int) 
     return s, U * o >> wp
 
 
-def _direct_nodes(series: TaylorSeries, rule: tuple, prec: int | None = None) -> tuple[list[int], list[int], int]:
+def _direct_nodes(series: TaylorSeries, rule: tuple) -> tuple[list[int], list[int], int]:
     """The node values (hs, gs, k), in the rule's order, of a direct Bessel
     piece: h = |f_v(t)| and g = t^alpha at each node t = t0 + rad x of a
     Gauss rule, from the piece's series (_taylor_series), each sum rounded
-    once half-even to prec bits (default: the ambient precision;
-    round_bits) and held exactly as an integer in units of 2^-k.
+    once half-even to the ambient precision (round_bits) and held
+    exactly as an integer in units of 2^-k.
 
     _legendre_rule is symmetric, its first half the second negated in
     reverse order, so the nodes pair up as t0 +- rho U, U = x rad / rho for
@@ -688,7 +683,7 @@ def _direct_nodes(series: TaylorSeries, rule: tuple, prec: int | None = None) ->
     sum in units of 2^(te-wp), t0^alpha = tm 2^te: k = wp + max(0, -te).
     """
     wp, e, (_, rm, re, _), d, b, (_, tm, te, _) = series
-    prec = prec or mp.mp.prec
+    prec = mp.mp.prec
     sh = max(0, -te)
     f_even, f_odd, w_even, w_odd = d[::2][::-1], d[1::2][::-1], b[::2][::-1], b[1::2][::-1]
     hs, gs = [], []  # the -U and +U node of each pair, unrounded
@@ -896,6 +891,10 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
 # The last Bessel family, one entry: {(v, X, any n >= 3, wdps): [bounds, pieces, nodes]}.
 # nodes, the ladder's node values, is None on the family's first call and held
 # from its second consecutive call on; a call for another family replaces the entry.
+# So only a family called again pays for their memory.  Held from the first call, they
+# would also keep every one-shot family's (one eval line, one 16-piece batch) until the
+# next family: in 5 s benchmark runs bessel-quad's peak RSS rose by 2.4% (wall_s
+# fell by 6%) and verify-suites' by 1.5% with no change in time, against a 5% bound.
 _FAMILY: dict[tuple, list] = {}
 
 
@@ -952,16 +951,21 @@ def remainder_decay_fit(m: int, n_grid: Sequence[int], prec: Precision | None = 
 
     Fits log|r| against log n by least squares; grid points where the
     quadrature error budget is not at least 10x below |r| are dropped,
-    and fewer than 3 surviving points is an error.  The slope should sit
+    and fewer than 3 surviving points is an error.  A grid that gives
+    some n twice is refused before any quadrature: its points would count
+    towards those 3 without adding a distinct n.  The slope should sit
     near -(m+1); exp(intercept), signed like r, then estimates the next
     coefficient (in absolute units, including the leading constant).
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
+    ns = sorted(n_grid)
+    for a, b in zip(ns, ns[1:]):
+        if a == b:
+            raise ValueError(f"n = {a} appears more than once in the grid")
     prec = prec or Precision(decimal_digits=50)
     expansion = sinc_expansion(m)
     used, dropped, remainders, xs, ys = [], [], [], [], []
-    ns = sorted(n_grid)
     with mp.workdps(prec.working_dps):
         for n, est in zip(ns, sinc_integrals(ns, prec)):
             r = est.value - mp.sqrt(3 * mp.pi / 2) * expansion.partial_sum_mpf(n)

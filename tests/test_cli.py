@@ -125,7 +125,11 @@ class TestEval:
         assert run_cli(capsys, "eval", "sinc", "--n", "1")[0] == EXIT_USAGE
         assert run_cli(capsys, "eval", "sinc", "--n", "5", "--nu", "1")[0] == EXIT_USAGE
         assert run_cli(capsys, "eval", "bessel", "--n", "5")[0] == EXIT_USAGE
-        assert run_cli(capsys, "eval", "sinc", "--n", "5", "--format", "csv")[0] == EXIT_USAGE
+        # eval offers text and json only, so argparse refuses csv
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "sinc", "--n", "5", "--format", "csv"])
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
     def test_sinc_rejects_cutoff_mult(self, capsys):
         code, _, err = run_cli(capsys, "eval", "sinc", "--n", "5", "--cutoff-mult", "6")
@@ -147,13 +151,6 @@ class TestEval:
         assert code == EXIT_USAGE and out == ""
         assert "X = cutoff_mult 2^nu Gamma(nu+1) = 46080.0" in err and "X_MAX = 1024" in err
 
-    def test_negative_max_refine(self, capsys):
-        # zero too: one rung has no gap to stop on, so it could never succeed
-        for value in ("-1", "0"):
-            code, out, err = run_cli(capsys, "eval", "sinc", "--n", "5", "--max-refine", value)
-            assert code == EXIT_USAGE and out == ""
-            assert err == "error: --max-refine must be at least 1\n"
-
     @pytest.mark.parametrize("pipeline", [["sinc"], ["bessel", "--nu", "1"]])
     def test_digits_floor(self, capsys, pipeline):
         # the error names the flag the user typed, not the Precision field behind it
@@ -161,10 +158,9 @@ class TestEval:
         assert code == EXIT_USAGE and out == ""
         assert err == "error: --digits must be at least 5\n"
 
-    def test_digits_and_max_refine_at_their_floors(self, capsys):
-        for refine in ([], ["--max-refine", "1"]):
-            code, out, _ = run_cli(capsys, "eval", "sinc", "--n", "4", "--digits", "5", *refine)
-            assert code == EXIT_OK and out.splitlines()[0] == "sinc integral, n = 4"
+    def test_digits_at_its_floor(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "sinc", "--n", "4", "--digits", "5")
+        assert code == EXIT_OK and out.splitlines()[0] == "sinc integral, n = 4"
 
     def test_default_cutoff_has_no_cap(self, capsys):
         # at n = 2 the integral stops at j_{2,1} = 5.1356..., inside the default
@@ -203,19 +199,20 @@ class TestEval:
         assert code == EXIT_PRECISION and out == ""
         assert "precision failure" in err and "best estimate" in err
 
-    def test_target_past_the_float_range(self, capsys):
+    def test_target_past_the_float_range(self, capsys, doublings):
         # --digits 330 targets 10^-330, which is 0.0 as a float: the ladder stops
-        # at the exact target, and a miss prints it as 1e-330
+        # at the exact target, and a miss (at one doubling) prints it as 1e-330
         argv = ["eval", "bessel", "--n", "5", "--nu", "1", "--cutoff-mult", "1", "--digits", "330"]
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK and out.splitlines()[0] == "bessel integral, nu = 1, n = 5"
-        code, out, err = run_cli(capsys, *argv, "--max-refine", "1")
+        doublings(1)
+        code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_PRECISION and out == ""
         assert err.startswith("precision failure: bessel_integral(nu=1, n=5): target 1e-330 not reached")
 
-    def test_precision_failure_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "eval", "sinc", "--n", "97", "--digits", "30",
-                               "--max-refine", "1")
+    def test_precision_failure_exit_code(self, capsys, doublings):
+        doublings(1)
+        code, _, err = run_cli(capsys, "eval", "sinc", "--n", "97", "--digits", "30")
         assert code == EXIT_PRECISION
         assert "precision failure" in err and "best estimate" in err
 
@@ -230,6 +227,7 @@ class TestTextGoldens:
         ("eval/sinc-5-30.txt", ["eval", "sinc", "--n", "5", "--digits", "30"]),
         ("eval/bessel-7_3-8.txt", ["eval", "bessel", "--n", "8", "--nu", "7/3", "--cutoff-mult", "6"]),
         ("verify/reduction.txt", ["verify", "reduction"]),
+        ("appendix-check.txt", ["appendix-check"]),
     ])
     def test_text_bytes(self, capsys, golden, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -196,11 +196,6 @@ class TestPrecision:
     def test_validation(self):
         with pytest.raises(ValueError):
             Precision(decimal_digits=14)
-        # one rung has no gap to stop on, so at least one doubling is needed
-        for refinements in (-1, 0):
-            with pytest.raises(ValueError, match="max_refinements must be at least 1"):
-                Precision(max_refinements=refinements)
-        assert Precision(max_refinements=1).max_refinements == 1
 
     def test_target_past_the_float_range(self):
         # 10^-330 is 0.0 as a float, whose log raised a math domain error: held
@@ -810,7 +805,8 @@ class TestTaylorKernel:
                     for order in (16, 32, 64, 128):
                         rule = _legendre_rule(order, dps)
                         # the node values rounded to 64 more bits, which adds at most 2^-(prec+64)
-                        hs, gs, k = _direct_nodes(series, rule, prec + 64)
+                        with mp.workprec(prec + 64):
+                            hs, gs, k = _direct_nodes(series, rule)
                         for (x, _), h, g in zip(rule, hs, gs):
                             t = exact_node(t0, rad, x)
                             with mp.workprec(prec + 64):
@@ -1026,10 +1022,11 @@ class TestBatches:
         _MEMO.clear()
         assert [bits(e) for e in sinc_integrals(ns, prec)] == [bits(singles[n]) for n in ns]
 
-    def test_sinc_failing_rung(self):
+    def test_sinc_failing_rung(self, doublings):
         # at one doubling n = 2..6 converge, while n >= 7 miss the target and
         # fail, in the batch and alone alike
-        prec = Precision(max_refinements=1)
+        doublings(1)
+        prec = Precision()
         ns = [3, 9, 2, 7]
         fresh = _sinc_estimates(ns, prec)
         singles = {n: _sinc_estimates([n], prec)[n] for n in ns}
@@ -1057,11 +1054,12 @@ class TestBatches:
                 assert bits(fresh[n]) == bits(single)
         assert isinstance(fresh[10**6], PrecisionFailure) and not isinstance(fresh[1000], PrecisionFailure)
 
-    def test_unsure_totals_do_not_count(self, monkeypatch):
+    def test_unsure_totals_do_not_count(self, monkeypatch, doublings):
         # a total round_total is not sure of has diff inf, and the next rung compares against
         # nothing: the n refines to its last rung and fails there
         monkeypatch.setattr(quadrature, "round_total", lambda parts: (round_total(parts)[0], False))
-        failure = _sinc_estimates([5], Precision(max_refinements=2))[5]
+        doublings(2)
+        failure = _sinc_estimates([5], Precision())[5]
         assert isinstance(failure, PrecisionFailure)
         assert mp.isinf(failure.estimate.abs_err_bound)
 
@@ -1251,8 +1249,8 @@ class TestPowerSums:
               [2, 40, 300]))
     # every h equals the largest
     @example(([Fraction(5, 8)] * 3, [Fraction(1), Fraction(2**60), Fraction(1, 2**40)], [2, 7, 100]))
-    # one node and a gap of 999997: no integer widens with n (h = 1/2 keeps the exact sum's
-    # denominator 2^(10^6), rounded as a dyadic; from_rational would strip it 8 bits a pass)
+    # one node and a gap of 999997: no integer widens with n (h = 1/2 keeps the exact sum
+    # 3 2^-(10^6) short; h = 7/8 would make it a 3-million-bit integer)
     @example(([Fraction(1, 2)], [Fraction(3)], [3, 10**6]))
     def test_matches_correctly_rounded_exact_sum(self, case):
         hs, gs, ns = case
@@ -1260,22 +1258,22 @@ class TestPowerSums:
         wp = self.PREC + quadrature.LADDER_GUARD
         sums = power_sums(H, G, kh, kg, ns, wp)
         assert list(sums) == ns
+
+        def at_most(a, ka, b, kb):  # a 2^-ka <= b 2^-kb, exactly
+            return a << max(kb - ka, 0) <= b << max(ka - kb, 0)
+
         with mp.workprec(self.PREC):
             for n, (S, E, k) in sums.items():
-                want = sum(g * h**n for h, g in zip(hs, gs))
-                unit = Fraction(2) ** -k
-                assert S * unit <= want <= (S + E) * unit
+                # the exact sum, every term on its finest scale: want 2^-kw
+                want, kw = sum(g * h**n for h, g in zip(H, G)), kg + kh * n
+                assert at_most(S, k, want, kw) and at_most(want, kw, S + E, k)
                 total, sure = round_total([(S, E, k)])
                 # relative, whatever the size of the sum: E <= 2^(ERROR_BITS - wp) S, or all is 0,
                 # so only a rounding boundary between S and S + E can leave the total unsure
                 assert E.bit_length() <= max(S.bit_length() - wp + ERROR_BITS, 0)
                 assert E <= S >> (self.PREC + 8)
                 if sure:
-                    k = want.denominator.bit_length() - 1
-                    if want.denominator == 1 << k:
-                        assert total._mpf_ == from_man_exp(want.numerator, -k, self.PREC, round_nearest)
-                    else:
-                        assert total._mpf_ == from_rational(want.numerator, want.denominator, self.PREC, round_nearest)
+                    assert total._mpf_ == from_man_exp(want, -kw, self.PREC, round_nearest)
 
     def test_pieces_of_every_size_add_exactly(self):
         # a total of parts in units far apart is floored to the coarsest and still rounds correctly
@@ -1327,8 +1325,13 @@ class TestPowerSums:
 
 
 class TestBatchFailure:
-    # the failure a batch raises is the single call's failure for the first failing n of ns
-    PREC = Precision(decimal_digits=40, max_refinements=1)
+    # the failure a batch raises is the single call's failure for the first failing n of ns,
+    # at one doubling
+    PREC = Precision(decimal_digits=40)
+
+    @pytest.fixture(autouse=True)
+    def one_doubling(self, doublings):
+        doublings(1)
 
     def single_failure(self, call) -> PrecisionFailure:
         _MEMO.clear()
@@ -1356,7 +1359,7 @@ class TestBatchFailure:
 
     def test_successes_are_memoised(self):
         # n = 2..6 meet the target at one doubling; n = 8 does not
-        prec = Precision(max_refinements=1)
+        prec = Precision()
         _MEMO.clear()
         with pytest.raises(PrecisionFailure, match=r"sinc_integral\(n=8\)"):
             sinc_integrals([3, 8, 2], prec)
@@ -1397,9 +1400,9 @@ class TestBatchWork:
         monkeypatch.setattr(quadrature, "_f_nu", counted("f_nu", quadrature._f_nu))
         real_nodes = quadrature._direct_nodes
 
-        def counted_nodes(series, rule, *args):  # counts Taylor nodes, two a +- pair
+        def counted_nodes(series, rule):  # counts Taylor nodes, two a +- pair
             calls["taylor"] += len(rule)
-            return real_nodes(series, rule, *args)
+            return real_nodes(series, rule)
 
         monkeypatch.setattr(quadrature, "_direct_nodes", counted_nodes)
         _MEMO.clear()
@@ -1446,7 +1449,7 @@ class TestBatchWork:
         real_f_nu, real_nodes = quadrature._f_nu, quadrature._direct_nodes
         monkeypatch.setattr(quadrature, "_f_nu", lambda *a: calls.append(1) or real_f_nu(*a))
         monkeypatch.setattr(quadrature, "_direct_nodes",
-                            lambda series, rule, *a: calls.extend(rule) or real_nodes(series, rule, *a))
+                            lambda series, rule: calls.extend(rule) or real_nodes(series, rule))
         counts = {}
         for n in (5, 7, 20):
             _MEMO.clear()
@@ -1560,22 +1563,24 @@ class TestGapInFinalUnits:
         for n, est in zip(ns, bessel_integrals(Nu(Fraction(nu)), ns, cutoff_mult=6)):
             assert est.abs_err_bound <= mp.mpf(10) ** -Precision().target_digits, n
 
-    def test_scaled_gap_at_last_rung_is_a_miss(self):
+    def test_scaled_gap_at_last_rung_is_a_miss(self, doublings):
         # after three doublings the unscaled gap of n = 200 is below target/2, but n^nu
         # times it is 1.3e-17: the failure tests the scaled gap too
+        doublings(3)
         with pytest.raises(PrecisionFailure):
-            bessel_integral(Nu(Fraction(7, 3)), 200, Precision(max_refinements=3), cutoff_mult=6)
+            bessel_integral(Nu(Fraction(7, 3)), 200, Precision(), cutoff_mult=6)
 
 
 class TestPrecisionFailure:
-    def test_exhausted_ladder_carries_estimate(self):
+    def test_exhausted_ladder_carries_estimate(self, doublings):
+        doublings(1)
         with pytest.raises(PrecisionFailure) as exc:
-            sinc_integral(97, Precision(decimal_digits=40, max_refinements=1))
+            sinc_integral(97, Precision(decimal_digits=40))
         est = exc.value.estimate
         assert isinstance(est, QuadEstimate)
         assert est.abs_err_bound > mp.mpf(10) ** -30
 
-    def test_failing_n_runs_one_ladder(self, monkeypatch):
+    def test_failing_n_runs_one_ladder(self, monkeypatch, doublings):
         # a miss fails from the one ladder it ran, at the working precision
         calls, ladder = [], quadrature._ladder
 
@@ -1584,7 +1589,8 @@ class TestPrecisionFailure:
             return ladder(*args)
 
         monkeypatch.setattr(quadrature, "_ladder", counted)
-        prec = Precision(decimal_digits=40, max_refinements=1)
+        doublings(1)
+        prec = Precision(decimal_digits=40)
         assert isinstance(_sinc_estimates([97], prec)[97], PrecisionFailure)
         assert calls == [prec.working_dps]
 
@@ -1618,6 +1624,18 @@ class TestDecayFit:
     def test_validation(self):
         with pytest.raises(ValueError):
             remainder_decay_fit(-1, (50, 100, 200))
+
+    @pytest.mark.parametrize("grid", [(50, 50, 50), (50, 50, 100), (200, 50, 100, 50)])
+    def test_repeated_n_refused(self, monkeypatch, grid):
+        # a repeated n counted towards the 3 usable points: (50, 50, 50) divided by
+        # sxx = 0, and (50, 50, 100) fitted a line through two n.  Refused before
+        # any quadrature runs
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(quadrature, "sinc_integrals", no_quadrature)
+        with pytest.raises(ValueError, match="n = 50 appears more than once in the grid"):
+            remainder_decay_fit(0, grid)
 
     def test_all_points_dropped(self):
         # at m = 12 the remainder sits near 1e-42, below the error budget
