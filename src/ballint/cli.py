@@ -16,7 +16,7 @@ import mpmath as mp
 
 from .bessel import BesselExpansion, Nu, bessel_expansion
 from .cache import load_coeffs, store_coeffs
-from .quadrature import CUTOFF_MULT_MAX, X_MAX, Precision, PrecisionFailure, bessel_integral, sinc_integral
+from .quadrature import X_MAX, Precision, PrecisionFailure, bessel_integral, sinc_integral
 from .rationals import format_rational, parse_rational
 from .records import (
     bessel_coeff_records,
@@ -163,23 +163,21 @@ def cmd_appendix_check(args) -> int:
         "recomputed": format_rational(mism.engine),
         "status": entry["classification"] if entry else "UNLEDGERED",
     } for mism, entry in check.mismatches]
-    stale = sorted((e["row"], e["exponent"]) for e in check.stale)
-    clean = all(entry is not None for _, entry in check.mismatches) and not stale
     if args.format == "json":
         print(json.dumps({
             "kind": "appendix-check",
             "monomials": len(check.fixture),
             "mismatches": rows,
-            "stale_ledger_entries": [list(s) for s in stale],
+            "stale_ledger_entries": [list(s) for s in check.stale],
         }, indent=2))
     else:
         print(f"fixture monomials: {len(check.fixture)}, mismatching: {len(rows)}")
         for r in rows:
             print(f"  row {r['row']:2d} t^{r['exponent']:<2d} fixture {r['fixture']} "
                   f"recomputed {r['recomputed']} [{r['status']}]")
-        for s in stale:
+        for s in check.stale:
             print(f"  stale ledger entry {s}")
-    return EXIT_OK if clean else EXIT_VERIFY
+    return EXIT_VERIFY if check.unledgered or check.stale else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=20,
                    help="target absolute error 1e-DIGITS; builds Precision(decimal_digits=DIGITS + 10)")
     p.add_argument("--cutoff-mult", type=float, default=None,
-                   help=f"bessel head length in envelope units, 1 to {CUTOFF_MULT_MAX} (default 24); "
+                   help="bessel head length in envelope units, at least 1 (default 24); "
                         f"the cutoff, this times 2^nu Gamma(nu+1), may not exceed {X_MAX}")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_eval)

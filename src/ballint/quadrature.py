@@ -96,7 +96,6 @@ __all__ = [
     "DecayFit",
     "PrecisionFailure",
     "ZETA_LOBES",
-    "CUTOFF_MULT_MAX",
     "X_MAX",
     "sinc_integral",
     "sinc_integrals",
@@ -108,7 +107,6 @@ __all__ = [
 
 ZETA_LOBES = 24   # head lobes kept in zeta mode
 MAX_DOUBLINGS = 5  # quadrature-order doublings for each n; the ladder stops on a gap, so at least 1
-CUTOFF_MULT_MAX = 64  # largest Bessel cutoff, in units of 2^nu Gamma(nu+1)
 X_MAX = 1024  # largest Bessel cutoff X = cutoff_mult 2^nu Gamma(nu+1)
 COS_GUARD = 20  # bits the sinc cosine table (_cosines) holds beyond prec
 
@@ -282,7 +280,7 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
 def _integrate(pieces: Sequence[Piece], setups: dict[int, tuple], prec: Precision,
                label: Callable[[int], str], nodes: dict | None = None) -> dict[int, QuadEstimate | PrecisionFailure]:
     """Run the order-doubling ladder (_ladder) once for every n of setups,
-    until scale |Q_2N - Q_N| < target/2; the caller builds pieces and
+    until |Q_2N - Q_N| < target / (2 scale); the caller builds pieces and
     setups, and calls this, inside mp.workdps(prec.working_dps).  nodes
     is the ladder's store of node values, or None.
 
@@ -290,21 +288,22 @@ def _integrate(pieces: Sequence[Piece], setups: dict[int, tuple], prec: Precisio
     the pieces listed by uses (indices into pieces, increasing), the value
     is scale * (sum of those integrals) + offset, and err is the absolute
     error of whatever the pieces leave out (the analytic tail bound, or the
-    error of an offset completed exactly), in final units.  An n whose
-    scaled gap is not below target/2 after MAX_DOUBLINGS doublings maps
-    to a PrecisionFailure, named by label(n), carrying that estimate.
+    error of an offset completed exactly), in final units.  An n whose gap
+    is not below that threshold after MAX_DOUBLINGS doublings maps to a
+    PrecisionFailure, named by label(n), carrying that estimate: the ladder's
+    stop and this verdict are one comparison against one threshold.
     """
     wdps, k, rungs = prec.working_dps, prec.target_digits, MAX_DOUBLINGS
     half = mp.mpf(10) ** -k / 2
-    ladder = _ladder(pieces, {n: setup[0] for n, setup in setups.items()}, rungs,
-                     {n: half / setup[1] for n, setup in setups.items()}, nodes, wdps)
+    thresholds = {n: half / setup[1] for n, setup in setups.items()}
+    ladder = _ladder(pieces, {n: setup[0] for n, setup in setups.items()}, rungs, thresholds, nodes, wdps)
     out: dict[int, QuadEstimate | PrecisionFailure] = {}
     for n, (uses, scale, offset, err, cutoff) in setups.items():
         total, diff = ladder[n]
         value = scale * total + offset
         bound = scale * diff + err + mp.mpf(10) ** (2 - wdps) * (1 + abs(value))
         est = QuadEstimate(value=+value, abs_err_bound=+bound, cutoff_used=+mp.mpf(cutoff), pieces=len(uses))
-        out[n] = est if scale * diff < half else PrecisionFailure(
+        out[n] = est if diff < thresholds[n] else PrecisionFailure(
             f"{label(n)}: target 1e-{k:02d} not reached after {rungs} order doublings", est)
     return out
 
@@ -314,14 +313,18 @@ def _integrate(pieces: Sequence[Piece], setups: dict[int, tuple], prec: Precisio
 _MEMO: dict[tuple, QuadEstimate] = {}
 
 
-def _memoised(family: tuple, ns: list[int], compute) -> list[QuadEstimate]:
+def _memoised(family: tuple, ns: Iterable[int], compute) -> list[QuadEstimate]:
     """[the estimate for n, for n in ns], from _MEMO; the n not yet in it are
     computed first, each once, in one batch by compute(missing), which
     returns {n: QuadEstimate or PrecisionFailure}.  Every estimate is
     memoised before the failure of the first failing n in ns is raised.
-    An n that is not an integer raises TypeError: 5.0 would find 5's entry.
+    This is the one check of n for both integrals: an n that is not an
+    integer raises TypeError (5.0 would find 5's entry), and one below 2
+    ValueError, before any estimate is computed.
     """
     ns = [operator.index(n) for n in ns]
+    if any(n < 2 for n in ns):
+        raise ValueError("n must be at least 2")
     missing = list(dict.fromkeys(n for n in ns if (*family, n) not in _MEMO))
     failures = {}
     if missing:
@@ -375,9 +378,6 @@ def sinc_integrals(ns: Iterable[int], prec: Precision | None = None) -> list[Qua
     raised, after the others are memoised.
     """
     prec = prec or Precision()
-    ns = list(ns)
-    if any(n < 2 for n in ns):
-        raise ValueError("n must be at least 2")
     return _memoised(("sinc", prec), ns, lambda todo: _sinc_estimates(todo, prec))
 
 
@@ -834,10 +834,11 @@ def bessel_integral(nu: Nu, n: int, prec: Precision | None = None,
 
     For n >= 3, integrates to X = cutoff_mult * 2^nu Gamma(nu+1), splitting
     at every zero of J_nu below X (_bessel_zeros); the kernel _f_nu has no cap.
-    cutoff_mult runs from 1 to CUTOFF_MULT_MAX and X may not exceed X_MAX,
-    or ValueError is raised before any kernel call: the zeros below X, and
-    the terms of each kernel sum, grow with X, and X grows factorially with
-    nu (X = 46080 at nu = 6 and cutoff_mult = 1).  The first piece is
+    X, formed at the working precision, must lie between 2^nu Gamma(nu+1)
+    and X_MAX, so cutoff_mult is finite and at least 1, or ValueError is
+    raised before the memo is read or any kernel call: the zeros below X,
+    and the terms of each kernel sum, grow with X, and X grows factorially
+    with nu (X = 46080 at nu = 6 and cutoff_mult = 1).  The first piece is
     mapped through t = y^{q/2} (nu = p/q) so the t^{2nu-1} branch point
     becomes the analytic monomial y^{p-1}.  For n >= 3 the
     decay-envelope tail bound at X goes into abs_err_bound.  At n = 2 only
@@ -845,8 +846,8 @@ def bessel_integral(nu: Nu, n: int, prec: Precision | None = None,
     tail past its end is completed exactly into the value
     (_completed_tail_n2), so value, bound and cutoff_used are the same
     at every cutoff_mult with X >= j_{nu,1}.
-    Results are memoised per (nu, n, prec, float(cutoff_mult)).  This is
-    bessel_integrals(nu, [n], prec, cutoff_mult)[0].
+    Results are memoised per (nu, n, prec, float(cutoff_mult)); n is checked
+    there (_memoised).  This is bessel_integrals(nu, [n], prec, cutoff_mult)[0].
     """
     return bessel_integrals(nu, [n], prec, cutoff_mult)[0]
 
@@ -871,19 +872,17 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
     on, so are the node values of every rung it climbs, and no later call
     evaluates a node held.  If any n misses
     its target, the PrecisionFailure of the first such n in ns is raised,
-    after the others are memoised.
+    after the others are memoised.  The cutoff is checked as in bessel_integral.
     """
     prec = prec or Precision()
-    ns = list(ns)
-    if any(n < 2 for n in ns):
-        raise ValueError("n must be at least 2")
-    if not 1 <= cutoff_mult <= CUTOFF_MULT_MAX:
-        raise ValueError(f"cutoff_mult must be finite, at least 1 and at most {CUTOFF_MULT_MAX}")
     cutoff_mult = float(cutoff_mult)
-    X = cutoff_mult * amplitude(nu)
-    if X > X_MAX:
-        raise ValueError(f"the cutoff X = cutoff_mult 2^nu Gamma(nu+1) = {mp.nstr(X, 6)} "
-                         f"at nu = {nu} is above X_MAX = {X_MAX}")
+    with mp.workdps(prec.working_dps):  # the X that _bessel_estimates integrates to
+        amp = amplitude(nu)
+        X = cutoff_mult * amp
+        if not amp <= X <= X_MAX:  # false for nan, so nan and inf are refused too
+            raise ValueError(f"the cutoff X = cutoff_mult 2^nu Gamma(nu+1) = {mp.nstr(X, 6)} at nu = {nu} "
+                             f"is above X_MAX = {X_MAX}" if X_MAX < X < mp.inf
+                             else f"cutoff_mult = {cutoff_mult} must be finite and at least 1")
     return _memoised(("bessel", nu, prec, cutoff_mult), ns,
                      lambda todo: _bessel_estimates(nu, todo, prec, cutoff_mult))
 
@@ -893,8 +892,9 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
 # from its second consecutive call on; a call for another family replaces the entry.
 # So only a family called again pays for their memory.  Held from the first call, they
 # would also keep every one-shot family's (one eval line, one 16-piece batch) until the
-# next family: in 5 s benchmark runs bessel-quad's peak RSS rose by 2.4% (wall_s
-# fell by 6%) and verify-suites' by 1.5% with no change in time, against a 5% bound.
+# next family: in 6 alternating pairs of 8 s bessel-quad benchmark runs its peak RSS
+# read 26.14-26.56 MB against 25.51-25.54 MB (+2.5-4.1%, against a 5% bound) and
+# wall_s 0.153-0.162 s against 0.154-0.165 s.
 _FAMILY: dict[tuple, list] = {}
 
 
@@ -956,9 +956,8 @@ def remainder_decay_fit(m: int, n_grid: Sequence[int], prec: Precision | None = 
     towards those 3 without adding a distinct n.  The slope should sit
     near -(m+1); exp(intercept), signed like r, then estimates the next
     coefficient (in absolute units, including the leading constant).
+    sinc_expansion refuses a negative m, also before any quadrature.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     ns = sorted(n_grid)
     for a, b in zip(ns, ns[1:]):
         if a == b:

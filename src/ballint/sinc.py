@@ -248,14 +248,17 @@ class ErrataCheck:
 
     mismatches pairs every table-fixture mismatch (at APPENDIX_K) with the
     ledger entry recording its fixture and recomputed values, or with None
-    when no entry does; stale lists the table entries that record no live
-    mismatch.  coefficients maps an order to its ledger entry when that
-    entry records the printed REFERENCE_SINC value and the engine's c_order.
+    when no entry does.  The ledger is aligned when unledgered (those
+    mismatches with None) and stale (the table entries that record no live
+    mismatch), both sorted (row, exponent) pairs, are empty.  coefficients
+    maps an order to its ledger entry when that entry records the printed
+    REFERENCE_SINC value and the engine's c_order.
     """
 
     fixture: dict[tuple[int, int], Fraction]
     mismatches: tuple[tuple[AppendixMismatch, dict | None], ...]
-    stale: tuple[dict, ...]
+    unledgered: tuple[tuple[int, int], ...]
+    stale: tuple[tuple[int, int], ...]
     coefficients: dict[int, dict]
 
 
@@ -273,5 +276,6 @@ def check_errata() -> ErrataCheck:
         j = e["order"]
         if (e["fixture"], e["recomputed"]) == (REFERENCE_SINC.get(j), format_rational(sinc_expansion(j).coeffs[j])):
             coefficients[j] = e
-    return ErrataCheck(fixture=fixture, mismatches=mismatches, stale=tuple(unmatched.values()),
-                       coefficients=coefficients)
+    unledgered = tuple(sorted((m.row, m.exponent) for m, e in mismatches if e is None))
+    stale = tuple(sorted((e["row"], e["exponent"]) for e in unmatched.values()))
+    return ErrataCheck(fixture, mismatches, unledgered, stale, coefficients)

@@ -143,7 +143,7 @@ class TestEval:
     @pytest.mark.parametrize("value", ["1e4", "1e8"])
     def test_cutoff_mult_above_limit(self, capsys, value):
         code, _, err = run_cli(capsys, "eval", "bessel", "--n", "5", "--nu", "1", "--cutoff-mult", value)
-        assert code == EXIT_USAGE and "at most 64" in err
+        assert code == EXIT_USAGE and "X_MAX = 1024" in err
 
     def test_cutoff_above_x_max(self, capsys):
         # at nu = 6 even the smallest multiplier gives X = 46080, refused before any kernel call

@@ -11,7 +11,7 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
-from mpmath.libmp import from_man_exp, from_rational, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, mpf_shift, mpf_sub, round_floor, round_nearest
 
 import ballint.fixedpoint as fixedpoint
 import ballint.legendre as legendre
@@ -20,7 +20,6 @@ from ballint.fixedpoint import ERROR_BITS, power_sums, round_bits, round_total
 from ballint.bessel import Nu, amplitude, bessel_expansion, c0_value, i_nu_at_2
 from ballint.sinc import sinc_expansion
 from ballint.quadrature import (
-    CUTOFF_MULT_MAX,
     BesselEval,
     DecayFit,
     Precision,
@@ -55,8 +54,8 @@ ONE = Nu(Fraction(1))
 # frozen 30-digit regression pin for n = 3: the sinc engine's own value,
 # not an independent one.  The Bessel pipeline at nu = 1/2 only brackets it
 # (4.0e-4 away with bound 6.7e-3 at defaults, 5.7e-5 away with bound 1.5e-3
-# at cutoff_mult=64, the largest allowed).  It sits 0.053 above the signed
-# integral sqrt(3) int (sin t/t)^3 = 3 sqrt(3) pi/8, as |sin t/t|^3 must.
+# at cutoff_mult=64).  It sits 0.053 above the signed integral
+# sqrt(3) int (sin t/t)^3 = 3 sqrt(3) pi/8, as |sin t/t|^3 must.
 I3_REFERENCE = "2.09308676894979384243213365357"
 
 # f_nu(t) = (2k+1)!! j_k(t) / t^k at nu = k + 1/2, from the spherical Bessel j_k
@@ -590,10 +589,11 @@ class TestBesselClosedForms:
         with pytest.raises(ValueError, match="finite"):
             bessel_integral(ONE, 5, cutoff_mult=cutoff_mult)
 
-    @pytest.mark.parametrize("cutoff_mult", [CUTOFF_MULT_MAX + 0.5, 1e4, 1e8])
+    @pytest.mark.parametrize("cutoff_mult", [quadrature.X_MAX / 2 + 0.5, 1e4, 1e8])
     def test_cutoff_mult_above_limit_rejected(self, cutoff_mult):
-        # at 1e4 the search would walk thousands of zeros and run for minutes
-        with pytest.raises(ValueError, match=f"at most {CUTOFF_MULT_MAX}"):
+        # at nu = 1, X = 2 cutoff_mult; at 1e4 the search would walk thousands
+        # of zeros and run for minutes
+        with pytest.raises(ValueError, match="is above X_MAX = 1024"):
             bessel_integral(ONE, 5, cutoff_mult=cutoff_mult)
 
     def test_cutoff_above_x_max_rejected(self, monkeypatch):
@@ -610,9 +610,22 @@ class TestBesselClosedForms:
             bessel_integrals(Nu(Fraction(3)), [5, 6])
         assert quadrature.X_MAX == 1024
 
-    def test_cutoff_mult_limit_accepted(self):
-        est = bessel_integral(ONE, 40, cutoff_mult=CUTOFF_MULT_MAX)
-        assert est.cutoff_used == 2 * CUTOFF_MULT_MAX
+    def test_cutoff_mult_limit_accepted(self, monkeypatch):
+        # X_MAX alone bounds cutoff_mult: at nu = 1, X = 2 cutoff_mult meets it
+        # at 512, and at nu = 1/2, X = sqrt(pi/2) cutoff_mult is 1002.65 at 800
+        # and 1027.72 at 820.  _bessel_estimates records its cutoff_mult and
+        # returns a stand-in, so no zero search runs; the stand-ins go to a memo
+        # of their own
+        asked = []
+        monkeypatch.setattr(quadrature, "_bessel_estimates",
+                            lambda nu, ns, prec, cutoff_mult: asked.append(cutoff_mult) or dict.fromkeys(ns, asked))
+        monkeypatch.setattr(quadrature, "_MEMO", {})
+        bessel_integral(ONE, 40, cutoff_mult=quadrature.X_MAX / 2)
+        bessel_integral(HALF, 5, cutoff_mult=800)
+        with pytest.raises(ValueError, match=r"X = cutoff_mult 2\^nu Gamma\(nu\+1\) = 1027.72 at nu = 1/2 "
+                                             r"is above X_MAX = 1024"):
+            bessel_integral(HALF, 5, cutoff_mult=820)
+        assert asked == [512.0, 800.0]
 
     def test_nu2_n2_default_cutoff(self):
         # n = 2 integrates up to j_{2,1} = 5.1356..., well inside the default
@@ -1109,8 +1122,8 @@ class TestBatches:
             sinc_integrals([3, 1])
         with pytest.raises(ValueError, match="at least 2"):
             bessel_integrals(ONE, [5, 0])
-        with pytest.raises(ValueError, match="cutoff_mult"):
-            bessel_integrals(ONE, [5], cutoff_mult=65)
+        with pytest.raises(ValueError, match="X_MAX"):
+            bessel_integrals(ONE, [5], cutoff_mult=513)
 
 
 def exact(x: mp.mpf) -> str:
@@ -1569,6 +1582,23 @@ class TestGapInFinalUnits:
         doublings(3)
         with pytest.raises(PrecisionFailure):
             bessel_integral(Nu(Fraction(7, 3)), 200, Precision(), cutoff_mult=6)
+
+    def test_verdict_is_the_ladder_stop(self, monkeypatch):
+        # the ladder stops an n once its gap is below target / (2 scale), and the
+        # verdict is that same comparison.  At the working precision the gap just
+        # below that threshold fails "scale gap < target/2" by rounding at
+        # scale = sqrt(149), and the gap at the threshold passes it at sqrt(26)
+        def ladder(pieces, uses, rungs, thresholds, nodes, dps):
+            t = thresholds[149]._mpf_
+            below = mpf_sub(t, mpf_shift(t, -2 * mp.mp.prec), mp.mp.prec, round_floor)
+            return {149: (mp.mpf(0), mp.mpf(below)), 26: (mp.mpf(0), thresholds[26])}
+
+        monkeypatch.setattr(quadrature, "_ladder", ladder)
+        prec = Precision()
+        with mp.workdps(prec.working_dps):
+            setups = {n: ((), mp.sqrt(n), mp.mpf(0), mp.mpf(0), mp.inf) for n in (149, 26)}
+            out = quadrature._integrate([], setups, prec, str)
+        assert isinstance(out[149], QuadEstimate) and isinstance(out[26], PrecisionFailure)
 
 
 class TestPrecisionFailure:

@@ -6,7 +6,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from ballint import sinc, verify
+from ballint import bessel, sinc, verify
 from ballint.quadrature import remainder_decay_fit
 from ballint.records import VerifyReport, reports_to_json
 from ballint.verify import SUITES, run_suite, suite_exit_code
@@ -99,6 +99,16 @@ class TestFailBranches:
         reports = {r.id: r for r in run_suite("paper-constants")}
         assert [i for i, r in reports.items() if r.status != "pass"] == ["sinc-c5"]
         assert reports["sinc-c5"].status == "fail" and "decay fit at order 5" in reports["sinc-c5"].notes
+
+    def test_c0_comparison_rows_fail_with_a_wrong_c0(self, monkeypatch):
+        # the rows decide the comparison of I_nu(2) with c_0: a halved c_0 fails
+        # them, and the suite still returns every row
+        for module in (bessel, verify):
+            monkeypatch.setattr(module, "c0_exact", lambda nu, real=bessel.c0_exact: real(nu) / 2)
+        reports = {r.id: r for r in run_suite("paper-constants")}
+        assert [i for i, r in reports.items() if r.status == "fail"] == [
+            "c0-nu-1", "c0-nu-2", "i-nu-2-below-c0", "i-nu-3-below-c0"]
+        assert all(reports[f"i-nu-{v}-at-2"].status == "pass" for v in (1, 2, 3))
 
     def test_sinc_sweep_names_the_worst_n(self, monkeypatch):
         real = verify.sinc_integrals
