@@ -136,15 +136,6 @@ class BesselExpansion:
     k: int
     gamma_coeffs: tuple[Fraction, ...]
 
-    def partial_sum_mpf(self, n, digits: int = 30) -> mp.mpf:
-        """c_0 * sum_j gamma_j / n^j evaluated at the requested precision."""
-        with mp.workdps(digits + 10):
-            nn = mp.mpf(n)
-            s = mp.fsum(
-                to_mpf(g) / nn**j for j, g in enumerate(self.gamma_coeffs)
-            )
-            return +(c0_value(self.nu, digits + 10) * s)
-
 
 def bessel_expansion(nu: Nu, m: int, k: int | None = None) -> BesselExpansion:
     """Exact gamma_0..gamma_m for rational nu; k defaults to m + 1.
@@ -225,7 +216,7 @@ def bessel_tail_bound(nu: Nu, n: int, X, digits: int = 30) -> mp.mpf:
         nv = to_mpf(v)
         amp = amplitude(nu)
         Xv = mp.mpf(X)
-        if Xv < amp * (1 - mp.mpf(10) ** -digits):
+        if not Xv >= amp * (1 - mp.mpf(10) ** -digits):  # false for nan, so nan is refused too
             raise ValueError("cutoff below 2^nu Gamma(nu+1)")
         c = to_mpf(LANDAU_BOUND_C)
         expo = -(nv + mp.mpf(1) / 3) * n + 2 * nv

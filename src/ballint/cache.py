@@ -2,14 +2,16 @@
 
 Location: $BALLINT_CACHE_DIR, else $XDG_CACHE_HOME/ballint, else
 ~/.cache/ballint.  Keys are content hashes over (pipeline, nu, m, k,
-code-version tag), so a version bump invalidates everything and
-identical requests across runs share one entry.  Payloads hold exact
-rational strings only; decimals are recomputed on render so cached and
-uncached output stay byte-identical.
+code tag), the code tag being a SHA-256 of the source of the modules that
+compute and store coefficients, so an entry never outlives the code that
+wrote it, and identical requests across runs share one entry.  Payloads
+hold exact rational strings only; decimals are recomputed on render so
+cached and computed output stay byte-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -17,12 +19,22 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
 from .rationals import format_rational, parse_rational
 
 __all__ = ["cache_dir", "cache_key", "load_coeffs", "store_coeffs"]
 
 ENV_VAR = "BALLINT_CACHE_DIR"
+
+# every module whose source can change a stored coefficient or its encoding
+_CODE_MODULES = ("rationals.py", "series.py", "sinc.py", "bessel.py", "cache.py")
+
+
+@functools.cache
+def _code_tag() -> str:
+    digest = hashlib.sha256()
+    for name in _CODE_MODULES:
+        digest.update(Path(__file__).with_name(name).read_bytes())
+    return digest.hexdigest()
 
 
 def cache_dir() -> Path:
@@ -34,17 +46,18 @@ def cache_dir() -> Path:
     return base / "ballint"
 
 
+def _entry(pipeline: str, nu: Fraction | None, m: int, k: int) -> dict:
+    return {
+        "pipeline": pipeline,
+        "nu": format_rational(nu) if nu is not None else None,
+        "m": m,
+        "k": k,
+        "code": _code_tag(),
+    }
+
+
 def cache_key(pipeline: str, nu: Fraction | None, m: int, k: int) -> str:
-    payload = json.dumps(
-        {
-            "pipeline": pipeline,
-            "nu": format_rational(nu) if nu is not None else None,
-            "m": m,
-            "k": k,
-            "version": __version__,
-        },
-        sort_keys=True,
-    )
+    payload = json.dumps(_entry(pipeline, nu, m, k), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -64,14 +77,7 @@ def store_coeffs(pipeline: str, nu: Fraction | None, m: int, k: int, coeffs) -> 
     directory = cache_dir()
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "pipeline": pipeline,
-            "nu": format_rational(nu) if nu is not None else None,
-            "m": m,
-            "k": k,
-            "version": __version__,
-            "coefficients": [format_rational(c) for c in coeffs],
-        }
+        doc = {**_entry(pipeline, nu, m, k), "coefficients": [format_rational(c) for c in coeffs]}
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -50,26 +50,24 @@ def _parse_nu(text: str) -> Nu:
     return Nu(parse_rational(text))
 
 
-def _emit_records(records, fmt: str, header: str, order: int) -> None:
+def _emit_records(records, fmt: str, header: str) -> None:
     if fmt == "json":
-        print(records_to_json(records, order))
+        print(records_to_json(records))
     elif fmt == "csv":
         print(records_to_csv(records))
     else:
         print(records_to_text(records, header))
 
 
-def _cached_coeffs(args, pipeline: str, nu: Fraction | None, compute) -> tuple[Fraction, ...]:
-    """The exact coefficients of order m = args.order, k = m + 1: from the
-    cache, or compute(k) and stored; --no-cache neither reads nor stores."""
-    m, k = args.order, args.order + 1
-    coeffs = None if args.no_cache else load_coeffs(pipeline, nu, m, k)
-    if coeffs is not None:
-        return tuple(coeffs)
-    coeffs = compute(k)
-    if not args.no_cache:
+def _cached_coeffs(pipeline: str, nu: Fraction | None, m: int, compute) -> tuple[Fraction, ...]:
+    """The exact coefficients of order m, k = m + 1: from the cache, or
+    compute(k) and stored."""
+    k = m + 1
+    coeffs = load_coeffs(pipeline, nu, m, k)
+    if coeffs is None:
+        coeffs = compute(k)
         store_coeffs(pipeline, nu, m, k, coeffs)
-    return coeffs
+    return tuple(coeffs)
 
 
 def cmd_sinc_coeffs(args) -> int:
@@ -78,10 +76,10 @@ def cmd_sinc_coeffs(args) -> int:
         return _usage(f"--order must lie in 0..{SINC_ORDER_CEILING}")
     if args.digits < 1:
         return _usage("--digits must be at least 1")
-    coeffs = _cached_coeffs(args, "sinc", None, lambda k: sinc_expansion(m, k).coeffs)
+    coeffs = _cached_coeffs("sinc", None, m, lambda k: sinc_expansion(m, k).coeffs)
     expansion = SincExpansion(m=m, k=m + 1, coeffs=coeffs)
     records = sinc_coeff_records(expansion, digits=args.digits)
-    _emit_records(records, args.format, f"sinc coefficients, order {m}, unit {SINC_UNIT}", m)
+    _emit_records(records, args.format, f"sinc coefficients, order {m}, unit {SINC_UNIT}")
     return EXIT_OK
 
 
@@ -95,10 +93,10 @@ def cmd_bessel_coeffs(args) -> int:
         return _usage(f"--order must lie in 0..{BESSEL_ORDER_CEILING}")
     if args.digits < 1:
         return _usage("--digits must be at least 1")
-    coeffs = _cached_coeffs(args, "bessel", nu.value, lambda k: bessel_expansion(nu, m, k).gamma_coeffs)
+    coeffs = _cached_coeffs("bessel", nu.value, m, lambda k: bessel_expansion(nu, m, k).gamma_coeffs)
     expansion = BesselExpansion(nu=nu, m=m, k=m + 1, gamma_coeffs=coeffs)
     records = bessel_coeff_records(expansion, digits=args.digits)
-    _emit_records(records, args.format, f"bessel coefficients, nu {nu}, order {m}, unit c0(nu)", m)
+    _emit_records(records, args.format, f"bessel coefficients, nu {nu}, order {m}, unit c0(nu)")
     return EXIT_OK
 
 
@@ -192,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True, help=f"expansion order, 0..{SINC_ORDER_CEILING}")
     p.add_argument("--digits", type=int, default=30, help="decimal digits in the rendered column")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--no-cache", action="store_true", help="bypass the coefficient cache")
     p.set_defaults(func=cmd_sinc_coeffs)
 
     p = sub.add_parser("bessel-coeffs", help="exact Bessel expansion coefficients")
@@ -200,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True, help=f"expansion order, 0..{BESSEL_ORDER_CEILING}")
     p.add_argument("--digits", type=int, default=30)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--no-cache", action="store_true")
     p.set_defaults(func=cmd_bessel_coeffs)
 
     p = sub.add_parser("eval", help="evaluate an integral by verified quadrature")

@@ -838,7 +838,11 @@ def bessel_integral(nu: Nu, n: int, prec: Precision | None = None,
     and X_MAX, so cutoff_mult is finite and at least 1, or ValueError is
     raised before the memo is read or any kernel call: the zeros below X,
     and the terms of each kernel sum, grow with X, and X grows factorially
-    with nu (X = 46080 at nu = 6 and cutoff_mult = 1).  The first piece is
+    with nu (X = 46080 at nu = 6 and cutoff_mult = 1).  A large X costs time
+    and may still miss the target: Landau's tail bound falls only as X^{-(nu+1/3)n+2nu}, and
+    at nu = 1/2, n = 5, cutoff_mult = 800 (X = 1002.65, 320 pieces) the call
+    takes about 2.5 s on a 2-vCPU VM and returns a bound of 2.05e-10 against
+    the default target of 1e-20.  The first piece is
     mapped through t = y^{q/2} (nu = p/q) so the t^{2nu-1} branch point
     becomes the analytic monomial y^{p-1}.  For n >= 3 the
     decay-envelope tail bound at X goes into abs_err_bound.  At n = 2 only

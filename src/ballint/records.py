@@ -107,7 +107,8 @@ def records_to_text(records: list[CoeffRecord], header: str) -> str:
     return "\n".join(lines)
 
 
-def records_to_json(records: list[CoeffRecord], order: int) -> str:
+def records_to_json(records: list[CoeffRecord]) -> str:
+    """The table as JSON; its order is the last record's j."""
     if not records:
         raise ValueError("no records")
     head = records[0]
@@ -115,7 +116,7 @@ def records_to_json(records: list[CoeffRecord], order: int) -> str:
         "kind": "coefficients",
         "pipeline": head.pipeline,
         "nu": format_rational(head.nu) if head.nu is not None else None,
-        "order": order,
+        "order": records[-1].j,
         "unit": head.unit,
         "coefficients": [
             {"j": r.j, "rational": r.rational, "decimal": r.decimal} for r in records

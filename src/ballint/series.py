@@ -21,40 +21,30 @@ the same rows as an InvNSeries keyed by the t-exponent 2w.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 __all__ = ["InvNSeries", "nseries_pow_binomial", "collect_binomial_rows", "moment_coeffs"]
 
 
+@dataclass(frozen=True)
 class InvNSeries:
     """Truncated expansion sum_{i=0}^{order} row_i(t) / n^i with exact rows,
     each a dict from t-exponent to coefficient."""
 
-    __slots__ = ("_rows",)
+    rows: tuple[dict[int, Fraction], ...]
 
-    def __init__(self, rows: Sequence[dict[int, Fraction]]):
-        if not rows:
+    def __post_init__(self):
+        if not self.rows:
             raise ValueError("at least row 0 is required")
-        self._rows = tuple(rows)
-
-    @property
-    def rows(self) -> tuple[dict[int, Fraction], ...]:
-        return self._rows
+        object.__setattr__(self, "rows", tuple(self.rows))
 
     def monomials(self) -> Iterator[tuple[int, int, Fraction]]:
         """All (row, exponent, coefficient) entries, row-major, sorted."""
-        for i, r in enumerate(self._rows):
+        for i, r in enumerate(self.rows):
             for exp, v in sorted(r.items()):
                 yield i, exp, v
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InvNSeries):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __repr__(self) -> str:
-        return f"InvNSeries(order={len(self._rows) - 1}, rows={list(self._rows)!r})"
 
 
 def _validate_a(a: Mapping[int, Fraction], min_j_needed: int) -> dict[int, Fraction]:

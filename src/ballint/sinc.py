@@ -149,7 +149,7 @@ def cutoff_tail_bound(n: int, cutoff) -> mp.mpf:
     if n < 2:
         raise ValueError("n must be at least 2")
     A = mp.mpf(cutoff)
-    if A < 1:
+    if not A >= 1:  # false for nan, so nan is refused too
         raise ValueError("cutoff must be at least 1")
     return mp.sqrt(n) * A ** (1 - n) / (n - 1)
 

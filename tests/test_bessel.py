@@ -265,6 +265,12 @@ class TestTailBound:
         with pytest.raises(ValueError, match="cutoff below"):
             bessel_tail_bound(Nu(Fraction(7, 3)), 4, 10)
 
+    def test_nan_cutoff_refused_infinite_accepted(self):
+        # X < amp (1 - 10^-digits) is false for nan, which then gave a nan "bound"
+        with pytest.raises(ValueError, match="cutoff below"):
+            bessel_tail_bound(Nu(Fraction(1)), 5, mp.nan)
+        assert bessel_tail_bound(Nu(Fraction(1)), 5, mp.inf) == 0
+
     def test_cutoff_at_the_amplitude(self):
         # bessel_integral forms X = cutoff_mult 2^nu Gamma(nu+1) at the working
         # precision, 45 digits by default, and hands that precision on; at

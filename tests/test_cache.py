@@ -1,8 +1,11 @@
 """Coefficient cache: location, round-trip, corruption tolerance."""
 
+import hashlib
+import json
 from fractions import Fraction
 from pathlib import Path
 
+from ballint import cache
 from ballint.cache import cache_dir, cache_key, load_coeffs, store_coeffs
 
 COEFFS = [Fraction(1), Fraction(-3, 20), Fraction(-13, 1120)]
@@ -32,6 +35,12 @@ class TestRoundTrip:
         assert load_coeffs("bessel", Fraction(1, 2), 2, 3) is None
         assert load_coeffs("sinc", None, 2, 3) is None
 
+    def test_entry_records_code_tag(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BALLINT_CACHE_DIR", str(tmp_path))
+        store_coeffs("sinc", None, 2, 3, COEFFS)
+        doc = json.loads((tmp_path / f"{cache_key('sinc', None, 2, 3)}.json").read_text(encoding="utf-8"))
+        assert doc["code"] == cache._code_tag() and "version" not in doc
+
     def test_miss_is_none(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BALLINT_CACHE_DIR", str(tmp_path))
         assert load_coeffs("sinc", None, 7, 8) is None
@@ -51,6 +60,18 @@ class TestKeys:
     def test_key_is_hex_digest(self):
         k = cache_key("sinc", None, 2, 3)
         assert len(k) == 64 and set(k) <= set("0123456789abcdef")
+
+    def test_key_carries_code_tag(self, monkeypatch):
+        # entries written by other code never share a key with this code's
+        key = cache_key("sinc", None, 2, 3)
+        monkeypatch.setattr(cache, "_code_tag", lambda: "0" * 64)
+        assert cache_key("sinc", None, 2, 3) != key
+
+    def test_code_tag_digests_the_coefficient_modules(self):
+        source = Path(cache.__file__).parent
+        modules = ("rationals", "series", "sinc", "bessel", "cache")
+        want = hashlib.sha256(b"".join((source / f"{name}.py").read_bytes() for name in modules))
+        assert cache._code_tag() == want.hexdigest()
 
 
 class TestCorruption:

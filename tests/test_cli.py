@@ -6,13 +6,14 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import pytest
 
 import ballint
-from ballint import cli, sinc
+from ballint import cache, cli, sinc
 from ballint.cli import EXIT_OK, EXIT_PRECISION, EXIT_USAGE, EXIT_VERIFY, main
 from ballint.rationals import parse_rational
 
@@ -57,12 +58,28 @@ class TestSincCoeffs:
         assert lines[0] == "j,rational,decimal"
         assert lines[2].startswith("1,-3/20,")
 
-    def test_cache_transparent_byte_for_byte(self, capsys):
+    def test_cache_transparent_byte_for_byte(self, capsys, tmp_path, monkeypatch):
         first = run_cli(capsys, "sinc-coeffs", "--order", "6")      # cold: computes, stores
         second = run_cli(capsys, "sinc-coeffs", "--order", "6")     # warm: loads
-        bypass = run_cli(capsys, "sinc-coeffs", "--order", "6", "--no-cache")
-        assert first == second == bypass
+        monkeypatch.setenv("BALLINT_CACHE_DIR", str(tmp_path / "second"))
+        fresh = run_cli(capsys, "sinc-coeffs", "--order", "6")      # an empty cache: computes again
+        assert first == second == fresh
         assert "-124996631/10035200000" in first[1]
+
+    def test_entry_of_other_code_recomputed(self, capsys, tmp_path, monkeypatch):
+        # an entry that other code stored, here with a wrong c_1, is not read:
+        # the table is computed again and stored under this code's tag
+        stores = []
+        monkeypatch.setattr(cli, "store_coeffs", lambda *args: stores.append(args) or cache.store_coeffs(*args))
+        tag = cache._code_tag
+        monkeypatch.setattr(cache, "_code_tag", lambda: "0" * 64)
+        cache.store_coeffs("sinc", None, 1, 2, [Fraction(1), Fraction(1)])
+        assert run_cli(capsys, "sinc-coeffs", "--order", "1", "--format", "csv")[1].splitlines()[2].startswith("1,1,")
+        assert stores == []
+        monkeypatch.setattr(cache, "_code_tag", tag)
+        assert run_cli(capsys, "sinc-coeffs", "--order", "1", "--format", "csv")[1].splitlines()[2].startswith("1,-3/20,")
+        assert len(stores) == 1
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
     def test_order_ceiling(self, capsys):
         code, _, err = run_cli(capsys, "sinc-coeffs", "--order", "13")
@@ -258,15 +275,16 @@ class TestVerifyCommand:
 
 
 class TestParser:
-    def test_one_parser_serves_every_call(self, capsys):
+    def test_one_parser_serves_every_call(self, capsys, tmp_path, monkeypatch):
         # a usage error in between, then the same tables again: byte for byte, from the one parser
-        first = run_cli(capsys, "sinc-coeffs", "--order", "3", "--no-cache")
+        monkeypatch.setenv("BALLINT_CACHE_DIR", str(tmp_path / "second"))
+        first = run_cli(capsys, "sinc-coeffs", "--order", "3")
         with pytest.raises(SystemExit):
             main(["sinc-coeffs", "--order", "x"])
         capsys.readouterr()
-        bessel = run_cli(capsys, "bessel-coeffs", "--nu", "7/3", "--order", "2", "--format", "csv", "--no-cache")
-        assert run_cli(capsys, "sinc-coeffs", "--order", "3", "--no-cache") == first
-        assert run_cli(capsys, "bessel-coeffs", "--nu", "7/3", "--order", "2", "--format", "csv", "--no-cache") == bessel
+        bessel = run_cli(capsys, "bessel-coeffs", "--nu", "7/3", "--order", "2", "--format", "csv")
+        assert run_cli(capsys, "sinc-coeffs", "--order", "3") == first
+        assert run_cli(capsys, "bessel-coeffs", "--nu", "7/3", "--order", "2", "--format", "csv") == bessel
         assert cli._parser.cache_info().currsize == 1
 
 

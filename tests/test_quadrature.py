@@ -18,6 +18,7 @@ import ballint.legendre as legendre
 import ballint.quadrature as quadrature
 from ballint.fixedpoint import ERROR_BITS, power_sums, round_bits, round_total
 from ballint.bessel import Nu, amplitude, bessel_expansion, c0_value, i_nu_at_2
+from ballint.rationals import to_mpf
 from ballint.sinc import sinc_expansion
 from ballint.quadrature import (
     BesselEval,
@@ -1690,8 +1691,10 @@ class TestGammaSeriesConsistency:
         est = bessel_integral(nu, 8, cutoff_mult=6)
         diffs = []
         for m in range(5):
-            e = bessel_expansion(nu, m)
-            diffs.append(abs(float(est.value - e.partial_sum_mpf(8, digits=30))))
+            gammas = bessel_expansion(nu, m).gamma_coeffs
+            series = sum(g / Fraction(8) ** j for j, g in enumerate(gammas))
+            with mp.workdps(40):
+                diffs.append(abs(float(est.value - c0_value(nu, 40) * to_mpf(series))))
         # each added order tightens the agreement; order 4 lands close
         assert all(a > b for a, b in zip(diffs, diffs[1:]))
         assert diffs[-1] < 1e-3 * float(est.value)

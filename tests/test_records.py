@@ -71,7 +71,7 @@ class TestCoeffRenderers:
         assert recs[1].rational == "-1/3"
 
     def test_json_schema(self):
-        doc = json.loads(records_to_json(sinc_coeff_records(sinc_expansion(2)), order=2))
+        doc = json.loads(records_to_json(sinc_coeff_records(sinc_expansion(2))))
         assert set(doc) == {"kind", "pipeline", "nu", "order", "unit", "coefficients"}
         assert doc["kind"] == "coefficients"
         assert doc["pipeline"] == "sinc"
@@ -82,12 +82,12 @@ class TestCoeffRenderers:
 
     def test_json_bessel_nu_string(self):
         doc = json.loads(records_to_json(
-            bessel_coeff_records(bessel_expansion(Nu(Fraction(3, 2)), 1)), order=1))
+            bessel_coeff_records(bessel_expansion(Nu(Fraction(3, 2)), 1))))
         assert doc["nu"] == "3/2"
 
     def test_json_empty_rejected(self):
         with pytest.raises(ValueError):
-            records_to_json([], order=0)
+            records_to_json([])
 
     def test_csv(self):
         lines = records_to_csv(sinc_coeff_records(sinc_expansion(2))).splitlines()

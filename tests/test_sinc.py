@@ -184,6 +184,12 @@ class TestTailBounds:
         with pytest.raises(ValueError):
             cutoff_tail_bound(1, 2)
 
+    def test_nan_cutoff_refused_infinite_accepted(self):
+        # A < 1 is false for nan, which then gave a nan "bound"
+        with pytest.raises(ValueError, match="at least 1"):
+            cutoff_tail_bound(5, mp.nan)
+        assert cutoff_tail_bound(5, mp.inf) == 0
+
 
 class TestFixture:
     def test_shape(self):
