@@ -40,11 +40,11 @@ total is added exactly and rounded once: the correctly rounded Gauss sum
 of its node values, which the ladder checks.  So a batch returns what
 each n returns alone; the single-n functions are batches of one, sharing
 one memo keyed per n.  A loop of Bessel calls over n shares the rest
-through one family store (_FAMILY): it holds the last family's pieces,
-with their series, and from the family's second consecutive call on the
-node values of every rung climbed, as integers, so each node is
-evaluated once.  Node values depend only on the piece, the rule order and
-the precision, so every estimate keeps every bit.
+through one family store (_FAMILY): the last family's pieces, with their
+series, and from its second consecutive call on each rung's power base
+(fixedpoint.power_base: node ratios, weights, the ratios' squares so far),
+so each node is evaluated, divided and squared once.  A base depends only
+on the piece, the rule order and the precision: every estimate keeps every bit.
 
 Two sinc regimes, split by one threshold (_sinc_mode): for large n at most
 ZETA_LOBES lobes with the t^{-n} envelope bound suffice; any other n folds
@@ -84,7 +84,7 @@ from mpmath.libmp import (fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_mu
                           mpf_shift, round_nearest, to_fixed)
 
 from .bessel import Nu, amplitude, bessel_tail_bound
-from .fixedpoint import fixed_nodes, power_sums, round_bits, round_total
+from .fixedpoint import fixed_nodes, power_base, power_sums, round_bits, round_total
 from .legendre import _legendre_rule
 from .rationals import to_mpf
 from .sinc import cutoff_tail_bound, sinc_expansion
@@ -225,9 +225,9 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
     ladder that integrates it, and each n's pieces are added exactly and
     rounded once (round_total).  An n leaves at its first rung whose total
     is within half_targets[n] of the one before, or after rung `rungs`.
-    nodes, if not None, holds those integers (hs, gs, kh, kg), keyed
-    (piece index, rule order): a held piece skips its nodes function, and
-    one evaluated here is added to it.
+    nodes, if not None, holds each piece's power base (power_base), keyed
+    (piece index, rule order): a held piece skips its nodes function, the
+    rule's weights and the base, and one built here is added to it.
 
     At wp = prec + LADDER_GUARD bits power_sums gives each piece's sum S
     for each n, of wp bits in a unit of its own, within 2^(ERROR_BITS - wp)
@@ -249,21 +249,21 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
     r = 0
     while prev:
         rule = _legendre_rule(16 * 2**r, dps)
-        ws = [w._mpf_ for _, w in rule]
-        low = min(e for _, _, e, _ in ws)
         sums = {n: [] for n in prev}
         for i, (a, b, evaluate) in enumerate(pieces):
             users = sorted(n for n in prev if i in uses[n])
             if not users:
                 continue
-            held = nodes.get((i, len(rule))) if nodes is not None else None
-            if held is None:
+            base = nodes.get((i, len(rule))) if nodes is not None else None
+            if base is None:
                 hs, gs, k = evaluate(rule)
+                ws = [w._mpf_ for _, w in rule]
+                low = min(e for _, _, e, _ in ws)
                 _, rm, re, _ = ((b - a) / 2)._mpf_
-                held = hs, [m * rm * g << (e - low) for (_, m, e, _), g in zip(ws, gs)], k, k - re - low
+                base = power_base(hs, [m * rm * g << (e - low) for (_, m, e, _), g in zip(ws, gs)], k, k - re - low, wp)
                 if nodes is not None:
-                    nodes[i, len(rule)] = held
-            for n, part in power_sums(*held, users, wp).items():
+                    nodes[i, len(rule)] = base
+            for n, part in power_sums(base, users).items():
                 sums[n].append(part)
         for n, parts in sums.items():
             total, sure = round_total(parts)
@@ -868,15 +868,16 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
     f_nu and for the weight, with the exact exponent 2nu - 1, once, and
     evaluates a whole rule from them on each rung, its nodes in +- pairs
     at t0 + rad x to the series' working precision (_direct_nodes); the
-    first piece evaluates each node alone.  n = 2 integrates the
-    first piece alone, so a batch of n = 2 alone finds only the first
-    zero and builds no other piece.  The pieces of the last family, keyed
-    by nu, X, whether any n >= 3 and the working precision, are held for
-    the next call (_FAMILY); from that family's second consecutive call
-    on, so are the node values of every rung it climbs, and no later call
-    evaluates a node held.  If any n misses
-    its target, the PrecisionFailure of the first such n in ns is raised,
-    after the others are memoised.  The cutoff is checked as in bessel_integral.
+    first piece evaluates each node alone.  n = 2 integrates the first
+    piece alone, so a batch of n = 2 alone finds only the first zero and
+    builds no other piece.  The pieces of the last family, keyed by nu, X,
+    whether any n >= 3 and the working precision, are held for the next
+    call (_FAMILY); from that family's second consecutive call on, so is
+    the power base of every rung it climbs, and no later call evaluates,
+    divides or squares what is held: a warm nu = 1 sweep point takes about
+    0.56 of the time it takes with node values held.  If any n misses its
+    target, the PrecisionFailure of the first such n in ns is raised, after
+    the others are memoised.  The cutoff is checked as in bessel_integral.
     """
     prec = prec or Precision()
     cutoff_mult = float(cutoff_mult)
@@ -892,13 +893,14 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
 
 
 # The last Bessel family, one entry: {(v, X, any n >= 3, wdps): [bounds, pieces, nodes]}.
-# nodes, the ladder's node values, is None on the family's first call and held
-# from its second consecutive call on; a call for another family replaces the entry.
-# So only a family called again pays for their memory.  Held from the first call, they
-# would also keep every one-shot family's (one eval line, one 16-piece batch) until the
-# next family: in 6 alternating pairs of 8 s bessel-quad benchmark runs its peak RSS
-# read 26.14-26.56 MB against 25.51-25.54 MB (+2.5-4.1%, against a 5% bound) and
-# wall_s 0.153-0.162 s against 0.154-0.165 s.
+# nodes, the ladder's power bases (node ratios, weights and the ratios' squares so far),
+# is None on the family's first call and held from its second consecutive call on, so a
+# warm call neither evaluates, divides nor squares again (bessel-quad's op_p50_s, a warm
+# nu = 1 point: 0.00177 s with node values held, 0.00099 s with bases; 10 pairs of 20 s runs).
+# Another family's call replaces the entry, so only a family called again pays for their
+# memory: node values held from the first call would keep every one-shot family's (one eval
+# line, one 16-piece batch) until the next, and read 26.14-26.56 MB against 25.51-25.54 MB
+# of bessel-quad peak RSS (+2.5-4.1% in 6 pairs of 8 s runs); a base is no smaller.
 _FAMILY: dict[tuple, list] = {}
 
 

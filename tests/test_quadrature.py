@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -13,10 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.libmp import from_man_exp, from_rational, mpf_shift, mpf_sub, round_floor, round_nearest
 
-import ballint.fixedpoint as fixedpoint
 import ballint.legendre as legendre
 import ballint.quadrature as quadrature
-from ballint.fixedpoint import ERROR_BITS, power_sums, round_bits, round_total
+from ballint.fixedpoint import ERROR_BITS, PowerBase, power_base, power_sums, round_bits, round_total
 from ballint.bessel import Nu, amplitude, bessel_expansion, c0_value, i_nu_at_2
 from ballint.rationals import to_mpf
 from ballint.sinc import sinc_expansion
@@ -1270,7 +1270,7 @@ class TestPowerSums:
         hs, gs, ns = case
         (H, kh), (G, kg) = self.fixed(hs), self.fixed(gs)
         wp = self.PREC + quadrature.LADDER_GUARD
-        sums = power_sums(H, G, kh, kg, ns, wp)
+        sums = power_sums(power_base(H, G, kh, kg, wp), ns)
         assert list(sums) == ns
 
         def at_most(a, ka, b, kb):  # a 2^-ka <= b 2^-kb, exactly
@@ -1289,11 +1289,29 @@ class TestPowerSums:
                 if sure:
                     assert total._mpf_ == from_man_exp(want, -kw, self.PREC, round_nearest)
 
+    @settings(max_examples=40, deadline=None)
+    @given(power_sum_cases())
+    @example(([Fraction(0xbf47bf9c6aba8ad2f50152b198d4b8, 2**120)], [Fraction(1)], [60]))
+    @example(([Fraction(0xb7a419800b1b5ac747d7e3c557db96, 2**120)], [Fraction(1)], [2, 7, 60]))
+    # a gap of 999997 grows the chain past the earlier call's R^512
+    @example(([Fraction(1, 2)], [Fraction(3)], [3, 10**6]))
+    def test_grown_chain_gives_fresh_sums(self, case):
+        # a base whose squaring chain an earlier call grew gives, for other ns, the
+        # very (S, E, k) of a fresh base: the chain floors binary powering's squares
+        hs, gs, ns = case
+        (H, kh), (G, kg) = self.fixed(hs), self.fixed(gs)
+        wp = self.PREC + quadrature.LADDER_GUARD
+        held = power_base(H, G, kh, kg, wp)
+        power_sums(held, [1023])
+        assert len(held.chain) == (10 if held.gs else 0)
+        assert power_sums(held, ns) == power_sums(power_base(H, G, kh, kg, wp), ns)
+
     def test_pieces_of_every_size_add_exactly(self):
         # a total of parts in units far apart is floored to the coarsest and still rounds correctly
         parts, want = [], Fraction(0)
         for k, h in ((0, Fraction(1, 3)), (500, Fraction(1, 5)), (-40, Fraction(1, 7))):
-            part = power_sums([round(h * 2**self.PREC)], [1], self.PREC, k, [2], self.PREC + quadrature.LADDER_GUARD)[2]
+            part = power_sums(power_base([round(h * 2**self.PREC)], [1], self.PREC, k, self.PREC + quadrature.LADDER_GUARD),
+                              [2])[2]
             parts.append(part)
             want += Fraction(round(h * 2**self.PREC), 2**self.PREC) ** 2 * Fraction(2) ** -k
         with mp.workprec(self.PREC):
@@ -1306,11 +1324,11 @@ class TestPowerSums:
         # E <= 2^(ERROR_BITS - wp) S, or is all zero
         seen, real = [], quadrature.power_sums
 
-        def checked(hs, gs, kh, kg, ns, wp):
-            sums = real(hs, gs, kh, kg, ns, wp)
+        def checked(base, ns):
+            sums = real(base, ns)
             seen.append(ns)
             for S, E, k in sums.values():
-                assert E << (wp - ERROR_BITS) <= S or S == E == k == 0
+                assert E << (base.wp - ERROR_BITS) <= S or S == E == k == 0
             return sums
 
         monkeypatch.setattr(quadrature, "power_sums", checked)
@@ -1322,7 +1340,7 @@ class TestPowerSums:
 
     def test_base_above_one_refused(self):
         with mp.workprec(self.PREC), pytest.raises(ArithmeticError, match="above 1"):
-            power_sums([3], [1], 1, 0, [2], self.PREC + 64)
+            power_sums(power_base([3], [1], 1, 0, self.PREC + 64), [2])
 
     def test_large_error_is_not_sure(self):
         # an error bound above 2^-(prec+8) of the sum is not sure, whatever the rounding
@@ -1430,18 +1448,22 @@ class TestBatchWork:
         assert calls["sin"] == 56 and calls["panel"] == 224
 
     def test_terms_start_once_a_rung(self, monkeypatch):
-        # on the 60-digit grid every piece raises its nodes from scratch once a
-        # rung, to the first n, and steps to each later n by its gap: 992 fresh
-        # node powers, two lobes of 16 + 32 + 64 + 128 + 256 nodes.  Lobe 1
-        # (max h = 0.217), whose powers lost bits at a gap when they were scaled
-        # to 1 and not to its largest h, started over at each later n: 2,480
-        calls = []
-        real = fixedpoint.fixed_powers
-        monkeypatch.setattr(fixedpoint, "fixed_powers", lambda xs, k, wp: calls.append((len(xs), k)) or real(xs, k, wp))
+        # on the 60-digit grid every piece builds one power base a rung, raises
+        # its nodes to the first n and steps to each later n by its gap, every
+        # gap's power taken from the base's one squaring chain.  The gaps 90, 45,
+        # 65 and 100 need the squares up to R^64 (bit lengths 7, 6, 7 and 7), and
+        # one chain serves them all: 6 squarings a base, not the 6 + 5 + 6 + 6 =
+        # 23 of each gap alone, so 5,952 node squarings on two lobes of 16 + 32 +
+        # 64 + 128 + 256 nodes.  An n that started over would need R^128 or R^256
+        # (135, 200 and 300 have bit lengths 8 and 9)
+        bases = []
+        real = quadrature.power_base
+        monkeypatch.setattr(quadrature, "power_base", lambda *a: bases.append(real(*a)) or bases[-1])
         _MEMO.clear()
         sinc_integrals([90, 135, 200, 300], Precision(decimal_digits=60))
-        assert calls == [(size, k) for size in (16, 32, 64, 128, 256) for _ in range(2) for k in (90, 45, 65, 100)]
-        assert sum(size for size, k in calls if k == 90) == 992
+        assert [(len(b.chain[0]), len(b.chain)) for b in bases] == [
+            (size, 7) for size in (16, 32, 64, 128, 256) for _ in range(2)]
+        assert sum(len(b.chain[0]) * (len(b.chain) - 1) for b in bases) == 5952
 
     def test_n2_alone_solves_for_one_zero(self, monkeypatch):
         # a batch of n = 2 alone needs only j_{nu,1}: one Newton solve, not the
@@ -1507,8 +1529,10 @@ class TestBatchWork:
 
     def test_nodes_held_from_the_second_call(self, monkeypatch):
         # a family's first call holds its pieces but no node values, its second
-        # holds the node values of every rung it climbs, and its third
-        # evaluates no kernel, series or zero on the rungs held
+        # holds the power base of every rung it climbs, its chain grown to R^16
+        # for n = 24, and its third evaluates no kernel, series or zero, builds
+        # no base and squares no level again on the rungs held: n = 25 needs
+        # the same squares as 24
         _MEMO.clear()
         _FAMILY.clear()
         bessel_integral(ONE, 23, cutoff_mult=6)
@@ -1518,12 +1542,16 @@ class TestBatchWork:
         (_, held, nodes), = _FAMILY.values()
         assert held is pieces
         assert sorted(nodes) == [(i, order) for i in range(4) for order in (16, 32, 64)]
+        assert all(isinstance(base, PowerBase) and len(base.chain) == 5 for base in nodes.values())
+        chains = {key: list(base.chain) for key, base in nodes.items()}
         calls = []
-        for name in ("_f_nu", "_direct_nodes", "_taylor_series", "_bessel_zeros"):
+        for name in ("_f_nu", "_direct_nodes", "_taylor_series", "_bessel_zeros", "power_base"):
             real = getattr(quadrature, name)
             monkeypatch.setattr(quadrature, name, lambda *a, real=real: calls.append(1) or real(*a))
         est = bessel_integral(ONE, 25, cutoff_mult=6)
         assert calls == []
+        for key, base in nodes.items():
+            assert len(base.chain) == 5 and all(map(operator.is_, base.chain, chains[key]))
         monkeypatch.undo()
         assert [bits(est)] == self.cold_batch(ONE, [25])
 
