@@ -101,8 +101,6 @@ def cmd_bessel_coeffs(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.n < 2:
-        return _usage("--n must be at least 2")
     if args.pipeline == "sinc" and args.nu is not None:
         return _usage("--nu applies to the bessel pipeline only")
     if args.pipeline == "sinc" and args.cutoff_mult is not None:

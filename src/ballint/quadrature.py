@@ -33,18 +33,19 @@ piece's base (|sin t|/t, or |f_nu(t)| with its weight) is evaluated once
 a node for every n still on that rung, and each n keeps its own rung,
 stopping test, tail and floor.  Every node value is rounded once to the
 working precision and held exactly as a Python integer on its piece's
-scale.  The powers are one fixed-point running product per node across
-n (fixedpoint.power_sums), of each node's ratio to its piece's largest
-h, with LADDER_GUARD bits beyond the working precision, and each n's
-total is added exactly and rounded once: the correctly rounded Gauss sum
-of its node values, which the ladder checks.  So a batch returns what
-each n returns alone; the single-n functions are batches of one, sharing
-one memo keyed per n.  A loop of Bessel calls over n shares the rest
-through one family store (_FAMILY): the last family's pieces, with their
-series, and from its second consecutive call on each rung's power base
-(fixedpoint.power_base: node ratios, weights, the ratios' squares so far),
-so each node is evaluated, divided and squared once.  A base depends only
-on the piece, the rule order and the precision: every estimate keeps every bit.
+scale.  The powers are binary powering per n from the chain of squares
+of each node's ratio to its piece's largest h (fixedpoint.power_sum),
+with LADDER_GUARD bits beyond the working precision, and each n's total
+is added exactly and rounded once: the correctly rounded Gauss sum of
+its node values, which the ladder checks.  So a batch returns, integer
+for integer, what each n returns alone; the single-n functions are
+batches of one, sharing one memo keyed per n.  A loop of Bessel calls
+over n shares the rest through one family store (_FAMILY): the last
+family's pieces, with their series, and from its second consecutive call
+on each rung's power base (fixedpoint.power_base: node ratios, weights,
+the ratios' squares so far), so each node is evaluated, divided and
+squared once.  A base depends only on the piece, the rule order and the
+precision: every estimate keeps every bit.
 
 Two sinc regimes, split by one threshold (_sinc_mode): for large n at most
 ZETA_LOBES lobes with the t^{-n} envelope bound suffice; any other n folds
@@ -84,7 +85,7 @@ from mpmath.libmp import (fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_mu
                           mpf_shift, round_nearest, to_fixed)
 
 from .bessel import Nu, amplitude, bessel_tail_bound
-from .fixedpoint import fixed_nodes, power_base, power_sums, round_bits, round_total
+from .fixedpoint import fixed_nodes, power_base, power_sum, round_bits, round_total
 from .legendre import _legendre_rule
 from .rationals import to_mpf
 from .sinc import cutoff_tail_bound, sinc_expansion
@@ -216,20 +217,20 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
             half_targets: dict[int, mp.mpf], nodes: dict | None, dps: int) -> dict[int, tuple[mp.mpf, mp.mpf]]:
     """(total, diff) for every n of uses, from one order-doubling ladder.
 
-    n integrates the pieces whose indices uses[n] lists.  At each rung
-    every piece is visited once: its nodes function gives the node values
-    h(t_i) and g(t_i) of the whole rule as integers (Piece), and the exact
-    products g_i = w_i rad g(t_i) are formed once, in fixed point on the
-    finest scale the rule's weights need.  One power sum (power_sums) then
-    gives the piece's Gauss sum sum_i g_i h_i^n for every n still on the
-    ladder that integrates it, and each n's pieces are added exactly and
-    rounded once (round_total).  An n leaves at its first rung whose total
-    is within half_targets[n] of the one before, or after rung `rungs`.
-    nodes, if not None, holds each piece's power base (power_base), keyed
-    (piece index, rule order): a held piece skips its nodes function, the
-    rule's weights and the base, and one built here is added to it.
+    n integrates the pieces whose indices uses[n] lists.  At each rung every
+    piece is visited once: its nodes function gives the node values h(t_i)
+    and g(t_i) of the whole rule as integers (Piece), and the exact products
+    g_i = w_i rad g(t_i) are formed once, in fixed point on the finest scale
+    the rule's weights need.  Binary powering per n from the piece's chain
+    of squares (power_sum) gives its Gauss sum sum_i g_i h_i^n for every n
+    still on the ladder that integrates it, and each n's pieces are added
+    exactly and rounded once (round_total).  An n leaves at its first rung
+    whose total is within half_targets[n] of the one before, or after rung
+    `rungs`.  nodes, if not None, holds each piece's power base (power_base),
+    keyed (piece index, rule order): a held piece skips its nodes function,
+    the rule's weights and the base, and one built here is added to it.
 
-    At wp = prec + LADDER_GUARD bits power_sums gives each piece's sum S
+    At wp = prec + LADDER_GUARD bits power_sum gives each piece's sum S
     for each n, of wp bits in a unit of its own, within 2^(ERROR_BITS - wp)
     S (fixedpoint).  round_total floors the P pieces of a total to the
     coarsest unit among them, at most one unit each, so the total lies
@@ -237,8 +238,9 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
     2^-(prec+8) once LADDER_GUARD >= 8 + ERROR_BITS + log2(P + 1), which 64
     guard bits meet for up to 2^23 pieces.  round_total checks that bound,
     and that S and S + E round alike, so a total it calls sure is the
-    correctly rounded Gauss sum of the node values, however the batch was
-    formed: a batch returns what each n returns alone.  A total that is
+    correctly rounded Gauss sum of the node values.  A piece's part for n
+    depends on its base and n alone, so a batch's parts and totals are, integer
+    for integer, those each n gets alone.  A total that is
     not sure, as one within E of a rounding boundary may be, does not
     count: its diff is inf and the next rung compares against nothing, so
     such an n refines and, at the last rung, misses its target.
@@ -251,7 +253,7 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
         rule = _legendre_rule(16 * 2**r, dps)
         sums = {n: [] for n in prev}
         for i, (a, b, evaluate) in enumerate(pieces):
-            users = sorted(n for n in prev if i in uses[n])
+            users = [n for n in prev if i in uses[n]]
             if not users:
                 continue
             base = nodes.get((i, len(rule))) if nodes is not None else None
@@ -263,8 +265,8 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
                 base = power_base(hs, [m * rm * g << (e - low) for (_, m, e, _), g in zip(ws, gs)], k, k - re - low, wp)
                 if nodes is not None:
                     nodes[i, len(rule)] = base
-            for n, part in power_sums(base, users).items():
-                sums[n].append(part)
+            for n in users:
+                sums[n].append(power_sum(base, n))
         for n, parts in sums.items():
             total, sure = round_total(parts)
             diff = abs(total - prev[n]) if sure and prev[n] is not None else mp.inf
@@ -372,10 +374,10 @@ def sinc_integrals(ns: Iterable[int], prec: Precision | None = None) -> list[Qua
     """[sinc_integral(n, prec) for n in ns], bit for bit, from one ladder.
 
     |sin t|/t at every node is computed once, from one table of cosines a
-    rule (_cosines), and each node's power runs across n as a fixed-point
-    product (_ladder); only the n not yet memoised are computed.  If any n
-    misses its target, the PrecisionFailure of the first such n in ns is
-    raised, after the others are memoised.
+    rule (_cosines), and each n raises it by binary powering from the
+    piece's chain of squares (_ladder); only the n not yet memoised are
+    computed.  If any n misses its target, the PrecisionFailure of the
+    first such n in ns is raised, after the others are memoised.
     """
     prec = prec or Precision()
     return _memoised(("sinc", prec), ns, lambda todo: _sinc_estimates(todo, prec))
@@ -862,8 +864,8 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
     from one ladder.
 
     The zeros, the pieces, and |f_nu| and the weight t^{2nu-1} at every
-    node are computed once for all n, and each node's power runs from one
-    n to the next as a fixed-point product (_ladder); only the n not yet
+    node are computed once for all n, and each n raises them by binary
+    powering from the piece's chain of squares (_ladder); only the n not yet
     memoised are computed.  Each piece past the first builds its series for
     f_nu and for the weight, with the exact exponent 2nu - 1, once, and
     evaluates a whole rule from them on each rung, its nodes in +- pairs
@@ -889,7 +891,7 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
                              f"is above X_MAX = {X_MAX}" if X_MAX < X < mp.inf
                              else f"cutoff_mult = {cutoff_mult} must be finite and at least 1")
     return _memoised(("bessel", nu, prec, cutoff_mult), ns,
-                     lambda todo: _bessel_estimates(nu, todo, prec, cutoff_mult))
+                     lambda todo: _bessel_estimates(nu, todo, prec, cutoff_mult, amp))
 
 
 # The last Bessel family, one entry: {(v, X, any n >= 3, wdps): [bounds, pieces, nodes]}.
@@ -904,15 +906,14 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
 _FAMILY: dict[tuple, list] = {}
 
 
-def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision,
-                      cutoff_mult: float) -> dict[int, QuadEstimate | PrecisionFailure]:
-    """bessel_integral for each n of ns, unmemoised, from one ladder."""
+def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision, cutoff_mult: float,
+                      amp: mp.mpf) -> dict[int, QuadEstimate | PrecisionFailure]:
+    """bessel_integral for each n of ns, unmemoised, from one ladder; amp = 2^nu Gamma(nu+1)."""
     v = nu.value
     p, q = v.numerator, v.denominator
     wdps = prec.working_dps
     with mp.workdps(wdps):
         nv = to_mpf(v)
-        amp = amplitude(nu)
         X = cutoff_mult * amp
         key = v, X, max(ns) > 2, wdps
         family = _FAMILY.get(key)

@@ -16,7 +16,7 @@ from mpmath.libmp import from_man_exp, from_rational, mpf_shift, mpf_sub, round_
 
 import ballint.legendre as legendre
 import ballint.quadrature as quadrature
-from ballint.fixedpoint import ERROR_BITS, PowerBase, power_base, power_sums, round_bits, round_total
+from ballint.fixedpoint import ERROR_BITS, PowerBase, power_base, power_sum, round_bits, round_total
 from ballint.bessel import Nu, amplitude, bessel_expansion, c0_value, i_nu_at_2
 from ballint.rationals import to_mpf
 from ballint.sinc import sinc_expansion
@@ -619,7 +619,7 @@ class TestBesselClosedForms:
         # of their own
         asked = []
         monkeypatch.setattr(quadrature, "_bessel_estimates",
-                            lambda nu, ns, prec, cutoff_mult: asked.append(cutoff_mult) or dict.fromkeys(ns, asked))
+                            lambda nu, ns, prec, cutoff_mult, amp: asked.append(cutoff_mult) or dict.fromkeys(ns, asked))
         monkeypatch.setattr(quadrature, "_MEMO", {})
         bessel_integral(ONE, 40, cutoff_mult=quadrature.X_MAX / 2)
         bessel_integral(HALF, 5, cutoff_mult=800)
@@ -978,7 +978,7 @@ class TestMemoTransparency:
         _MEMO.clear()
         first = bessel_integral(ONE, 5)
         memo = bessel_integral(ONE, 5)
-        fresh = _bessel_estimates(ONE, [5], Precision(), 24.0)[5]
+        fresh = bessel_estimates(ONE, [5], Precision(), 24.0)[5]
         assert memo is first
         assert bits(first) == bits(memo) == bits(fresh)
 
@@ -1015,6 +1015,13 @@ class TestMemoTransparency:
 def bits(est: QuadEstimate) -> tuple:
     """Every bit of an estimate; repr shows only the digits of the ambient precision."""
     return est.value._mpf_, est.abs_err_bound._mpf_, est.cutoff_used._mpf_, est.pieces
+
+
+def bessel_estimates(nu: Nu, ns: list[int], prec: Precision, cutoff_mult: float) -> dict:
+    """_bessel_estimates, unmemoised, with 2^nu Gamma(nu+1) formed as bessel_integrals forms it."""
+    with mp.workdps(prec.working_dps):
+        amp = amplitude(nu)
+    return _bessel_estimates(nu, ns, prec, cutoff_mult, amp)
 
 
 class TestBatches:
@@ -1054,9 +1061,9 @@ class TestBatches:
         assert {n for n in ns if isinstance(fresh[n], PrecisionFailure)} == {7, 9}
 
     def test_wide_gaps(self):
-        # steps of 997 and 999000 take the sums down by far more than the guard bits; the powers
-        # of each node's ratio to its piece's largest h step across them, and n = 10^6 fails
-        # alone and in the batch alike
+        # n = 1000 and 10^6 take the sums down by far more than the guard bits; each n raises
+        # each node's ratio to its piece's largest h from the piece's one chain of squares,
+        # which 10^6 grows to R^524288, and n = 10^6 fails alone and in the batch alike
         ns = [10**6, 3, 1000, 2]
         fresh = _sinc_estimates(ns, Precision())
         for n in ns:
@@ -1067,6 +1074,53 @@ class TestBatches:
             else:
                 assert bits(fresh[n]) == bits(single)
         assert isinstance(fresh[10**6], PrecisionFailure) and not isinstance(fresh[1000], PrecisionFailure)
+
+    @staticmethod
+    def parts_taken(monkeypatch, run) -> dict:
+        """{(piece bounds, rule order, n): (S, E, k)} of every power sum run() makes,
+        on cleared memo and family store.  A base held in the family store is found
+        there by identity; any other was built from its piece's latest node values."""
+        parts, ladder = {}, {}
+        real_ladder, real_sum = quadrature._ladder, quadrature.power_sum
+
+        def traced(a, b, evaluate):
+            def nodes_of(rule):
+                ladder["built"] = a, b, len(rule)
+                return evaluate(rule)
+            return a, b, nodes_of
+
+        def ladder_of(pieces, uses, rungs, half_targets, nodes, dps):
+            ladder.update(pieces=pieces, nodes={} if nodes is None else nodes)
+            return real_ladder([traced(*p) for p in pieces], uses, rungs, half_targets, nodes, dps)
+
+        def recorded(base, n):
+            held = [(*ladder["pieces"][i][:2], order) for (i, order), b in ladder["nodes"].items() if b is base]
+            key = (*(held[0] if held else ladder["built"]), n)
+            part = real_sum(base, n)
+            assert parts.setdefault(key, part) == part
+            return part
+
+        monkeypatch.setattr(quadrature, "_ladder", ladder_of)
+        monkeypatch.setattr(quadrature, "power_sum", recorded)
+        _MEMO.clear()
+        _FAMILY.clear()
+        run()
+        monkeypatch.undo()
+        return parts
+
+    def test_parts_are_batch_independent(self, monkeypatch):
+        # a piece's part for n depends on its base and n alone: a batch takes, integer for
+        # integer, the parts each n takes alone, on the sinc 60-digit grid and in the nu = 1
+        # sweep against a loop from n = 37 down, whose held chains a larger n grew
+        prec = Precision(decimal_digits=60)
+        grid, sweep = [90, 135, 200, 300], list(range(23, 38))
+        batch = self.parts_taken(monkeypatch, lambda: sinc_integrals(grid, prec))
+        assert batch == self.parts_taken(monkeypatch, lambda: [sinc_integral(n, prec) for n in grid])
+        assert {key[3] for key in batch} == set(grid)
+        batch = self.parts_taken(monkeypatch, lambda: bessel_integrals(ONE, sweep, cutoff_mult=6))
+        assert batch == self.parts_taken(
+            monkeypatch, lambda: [bessel_integral(ONE, n, cutoff_mult=6) for n in reversed(sweep)])
+        assert {key[3] for key in batch} == set(sweep)
 
     def test_unsure_totals_do_not_count(self, monkeypatch, doublings):
         # a total round_total is not sure of has diff inf, and the next rung compares against
@@ -1081,7 +1135,7 @@ class TestBatches:
         # the nu = 1 sweep of the inequalities suite is one group, at the default
         # cutoff; n = 2, whose tail is completed exactly, shares it with every other n
         ns = list(range(20, 1, -1))
-        singles = {n: _bessel_estimates(ONE, [n], Precision(), 24.0)[n] for n in ns}
+        singles = {n: bessel_estimates(ONE, [n], Precision(), 24.0)[n] for n in ns}
         _MEMO.clear()
         assert [bits(e) for e in bessel_integrals(ONE, ns)] == [bits(singles[n]) for n in ns]
 
@@ -1089,7 +1143,7 @@ class TestBatches:
         # nu = p/q = 7/3: the first piece is mapped through t = y^(3/2)
         nu = Nu(Fraction(7, 3))
         ns = [8, 2, 3, 8]
-        singles = {n: _bessel_estimates(nu, [n], Precision(), 1.0)[n] for n in set(ns)}
+        singles = {n: bessel_estimates(nu, [n], Precision(), 1.0)[n] for n in set(ns)}
         _MEMO.clear()
         batch = bessel_integrals(nu, ns, cutoff_mult=1)
         assert [bits(e) for e in batch] == [bits(singles[n]) for n in ns]
@@ -1220,9 +1274,8 @@ def power_sum_cases(draw):
     """(hs, gs, ns) as Fractions: 1 to 13 random nodes, h in [0, 1] down to
     2^-200 (some near 1, some with a full mantissa in [1/2, 1)) and weights
     from 2^-40 up to 2^90, so a sum may lie anywhere from about 2^100 down
-    to 2^-60000; ns increasing in 2..300, with gaps, the first of them
-    often large enough that a fresh power's rounding shortfall, which grows
-    like n, shows."""
+    to 2^-60000; ns increasing in 2..300, often large enough that a power's
+    rounding shortfall, which grows like n, shows."""
     prec = TestPowerSums.PREC
     count = draw(st.integers(1, 13))
     kinds = (lambda: 1 - dyadic(draw, prec, -prec - 8, -prec - 1),
@@ -1232,6 +1285,13 @@ def power_sum_cases(draw):
     gs = [dyadic(draw, prec, -prec - 40, 90 - prec) for _ in range(count)]
     ns = sorted(draw(st.sets(st.integers(2, 300), min_size=1, max_size=6)))
     return hs, gs, ns
+
+
+@st.composite
+def power_sum_cases_in_any_order(draw):
+    """power_sum_cases with ns in a drawn order: decreasing, or any permutation."""
+    hs, gs, ns = draw(power_sum_cases())
+    return hs, gs, draw(st.one_of(st.just(ns[::-1]), st.permutations(ns)))
 
 
 class TestPowerSums:
@@ -1263,14 +1323,15 @@ class TestPowerSums:
               [2, 40, 300]))
     # every h equals the largest
     @example(([Fraction(5, 8)] * 3, [Fraction(1), Fraction(2**60), Fraction(1, 2**40)], [2, 7, 100]))
-    # one node and a gap of 999997: no integer widens with n (h = 1/2 keeps the exact sum
+    # one node and n = 10^6: no integer widens with n (h = 1/2 keeps the exact sum
     # 3 2^-(10^6) short; h = 7/8 would make it a 3-million-bit integer)
     @example(([Fraction(1, 2)], [Fraction(3)], [3, 10**6]))
     def test_matches_correctly_rounded_exact_sum(self, case):
         hs, gs, ns = case
         (H, kh), (G, kg) = self.fixed(hs), self.fixed(gs)
         wp = self.PREC + quadrature.LADDER_GUARD
-        sums = power_sums(power_base(H, G, kh, kg, wp), ns)
+        base = power_base(H, G, kh, kg, wp)
+        sums = {n: power_sum(base, n) for n in ns}
         assert list(sums) == ns
 
         def at_most(a, ka, b, kb):  # a 2^-ka <= b 2^-kb, exactly
@@ -1290,28 +1351,32 @@ class TestPowerSums:
                     assert total._mpf_ == from_man_exp(want, -kw, self.PREC, round_nearest)
 
     @settings(max_examples=40, deadline=None)
-    @given(power_sum_cases())
+    @given(power_sum_cases_in_any_order())
     @example(([Fraction(0xbf47bf9c6aba8ad2f50152b198d4b8, 2**120)], [Fraction(1)], [60]))
     @example(([Fraction(0xb7a419800b1b5ac747d7e3c557db96, 2**120)], [Fraction(1)], [2, 7, 60]))
-    # a gap of 999997 grows the chain past the earlier call's R^512
+    @example(([Fraction(0xb7a419800b1b5ac747d7e3c557db96, 2**120)], [Fraction(1)], [60, 7, 2]))
+    # n = 10^6 grows the chain past the earlier call's R^512, before or after n = 3
     @example(([Fraction(1, 2)], [Fraction(3)], [3, 10**6]))
+    @example(([Fraction(1, 2)], [Fraction(3)], [10**6, 3]))
     def test_grown_chain_gives_fresh_sums(self, case):
-        # a base whose squaring chain an earlier call grew gives, for other ns, the
-        # very (S, E, k) of a fresh base: the chain floors binary powering's squares
+        # a base whose squaring chain an earlier call grew gives, for ns in any order,
+        # the very (S, E, k) of a fresh base, and of a fresh base for each n: the chain
+        # floors binary powering's squares
         hs, gs, ns = case
         (H, kh), (G, kg) = self.fixed(hs), self.fixed(gs)
         wp = self.PREC + quadrature.LADDER_GUARD
         held = power_base(H, G, kh, kg, wp)
-        power_sums(held, [1023])
+        power_sum(held, 1023)
         assert len(held.chain) == (10 if held.gs else 0)
-        assert power_sums(held, ns) == power_sums(power_base(H, G, kh, kg, wp), ns)
+        fresh = power_base(H, G, kh, kg, wp)
+        assert [power_sum(held, n) for n in ns] == [power_sum(fresh, n) for n in ns]
+        assert [power_sum(held, n) for n in ns] == [power_sum(power_base(H, G, kh, kg, wp), n) for n in ns]
 
     def test_pieces_of_every_size_add_exactly(self):
         # a total of parts in units far apart is floored to the coarsest and still rounds correctly
         parts, want = [], Fraction(0)
         for k, h in ((0, Fraction(1, 3)), (500, Fraction(1, 5)), (-40, Fraction(1, 7))):
-            part = power_sums(power_base([round(h * 2**self.PREC)], [1], self.PREC, k, self.PREC + quadrature.LADDER_GUARD),
-                              [2])[2]
+            part = power_sum(power_base([round(h * 2**self.PREC)], [1], self.PREC, k, self.PREC + quadrature.LADDER_GUARD), 2)
             parts.append(part)
             want += Fraction(round(h * 2**self.PREC), 2**self.PREC) ** 2 * Fraction(2) ** -k
         with mp.workprec(self.PREC):
@@ -1321,26 +1386,29 @@ class TestPowerSums:
 
     def test_sweep_sums_are_relatively_close(self, monkeypatch):
         # every sum the sinc sweep adds, the ten zeta panels' among them, has
-        # E <= 2^(ERROR_BITS - wp) S, or is all zero
-        seen, real = [], quadrature.power_sums
+        # E <= 2^(ERROR_BITS - wp) S, or is all zero; each zeta-mode n has a
+        # piece of its own, its panel, whose bases serve that n alone
+        seen, real = [], quadrature.power_sum  # (base, n), each base held so its id stays its own
 
-        def checked(base, ns):
-            sums = real(base, ns)
-            seen.append(ns)
-            for S, E, k in sums.values():
-                assert E << (base.wp - ERROR_BITS) <= S or S == E == k == 0
-            return sums
+        def checked(base, n):
+            S, E, k = part = real(base, n)
+            seen.append((base, n))
+            assert E << (base.wp - ERROR_BITS) <= S or S == E == k == 0
+            return part
 
-        monkeypatch.setattr(quadrature, "power_sums", checked)
+        monkeypatch.setattr(quadrature, "power_sum", checked)
         _MEMO.clear()
         sinc_integrals(range(2, 41))
         zeta_ns = [n for n in range(2, 41) if _sinc_mode(n, Precision())[0] == "zeta"]
         assert zeta_ns == list(range(2, 12))
-        assert all([n] in seen for n in zeta_ns)
+        served = {}
+        for base, n in seen:
+            served.setdefault(id(base), []).append(n)
+        assert all([n] in served.values() for n in zeta_ns)
 
     def test_base_above_one_refused(self):
         with mp.workprec(self.PREC), pytest.raises(ArithmeticError, match="above 1"):
-            power_sums(power_base([3], [1], 1, 0, self.PREC + 64), [2])
+            power_sum(power_base([3], [1], 1, 0, self.PREC + 64), 2)
 
     def test_large_error_is_not_sure(self):
         # an error bound above 2^-(prec+8) of the sum is not sure, whatever the rounding
@@ -1448,22 +1516,29 @@ class TestBatchWork:
         assert calls["sin"] == 56 and calls["panel"] == 224
 
     def test_terms_start_once_a_rung(self, monkeypatch):
-        # on the 60-digit grid every piece builds one power base a rung, raises
-        # its nodes to the first n and steps to each later n by its gap, every
-        # gap's power taken from the base's one squaring chain.  The gaps 90, 45,
-        # 65 and 100 need the squares up to R^64 (bit lengths 7, 6, 7 and 7), and
-        # one chain serves them all: 6 squarings a base, not the 6 + 5 + 6 + 6 =
-        # 23 of each gap alone, so 5,952 node squarings on two lobes of 16 + 32 +
-        # 64 + 128 + 256 nodes.  An n that started over would need R^128 or R^256
-        # (135, 200 and 300 have bit lengths 8 and 9)
-        bases = []
-        real = quadrature.power_base
+        # on the 60-digit grid every piece builds one power base a rung, and
+        # each n raises its nodes by binary powering from the base's one
+        # squaring chain.  n = 90, 135, 200 and 300 have bit lengths 7, 8, 8
+        # and 9, so the chain reaches R^256, 9 levels and 8 squarings a base,
+        # shared by all four: 7,936 node squarings on two lobes of 16 + 32 +
+        # 64 + 128 + 256 = 496 nodes each.  Each n then multiplies the levels
+        # at its set bits, one product fewer than its 4, 4, 3 and 4 set bits:
+        # 3 + 3 + 2 + 3 = 11 a node, 10,912 node products
+        bases, products = [], []
+        real, real_sum = quadrature.power_base, quadrature.power_sum
         monkeypatch.setattr(quadrature, "power_base", lambda *a: bases.append(real(*a)) or bases[-1])
+
+        def counted(base, n):
+            products.append(len(base.chain[0]) * (bin(n).count("1") - 1))
+            return real_sum(base, n)
+
+        monkeypatch.setattr(quadrature, "power_sum", counted)
         _MEMO.clear()
         sinc_integrals([90, 135, 200, 300], Precision(decimal_digits=60))
         assert [(len(b.chain[0]), len(b.chain)) for b in bases] == [
-            (size, 7) for size in (16, 32, 64, 128, 256) for _ in range(2)]
-        assert sum(len(b.chain[0]) * (len(b.chain) - 1) for b in bases) == 5952
+            (size, 9) for size in (16, 32, 64, 128, 256) for _ in range(2)]
+        assert sum(len(b.chain[0]) * (len(b.chain) - 1) for b in bases) == 7936
+        assert sum(products) == 10912
 
     def test_n2_alone_solves_for_one_zero(self, monkeypatch):
         # a batch of n = 2 alone needs only j_{nu,1}: one Newton solve, not the
