@@ -10,34 +10,33 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from ballint.bessel import Nu, bessel_expansion, c0_value
-from ballint.rationals import format_rational, parse_rational
+from ballint.bessel import Nu, bessel_expansion
+from ballint.rationals import parse_rational
+from ballint.records import bessel_coeff_records, sinc_coeff_records
 from ballint.sinc import sinc_expansion
 
 
 def run(args: argparse.Namespace) -> None:
+    if args.nu is None:
+        coeffs = sinc_expansion(args.order).coeffs
+        records = sinc_coeff_records(coeffs, args.digits)
+        print(f"sinc expansion, order {args.order}, unit sqrt(3*pi/2)")
+    else:
+        nu = Nu(parse_rational(args.nu))
+        coeffs = bessel_expansion(nu, args.order).gamma_coeffs
+        records = bessel_coeff_records(nu, coeffs, args.digits)
+        print(f"bessel expansion, nu {nu}, order {args.order}, unit c0(nu)")
+    width = max(len(r.rational) for r in records)
+    print(f"{'j':>3}  {'rational':<{width}}  {'decimal x unit':<{args.digits + 8}}  ratio")
+    prev = None
     with mp.workdps(args.digits + 10):
-        if args.nu is None:
-            coeffs = sinc_expansion(args.order).coeffs
-            unit = mp.sqrt(3 * mp.pi / 2)
-            print(f"sinc expansion, order {args.order}, unit sqrt(3*pi/2)")
-        else:
-            nu = Nu(parse_rational(args.nu))
-            coeffs = bessel_expansion(nu, args.order).gamma_coeffs
-            unit = c0_value(nu, args.digits)
-            print(f"bessel expansion, nu {nu}, order {args.order}, unit c0(nu)")
-        width = max(len(format_rational(c)) for c in coeffs)
-        print(f"{'j':>3}  {'rational':<{width}}  {'decimal x unit':<{args.digits + 8}}  ratio")
-        prev = None
-        for j, c in enumerate(coeffs):
-            dec = mp.nstr(mp.mpf(c.numerator) / c.denominator * unit, args.digits,
-                          strip_zeros=False)
+        for c, r in zip(coeffs, records):
             if prev in (None, Fraction(0)) or c == 0:
                 ratio = "-"
             else:
                 q = abs(c / prev)
                 ratio = mp.nstr(mp.mpf(q.numerator) / q.denominator, 5)
-            print(f"{j:>3}  {format_rational(c):<{width}}  {dec:<{args.digits + 8}}  {ratio}")
+            print(f"{r.j:>3}  {r.rational:<{width}}  {r.decimal:<{args.digits + 8}}  {ratio}")
             prev = c
 
 

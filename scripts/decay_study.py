@@ -25,11 +25,11 @@ from ballint.sinc import sinc_expansion
 
 def run(args: argparse.Namespace) -> None:
     grid = tuple(args.grid)
-    prec = Precision(decimal_digits=args.digits)
+    prec = Precision(target_digits=args.digits)
     deep = sinc_expansion(args.max_order + 1).coeffs
     with mp.workdps(prec.working_dps):
         unit = mp.sqrt(3 * mp.pi / 2)
-        print(f"grid {grid}, {args.digits}-digit quadrature")
+        print(f"grid {grid}, target 1e-{args.digits}")
         print(f"{'m':>2}  {'slope':>9}  {'free est':>12}  {'pinned est':>12}  "
               f"{'exact c_(m+1)':>14}  {'free err':>9}  {'pinned err':>10}")
         for m in range(args.max_order + 1):
@@ -48,7 +48,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-order", type=int, default=6)
     parser.add_argument("--grid", type=int, nargs="+", default=[90, 135, 200, 300])
-    parser.add_argument("--digits", type=int, default=60)
+    parser.add_argument("--digits", type=int, default=50, help="quadrature target 1e-DIGITS")
     run(parser.parse_args())
 
 

@@ -3,7 +3,7 @@
 For each order N = 16, 32, ..., 256 it finds the positive roots of P_N,
 and P' at each, by ballint.legendre's own search (Halley's method from
 Tricomi's starts, never the shipped table), at 75 digits: the widest
-working precision a verify suite asks for (a 60-digit fit, plus 15).
+working precision a verify suite asks for (a fit's target of 50 digits, plus 25).
 Each root set is proven complete before it is printed.  Output is one
 line an order: N and wp in decimal, then the N/2 roots, decreasing, and
 the N/2 slopes, in hex, scaled by 2^wp.

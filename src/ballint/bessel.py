@@ -129,11 +129,11 @@ def bessel_moment_ratio(nu: Nu, j: int) -> Fraction:
 
 @dataclass(frozen=True)
 class BesselExpansion:
-    """I_nu(n) ~ c_0 [gamma_0 + gamma_1/n + ... + gamma_m/n^m], gamma_0 = 1."""
+    """I_nu(n) ~ c_0 [gamma_0 + gamma_1/n + ... + gamma_m/n^m], gamma_0 = 1,
+    m = len(gamma_coeffs) - 1; the truncation index changes no coefficient,
+    so it is not kept."""
 
     nu: Nu
-    m: int
-    k: int
     gamma_coeffs: tuple[Fraction, ...]
 
 
@@ -152,7 +152,7 @@ def bessel_expansion(nu: Nu, m: int, k: int | None = None) -> BesselExpansion:
         raise ValueError("truncation too short: k must be at least m + 1")
     a = {j: bessel_aj(nu, j, k) for j in range(2, m + 2)}
     gammas = moment_coeffs(a, m, lambda w: bessel_moment_ratio(nu, w) / Fraction(4) ** w)
-    return BesselExpansion(nu=nu, m=m, k=k, gamma_coeffs=gammas)
+    return BesselExpansion(nu=nu, gamma_coeffs=gammas)
 
 
 def c0_exact(nu: Nu) -> Fraction | None:

@@ -1,12 +1,13 @@
 """On-disk cache for exact coefficient tables.
 
 Location: $BALLINT_CACHE_DIR, else $XDG_CACHE_HOME/ballint, else
-~/.cache/ballint.  Keys are content hashes over (pipeline, nu, m, k,
+~/.cache/ballint.  Keys are content hashes over (pipeline, nu, order m,
 code tag), the code tag being a SHA-256 of the source of the modules that
 compute and store coefficients, so an entry never outlives the code that
-wrote it, and identical requests across runs share one entry.  Payloads
-hold exact rational strings only; decimals are recomputed on render so
-cached and computed output stay byte-identical.
+wrote it, and identical requests across runs share one entry.  No key
+holds a truncation index: every k >= m + 1 gives the same coefficients.
+Payloads hold exact rational strings only; decimals are recomputed on
+render so cached and computed output stay byte-identical.
 """
 
 from __future__ import annotations
@@ -46,23 +47,22 @@ def cache_dir() -> Path:
     return base / "ballint"
 
 
-def _entry(pipeline: str, nu: Fraction | None, m: int, k: int) -> dict:
+def _entry(pipeline: str, nu: Fraction | None, m: int) -> dict:
     return {
         "pipeline": pipeline,
         "nu": format_rational(nu) if nu is not None else None,
         "m": m,
-        "k": k,
         "code": _code_tag(),
     }
 
 
-def cache_key(pipeline: str, nu: Fraction | None, m: int, k: int) -> str:
-    payload = json.dumps(_entry(pipeline, nu, m, k), sort_keys=True)
+def cache_key(pipeline: str, nu: Fraction | None, m: int) -> str:
+    payload = json.dumps(_entry(pipeline, nu, m), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def load_coeffs(pipeline: str, nu: Fraction | None, m: int, k: int) -> list[Fraction] | None:
-    path = cache_dir() / f"{cache_key(pipeline, nu, m, k)}.json"
+def load_coeffs(pipeline: str, nu: Fraction | None, m: int) -> list[Fraction] | None:
+    path = cache_dir() / f"{cache_key(pipeline, nu, m)}.json"
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         values = [parse_rational(s) for s in doc["coefficients"]]
@@ -73,16 +73,16 @@ def load_coeffs(pipeline: str, nu: Fraction | None, m: int, k: int) -> list[Frac
     return values
 
 
-def store_coeffs(pipeline: str, nu: Fraction | None, m: int, k: int, coeffs) -> None:
+def store_coeffs(pipeline: str, nu: Fraction | None, m: int, coeffs) -> None:
     directory = cache_dir()
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        doc = {**_entry(pipeline, nu, m, k), "coefficients": [format_rational(c) for c in coeffs]}
+        doc = {**_entry(pipeline, nu, m), "coefficients": [format_rational(c) for c in coeffs]}
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-            os.replace(tmp, directory / f"{cache_key(pipeline, nu, m, k)}.json")
+            os.replace(tmp, directory / f"{cache_key(pipeline, nu, m)}.json")
         except BaseException:
             os.unlink(tmp)
             raise

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .bessel import BesselExpansion, Nu, bessel_expansion
+from .bessel import Nu, bessel_expansion
 from .cache import load_coeffs, store_coeffs
 from .quadrature import X_MAX, Precision, PrecisionFailure, bessel_integral, sinc_integral
 from .rationals import format_rational, parse_rational
@@ -29,7 +29,7 @@ from .records import (
     reports_to_text,
     sinc_coeff_records,
 )
-from .sinc import SINC_UNIT, SincExpansion, check_errata, sinc_expansion
+from .sinc import SINC_UNIT, check_errata, sinc_expansion
 from .verify import SUITES, run_suite, suite_exit_code
 
 EXIT_OK = 0
@@ -60,13 +60,11 @@ def _emit_records(records, fmt: str, header: str) -> None:
 
 
 def _cached_coeffs(pipeline: str, nu: Fraction | None, m: int, compute) -> tuple[Fraction, ...]:
-    """The exact coefficients of order m, k = m + 1: from the cache, or
-    compute(k) and stored."""
-    k = m + 1
-    coeffs = load_coeffs(pipeline, nu, m, k)
+    """The exact coefficients of order m: from the cache, or compute() and stored."""
+    coeffs = load_coeffs(pipeline, nu, m)
     if coeffs is None:
-        coeffs = compute(k)
-        store_coeffs(pipeline, nu, m, k, coeffs)
+        coeffs = compute()
+        store_coeffs(pipeline, nu, m, coeffs)
     return tuple(coeffs)
 
 
@@ -76,9 +74,8 @@ def cmd_sinc_coeffs(args) -> int:
         return _usage(f"--order must lie in 0..{SINC_ORDER_CEILING}")
     if args.digits < 1:
         return _usage("--digits must be at least 1")
-    coeffs = _cached_coeffs("sinc", None, m, lambda k: sinc_expansion(m, k).coeffs)
-    expansion = SincExpansion(m=m, k=m + 1, coeffs=coeffs)
-    records = sinc_coeff_records(expansion, digits=args.digits)
+    coeffs = _cached_coeffs("sinc", None, m, lambda: sinc_expansion(m).coeffs)
+    records = sinc_coeff_records(coeffs, args.digits)
     _emit_records(records, args.format, f"sinc coefficients, order {m}, unit {SINC_UNIT}")
     return EXIT_OK
 
@@ -93,9 +90,8 @@ def cmd_bessel_coeffs(args) -> int:
         return _usage(f"--order must lie in 0..{BESSEL_ORDER_CEILING}")
     if args.digits < 1:
         return _usage("--digits must be at least 1")
-    coeffs = _cached_coeffs("bessel", nu.value, m, lambda k: bessel_expansion(nu, m, k).gamma_coeffs)
-    expansion = BesselExpansion(nu=nu, m=m, k=m + 1, gamma_coeffs=coeffs)
-    records = bessel_coeff_records(expansion, digits=args.digits)
+    coeffs = _cached_coeffs("bessel", nu.value, m, lambda: bessel_expansion(nu, m).gamma_coeffs)
+    records = bessel_coeff_records(nu, coeffs, args.digits)
     _emit_records(records, args.format, f"bessel coefficients, nu {nu}, order {m}, unit c0(nu)")
     return EXIT_OK
 
@@ -107,11 +103,9 @@ def cmd_eval(args) -> int:
         return _usage("--cutoff-mult applies to the bessel pipeline only")
     if args.pipeline == "bessel" and args.nu is None:
         return _usage("the bessel pipeline needs --nu")
-    # --digits d targets an absolute error of 1e-d, while Precision()'s 30 digits
-    # target 1e-20; Precision needs decimal_digits = d + 10 >= 15
     if args.digits < 5:
         return _usage("--digits must be at least 5")
-    prec = Precision(decimal_digits=args.digits + 10)
+    prec = Precision(target_digits=args.digits)
     try:
         if args.pipeline == "sinc":
             nu_frac = None
@@ -202,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="power, at least 2")
     p.add_argument("--nu", default=None, help="Bessel order as p/q")
     p.add_argument("--digits", type=int, default=20,
-                   help="target absolute error 1e-DIGITS; builds Precision(decimal_digits=DIGITS + 10)")
+                   help="target absolute error 1e-DIGITS, at least 5")
     p.add_argument("--cutoff-mult", type=float, default=None,
                    help="bessel head length in envelope units, at least 1 (default 24); "
                         f"the cutoff, this times 2^nu Gamma(nu+1), may not exceed {X_MAX}")

@@ -114,28 +114,20 @@ COS_GUARD = 20  # bits the sinc cosine table (_cosines) holds beyond prec
 
 @dataclass(frozen=True)
 class Precision:
-    """Requested accuracy: decimal_digits of working room.
-
-    The absolute target is 10^-target_digits, held as that exponent,
-    target_digits = decimal_digits - 10: Precision()'s 30 digits target
-    1e-20; `ballint eval --digits d` targets 1e-d and builds
-    Precision(decimal_digits=d + 10).
-    The working precision adds fifteen more on top of decimal_digits.
+    """Requested accuracy: an absolute error of 10^-target_digits, held as that
+    exponent, an integer of at least 5; `ballint eval --digits d` builds
+    Precision(target_digits=d).  The working precision adds 25 digits.
     """
 
-    decimal_digits: int = 30
+    target_digits: int = 20
 
     def __post_init__(self):
-        if self.decimal_digits < 15:
-            raise ValueError("decimal_digits must be at least 15")
-
-    @property
-    def target_digits(self) -> int:
-        return self.decimal_digits - 10
+        if operator.index(self.target_digits) < 5:
+            raise ValueError("target_digits must be at least 5")
 
     @property
     def working_dps(self) -> int:
-        return self.decimal_digits + 15
+        return self.target_digits + 25
 
 
 @dataclass(frozen=True)
@@ -883,15 +875,14 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
     """
     prec = prec or Precision()
     cutoff_mult = float(cutoff_mult)
-    with mp.workdps(prec.working_dps):  # the X that _bessel_estimates integrates to
+    with mp.workdps(prec.working_dps):
         amp = amplitude(nu)
         X = cutoff_mult * amp
         if not amp <= X <= X_MAX:  # false for nan, so nan and inf are refused too
             raise ValueError(f"the cutoff X = cutoff_mult 2^nu Gamma(nu+1) = {mp.nstr(X, 6)} at nu = {nu} "
                              f"is above X_MAX = {X_MAX}" if X_MAX < X < mp.inf
                              else f"cutoff_mult = {cutoff_mult} must be finite and at least 1")
-    return _memoised(("bessel", nu, prec, cutoff_mult), ns,
-                     lambda todo: _bessel_estimates(nu, todo, prec, cutoff_mult, amp))
+    return _memoised(("bessel", nu, prec, cutoff_mult), ns, lambda todo: _bessel_estimates(nu, todo, prec, X, amp))
 
 
 # The last Bessel family, one entry: {(v, X, any n >= 3, wdps): [bounds, pieces, nodes]}.
@@ -906,15 +897,15 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
 _FAMILY: dict[tuple, list] = {}
 
 
-def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision, cutoff_mult: float,
+def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision, X: mp.mpf,
                       amp: mp.mpf) -> dict[int, QuadEstimate | PrecisionFailure]:
-    """bessel_integral for each n of ns, unmemoised, from one ladder; amp = 2^nu Gamma(nu+1)."""
+    """bessel_integral for each n of ns, unmemoised, from one ladder, to the cutoff X =
+    cutoff_mult amp, amp = 2^nu Gamma(nu+1), both formed at the working precision."""
     v = nu.value
     p, q = v.numerator, v.denominator
     wdps = prec.working_dps
     with mp.workdps(wdps):
         nv = to_mpf(v)
-        X = cutoff_mult * amp
         key = v, X, max(ns) > 2, wdps
         family = _FAMILY.get(key)
         if family is None:
@@ -969,7 +960,7 @@ def remainder_decay_fit(m: int, n_grid: Sequence[int], prec: Precision | None = 
     for a, b in zip(ns, ns[1:]):
         if a == b:
             raise ValueError(f"n = {a} appears more than once in the grid")
-    prec = prec or Precision(decimal_digits=50)
+    prec = prec or Precision(target_digits=40)
     expansion = sinc_expansion(m)
     used, dropped, remainders, xs, ys = [], [], [], [], []
     with mp.workdps(prec.working_dps):

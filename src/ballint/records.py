@@ -1,9 +1,10 @@
 """Output records and renderers for the command-line surface.
 
 Every machine-readable artifact but appendix-check's (rendered in cli)
-flows through the renderers here: coefficient tables (exact rational plus
-a decimal rendering in the table's unit), quadrature estimates and
-verification case rows.  The JSON field names are a stable contract:
+flows through the renderers here: coefficient tables, built from the bare
+exact coefficients (exact rational plus a decimal rendering in the table's
+unit), quadrature estimates and verification case rows.  The JSON field
+names are a stable contract:
 
   coefficients  kind = "coefficients", pipeline, nu, order, unit,
                 coefficients[{j, rational, decimal}]
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .bessel import c0_value
+from .bessel import Nu, c0_value
 from .rationals import format_rational, parse_rational, to_mpf
 from .sinc import SINC_UNIT
 
@@ -86,17 +87,16 @@ def _coeff_records(pipeline: str, nu: Fraction | None, unit: str, coeffs, unit_v
             for j, c in enumerate(coeffs)]
 
 
-def sinc_coeff_records(expansion, digits: int = 30) -> list[CoeffRecord]:
-    """Records for a SincExpansion, decimals in units of sqrt(3 pi/2)."""
+def sinc_coeff_records(coeffs, digits: int = 30) -> list[CoeffRecord]:
+    """Records for the sinc coefficients c_0..c_m, decimals in units of sqrt(3 pi/2)."""
     with mp.workdps(digits + 10):
-        return _coeff_records("sinc", None, SINC_UNIT, expansion.coeffs, mp.sqrt(3 * mp.pi / 2), digits)
+        return _coeff_records("sinc", None, SINC_UNIT, coeffs, mp.sqrt(3 * mp.pi / 2), digits)
 
 
-def bessel_coeff_records(expansion, digits: int = 30) -> list[CoeffRecord]:
-    """Records for a BesselExpansion, decimals in units of c0(nu)."""
+def bessel_coeff_records(nu: Nu, coeffs, digits: int = 30) -> list[CoeffRecord]:
+    """Records for the Bessel coefficients gamma_0..gamma_m at nu, decimals in units of c0(nu)."""
     with mp.workdps(digits + 10):
-        return _coeff_records("bessel", expansion.nu.value, f"c0({expansion.nu})", expansion.gamma_coeffs,
-                              c0_value(expansion.nu, digits), digits)
+        return _coeff_records("bessel", nu.value, f"c0({nu})", coeffs, c0_value(nu, digits), digits)
 
 
 def records_to_text(records: list[CoeffRecord], header: str) -> str:

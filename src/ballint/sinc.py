@@ -111,10 +111,10 @@ def gaussian_moment_ratio(j: int) -> Fraction:
 
 @dataclass(frozen=True)
 class SincExpansion:
-    """Exact expansion I(n) ~ SINC_UNIT * sum_j coeffs[j] / n^j."""
+    """Exact expansion I(n) ~ SINC_UNIT * sum_j coeffs[j] / n^j, of order
+    len(coeffs) - 1; the truncation index changes no coefficient, so it is
+    not kept."""
 
-    m: int
-    k: int
     coeffs: tuple[Fraction, ...]
 
     def partial_sum_mpf(self, n) -> mp.mpf:
@@ -138,7 +138,7 @@ def sinc_expansion(m: int, k: int | None = None) -> SincExpansion:
     if k <= m:
         raise ValueError("truncation too short: k must be at least m + 1")
     a = {j: sinc_aj(j, k) for j in range(2, m + 2)}
-    return SincExpansion(m=m, k=k, coeffs=moment_coeffs(a, m, gaussian_moment_ratio))
+    return SincExpansion(moment_coeffs(a, m, gaussian_moment_ratio))
 
 
 def cutoff_tail_bound(n: int, cutoff) -> mp.mpf:

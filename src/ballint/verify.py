@@ -56,7 +56,7 @@ __all__ = [
 CLOSED_FORM_NUS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)]
 
 FIT_GRID = (90, 135, 200, 300)
-FIT_DIGITS = 60
+FIT_DIGITS = 50
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +80,7 @@ def sinc_coefficient_fit(order: int) -> tuple[DecayFit, float, float, float, boo
     Returns (fit, estimate, engine value in absolute units, band, ok),
     memoised per order.
     """
-    fit = remainder_decay_fit(order - 1, FIT_GRID, prec=Precision(decimal_digits=FIT_DIGITS))
+    fit = remainder_decay_fit(order - 1, FIT_GRID, prec=Precision(target_digits=FIT_DIGITS))
     c = _engine_coeffs_deep()[order]
     with mp.workdps(30):
         engine_abs = float(mp.sqrt(3 * mp.pi / 2) * mp.mpf(c.numerator) / c.denominator)
@@ -213,7 +213,7 @@ def reduction_suite() -> list[VerifyReport]:
 
 def decay_suite() -> list[VerifyReport]:
     reports: list[VerifyReport] = []
-    prec = Precision(decimal_digits=50)
+    prec = Precision(target_digits=40)
     fits = {}
     for m, tol in ((0, 0.15), (1, 0.10), (2, 0.15)):
         fit = fits[m] = remainder_decay_fit(m, (50, 100, 200, 400), prec=prec)

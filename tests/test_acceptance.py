@@ -74,9 +74,9 @@ def test_criterion_2_appendix_regression(announce):
 
 def test_criterion_3_second_order_limit(announce):
     """n^2-scaled remainder of the one-term expansion extrapolates to
-    -13/1120 within 1e-4 from n = 200, 400 at 50-digit precision."""
+    -13/1120 within 1e-4 from n = 200, 400 at target 1e-40."""
     t0 = time.monotonic()
-    prec = Precision(decimal_digits=50)
+    prec = Precision(target_digits=40)
     with mp.workdps(prec.working_dps):
         unit = mp.sqrt(3 * mp.pi / 2)
 

@@ -187,7 +187,7 @@ class TestExpansion:
     def test_metadata(self):
         e = bessel_expansion(Nu(Fraction(7, 3)), 2)
         assert isinstance(e, BesselExpansion)
-        assert e.m == 2 and e.k == 3
+        assert e.nu == Nu(Fraction(7, 3)) and len(e.gamma_coeffs) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):

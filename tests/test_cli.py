@@ -15,7 +15,9 @@ import pytest
 import ballint
 from ballint import cache, cli, sinc
 from ballint.cli import EXIT_OK, EXIT_PRECISION, EXIT_USAGE, EXIT_VERIFY, main
+from ballint.quadrature import Precision, sinc_integral
 from ballint.rationals import parse_rational
+from ballint.records import estimate_to_json
 
 
 @pytest.fixture(autouse=True)
@@ -73,7 +75,7 @@ class TestSincCoeffs:
         monkeypatch.setattr(cli, "store_coeffs", lambda *args: stores.append(args) or cache.store_coeffs(*args))
         tag = cache._code_tag
         monkeypatch.setattr(cache, "_code_tag", lambda: "0" * 64)
-        cache.store_coeffs("sinc", None, 1, 2, [Fraction(1), Fraction(1)])
+        cache.store_coeffs("sinc", None, 1, [Fraction(1), Fraction(1)])
         assert run_cli(capsys, "sinc-coeffs", "--order", "1", "--format", "csv")[1].splitlines()[2].startswith("1,1,")
         assert stores == []
         monkeypatch.setattr(cache, "_code_tag", tag)
@@ -181,6 +183,12 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", "sinc", "--n", "4", "--digits", "5")
         assert code == EXIT_OK and out.splitlines()[0] == "sinc integral, n = 4"
 
+    def test_digits_is_the_library_target(self, capsys):
+        # --digits d is Precision(target_digits=d), with no offset between the two
+        code, out, _ = run_cli(capsys, "eval", "sinc", "--n", "5", "--digits", "25", "--format", "json")
+        want = estimate_to_json(sinc_integral(5, Precision(target_digits=25)), "sinc", None, 5, 25)
+        assert code == EXIT_OK and out == want + "\n"
+
     def test_default_cutoff_has_no_cap(self, capsys):
         # at n = 2 the integral stops at j_{2,1} = 5.1356..., inside the default
         # cutoff 192 at nu = 2, and the tail is exact; the closed form is
@@ -241,15 +249,16 @@ DATA = Path(__file__).parent / "data"
 
 class TestTextGoldens:
     # the text form of the README eval lines and of a verify report, byte for
-    # byte; a changed line needs a regenerated file and a reason
+    # byte; a changed line needs a regenerated file and a reason.  The report
+    # file goes under tmp_path ({tmp}), never into the working directory
     @pytest.mark.parametrize("golden, argv", [
         ("eval/sinc-5-30.txt", ["eval", "sinc", "--n", "5", "--digits", "30"]),
         ("eval/bessel-7_3-8.txt", ["eval", "bessel", "--n", "8", "--nu", "7/3", "--cutoff-mult", "6"]),
-        ("verify/reduction.txt", ["verify", "reduction"]),
+        ("verify/reduction.txt", ["verify", "reduction", "--report", "{tmp}/reduction.json"]),
         ("appendix-check.txt", ["appendix-check"]),
     ])
-    def test_text_bytes(self, capsys, golden, argv):
-        code, out, err = run_cli(capsys, *argv)
+    def test_text_bytes(self, capsys, tmp_path, golden, argv):
+        code, out, err = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
         assert code == EXIT_OK and err == ""
         assert out == (DATA / golden).read_text(encoding="utf-8")
 

@@ -189,20 +189,29 @@ def reference_ladder(pieces, uses, rungs, half_targets, nodes, dps):
 class TestPrecision:
     def test_defaults(self):
         p = Precision()
-        assert p.decimal_digits == 30
+        assert p == Precision(target_digits=20)
         assert p.working_dps == 45
-        assert p.target_digits == 20
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Precision(decimal_digits=14)
+        with pytest.raises(ValueError, match="target_digits must be at least 5"):
+            Precision(target_digits=4)
+        assert Precision(target_digits=5).working_dps == 30
+
+    @pytest.mark.parametrize("digits", [31.0, 30.5])
+    def test_float_target_refused(self, digits, doublings):
+        # a float target reached the failure message's integer format, which
+        # raised ValueError("Unknown format code 'd'") in place of PrecisionFailure
+        with pytest.raises(TypeError):
+            Precision(target_digits=digits)
+        doublings(1)
+        with pytest.raises(PrecisionFailure, match="target 1e-31 not reached"):
+            sinc_integral(97, Precision(target_digits=31))
 
     def test_target_past_the_float_range(self):
         # 10^-330 is 0.0 as a float, whose log raised a math domain error: held
         # as its exponent, the target still picks a sinc mode (the Bessel ladder
         # and the failure message at this target: test_cli.py)
-        prec = Precision(decimal_digits=340)
-        assert prec.target_digits == 330
+        prec = Precision(target_digits=330)
         assert _sinc_mode(5, prec) == ("zeta", quadrature.ZETA_LOBES)
         assert _sinc_mode(10**6, prec) == ("truncate", 2)
 
@@ -415,7 +424,7 @@ class TestSincClosedForms:
     def test_polya_at_every_even_zeta_mode_n(self, digits, top):
         # I(n) = pi sqrt(n) p_n(0) exactly for even n; the zeta panel carries
         # every lobe from ZETA_LOBES on
-        prec = Precision(decimal_digits=digits)
+        prec = Precision(target_digits=digits - 10)
         ns = [n for n in range(2, 41) if _sinc_mode(n, prec)[0] == "zeta"]
         assert ns == list(range(2, top + 1))
         even = ns[::2]
@@ -434,7 +443,7 @@ class TestSincClosedForms:
 
     def test_n11_against_fifty_digits(self):
         est = sinc_integral(11)
-        ref = sinc_integral(11, Precision(decimal_digits=50))
+        ref = sinc_integral(11, Precision(target_digits=40))
         with mp.workdps(80):
             assert abs(est.value - ref.value) <= est.abs_err_bound
 
@@ -495,7 +504,7 @@ class TestSincNodes:
 
     @pytest.mark.parametrize("order, digits", [(16, 30), (64, 30), (256, 60)])
     def test_lobe_nodes_round_the_exact_node_value(self, monkeypatch, order, digits):
-        prec = Precision(decimal_digits=digits)
+        prec = Precision(target_digits=digits - 10)
         pieces = self.ladder_inputs(monkeypatch, [3], prec)["pieces"]
         assert len(pieces) == quadrature.ZETA_LOBES + 1
         dps = prec.working_dps
@@ -614,19 +623,19 @@ class TestBesselClosedForms:
     def test_cutoff_mult_limit_accepted(self, monkeypatch):
         # X_MAX alone bounds cutoff_mult: at nu = 1, X = 2 cutoff_mult meets it
         # at 512, and at nu = 1/2, X = sqrt(pi/2) cutoff_mult is 1002.65 at 800
-        # and 1027.72 at 820.  _bessel_estimates records its cutoff_mult and
+        # and 1027.72 at 820.  _bessel_estimates records its cutoff X and
         # returns a stand-in, so no zero search runs; the stand-ins go to a memo
         # of their own
         asked = []
         monkeypatch.setattr(quadrature, "_bessel_estimates",
-                            lambda nu, ns, prec, cutoff_mult, amp: asked.append(cutoff_mult) or dict.fromkeys(ns, asked))
+                            lambda nu, ns, prec, X, amp: asked.append(mp.nstr(X, 6)) or dict.fromkeys(ns, asked))
         monkeypatch.setattr(quadrature, "_MEMO", {})
         bessel_integral(ONE, 40, cutoff_mult=quadrature.X_MAX / 2)
         bessel_integral(HALF, 5, cutoff_mult=800)
         with pytest.raises(ValueError, match=r"X = cutoff_mult 2\^nu Gamma\(nu\+1\) = 1027.72 at nu = 1/2 "
                                              r"is above X_MAX = 1024"):
             bessel_integral(HALF, 5, cutoff_mult=820)
-        assert asked == [512.0, 800.0]
+        assert asked == ["1024.0", "1002.65"]
 
     def test_nu2_n2_default_cutoff(self):
         # n = 2 integrates up to j_{2,1} = 5.1356..., well inside the default
@@ -717,7 +726,7 @@ class TestBesselJNormalized:
     def test_against_library(self, nu, digits):
         # the kernel sums its own Maclaurin series in fixed point; mpmath's
         # besselj at 40 more digits is an independent route to f_nu
-        prec = Precision(decimal_digits=digits)
+        prec = Precision(target_digits=digits - 10)
         rng = random.Random(f"{nu}/{digits}")
         for t in [0.0] + [rng.uniform(1e-6, 200) for _ in range(12)]:
             ev = bessel_j_normalized(Nu(nu), t, prec)
@@ -1018,10 +1027,11 @@ def bits(est: QuadEstimate) -> tuple:
 
 
 def bessel_estimates(nu: Nu, ns: list[int], prec: Precision, cutoff_mult: float) -> dict:
-    """_bessel_estimates, unmemoised, with 2^nu Gamma(nu+1) formed as bessel_integrals forms it."""
+    """_bessel_estimates, unmemoised, with 2^nu Gamma(nu+1) and the cutoff formed as bessel_integrals forms them."""
     with mp.workdps(prec.working_dps):
         amp = amplitude(nu)
-    return _bessel_estimates(nu, ns, prec, cutoff_mult, amp)
+        X = float(cutoff_mult) * amp
+    return _bessel_estimates(nu, ns, prec, X, amp)
 
 
 class TestBatches:
@@ -1037,7 +1047,7 @@ class TestBatches:
         assert {n for n, zeta in modes.items() if zeta} == set(range(2, 12))
 
     def test_sinc_sixty_digits(self):
-        prec = Precision(decimal_digits=60)
+        prec = Precision(target_digits=50)
         ns = [300, 90, 200, 135, 3]
         singles = {n: _sinc_estimates([n], prec)[n] for n in ns}
         _MEMO.clear()
@@ -1112,7 +1122,7 @@ class TestBatches:
         # a piece's part for n depends on its base and n alone: a batch takes, integer for
         # integer, the parts each n takes alone, on the sinc 60-digit grid and in the nu = 1
         # sweep against a loop from n = 37 down, whose held chains a larger n grew
-        prec = Precision(decimal_digits=60)
+        prec = Precision(target_digits=50)
         grid, sweep = [90, 135, 200, 300], list(range(23, 38))
         batch = self.parts_taken(monkeypatch, lambda: sinc_integrals(grid, prec))
         assert batch == self.parts_taken(monkeypatch, lambda: [sinc_integral(n, prec) for n in grid])
@@ -1203,13 +1213,13 @@ def sweep_bits() -> dict:
     got = {
         "sinc": dict(zip(range(2, 41), sinc_integrals(range(2, 41)))),
         "sinc-60-digits": dict(zip((90, 135, 200, 300),
-                                   sinc_integrals((90, 135, 200, 300), Precision(decimal_digits=60)))),
+                                   sinc_integrals((90, 135, 200, 300), Precision(target_digits=50)))),
         "bessel-nu1": dict(zip(range(2, 21), bessel_integrals(ONE, range(2, 21)))),
     }
     return {fam: {str(n): pinned(e) for n, e in rows.items()} for fam, rows in got.items()}
 
 
-BESSEL_BITS_CASES = [  # (nu, ns, cutoff_mult, decimal_digits)
+BESSEL_BITS_CASES = [  # (nu, ns, cutoff_mult, target digits + 10, as bessel_bits.json's keys give them)
     ("7/3", (2, 3, 8), 6, 30),
     ("7/3", (8,), 6, 50),
     ("2", (2,), 24, 30),
@@ -1226,7 +1236,7 @@ def bessel_bits() -> dict:
     _MEMO.clear()
     got = {}
     for nu, ns, mult, digits in BESSEL_BITS_CASES:
-        ests = bessel_integrals(Nu(Fraction(nu)), ns, Precision(decimal_digits=digits), cutoff_mult=mult)
+        ests = bessel_integrals(Nu(Fraction(nu)), ns, Precision(target_digits=digits - 10), cutoff_mult=mult)
         for n, e in zip(ns, ests):
             got[f"nu={nu} n={n} cutoff_mult={mult} digits={digits}"] = pinned(e)
     return got
@@ -1427,7 +1437,7 @@ class TestPowerSums:
 class TestBatchFailure:
     # the failure a batch raises is the single call's failure for the first failing n of ns,
     # at one doubling
-    PREC = Precision(decimal_digits=40)
+    PREC = Precision(target_digits=30)
 
     @pytest.fixture(autouse=True)
     def one_doubling(self, doublings):
@@ -1534,7 +1544,7 @@ class TestBatchWork:
 
         monkeypatch.setattr(quadrature, "power_sum", counted)
         _MEMO.clear()
-        sinc_integrals([90, 135, 200, 300], Precision(decimal_digits=60))
+        sinc_integrals([90, 135, 200, 300], Precision(target_digits=50))
         assert [(len(b.chain[0]), len(b.chain)) for b in bases] == [
             (size, 9) for size in (16, 32, 64, 128, 256) for _ in range(2)]
         assert sum(len(b.chain[0]) * (len(b.chain) - 1) for b in bases) == 7936
@@ -1633,7 +1643,7 @@ class TestBatchWork:
     @pytest.mark.parametrize("first, then", [
         ((ONE, 5, None, 6), (Nu(Fraction(3, 2)), 5, None, 6)),
         ((ONE, 5, None, 6), (ONE, 5, None, 12)),
-        ((ONE, 5, None, 6), (ONE, 5, Precision(decimal_digits=40), 6)),
+        ((ONE, 5, None, 6), (ONE, 5, Precision(target_digits=30), 6)),
         ((ONE, 5, None, 6), (ONE, 2, None, 6)),
         ((ONE, 2, None, 6), (ONE, 5, None, 6)),
     ], ids=["nu", "cutoff", "precision", "to-n2-alone", "from-n2-alone"])
@@ -1709,7 +1719,7 @@ class TestPrecisionFailure:
     def test_exhausted_ladder_carries_estimate(self, doublings):
         doublings(1)
         with pytest.raises(PrecisionFailure) as exc:
-            sinc_integral(97, Precision(decimal_digits=40))
+            sinc_integral(97, Precision(target_digits=30))
         est = exc.value.estimate
         assert isinstance(est, QuadEstimate)
         assert est.abs_err_bound > mp.mpf(10) ** -30
@@ -1724,7 +1734,7 @@ class TestPrecisionFailure:
 
         monkeypatch.setattr(quadrature, "_ladder", counted)
         doublings(1)
-        prec = Precision(decimal_digits=40)
+        prec = Precision(target_digits=30)
         assert isinstance(_sinc_estimates([97], prec)[97], PrecisionFailure)
         assert calls == [prec.working_dps]
 
@@ -1741,7 +1751,7 @@ class TestDecayFit:
             assert math.isclose(fit.signed_coeff, want, rel_tol=0.05)
 
     def test_remainders_are_the_fitted_points(self):
-        prec = Precision(decimal_digits=50)
+        prec = Precision(target_digits=40)
         fit = remainder_decay_fit(2, (200, 50, 100, 400), prec=prec)
         assert fit.used_n == (50, 100, 200, 400)
         assert len(fit.remainders) == len(fit.used_n)
@@ -1776,13 +1786,13 @@ class TestDecayFit:
         # the 30-digit integrals carry out there, so no point is usable
         with pytest.raises(ValueError, match="insufficient data"):
             remainder_decay_fit(12, (2000, 3000, 4000),
-                                prec=Precision(decimal_digits=30))
+                                prec=Precision(target_digits=20))
 
     def test_partial_drop(self):
         # the n = 4000 remainder (~7e-24) sinks under that point's error
         # budget at 30 digits while the low-n points stay clean
         fit = remainder_decay_fit(5, (100, 200, 400, 4000),
-                                  prec=Precision(decimal_digits=30))
+                                  prec=Precision(target_digits=20))
         assert fit.dropped_n == (4000,)
         assert fit.used_n == (100, 200, 400)
         assert len(fit.remainders) == 3

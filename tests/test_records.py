@@ -55,7 +55,7 @@ class TestVerifyReport:
 
 class TestCoeffRenderers:
     def test_sinc_records(self):
-        recs = sinc_coeff_records(sinc_expansion(3))
+        recs = sinc_coeff_records(sinc_expansion(3).coeffs)
         assert [r.j for r in recs] == [0, 1, 2, 3]
         assert all(r.pipeline == "sinc" and r.nu is None for r in recs)
         assert recs[1].rational == "-3/20"
@@ -64,14 +64,15 @@ class TestCoeffRenderers:
         assert recs[0].decimal.startswith("2.17080")
 
     def test_bessel_records(self):
-        recs = bessel_coeff_records(bessel_expansion(Nu(Fraction(1)), 2))
+        nu = Nu(Fraction(1))
+        recs = bessel_coeff_records(nu, bessel_expansion(nu, 2).gamma_coeffs)
         assert all(r.pipeline == "bessel" and r.nu == Fraction(1) for r in recs)
         assert recs[0].unit == "c0(1)"
         assert recs[0].decimal.startswith("4.0000")
         assert recs[1].rational == "-1/3"
 
     def test_json_schema(self):
-        doc = json.loads(records_to_json(sinc_coeff_records(sinc_expansion(2))))
+        doc = json.loads(records_to_json(sinc_coeff_records(sinc_expansion(2).coeffs)))
         assert set(doc) == {"kind", "pipeline", "nu", "order", "unit", "coefficients"}
         assert doc["kind"] == "coefficients"
         assert doc["pipeline"] == "sinc"
@@ -81,8 +82,8 @@ class TestCoeffRenderers:
         assert doc["coefficients"][2]["rational"] == "-13/1120"
 
     def test_json_bessel_nu_string(self):
-        doc = json.loads(records_to_json(
-            bessel_coeff_records(bessel_expansion(Nu(Fraction(3, 2)), 1))))
+        nu = Nu(Fraction(3, 2))
+        doc = json.loads(records_to_json(bessel_coeff_records(nu, bessel_expansion(nu, 1).gamma_coeffs)))
         assert doc["nu"] == "3/2"
 
     def test_json_empty_rejected(self):
@@ -90,14 +91,14 @@ class TestCoeffRenderers:
             records_to_json([])
 
     def test_csv(self):
-        lines = records_to_csv(sinc_coeff_records(sinc_expansion(2))).splitlines()
+        lines = records_to_csv(sinc_coeff_records(sinc_expansion(2).coeffs)).splitlines()
         assert lines[0] == "j,rational,decimal"
         assert len(lines) == 4
         assert lines[1].startswith("0,1,2.17080")
         assert lines[2].startswith("1,-3/20,")
 
     def test_text(self):
-        out = records_to_text(sinc_coeff_records(sinc_expansion(1)), "header line")
+        out = records_to_text(sinc_coeff_records(sinc_expansion(1).coeffs), "header line")
         assert out.splitlines()[0] == "header line"
         assert "j=0" in out and "-3/20" in out
 

@@ -80,7 +80,7 @@ class TestBracketing:
         from ballint.quadrature import Precision, bessel_j_normalized
 
         lo, hi = sinc_partial_sum(7), sinc_partial_sum(8)
-        prec = Precision(decimal_digits=30)
+        prec = Precision()
         with mp.workdps(prec.working_dps):
             for t in ["0.1", "0.5", "1.0", "1.7", "2.2", "2.44"]:
                 tt = mp.mpf(t)
@@ -126,7 +126,6 @@ class TestExpansion:
 
     def test_order7_k8_pipeline(self):
         e = sinc_expansion(7, 8)
-        assert e.m == 7 and e.k == 8
         assert [format_rational(c) for c in e.coeffs] == [EXPECTED_COEFFS[j] for j in range(8)]
 
     @settings(max_examples=40, deadline=None)
