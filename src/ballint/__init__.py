@@ -14,7 +14,7 @@ as an independent oracle for every expansion coefficient.
 
 __version__ = "0.1.0"
 
-from .rationals import double_factorial, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 from .series import InvNSeries, nseries_pow_binomial
 from .sinc import (
     SincExpansion,
@@ -57,7 +57,6 @@ from .verify import SUITES, run_suite, suite_exit_code
 
 __all__ = [
     "__version__",
-    "double_factorial",
     "format_rational",
     "parse_rational",
     "InvNSeries",

@@ -2,7 +2,7 @@
 
     I_nu(n) = n^nu int_0^inf (2^nu Gamma(nu+1) |J_nu(t)| / t^nu)^n t^{2nu-1} dt,
 
-for rational nu >= 1/2.  Structure mirrors the sinc pipeline: the
+for rational nu >= 1/2.  The pipeline has three stages: the
 normalized Bessel function F_nu(t) = 2^nu Gamma(nu+1) J_nu(t)/t^nu has
 F_nu(0) = 1 and Maclaurin quadratic term -t^2/(4(nu+1)), so multiplying
 its partial sum by exp(t^2/(4(nu+1)n)) after the t -> t/sqrt(n) rescale
@@ -13,9 +13,9 @@ exp(-t^2/(4(nu+1))) t^{2nu-1} gives
     I_nu(n) ~ c_0 [ 1 + gamma_1/n + gamma_2/n^2 + ... ],
 
 with c_0 = (4^nu/2) (nu+1)^nu Gamma(nu) and every gamma_j an exact
-rational function of nu.  At nu = 1/2 the kernel reduces to sinc and the
-gamma_j coincide with the sinc pipeline's coefficients, which the tests
-pin as the keystone identity.  Partial sums are dicts from t-exponent to
+rational function of nu.  At nu = 1/2 the kernel is sin t / t and c_0 is
+sqrt(3 pi / 2), so these gamma_j are the sinc coefficients c_j, which the
+sinc module reads from here.  Partial sums are dicts from t-exponent to
 exact coefficient, as in the sinc module.
 """
 

@@ -1,11 +1,12 @@
 """On-disk cache for exact coefficient tables.
 
 Location: $BALLINT_CACHE_DIR, else $XDG_CACHE_HOME/ballint, else
-~/.cache/ballint.  Keys are content hashes over (pipeline, nu, order m,
-code tag), the code tag being a SHA-256 of the source of the modules that
-compute and store coefficients, so an entry never outlives the code that
-wrote it, and identical requests across runs share one entry.  No key
-holds a truncation index: every k >= m + 1 gives the same coefficients.
+~/.cache/ballint.  Keys are content hashes over (nu, order m, code tag),
+the code tag being a SHA-256 of the source of the modules that compute
+and store coefficients, so an entry never outlives the code that wrote
+it, and identical requests across runs share one entry.  Sinc's tables
+are the entries at nu = 1/2.  No key holds a truncation index: every
+k >= m + 1 gives the same coefficients.
 Payloads hold exact rational strings only; decimals are recomputed on
 render so cached and computed output stay byte-identical.
 """
@@ -27,7 +28,7 @@ __all__ = ["cache_dir", "cache_key", "load_coeffs", "store_coeffs"]
 ENV_VAR = "BALLINT_CACHE_DIR"
 
 # every module whose source can change a stored coefficient or its encoding
-_CODE_MODULES = ("rationals.py", "series.py", "sinc.py", "bessel.py", "cache.py")
+_CODE_MODULES = ("rationals.py", "series.py", "bessel.py", "cache.py")
 
 
 @functools.cache
@@ -47,22 +48,17 @@ def cache_dir() -> Path:
     return base / "ballint"
 
 
-def _entry(pipeline: str, nu: Fraction | None, m: int) -> dict:
-    return {
-        "pipeline": pipeline,
-        "nu": format_rational(nu) if nu is not None else None,
-        "m": m,
-        "code": _code_tag(),
-    }
+def _entry(nu: Fraction, m: int) -> dict:
+    return {"nu": format_rational(nu), "m": m, "code": _code_tag()}
 
 
-def cache_key(pipeline: str, nu: Fraction | None, m: int) -> str:
-    payload = json.dumps(_entry(pipeline, nu, m), sort_keys=True)
+def cache_key(nu: Fraction, m: int) -> str:
+    payload = json.dumps(_entry(nu, m), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def load_coeffs(pipeline: str, nu: Fraction | None, m: int) -> list[Fraction] | None:
-    path = cache_dir() / f"{cache_key(pipeline, nu, m)}.json"
+def load_coeffs(nu: Fraction, m: int) -> list[Fraction] | None:
+    path = cache_dir() / f"{cache_key(nu, m)}.json"
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         values = [parse_rational(s) for s in doc["coefficients"]]
@@ -73,16 +69,16 @@ def load_coeffs(pipeline: str, nu: Fraction | None, m: int) -> list[Fraction] | 
     return values
 
 
-def store_coeffs(pipeline: str, nu: Fraction | None, m: int, coeffs) -> None:
+def store_coeffs(nu: Fraction, m: int, coeffs) -> None:
     directory = cache_dir()
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        doc = {**_entry(pipeline, nu, m), "coefficients": [format_rational(c) for c in coeffs]}
+        doc = {**_entry(nu, m), "coefficients": [format_rational(c) for c in coeffs]}
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-            os.replace(tmp, directory / f"{cache_key(pipeline, nu, m)}.json")
+            os.replace(tmp, directory / f"{cache_key(nu, m)}.json")
         except BaseException:
             os.unlink(tmp)
             raise

@@ -29,7 +29,7 @@ from .records import (
     reports_to_text,
     sinc_coeff_records,
 )
-from .sinc import SINC_UNIT, check_errata, sinc_expansion
+from .sinc import SINC_NU, SINC_UNIT, check_errata
 from .verify import SUITES, run_suite, suite_exit_code
 
 EXIT_OK = 0
@@ -59,12 +59,12 @@ def _emit_records(records, fmt: str, header: str) -> None:
         print(records_to_text(records, header))
 
 
-def _cached_coeffs(pipeline: str, nu: Fraction | None, m: int, compute) -> tuple[Fraction, ...]:
-    """The exact coefficients of order m: from the cache, or compute() and stored."""
-    coeffs = load_coeffs(pipeline, nu, m)
+def _cached_coeffs(nu: Nu, m: int) -> tuple[Fraction, ...]:
+    """The exact gamma_0..gamma_m at nu: from the cache, or computed and stored."""
+    coeffs = load_coeffs(nu.value, m)
     if coeffs is None:
-        coeffs = compute()
-        store_coeffs(pipeline, nu, m, coeffs)
+        coeffs = bessel_expansion(nu, m).gamma_coeffs
+        store_coeffs(nu.value, m, coeffs)
     return tuple(coeffs)
 
 
@@ -74,7 +74,7 @@ def cmd_sinc_coeffs(args) -> int:
         return _usage(f"--order must lie in 0..{SINC_ORDER_CEILING}")
     if args.digits < 1:
         return _usage("--digits must be at least 1")
-    coeffs = _cached_coeffs("sinc", None, m, lambda: sinc_expansion(m).coeffs)
+    coeffs = _cached_coeffs(SINC_NU, m)  # sinc's c_j are the gamma_j at nu = 1/2
     records = sinc_coeff_records(coeffs, args.digits)
     _emit_records(records, args.format, f"sinc coefficients, order {m}, unit {SINC_UNIT}")
     return EXIT_OK
@@ -90,7 +90,7 @@ def cmd_bessel_coeffs(args) -> int:
         return _usage(f"--order must lie in 0..{BESSEL_ORDER_CEILING}")
     if args.digits < 1:
         return _usage("--digits must be at least 1")
-    coeffs = _cached_coeffs("bessel", nu.value, m, lambda: bessel_expansion(nu, m).gamma_coeffs)
+    coeffs = _cached_coeffs(nu, m)
     records = bessel_coeff_records(nu, coeffs, args.digits)
     _emit_records(records, args.format, f"bessel coefficients, nu {nu}, order {m}, unit c0(nu)")
     return EXIT_OK

@@ -1,11 +1,11 @@
-"""Exact rational scalars: double factorials, canonical strings.
+"""Exact rational scalars: canonical strings and their mpf values.
 
 Every symbolic coefficient in this package is an exact rational.  The
 standard-library Fraction already guarantees the canonical form we need
 (positive denominator, reduced to lowest terms, arbitrary-precision
-integers), so it is used throughout; this module adds the few scalar
-helpers the pipelines share and the strict string format used by
-fixtures and machine-readable output.
+integers), so it is used throughout; this module adds its value at the
+ambient mpmath precision and the strict string format used by fixtures
+and machine-readable output.
 """
 
 from __future__ import annotations
@@ -17,16 +17,6 @@ import mpmath as mp
 
 # canonical literal: optional sign, no leading zeros, denominator >= 2 when present
 _RAT_RE = re.compile(r"(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?\Z")
-
-
-def double_factorial(j: int) -> Fraction:
-    """(2j - 1)!! = (2j-1)(2j-3)...3*1, with the empty product (-1)!! = 1."""
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    out = 1
-    for x in range(2 * j - 1, 0, -2):
-        out *= x
-    return Fraction(out)
 
 
 def to_mpf(q: Fraction) -> mp.mpf:

@@ -11,11 +11,12 @@ row i of the exponential, E_i = (1/i) sum_{k=1}^{i} k b_{k+1} x^{k+1} E_{i-k},
 is a shift and scale of earlier rows.  Row i reads a_2..a_{i+1} only, and
 each monomial x^w of it has i < w <= 2i (i >= 1); row 0 is exactly 1.
 
-moment_coeffs finishes the three-stage pipeline that sinc and bessel share:
-given a pipeline's a_j and the moments of its Gaussian weight, it collects
-the power and integrates each row, giving the exact coefficient of 1/n^i.
-It reads the collector's integer rows directly; nseries_pow_binomial shows
-the same rows as an InvNSeries keyed by the t-exponent 2w.
+moment_coeffs finishes the three-stage pipeline of the bessel module, whose
+nu = 1/2 case gives the sinc coefficients: given the a_j and the moments of
+the Gaussian weight, it collects the power and integrates each row, giving
+the exact coefficient of 1/n^i.  It reads the collector's integer rows
+directly; nseries_pow_binomial shows the same rows as an InvNSeries keyed
+by the t-exponent 2w.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def moment_coeffs(a: Mapping[int, Fraction], m: int, moment: Callable[[int], Fra
     """Exact coefficients of 1/n^0..1/n^m of the integrated expansion.
 
     Collects [1 + sum_j a_j t^{2j}/n^j]^n through order m and integrates
-    row i against the pipeline's weight: each monomial t^{2w} becomes
+    row i against the weight: each monomial t^{2w} becomes
     moment(w), the weight's 2w-th moment over its zeroth, so row i turns
     into sum_w row_i[w] moment(w).  The moments go over their lcm D once,
     and row i, integer numerators over d_i, becomes one Fraction over d_i D.

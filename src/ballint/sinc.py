@@ -1,28 +1,22 @@
-"""The expansion pipeline for I(n) = sqrt(n) int_0^inf |sin t / t|^n dt.
+"""Ball's integral I(n) = sqrt(n) int_0^inf |sin t / t|^n dt, the nu = 1/2 case.
 
-On [0, sqrt(6n)] the integrand is written as exp(-t^2/6) times
+At nu = 1/2 the normalized Bessel kernel is sin t / t, the weight
+t^{2 nu - 1} is 1 and c_0(1/2) = sqrt(3 pi / 2).  So sinc_expansion reads
+the exact coefficients c_j, in units of sqrt(3 pi / 2), as the Bessel
+pipeline's gamma_j(1/2); this module runs no expansion pipeline of its own.
 
-    [exp(t^2 / 6n) T_k(t / sqrt n)]^n ,
-
-where T_k is the degree-2k Maclaurin partial sum of sinc.  The bracketed
-factor equals 1 + sum_{j>=2} a_j t^{2j}/n^j with a_j the Cauchy-product
-coefficients of the exponential against the partial sum; the t^2 terms
-cancel by construction, which is what makes the collected power start at
-1/n^1.  Collecting the n-th power by powers of 1/n (series module) and
-integrating row by row against the Gaussian weight,
-
-    int_0^inf exp(-t^2/6) t^{2w} dt = 3^w (2w-1)!! * sqrt(3 pi / 2),
-
-turns row i into the exact coefficient c_i of 1/n^i, reported in units of
-sqrt(3 pi / 2).  Order m reads a_2..a_{m+1} only, so the coefficients are
-independent of k as long as k >= m + 1, which the pipeline enforces and
-the tests exercise.
+What stays on the sine series is the degree-28 bookkeeping table (rows
+through 1/n^13, exponents through t^28) against which the shipped fixture
+file is regression-checked.  Its a_j (sinc_aj) are the coefficients of
+t^{2j} in E_k(t) sin(t)/t, E_k the degree-2k partial sum of exp(t^2/6),
+and the series module collects [1 + sum_{j>=2} a_j t^{2j}/n^j]^n by powers
+of 1/n.  For j <= k they are 4^-j bessel_aj(1/2, j, k).  Past k they
+differ, because the sine series truncates exp(t^2/6) where the Bessel
+series truncates the kernel, and the table reads a_j up to j = 14 at k = 8.
 
 Partial sums and table rows are dicts from t-exponent to exact coefficient.
-The module also carries the degree-28 bookkeeping table (rows through
-1/n^13, exponents through t^28) against which the shipped fixture file is
-regression-checked, the printed coefficients, and the erratum ledger for
-the entries where print and recomputation differ (data/errata.json).
+The module also carries the printed coefficients and the erratum ledger
+for the entries where print and recomputation differ (data/errata.json).
 check_errata is the one place that sets the ledger against live values.
 """
 
@@ -37,17 +31,18 @@ from typing import Mapping
 
 import mpmath as mp
 
-from .rationals import double_factorial, format_rational, parse_rational, to_mpf
-from .series import InvNSeries, _t_series, collect_binomial_rows, moment_coeffs
+from .bessel import Nu, bessel_expansion
+from .rationals import format_rational, parse_rational, to_mpf
+from .series import InvNSeries, _t_series, collect_binomial_rows
 
 __all__ = [
     "SincExpansion",
     "ErrataCheck",
     "SINC_UNIT",
+    "SINC_NU",
     "REFERENCE_SINC",
     "sinc_partial_sum",
     "sinc_aj",
-    "gaussian_moment_ratio",
     "sinc_expansion",
     "cutoff_tail_bound",
     "appendix_table",
@@ -58,6 +53,9 @@ __all__ = [
 ]
 
 SINC_UNIT = "sqrt(3*pi/2)"
+
+# the Bessel order whose normalized kernel is sin t / t
+SINC_NU = Nu(Fraction(1, 2))
 
 # Reference expansion coefficients in units of sqrt(3*pi/2), as printed in
 # the source material; the ledgered duplicated line is kept exactly as printed.
@@ -89,8 +87,9 @@ def sinc_aj(j: int, k: int) -> Fraction:
     sum of exp(t^2/6).
 
     a_0 = 1 and a_1 = 0 (the t^2/6 terms cancel); a_2 = -1/180 starts the
-    genuine series.  For j <= k, every a_j an expansion reads, this is also
-    the coefficient in exp(t^2/6) * T_k(t); appendix_table reads j > k.
+    genuine series.  For j <= k this is also the coefficient in
+    exp(t^2/6) * T_k(t), and 4^-j bessel_aj(SINC_NU, j, k); appendix_table
+    also reads j > k, where the two truncations differ.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
@@ -102,11 +101,6 @@ def sinc_aj(j: int, k: int) -> Fraction:
         total += term
         term = term * (2 * (j - i) + 1) * (2 * (j - i)) // (-6 * (i + 1))
     return Fraction(total, 6**j * math.factorial(2 * j + 1))
-
-
-def gaussian_moment_ratio(j: int) -> Fraction:
-    """int_0^inf e^{-t^2/6} t^{2j} dt divided by the j = 0 integral."""
-    return Fraction(3**j) * double_factorial(j)
 
 
 @dataclass(frozen=True)
@@ -124,21 +118,13 @@ class SincExpansion:
 
 
 def sinc_expansion(m: int, k: int | None = None) -> SincExpansion:
-    """Exact c_0..c_m in units of sqrt(3 pi / 2).
+    """Exact c_0..c_m in units of sqrt(3 pi / 2): the gamma_0..gamma_m of
+    bessel_expansion at SINC_NU.
 
-    k defaults to m + 1, the smallest truncation index for which the
-    partial sums bracket sinc on the relevant range.  The expansion reads
-    a_2..a_{m+1} only, each independent of k >= m + 1, so every such k gives
+    k defaults to m + 1 and must be at least that; every such k gives
     identical coefficients.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if k is None:
-        k = m + 1
-    if k <= m:
-        raise ValueError("truncation too short: k must be at least m + 1")
-    a = {j: sinc_aj(j, k) for j in range(2, m + 2)}
-    return SincExpansion(moment_coeffs(a, m, gaussian_moment_ratio))
+    return SincExpansion(bessel_expansion(SINC_NU, m, k).gamma_coeffs)
 
 
 def cutoff_tail_bound(n: int, cutoff) -> mp.mpf:

@@ -6,7 +6,7 @@ Five suites, each a list of VerifyReport rows:
                    shipped reference values (exact rational equality)
   appendix         the degree-28 table against the shipped fixture,
                    modulo the erratum ledger, with decay-fit crosschecks
-  reduction        the nu = 1/2 collapse onto the sinc pipeline
+  reduction        the nu = 1/2 Bessel case against sinc's series and integral
   decay            remainder decay exponents against expansion orders
   inequalities     the sweep bounds and closed-form endpoint identities
 
@@ -44,7 +44,7 @@ from .quadrature import (
 )
 from .records import VerifyReport
 from .rationals import format_rational, parse_rational
-from .sinc import REFERENCE_SINC, appendix_table, check_errata, sinc_expansion, sinc_partial_sum
+from .sinc import REFERENCE_SINC, SINC_NU, appendix_table, check_errata, sinc_aj, sinc_expansion, sinc_partial_sum
 
 __all__ = [
     "SUITES",
@@ -187,22 +187,20 @@ def appendix_suite() -> list[VerifyReport]:
 
 
 def reduction_suite() -> list[VerifyReport]:
-    reports: list[VerifyReport] = []
-    half = Nu(Fraction(1, 2))
-    for m in range(5):
-        same = bessel_expansion(half, m).gamma_coeffs == sinc_expansion(m).coeffs
-        reports.append(_report(f"reduction-gamma-m{m}", "gamma coefficients equal the sinc coefficients",
-                               "equal" if same else "differ", "exact", same, "paper"))
-    ps_ok = all(bessel_partial_sum(half, k) == sinc_partial_sum(k) for k in range(7))
+    # the Bessel a_j in u = t^2/4 against the sine series' a_j in t^2
+    aj_ok = all(bessel_aj(SINC_NU, j, 14) == 4**j * sinc_aj(j, 14) for j in range(2, 15))
+    reports = [_report("reduction-aj", "bessel a_j = 4^j sinc a_j for j = 2..14 at truncation 14",
+                       "equal" if aj_ok else "differ", "exact", aj_ok, "derived")]
+    ps_ok = all(bessel_partial_sum(SINC_NU, k) == sinc_partial_sum(k) for k in range(7))
     reports.append(_report("reduction-partial-sums", "partial sums identical for k = 0..6",
                            "identical" if ps_ok else "differ", "exact", ps_ok, "derived"))
     with mp.workdps(45):
-        c0 = c0_value(half, 40)
+        c0 = c0_value(SINC_NU, 40)
         target = mp.sqrt(3 * mp.pi / 2)
         ok = abs(c0 - target) < mp.mpf(10) ** (-30)
     reports.append(_report("reduction-c0-half", mp.nstr(target, 32), mp.nstr(c0, 32), "1e-30", ok, "derived"))
     s5 = sinc_integral(5)
-    b5 = bessel_integral(half, 5)
+    b5 = bessel_integral(SINC_NU, 5)
     with mp.workdps(40):
         budget = s5.abs_err_bound + b5.abs_err_bound
         ok = abs(s5.value - b5.value) <= budget

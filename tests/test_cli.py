@@ -75,13 +75,25 @@ class TestSincCoeffs:
         monkeypatch.setattr(cli, "store_coeffs", lambda *args: stores.append(args) or cache.store_coeffs(*args))
         tag = cache._code_tag
         monkeypatch.setattr(cache, "_code_tag", lambda: "0" * 64)
-        cache.store_coeffs("sinc", None, 1, [Fraction(1), Fraction(1)])
+        cache.store_coeffs(Fraction(1, 2), 1, [Fraction(1), Fraction(1)])
         assert run_cli(capsys, "sinc-coeffs", "--order", "1", "--format", "csv")[1].splitlines()[2].startswith("1,1,")
         assert stores == []
         monkeypatch.setattr(cache, "_code_tag", tag)
         assert run_cli(capsys, "sinc-coeffs", "--order", "1", "--format", "csv")[1].splitlines()[2].startswith("1,-3/20,")
         assert len(stores) == 1
         assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
+    def test_shares_the_half_entry(self, capsys, tmp_path, monkeypatch):
+        # sinc's c_j are the gamma_j at nu = 1/2, so both commands read one entry
+        stores = []
+        monkeypatch.setattr(cli, "store_coeffs", lambda *args: stores.append(args) or cache.store_coeffs(*args))
+        code, sinc_out, _ = run_cli(capsys, "sinc-coeffs", "--order", "6", "--format", "csv")
+        assert code == EXIT_OK and len(stores) == 1
+        code, half_out, _ = run_cli(capsys, "bessel-coeffs", "--nu", "1/2", "--order", "6", "--format", "csv")
+        assert code == EXIT_OK and len(stores) == 1
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+        rationals = [[line.split(",")[1] for line in out.splitlines()] for out in (sinc_out, half_out)]
+        assert rationals[0] == rationals[1] and "-124996631/10035200000" in rationals[0]
 
     def test_order_ceiling(self, capsys):
         code, _, err = run_cli(capsys, "sinc-coeffs", "--order", "13")

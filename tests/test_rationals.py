@@ -1,11 +1,11 @@
-"""Canonical rational strings and double factorials."""
+"""Canonical rational strings."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ballint.rationals import double_factorial, format_rational, parse_rational
+from ballint.rationals import format_rational, parse_rational
 
 
 class TestFormatParse:
@@ -31,15 +31,3 @@ class TestFormatParse:
         with pytest.raises(ValueError):
             parse_rational(text)
 
-
-class TestDoubleFactorial:
-    def test_small_values(self):
-        assert [double_factorial(j) for j in range(6)] == [1, 1, 3, 15, 105, 945]
-
-    @given(st.integers(1, 60))
-    def test_recurrence(self, j):
-        assert double_factorial(j) == (2 * j - 1) * double_factorial(j - 1)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            double_factorial(-1)

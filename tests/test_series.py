@@ -266,7 +266,9 @@ class TestIntegerPipeline:
         for k in (m + 1, m + 4):
             a = {j: reference_sinc_aj(j, k) for j in range(2, m + 2)}
             assert {j: sinc_aj(j, k) for j in a} == a
-            assert sinc_expansion(m, k).coeffs == reference_moment_coeffs(a, m, ballint.sinc.gaussian_moment_ratio)
+            # the sine series against e^{-t^2/6}'s moments 3^w (2w-1)!!
+            want = reference_moment_coeffs(a, m, lambda w: 3**w * math.prod(range(1, 2 * w, 2)))
+            assert sinc_expansion(m, k).coeffs == want
 
     @settings(max_examples=40, deadline=None)
     @given(rational_nus(), st.integers(0, 12), st.integers(1, 3))
@@ -311,12 +313,15 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("m", [1, 7, 24])
     def test_sinc_pipeline_counts(self, monkeypatch, m):
-        aj = _counting(ballint.sinc.sinc_aj)
-        moment = _counting(ballint.sinc.gaussian_moment_ratio)
-        monkeypatch.setattr(ballint.sinc, "sinc_aj", aj)
-        monkeypatch.setattr(ballint.sinc, "gaussian_moment_ratio", moment)
+        # sinc's coefficients come from the Bessel a_j at nu = 1/2, never the sine series
+        aj = _counting(ballint.bessel.bessel_aj)
+        sine = _counting(ballint.sinc.sinc_aj)
+        moment = _counting(ballint.bessel.bessel_moment_ratio)
+        monkeypatch.setattr(ballint.bessel, "bessel_aj", aj)
+        monkeypatch.setattr(ballint.sinc, "sinc_aj", sine)
+        monkeypatch.setattr(ballint.bessel, "bessel_moment_ratio", moment)
         sinc_expansion(m, m + 3)
-        assert aj.calls == m
+        assert aj.calls == m and sine.calls == 0
         assert moment.calls <= 2 * m + 1
 
     @pytest.mark.parametrize("m", [1, 7, 24])

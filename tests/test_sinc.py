@@ -7,14 +7,15 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ballint.bessel import bessel_moment_ratio
 from ballint.rationals import format_rational, to_mpf
 from ballint.sinc import (
     APPENDIX_K,
+    SINC_NU,
     appendix_mismatches,
     appendix_table,
     check_errata,
     cutoff_tail_bound,
-    gaussian_moment_ratio,
     load_appendix_fixture,
     load_errata,
     sinc_aj,
@@ -41,6 +42,11 @@ EXPECTED_COEFFS = {
     12: "-12397974207837236059539/3620784937369600000000",
     13: "-27650856933754927327398807/2100055263674368000000000",
 }
+
+
+def gaussian_moment(w: int) -> int:
+    """int_0^inf e^{-t^2/6} t^{2w} dt over the w = 0 integral: 3^w (2w-1)!!."""
+    return 3**w * math.prod(range(1, 2 * w, 2))
 
 
 def eval_even(p: dict[int, Fraction], t) -> mp.mpf:
@@ -140,7 +146,7 @@ class TestExpansion:
         table = appendix_table(k=8)
         e = sinc_expansion(7, 8)
         for i in range(8):
-            total = sum((v * gaussian_moment_ratio(exp // 2)
+            total = sum((v * gaussian_moment(exp // 2)
                          for exp, v in table.rows[i].items()), Fraction(0))
             assert total == e.coeffs[i], i
 
@@ -154,12 +160,14 @@ class TestExpansion:
 class TestMoments:
     @given(st.integers(0, 12))
     def test_against_gamma_quadrature(self, j):
+        # the expansion's moments at nu = 1/2, whose weight is e^{-t^2/6}:
         # int e^{-t^2/6} t^{2j} over int e^{-t^2/6} = 3^j (2j-1)!!
+        got = bessel_moment_ratio(SINC_NU, j)
+        assert got == gaussian_moment(j)
         with mp.workdps(40):
             num = mp.gamma(j + mp.mpf(1) / 2) * mp.power(6, j)
             den = mp.gamma(mp.mpf(1) / 2)
             want = num / den
-            got = gaussian_moment_ratio(j)
             assert abs(mp.mpf(got.numerator) / got.denominator / want - 1) < mp.mpf(10) ** -35
 
 

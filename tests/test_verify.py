@@ -1,6 +1,7 @@
 """Verification suites: composition, statuses, exit-code mapping."""
 
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -150,6 +151,19 @@ class TestFailBranches:
         reports = {r.id: r for r in run_suite("reduction")}
         assert reports["reduction-quadrature-n5"].status == "fail"
         assert [i for i, r in reports.items() if r.status != "pass"] == ["reduction-quadrature-n5"]
+
+    def test_reduction_aj_fails_on_a_perturbed_sine_series(self, monkeypatch):
+        # a_9, one part in 10^6 off: only the row that reads the sine series fails
+        real = sinc.sinc_aj
+
+        def off(j, k):
+            return real(j, k) * (1 + Fraction(1, 10**6)) if j == 9 else real(j, k)
+
+        monkeypatch.setattr(verify, "sinc_aj", off)
+        monkeypatch.setattr(sinc, "sinc_aj", off)
+        reports = {r.id: r for r in run_suite("reduction")}
+        assert reports["reduction-aj"].status == "fail"
+        assert [i for i, r in reports.items() if r.status != "pass"] == ["reduction-aj"]
 
 
 class TestDecaySuite:
