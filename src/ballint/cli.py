@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 import mpmath as mp
 
@@ -37,8 +36,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
 
-SINC_ORDER_CEILING = 12
-BESSEL_ORDER_CEILING = 8
+ORDER_CEILING = 12
 
 
 def _usage(message: str) -> int:
@@ -50,49 +48,38 @@ def _parse_nu(text: str) -> Nu:
     return Nu(parse_rational(text))
 
 
-def _emit_records(records, fmt: str, header: str) -> None:
-    if fmt == "json":
-        print(records_to_json(records))
-    elif fmt == "csv":
-        print(records_to_csv(records))
-    else:
-        print(records_to_text(records, header))
+def cmd_coeffs(args) -> int:
+    """The exact gamma_0..gamma_m at nu, from the cache or computed and stored.
 
-
-def _cached_coeffs(nu: Nu, m: int) -> tuple[Fraction, ...]:
-    """The exact gamma_0..gamma_m at nu: from the cache, or computed and stored."""
+    sinc-coeffs prints the nu = 1/2 table under sinc's labels, since sinc's
+    c_j are the gamma_j there.
+    """
+    sinc = args.command == "sinc-coeffs"
+    try:
+        nu = SINC_NU if sinc else _parse_nu(args.nu)
+    except ValueError as exc:
+        return _usage(str(exc))
+    m = args.order
+    if not 0 <= m <= ORDER_CEILING:
+        return _usage(f"--order must lie in 0..{ORDER_CEILING}")
+    if args.digits < 1:
+        return _usage("--digits must be at least 1")
     coeffs = load_coeffs(nu.value, m)
     if coeffs is None:
         coeffs = bessel_expansion(nu, m).gamma_coeffs
         store_coeffs(nu.value, m, coeffs)
-    return tuple(coeffs)
-
-
-def cmd_sinc_coeffs(args) -> int:
-    m = args.order
-    if not 0 <= m <= SINC_ORDER_CEILING:
-        return _usage(f"--order must lie in 0..{SINC_ORDER_CEILING}")
-    if args.digits < 1:
-        return _usage("--digits must be at least 1")
-    coeffs = _cached_coeffs(SINC_NU, m)  # sinc's c_j are the gamma_j at nu = 1/2
-    records = sinc_coeff_records(coeffs, args.digits)
-    _emit_records(records, args.format, f"sinc coefficients, order {m}, unit {SINC_UNIT}")
-    return EXIT_OK
-
-
-def cmd_bessel_coeffs(args) -> int:
-    try:
-        nu = _parse_nu(args.nu)
-    except ValueError as exc:
-        return _usage(str(exc))
-    m = args.order
-    if not 0 <= m <= BESSEL_ORDER_CEILING:
-        return _usage(f"--order must lie in 0..{BESSEL_ORDER_CEILING}")
-    if args.digits < 1:
-        return _usage("--digits must be at least 1")
-    coeffs = _cached_coeffs(nu, m)
-    records = bessel_coeff_records(nu, coeffs, args.digits)
-    _emit_records(records, args.format, f"bessel coefficients, nu {nu}, order {m}, unit c0(nu)")
+    if sinc:
+        records = sinc_coeff_records(coeffs, args.digits)
+        header = f"sinc coefficients, order {m}, unit {SINC_UNIT}"
+    else:
+        records = bessel_coeff_records(nu, coeffs, args.digits)
+        header = f"bessel coefficients, nu {nu}, order {m}, unit c0(nu)"
+    if args.format == "json":
+        print(records_to_json(records))
+    elif args.format == "csv":
+        print(records_to_csv(records))
+    else:
+        print(records_to_text(records, header))
     return EXIT_OK
 
 
@@ -178,18 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sinc-coeffs", help="exact sinc expansion coefficients")
-    p.add_argument("--order", type=int, required=True, help=f"expansion order, 0..{SINC_ORDER_CEILING}")
-    p.add_argument("--digits", type=int, default=30, help="decimal digits in the rendered column")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(func=cmd_sinc_coeffs)
-
-    p = sub.add_parser("bessel-coeffs", help="exact Bessel expansion coefficients")
-    p.add_argument("--nu", required=True, help="order as p/q, at least 1/2")
-    p.add_argument("--order", type=int, required=True, help=f"expansion order, 0..{BESSEL_ORDER_CEILING}")
-    p.add_argument("--digits", type=int, default=30)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(func=cmd_bessel_coeffs)
+    for name, kind in (("sinc-coeffs", "sinc"), ("bessel-coeffs", "Bessel")):
+        p = sub.add_parser(name, help=f"exact {kind} expansion coefficients")
+        if name == "bessel-coeffs":
+            p.add_argument("--nu", required=True, help="order as p/q, at least 1/2")
+        p.add_argument("--order", type=int, required=True, help=f"expansion order, 0..{ORDER_CEILING}")
+        p.add_argument("--digits", type=int, default=30, help="decimal digits in the rendered column")
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("eval", help="evaluate an integral by verified quadrature")
     p.add_argument("pipeline", choices=("sinc", "bessel"))

@@ -84,20 +84,25 @@ class TestSincCoeffs:
         assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
     def test_shares_the_half_entry(self, capsys, tmp_path, monkeypatch):
-        # sinc's c_j are the gamma_j at nu = 1/2, so both commands read one entry
+        # sinc's c_j are the gamma_j at nu = 1/2, so both commands read one
+        # entry, up to the ceiling they share
         stores = []
         monkeypatch.setattr(cli, "store_coeffs", lambda *args: stores.append(args) or cache.store_coeffs(*args))
-        code, sinc_out, _ = run_cli(capsys, "sinc-coeffs", "--order", "6", "--format", "csv")
+        code, sinc_out, _ = run_cli(capsys, "sinc-coeffs", "--order", "12", "--format", "csv")
         assert code == EXIT_OK and len(stores) == 1
-        code, half_out, _ = run_cli(capsys, "bessel-coeffs", "--nu", "1/2", "--order", "6", "--format", "csv")
+        code, half_out, _ = run_cli(capsys, "bessel-coeffs", "--nu", "1/2", "--order", "12", "--format", "csv")
         assert code == EXIT_OK and len(stores) == 1
         assert len(list((tmp_path / "cache").glob("*.json"))) == 1
         rationals = [[line.split(",")[1] for line in out.splitlines()] for out in (sinc_out, half_out)]
         assert rationals[0] == rationals[1] and "-124996631/10035200000" in rationals[0]
 
     def test_order_ceiling(self, capsys):
-        code, _, err = run_cli(capsys, "sinc-coeffs", "--order", "13")
-        assert code == EXIT_USAGE and "error:" in err
+        # both table commands share one ceiling
+        for command in (["sinc-coeffs"], ["bessel-coeffs", "--nu", "1"]):
+            assert run_cli(capsys, *command, "--order", "12")[0] == EXIT_OK
+            code, out, err = run_cli(capsys, *command, "--order", "13")
+            assert code == EXIT_USAGE and out == ""
+            assert err == "error: --order must lie in 0..12\n"
 
     def test_digits_floor(self, capsys):
         code, out, err = run_cli(capsys, "sinc-coeffs", "--order", "2", "--digits", "0")
@@ -126,10 +131,6 @@ class TestBesselCoeffs:
         code, _, err = run_cli(capsys, "bessel-coeffs", "--nu", "1/3", "--order", "2")
         assert code == EXIT_USAGE and "at least 1/2" in err
         code, _, err = run_cli(capsys, "bessel-coeffs", "--nu", "x", "--order", "2")
-        assert code == EXIT_USAGE
-
-    def test_order_ceiling(self, capsys):
-        code, _, _ = run_cli(capsys, "bessel-coeffs", "--nu", "1", "--order", "9")
         assert code == EXIT_USAGE
 
     def test_digits_floor(self, capsys):
