@@ -97,12 +97,10 @@ class TestSincCoeffs:
         assert rationals[0] == rationals[1] and "-124996631/10035200000" in rationals[0]
 
     def test_order_ceiling(self, capsys):
-        # both table commands share one ceiling
-        for command in (["sinc-coeffs"], ["bessel-coeffs", "--nu", "1"]):
-            assert run_cli(capsys, *command, "--order", "12")[0] == EXIT_OK
-            code, out, err = run_cli(capsys, *command, "--order", "13")
-            assert code == EXIT_USAGE and out == ""
-            assert err == "error: --order must lie in 0..12\n"
+        assert run_cli(capsys, "sinc-coeffs", "--order", "12")[0] == EXIT_OK
+        code, out, err = run_cli(capsys, "sinc-coeffs", "--order", "13")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: --order must lie in 0..12\n"
 
     def test_digits_floor(self, capsys):
         code, out, err = run_cli(capsys, "sinc-coeffs", "--order", "2", "--digits", "0")
@@ -132,6 +130,13 @@ class TestBesselCoeffs:
         assert code == EXIT_USAGE and "at least 1/2" in err
         code, _, err = run_cli(capsys, "bessel-coeffs", "--nu", "x", "--order", "2")
         assert code == EXIT_USAGE
+
+    def test_order_ceiling(self, capsys):
+        # bessel-coeffs shares sinc-coeffs' ceiling
+        assert run_cli(capsys, "bessel-coeffs", "--nu", "1", "--order", "12")[0] == EXIT_OK
+        code, out, err = run_cli(capsys, "bessel-coeffs", "--nu", "1", "--order", "13")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: --order must lie in 0..12\n"
 
     def test_digits_floor(self, capsys):
         code, out, err = run_cli(capsys, "bessel-coeffs", "--nu", "1", "--order", "2", "--digits", "0")
