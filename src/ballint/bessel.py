@@ -22,8 +22,10 @@ exact coefficient, as in the sinc module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -195,6 +197,11 @@ def i_nu_at_2(nu: Nu) -> Fraction:
 
 def amplitude(nu: Nu) -> mp.mpf:
     """2^nu Gamma(nu+1) at the ambient precision: the factor that makes f_nu(0) = 1."""
+    return _amplitude(nu, mp.mp.prec)
+
+
+@lru_cache(maxsize=64)  # a Bessel call reads it at two precisions: its working one and its tail bound's
+def _amplitude(nu: Nu, prec: int) -> mp.mpf:
     v = to_mpf(nu.value)
     return mp.power(2, v) * mp.gamma(v + 1)
 
@@ -208,8 +215,9 @@ def bessel_tail_bound(nu: Nu, n: int, X, digits: int = 30) -> mp.mpf:
     monotone decreasing in X.  X formed at `digits` digits, as
     cutoff_mult 2^nu Gamma(nu+1) is, may round below that point, so X is
     refused only if it lies more than a relative 10^-digits below it.
+    n must be an integer: 3.0 raises TypeError.
     """
-    if n < 2:
+    if operator.index(n) < 2:
         raise ValueError("n must be at least 2")
     v = nu.value
     with mp.workdps(digits + 10):

@@ -42,10 +42,10 @@ for integer, what each n returns alone; the single-n functions are
 batches of one, sharing one memo keyed per n.  A loop of Bessel calls
 over n shares the rest through one family store (_FAMILY): the last
 family's pieces, with their series, and from its second consecutive call
-on each rung's power base (fixedpoint.power_base: node ratios, weights,
-the ratios' squares so far), so each node is evaluated, divided and
-squared once.  A base depends only on the piece, the rule order and the
-precision: every estimate keeps every bit.
+on each rung's power base (fixedpoint.power_base: weights, node ratios,
+the ratios' and the largest node value's squares so far), so each node is
+evaluated, weighed, divided and squared once.  A base depends only on the
+piece, the rule order and the precision: every estimate keeps every bit.
 
 Two sinc regimes, split by one threshold (_sinc_mode): for large n at most
 ZETA_LOBES lobes with the t^{-n} envelope bound suffice; any other n folds
@@ -868,8 +868,9 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
     whether any n >= 3 and the working precision, are held for the next
     call (_FAMILY); from that family's second consecutive call on, so is
     the power base of every rung it climbs, and no later call evaluates,
-    divides or squares what is held: a warm nu = 1 sweep point takes about
-    0.56 of the time it takes with node values held.  If any n misses its
+    weighs, divides or squares what is held: a warm nu = 1 sweep point
+    takes about 0.37 of the time it takes with node values held (medians
+    in one process, n = 23..37 at cutoff_mult 6).  If any n misses its
     target, the PrecisionFailure of the first such n in ns is raised, after
     the others are memoised.  The cutoff is checked as in bessel_integral.
     """
@@ -886,10 +887,12 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
 
 
 # The last Bessel family, one entry: {(v, X, any n >= 3, wdps): [bounds, pieces, nodes]}.
-# nodes, the ladder's power bases (node ratios, weights and the ratios' squares so far),
-# is None on the family's first call and held from its second consecutive call on, so a
-# warm call neither evaluates, divides nor squares again (bessel-quad's op_p50_s, a warm
-# nu = 1 point: 0.00177 s with node values held, 0.00099 s with bases; 10 pairs of 20 s runs).
+# nodes, the ladder's power bases (weights floored to about wp bits, node ratios, and the
+# ratios' and the largest node value's squares so far), is None on the family's first call
+# and held from its second consecutive call on, so a warm call neither evaluates, weighs,
+# divides nor squares again (bessel-quad's op_p50_s, a warm nu = 1 point: 0.00177 s with
+# node values held, 0.00096 s with bases, 0.00079 s since they floor their weights and hold
+# the largest node value's squares; 10 pairs of 20 s runs each).
 # Another family's call replaces the entry, so only a family called again pays for their
 # memory: node values held from the first call would keep every one-shot family's (one eval
 # line, one 16-piece batch) until the next, and read 26.14-26.56 MB against 25.51-25.54 MB

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -131,8 +132,9 @@ def cutoff_tail_bound(n: int, cutoff) -> mp.mpf:
     """Bound sqrt(n) A^{1-n} / (n-1) on the integral beyond A >= 1.
 
     Uses |sin t / t|^n <= t^{-n}; at A = sqrt 6 it is sqrt(6n) 6^{-n/2} / (n-1).
+    n must be an integer: 3.0 raises TypeError.
     """
-    if n < 2:
+    if operator.index(n) < 2:
         raise ValueError("n must be at least 2")
     A = mp.mpf(cutoff)
     if not A >= 1:  # false for nan, so nan is refused too

@@ -9,6 +9,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ballint.bessel as bessel
 from ballint.bessel import (
     BesselExpansion,
     Nu,
@@ -256,6 +257,23 @@ class TestINuAt2:
             i_nu_at_2(Nu(Fraction(3, 2)))
 
 
+class TestAmplitude:
+    def test_memo_gives_fresh_bits_at_each_precision(self):
+        # amplitude is memoised by (nu, precision): at two precisions, in either order,
+        # each call returns the bits 2^nu Gamma(nu+1) has at the ambient precision
+        for nu in (Nu(Fraction(3, 2)), Nu(Fraction(7, 3))):
+            fresh = {}
+            for dps in (30, 55):
+                with mp.workdps(dps):
+                    fresh[dps] = (mp.power(2, to_mpf(nu.value)) * mp.gamma(to_mpf(nu.value) + 1))._mpf_
+            assert fresh[30] != fresh[55]
+            for order in ((30, 55), (55, 30)):
+                bessel._amplitude.cache_clear()
+                for dps in order + order:
+                    with mp.workdps(dps):
+                        assert amplitude(nu)._mpf_ == fresh[dps]
+
+
 class TestTailBound:
     def test_monotone_in_cutoff(self):
         nu = Nu(Fraction(1))
@@ -268,6 +286,13 @@ class TestTailBound:
             bessel_tail_bound(Nu(Fraction(1)), 1, 10)
         with pytest.raises(ValueError, match="cutoff below"):
             bessel_tail_bound(Nu(Fraction(7, 3)), 4, 10)
+
+    @pytest.mark.parametrize("n", [3.0, 3.5, Fraction(3)])
+    def test_non_integer_n_refused(self, n):
+        # 3.5 bounds no integrand of the family, and 3.0 and Fraction(3) are not the integer 3
+        with pytest.raises(TypeError):
+            bessel_tail_bound(Nu(Fraction(1)), n, 12)
+        assert bessel_tail_bound(Nu(Fraction(1)), 3, 12)._mpf_ == (0, 28173196941001230771990610075379995618387, -139, 135)
 
     def test_nan_cutoff_refused_infinite_accepted(self):
         # X < amp (1 - 10^-digits) is false for nan, which then gave a nan "bound"

@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -12,7 +13,9 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
-from mpmath.libmp import from_man_exp, from_rational, mpf_shift, mpf_sub, round_floor, round_nearest
+from mpmath.libmp import gammazeta, libmpf
+from mpmath.libmp import (from_man_exp, from_rational, fzero, mpf_add, mpf_le, mpf_mul, mpf_pow_int, mpf_shift,
+                          mpf_sub, round_ceiling, round_floor, round_nearest)
 
 import ballint.legendre as legendre
 import ballint.quadrature as quadrature
@@ -1304,6 +1307,23 @@ def power_sum_cases_in_any_order(draw):
     return hs, gs, draw(st.one_of(st.just(ns[::-1]), st.permutations(ns)))
 
 
+@st.composite
+def large_n_cases(draw):
+    """(hs, gs, ns) as Fractions: a top node with a full mantissa in [1/2, 1),
+    1 to 7 nodes within 2^-18 of it, whose powers stay in the sum at n = 2^20
+    and some at n = 2^27, and maybe one far below it with a weight up to 2^90;
+    ns are 2^20 + 1, power_sum's n limit 2^(ERROR_BITS - 5) and one n between."""
+    prec = TestPowerSums.PREC
+    top = Fraction(draw(st.integers(2 ** (prec - 1), 2**prec - 1)), 2**prec)
+    hs = [top] + [top - Fraction(draw(st.integers(0, 2 ** (prec - 18))), 2**prec)
+                  for _ in range(draw(st.integers(1, 7)))]
+    hs += draw(st.lists(st.builds(Fraction, st.integers(1, 2**prec - 1), st.just(2 ** (prec + 8))), max_size=1))
+    gs = [dyadic(draw, prec, -prec - 40, 90 - prec) for _ in hs]
+    gs[0] += Fraction(1, 2**40)  # the top node weighs something
+    limit = 2 ** (ERROR_BITS - 5)
+    return hs, gs, [2**20 + 1, draw(st.integers(2**20 + 2, limit - 1)), limit]
+
+
 class TestPowerSums:
     PREC = 120
 
@@ -1331,6 +1351,10 @@ class TestPowerSums:
     # the node with the largest h carries weight 0, so the sums fall like (3/4)^n
     @example(([Fraction(1), Fraction(3, 4), Fraction(1, 2**30)], [Fraction(0), Fraction(5), Fraction(2**60)],
               [2, 40, 300]))
+    # weights of 301 bits, wider than wp: power_base floors them by 111 bits, the second to 0
+    @example(([Fraction(7, 8), Fraction(3, 4)], [Fraction(2**301 - 1, 2**300), Fraction(1, 2**300)], [2, 50]))
+    # a largest h of 250 bits, wider than wp: c itself is floored, and counts n times in c^n
+    @example(([Fraction(2**250 - 3, 2**250), Fraction(2**198 // 3, 2**200)], [Fraction(1), Fraction(5)], [2, 60, 300]))
     # every h equals the largest
     @example(([Fraction(5, 8)] * 3, [Fraction(1), Fraction(2**60), Fraction(1, 2**40)], [2, 7, 100]))
     # one node and n = 10^6: no integer widens with n (h = 1/2 keeps the exact sum
@@ -1359,6 +1383,29 @@ class TestPowerSums:
                 assert E <= S >> (self.PREC + 8)
                 if sure:
                     assert total._mpf_ == from_man_exp(want, -kw, self.PREC, round_nearest)
+
+    @settings(max_examples=30, deadline=None)
+    @given(large_n_cases())
+    def test_large_n_within_a_directed_rounding_enclosure(self, case):
+        # at n far past 300 the exact sum is too wide to form, so it is enclosed by
+        # mpf_pow_int's h^n floored and ceiled at wp + 64 bits, times g, summed with
+        # the same rounding: S 2^-k <= lo <= sum g h^n <= hi <= (S + E) 2^-k
+        hs, gs, ns = case
+        (H, kh), (G, kg) = self.fixed(hs), self.fixed(gs)
+        wp = self.PREC + quadrature.LADDER_GUARD
+        base = power_base(H, G, kh, kg, wp)
+        for n in ns:
+            S, E, k = power_sum(base, n)
+            ends = []
+            for rnd in (round_floor, round_ceiling):
+                end = fzero
+                for h, g in zip(H, G):
+                    term = mpf_pow_int(from_man_exp(h, -kh), n, wp + 64, rnd)
+                    end = mpf_add(end, mpf_mul(from_man_exp(g, -kg), term, wp + 64, rnd), wp + 64, rnd)
+                ends.append(end)
+            lo, hi = ends
+            assert mpf_le(from_man_exp(S, -k), lo) and mpf_le(hi, from_man_exp(S + E, -k))
+            assert E.bit_length() <= S.bit_length() - wp + ERROR_BITS
 
     @settings(max_examples=40, deadline=None)
     @given(power_sum_cases_in_any_order())
@@ -1639,6 +1686,40 @@ class TestBatchWork:
             assert len(base.chain) == 5 and all(map(operator.is_, base.chain, chains[key]))
         monkeypatch.undo()
         assert [bits(est)] == self.cold_batch(ONE, [25])
+
+    def test_warm_point_reads_what_the_store_holds(self):
+        # a warm nu = 1 sweep point, the store holding every rung's power base: its 12
+        # power sums (4 pieces, rules of 16, 32 and 64 nodes) take c^n from each base's
+        # chain, never from mpf_pow_int, and amplitude, read at the working precision
+        # and at the tail bound's, comes from its memo, not from mp.gamma.  Every held
+        # weight is floored to about wp bits at the largest h
+        _MEMO.clear()
+        _FAMILY.clear()
+        for n in (23, 24):
+            bessel_integral(ONE, n, cutoff_mult=6)
+        names = {power_sum.__code__: "power_sum", libmpf.mpf_pow_int.__code__: "mpf_pow_int",
+                 gammazeta.mpf_gamma.__code__: "mpf_gamma"}
+        calls = dict.fromkeys(names.values(), 0)
+
+        def count(frame, event, arg):
+            name = names.get(frame.f_code) if event == "call" else None
+            if name == "mpf_pow_int":  # counted only inside a power sum
+                while frame and frame.f_code is not power_sum.__code__:
+                    frame = frame.f_back
+            if name and frame:
+                calls[name] += 1
+
+        sys.setprofile(count)
+        try:
+            bessel_integral(ONE, 25, cutoff_mult=6)
+        finally:
+            sys.setprofile(None)
+        assert calls == {"power_sum": 12, "mpf_pow_int": 0, "mpf_gamma": 0}
+        (_, _, nodes), = _FAMILY.values()
+        for base in nodes.values():
+            widths = [g.bit_length() for g in base.gs]
+            spread = max(widths) - widths[base.chain[0].index(1 << base.W)]  # over the first node at c
+            assert max(widths) <= base.wp + len(base.gs).bit_length() + spread + 8
 
     @pytest.mark.parametrize("first, then", [
         ((ONE, 5, None, 6), (Nu(Fraction(3, 2)), 5, None, 6)),

@@ -191,6 +191,11 @@ class TestTailBounds:
         with pytest.raises(ValueError):
             cutoff_tail_bound(1, 2)
 
+    @pytest.mark.parametrize("n", [3.0, 3.5, Fraction(3)])
+    def test_non_integer_n_refused(self, n):
+        with pytest.raises(TypeError):
+            cutoff_tail_bound(n, 2)
+
     def test_nan_cutoff_refused_infinite_accepted(self):
         # A < 1 is false for nan, which then gave a nan "bound"
         with pytest.raises(ValueError, match="at least 1"):
