@@ -44,6 +44,7 @@ __all__ = [
     "c0_exact",
     "c0_value",
     "i_nu_at_2",
+    "i_nu_floor",
     "bessel_tail_bound",
 ]
 
@@ -96,26 +97,24 @@ def bessel_partial_sum(nu: Nu, k: int) -> dict[int, Fraction]:
     return {2 * j: Fraction((-q) ** j, 4**j * math.factorial(j) * _rising(p, q, j)) for j in range(k + 1)}
 
 
-def bessel_aj(nu: Nu, j: int, k: int) -> Fraction:
-    """Coefficient of u^j, u = t^2/(4n), in exp(u/(nu+1)) * T_k at t/sqrt n.
+def bessel_aj(nu: Nu, j: int) -> Fraction:
+    """Coefficient of u^j, u = t^2/(4n), in exp(u/(nu+1)) * F_nu(t/sqrt n).
 
-    a_j = sum_{i=0}^{min(j,k)} (-1)^i / ((nu+1)^{j-i} (j-i)! i! (nu+1)...(nu+i)),
-    with the partial-sum index i capped at k.  a_0 = 1 and a_1 = 0: the
-    u/( nu+1) terms of the two factors cancel by construction.
+    a_j = sum_{i=0}^{j} (-1)^i / ((nu+1)^{j-i} (j-i)! i! (nu+1)...(nu+i)),
+    which reads the kernel's Maclaurin terms through i = j only, so no
+    truncation index enters.  a_0 = 1 and a_1 = 0: the u/(nu+1) terms of
+    the two factors cancel by construction.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    # over j! (p+q)^j R, R = (p+q)(p+2q)...(p+top q), term i is
-    # (-1)^i q^j binom(j, i) (p+q)^i (p+(i+1)q)...(p+top q)
+    # over j! (p+q)^j R, R = (p+q)(p+2q)...(p+j q), term i is
+    # (-1)^i q^j binom(j, i) (p+q)^i (p+(i+1)q)...(p+j q)
     p, q = nu.value.numerator, nu.value.denominator
-    top = min(j, k)
-    total, tail = 0, 1  # tail = (p+(i+1)q)...(p+top q)
-    for i in range(top, -1, -1):
+    total, tail = 0, 1  # tail = (p+(i+1)q)...(p+j q)
+    for i in range(j, -1, -1):
         total += math.comb(j, i) * (-(p + q)) ** i * tail
         tail *= p + i * q
-    return Fraction(q**j * total, math.factorial(j) * (p + q) ** j * _rising(p, q, top))
+    return Fraction(q**j * total, math.factorial(j) * (p + q) ** j * _rising(p, q, j))
 
 
 def bessel_moment_ratio(nu: Nu, j: int) -> Fraction:
@@ -132,15 +131,13 @@ def bessel_moment_ratio(nu: Nu, j: int) -> Fraction:
 @dataclass(frozen=True)
 class BesselExpansion:
     """I_nu(n) ~ c_0 [gamma_0 + gamma_1/n + ... + gamma_m/n^m], gamma_0 = 1,
-    m = len(gamma_coeffs) - 1; the truncation index changes no coefficient,
-    so it is not kept."""
+    m = len(gamma_coeffs) - 1."""
 
-    nu: Nu
     gamma_coeffs: tuple[Fraction, ...]
 
 
-def bessel_expansion(nu: Nu, m: int, k: int | None = None) -> BesselExpansion:
-    """Exact gamma_0..gamma_m for rational nu; k defaults to m + 1.
+def bessel_expansion(nu: Nu, m: int) -> BesselExpansion:
+    """Exact gamma_0..gamma_m for rational nu, from a_2..a_{m+1}.
 
     The collection runs in the variable u = t^2/4 (the row monomial t^{2w}
     standing for u^w); the 4^w from the moment ratio cancels against the
@@ -148,13 +145,9 @@ def bessel_expansion(nu: Nu, m: int, k: int | None = None) -> BesselExpansion:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if k is None:
-        k = m + 1
-    if k <= m:
-        raise ValueError("truncation too short: k must be at least m + 1")
-    a = {j: bessel_aj(nu, j, k) for j in range(2, m + 2)}
+    a = {j: bessel_aj(nu, j) for j in range(2, m + 2)}
     gammas = moment_coeffs(a, m, lambda w: bessel_moment_ratio(nu, w) / Fraction(4) ** w)
-    return BesselExpansion(nu=nu, gamma_coeffs=gammas)
+    return BesselExpansion(gammas)
 
 
 def c0_exact(nu: Nu) -> Fraction | None:
@@ -193,6 +186,21 @@ def i_nu_at_2(nu: Nu) -> Fraction:
         raise ValueError("closed form only supported for positive integer nu")
     p = int(nu.value)
     return Fraction(2) ** (3 * p - 1) * math.factorial(p) * math.factorial(p - 1)
+
+
+@lru_cache(maxsize=64)
+def i_nu_floor(nu: Nu) -> mp.mpf:
+    """L_nu = (4(nu+1))^nu / (2 nu (nu+1)), rounded down: I_nu(n) >= L_nu for
+    every n >= 2, so an estimate whose value plus bound lies below it is wrong.
+
+    On t^2 <= 4(nu+1)/n <= 2(nu+1) the kernel's series alternates with falling
+    terms, so f_nu(t) >= 1 - t^2/(4(nu+1)) >= 0 there, and (1 - y)^n >= 1 - ny;
+    integrating n^nu (1 - n t^2/(4(nu+1))) t^(2nu-1) over that range gives L_nu.
+    L_1 = 2, and L_{1/2} = 2 sqrt(6)/3 for sinc; c_0 / L_nu = (nu+1) Gamma(nu+1)
+    >= 1.33.  The lower end of a 53-bit interval evaluation.
+    """
+    v = mp.iv.mpf(nu.value.numerator) / nu.value.denominator
+    return mp.mpf(((4 * (v + 1)) ** v / (2 * v * (v + 1))).a)
 
 
 def amplitude(nu: Nu) -> mp.mpf:

@@ -84,11 +84,11 @@ import mpmath as mp
 from mpmath.libmp import (fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_pi, mpf_pos,
                           mpf_shift, round_nearest, to_fixed)
 
-from .bessel import Nu, amplitude, bessel_tail_bound
+from .bessel import Nu, amplitude, bessel_tail_bound, i_nu_floor
 from .fixedpoint import fixed_nodes, power_base, power_sum, round_bits, round_total
 from .legendre import _legendre_rule
 from .rationals import to_mpf
-from .sinc import cutoff_tail_bound, sinc_expansion
+from .sinc import SINC_NU, cutoff_tail_bound, sinc_expansion
 
 __all__ = [
     "Precision",
@@ -271,12 +271,13 @@ def _ladder(pieces: Sequence[Piece], uses: dict[int, Sequence[int]], rungs: int,
     return out
 
 
-def _integrate(pieces: Sequence[Piece], setups: dict[int, tuple], prec: Precision,
-               label: Callable[[int], str], nodes: dict | None = None) -> dict[int, QuadEstimate | PrecisionFailure]:
+def _integrate(pieces: Sequence[Piece], setups: dict[int, tuple], prec: Precision, label: Callable[[int], str],
+               floor: mp.mpf, nodes: dict | None = None) -> dict[int, QuadEstimate | PrecisionFailure]:
     """Run the order-doubling ladder (_ladder) once for every n of setups,
     until |Q_2N - Q_N| < target / (2 scale); the caller builds pieces and
     setups, and calls this, inside mp.workdps(prec.working_dps).  nodes
-    is the ladder's store of node values, or None.
+    is the ladder's store of node values, or None.  floor is a lower bound
+    on every value that setups can ask for (bessel.i_nu_floor).
 
     setups maps each n to (uses, scale, offset, err, cutoff): n integrates
     the pieces listed by uses (indices into pieces, increasing), the value
@@ -285,7 +286,9 @@ def _integrate(pieces: Sequence[Piece], setups: dict[int, tuple], prec: Precisio
     error of an offset completed exactly), in final units.  An n whose gap
     is not below that threshold after MAX_DOUBLINGS doublings maps to a
     PrecisionFailure, named by label(n), carrying that estimate: the ladder's
-    stop and this verdict are one comparison against one threshold.
+    stop and this verdict are one comparison against one threshold.  So does
+    an n whose value plus bound lies below floor, which a ladder that misses
+    a narrow peak at every rung can return as a converged, tiny value.
     """
     wdps, k, rungs = prec.working_dps, prec.target_digits, MAX_DOUBLINGS
     half = mp.mpf(10) ** -k / 2
@@ -297,8 +300,10 @@ def _integrate(pieces: Sequence[Piece], setups: dict[int, tuple], prec: Precisio
         value = scale * total + offset
         bound = scale * diff + err + mp.mpf(10) ** (2 - wdps) * (1 + abs(value))
         est = QuadEstimate(value=+value, abs_err_bound=+bound, cutoff_used=+mp.mpf(cutoff), pieces=len(uses))
-        out[n] = est if diff < thresholds[n] else PrecisionFailure(
-            f"{label(n)}: target 1e-{k:02d} not reached after {rungs} order doublings", est)
+        why = (f"target 1e-{k:02d} not reached after {rungs} order doublings" if not diff < thresholds[n] else
+               f"value + bound {mp.nstr(value + bound, 5)} below the floor {mp.nstr(floor, 8)} of every n >= 2"
+               if value + bound < floor else None)
+        out[n] = PrecisionFailure(f"{label(n)}: {why}", est) if why else est
     return out
 
 
@@ -483,7 +488,7 @@ def _sinc_estimates(ns: list[int], prec: Precision) -> dict[int, QuadEstimate | 
             else:
                 setups[n] = (*range(count), len(pieces)), mp.sqrt(n), mp.mpf(0), mp.mpf(0), mp.inf
                 pieces.append(panel(n))
-        return _integrate(pieces, setups, prec, lambda n: f"sinc_integral(n={n})")
+        return _integrate(pieces, setups, prec, lambda n: f"sinc_integral(n={n})", i_nu_floor(SINC_NU))
 
 
 def _f_nu(v: Fraction, t: mp.mpf, prec: int | None = None) -> mp.mpf:
@@ -944,7 +949,7 @@ def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision, X: mp.mpf,
                 setups[n] = range(1), scale, scale * tail, scale * tail_err, bounds[1]
             else:
                 setups[n] = every, scale, mp.mpf(0), bessel_tail_bound(nu, n, X, digits=wdps), X
-        return _integrate(pieces, setups, prec, lambda n: f"bessel_integral(nu={nu}, n={n})", nodes)
+        return _integrate(pieces, setups, prec, lambda n: f"bessel_integral(nu={nu}, n={n})", i_nu_floor(nu), nodes)
 
 
 def remainder_decay_fit(m: int, n_grid: Sequence[int], prec: Precision | None = None) -> DecayFit:

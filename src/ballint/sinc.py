@@ -10,9 +10,9 @@ through 1/n^13, exponents through t^28) against which the shipped fixture
 file is regression-checked.  Its a_j (sinc_aj) are the coefficients of
 t^{2j} in E_k(t) sin(t)/t, E_k the degree-2k partial sum of exp(t^2/6),
 and the series module collects [1 + sum_{j>=2} a_j t^{2j}/n^j]^n by powers
-of 1/n.  For j <= k they are 4^-j bessel_aj(1/2, j, k).  Past k they
-differ, because the sine series truncates exp(t^2/6) where the Bessel
-series truncates the kernel, and the table reads a_j up to j = 14 at k = 8.
+of 1/n.  For j <= k they are 4^-j bessel_aj(1/2, j); past k the truncated
+exp(t^2/6) makes them differ, and the table reads a_j up to j = 14 at k = 8,
+the one place where a truncation index changes an answer.
 
 Partial sums and table rows are dicts from t-exponent to exact coefficient.
 The module also carries the printed coefficients and the erratum ledger
@@ -89,8 +89,8 @@ def sinc_aj(j: int, k: int) -> Fraction:
 
     a_0 = 1 and a_1 = 0 (the t^2/6 terms cancel); a_2 = -1/180 starts the
     genuine series.  For j <= k this is also the coefficient in
-    exp(t^2/6) * T_k(t), and 4^-j bessel_aj(SINC_NU, j, k); appendix_table
-    also reads j > k, where the two truncations differ.
+    exp(t^2/6) * T_k(t), and 4^-j bessel_aj(SINC_NU, j); appendix_table
+    also reads j > k, where the truncated exp(t^2/6) makes them differ.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
@@ -122,10 +122,12 @@ def sinc_expansion(m: int, k: int | None = None) -> SincExpansion:
     """Exact c_0..c_m in units of sqrt(3 pi / 2): the gamma_0..gamma_m of
     bessel_expansion at SINC_NU.
 
-    k defaults to m + 1 and must be at least that; every such k gives
-    identical coefficients.
+    A truncation index k may be given, but it must be at least m + 1, and
+    then it changes no coefficient: the expansion takes none.
     """
-    return SincExpansion(bessel_expansion(SINC_NU, m, k).gamma_coeffs)
+    if k is not None and k <= m:
+        raise ValueError("truncation too short: k must be at least m + 1")
+    return SincExpansion(bessel_expansion(SINC_NU, m).gamma_coeffs)
 
 
 def cutoff_tail_bound(n: int, cutoff) -> mp.mpf:
@@ -164,7 +166,9 @@ def load_appendix_fixture(text: str | None = None) -> dict[tuple[int, int], Frac
     """Parse the fixture table of (row, exponent, rational) triples.
 
     One triple per line, whitespace separated; blank lines and lines
-    starting with '#' are ignored.  Malformed rationals, odd exponents,
+    starting with '#' are ignored.  Row and exponent are canonical ASCII
+    decimals ("1_0", "+1", "01" and non-ASCII digits are refused) and the
+    rational goes through parse_rational.  Malformed fields, odd exponents,
     and duplicate (row, exponent) keys are rejected.
     """
     if text is None:
@@ -177,13 +181,12 @@ def load_appendix_fixture(text: str | None = None) -> dict[tuple[int, int], Frac
         parts = stripped.split()
         if len(parts) != 3:
             raise ValueError(f"fixture line {lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            row = int(parts[0])
-            exp = int(parts[1])
-        except ValueError:
-            raise ValueError(f"fixture line {lineno}: bad row/exponent") from None
-        if row < 0 or exp < 0 or exp % 2 != 0:
-            raise ValueError(f"fixture line {lineno}: row/exponent out of range")
+        # canonical ASCII decimals: int() alone reads "1_0" as 10 and accepts "+1", "01" and non-ASCII digits
+        if not all(f.isascii() and f.isdigit() and str(int(f)) == f for f in parts[:2]):
+            raise ValueError(f"fixture line {lineno}: bad row/exponent")
+        row, exp = int(parts[0]), int(parts[1])
+        if exp % 2 != 0:
+            raise ValueError(f"fixture line {lineno}: odd exponent")
         try:
             value = parse_rational(parts[2])
         except ValueError as e:

@@ -61,7 +61,7 @@ FIT_DIGITS = 50
 
 @lru_cache(maxsize=None)
 def _engine_coeffs_deep() -> tuple[Fraction, ...]:
-    """Exact expansion coefficients through order 13 (truncation index 14)."""
+    """Exact expansion coefficients through order 13."""
     return sinc_expansion(13).coeffs
 
 
@@ -112,7 +112,7 @@ def _ledgered(case_id: str, printed: str, engine: Fraction, order: int, reason: 
 
 def paper_constants_suite() -> list[VerifyReport]:
     reports: list[VerifyReport] = []
-    exp7 = sinc_expansion(7, 8)
+    exp7 = sinc_expansion(7)
     ledgered = check_errata().coefficients
 
     for j in range(8):
@@ -135,7 +135,7 @@ def paper_constants_suite() -> list[VerifyReport]:
         a3 = Fraction(-2) / (3 * (v + 1) ** 3 * (v + 2) * (v + 3))
         a4 = Fraction(v - 5) / (8 * (v + 1) ** 4 * (v + 2) * (v + 3) * (v + 4))
         for j, closed in ((2, a2), (3, a3), (4, a4)):
-            reports.append(_exact(f"bessel-a{j}-nu-{v}", closed, bessel_aj(nu, j, k=8), "paper"))
+            reports.append(_exact(f"bessel-a{j}-nu-{v}", closed, bessel_aj(nu, j), "paper"))
         g = bessel_expansion(nu, 3).gamma_coeffs
         g1 = -v * (v + 1) / (2 * (v + 2))
         g2 = v * (v + 1) * (3 * v**2 + 2 * v - 5) / (24 * (v + 2) * (v + 3))
@@ -187,8 +187,8 @@ def appendix_suite() -> list[VerifyReport]:
 
 
 def reduction_suite() -> list[VerifyReport]:
-    # the Bessel a_j in u = t^2/4 against the sine series' a_j in t^2
-    aj_ok = all(bessel_aj(SINC_NU, j, 14) == 4**j * sinc_aj(j, 14) for j in range(2, 15))
+    # the Bessel a_j in u = t^2/4 against the sine series' a_j in t^2, truncated at 14 >= j
+    aj_ok = all(bessel_aj(SINC_NU, j) == 4**j * sinc_aj(j, 14) for j in range(2, 15))
     reports = [_report("reduction-aj", "bessel a_j = 4^j sinc a_j for j = 2..14 at truncation 14",
                        "equal" if aj_ok else "differ", "exact", aj_ok, "derived")]
     ps_ok = all(bessel_partial_sum(SINC_NU, k) == sinc_partial_sum(k) for k in range(7))

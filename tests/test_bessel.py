@@ -7,7 +7,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import ballint.bessel as bessel
 from ballint.bessel import (
@@ -22,9 +22,12 @@ from ballint.bessel import (
     c0_exact,
     c0_value,
     i_nu_at_2,
+    i_nu_floor,
 )
+from ballint.quadrature import bessel_integral
 from ballint.rationals import format_rational, to_mpf
 from ballint.sinc import sinc_aj, sinc_partial_sum
+from ballint.verify import CLOSED_FORM_NUS
 
 NUS = [Nu(Fraction(1, 2)), Nu(Fraction(1)), Nu(Fraction(3, 2)),
        Nu(Fraction(2)), Nu(Fraction(5, 2)), Nu(Fraction(3))]
@@ -111,28 +114,26 @@ class TestPartialSum:
 
 
 class TestBesselAj:
-    @given(nu_strategy, st.integers(1, 10))
-    def test_a0_a1(self, nu, k):
-        assert bessel_aj(nu, 0, k) == 1
-        assert bessel_aj(nu, 1, k) == 0
+    @given(nu_strategy)
+    def test_a0_a1(self, nu):
+        assert bessel_aj(nu, 0) == 1
+        assert bessel_aj(nu, 1) == 0
 
     @pytest.mark.parametrize("nu", NUS, ids=str)
     def test_closed_forms(self, nu):
         v = nu.value
-        assert bessel_aj(nu, 2, 8) == a2_closed(v)
-        assert bessel_aj(nu, 3, 8) == a3_closed(v)
-        assert bessel_aj(nu, 4, 8) == a4_closed(v)
+        assert bessel_aj(nu, 2) == a2_closed(v)
+        assert bessel_aj(nu, 3) == a3_closed(v)
+        assert bessel_aj(nu, 4) == a4_closed(v)
 
     @given(st.integers(2, 8))
     def test_reduces_to_sinc_at_half(self, j):
         # u = t^2/4 absorbs a factor 4^j between the two normalizations
-        assert bessel_aj(Nu(Fraction(1, 2)), j, 10) == sinc_aj(j, 10) * Fraction(4) ** j
+        assert bessel_aj(Nu(Fraction(1, 2)), j) == sinc_aj(j, 10) * Fraction(4) ** j
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            bessel_aj(Nu(Fraction(1)), -1, 8)
-        with pytest.raises(ValueError):
-            bessel_aj(Nu(Fraction(1)), 2, 0)
+            bessel_aj(Nu(Fraction(1)), -1)
 
 
 class TestMomentRatio:
@@ -183,22 +184,14 @@ class TestExpansion:
         got = bessel_expansion(Nu(Fraction(1, 2)), 12).gamma_coeffs
         assert [format_rational(g) for g in got] == want[:13]
 
-    @settings(max_examples=30, deadline=None)
-    @given(nu_strategy, st.integers(0, 4), st.integers(0, 4))
-    def test_truncation_stability(self, nu, m, extra):
-        assert (bessel_expansion(nu, m, m + 1 + extra).gamma_coeffs
-                == bessel_expansion(nu, m).gamma_coeffs)
-
     def test_metadata(self):
         e = bessel_expansion(Nu(Fraction(7, 3)), 2)
         assert isinstance(e, BesselExpansion)
-        assert e.nu == Nu(Fraction(7, 3)) and len(e.gamma_coeffs) == 3
+        assert len(e.gamma_coeffs) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
             bessel_expansion(Nu(Fraction(1)), -1)
-        with pytest.raises(ValueError, match="truncation too short"):
-            bessel_expansion(Nu(Fraction(1)), 3, 3)
 
 
 class TestC0:
@@ -255,6 +248,25 @@ class TestINuAt2:
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             i_nu_at_2(Nu(Fraction(3, 2)))
+
+
+class TestINuFloor:
+    def test_closed_forms(self):
+        assert i_nu_floor(Nu(Fraction(1))) == 2
+        with mp.workdps(30):
+            half = 2 * mp.sqrt(6) / 3
+            assert half - mp.mpf(10) ** -15 < i_nu_floor(Nu(Fraction(1, 2))) <= half
+
+    @pytest.mark.parametrize("v", CLOSED_FORM_NUS, ids=format_rational)
+    def test_below_i_nu_at_2_and_c0(self, v):
+        # c_0 / L_nu = (nu+1) Gamma(nu+1), which is 1.33 at nu = 1/2 and grows
+        nu = Nu(v)
+        floor = i_nu_floor(nu)
+        est = bessel_integral(nu, 2, cutoff_mult=6)
+        assert est.value - est.abs_err_bound > floor
+        if nu.is_integer:
+            assert to_mpf(i_nu_at_2(nu)) > floor
+        assert c0_value(nu) > floor
 
 
 class TestAmplitude:

@@ -244,6 +244,14 @@ class TestEval:
         assert code == EXIT_PRECISION and out == ""
         assert "precision failure" in err and "best estimate" in err
 
+    @pytest.mark.parametrize("argv", [["sinc", "--n", "100000000"], ["bessel", "--nu", "1", "--n", "1000000"]])
+    def test_below_the_floor_is_a_precision_failure(self, capsys, argv):
+        # every rule misses the peak, so the ladder converges on a value far below
+        # the floor I(n) >= L_nu, which no n >= 2 goes under
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert code == EXIT_PRECISION and out == ""
+        assert "below the floor" in err and "best estimate" in err
+
     def test_target_past_the_float_range(self, capsys, doublings):
         # --digits 330 targets 10^-330, which is 0.0 as a float: the ladder stops
         # at the exact target, and a miss (at one doubling) prints it as 1e-330

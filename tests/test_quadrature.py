@@ -20,7 +20,7 @@ from mpmath.libmp import (from_man_exp, from_rational, fzero, mpf_add, mpf_le, m
 import ballint.legendre as legendre
 import ballint.quadrature as quadrature
 from ballint.fixedpoint import ERROR_BITS, PowerBase, power_base, power_sum, round_bits, round_total
-from ballint.bessel import Nu, amplitude, bessel_expansion, c0_value, i_nu_at_2
+from ballint.bessel import Nu, amplitude, bessel_expansion, c0_value, i_nu_at_2, i_nu_floor
 from ballint.rationals import to_mpf
 from ballint.sinc import sinc_expansion
 from ballint.quadrature import (
@@ -1792,8 +1792,37 @@ class TestGapInFinalUnits:
         prec = Precision()
         with mp.workdps(prec.working_dps):
             setups = {n: ((), mp.sqrt(n), mp.mpf(0), mp.mpf(0), mp.inf) for n in (149, 26)}
-            out = quadrature._integrate([], setups, prec, str)
+            out = quadrature._integrate([], setups, prec, str, mp.mpf(0))
         assert isinstance(out[149], QuadEstimate) and isinstance(out[26], PrecisionFailure)
+
+
+class TestFloor:
+    # I_nu(n) >= i_nu_floor(nu) for every n >= 2; at large n every rule misses the peak,
+    # so the gap looks converged on a value hundreds of orders of magnitude too small
+    @pytest.mark.parametrize("n", [10**8, 10**12])
+    def test_large_n_sinc_refused(self, n):
+        with pytest.raises(PrecisionFailure, match=r"below the floor 1\.6329932 ") as exc:
+            sinc_integral(n)
+        assert exc.value.estimate.value < 1
+
+    @pytest.mark.parametrize("mult", [6, 24])
+    def test_large_n_bessel_refused(self, mult):
+        with pytest.raises(PrecisionFailure, match=r"below the floor 2\.0 ") as exc:
+            bessel_integral(ONE, 10**6, cutoff_mult=mult)
+        assert exc.value.estimate.value < 1
+
+    def test_frozen_estimates_clear_the_floor(self):
+        def mpf(text):
+            man, _, exp = text.partition("p")
+            return mp.mpf((int(man, 16), int(exp)))
+
+        rows = [(fam, HALF if fam.startswith("sinc") else ONE, pin)
+                for fam, pins in frozen("sweep_bits.json").items() for pin in pins.values()]
+        rows += [(key, Nu(Fraction(key.split()[0][3:])), pin) for key, pin in frozen("bessel_bits.json").items()]
+        assert len(rows) == 39 + 4 + 19 + 17
+        with mp.workprec(1000):
+            low = [key for key, nu, (value, bound, _, _) in rows if mpf(value) + mpf(bound) < i_nu_floor(nu)]
+        assert low == []
 
 
 class TestPrecisionFailure:

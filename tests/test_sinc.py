@@ -217,10 +217,18 @@ class TestFixture:
         ("0 0", "fields"),
         ("0 0 2/4", "lowest terms"),
         ("x 0 1", "row"),
+        ("-1 0 1", "row"),
         ("", "empty"),
     ])
     def test_parser_rejections(self, text, message):
         with pytest.raises(ValueError, match=message):
+            load_appendix_fixture(text)
+
+    @pytest.mark.parametrize("text", ["1_0 2 1/3", "+1 2 1/3", "01 2 1/3", "\u0663 2 1/3",
+                                      "1 1_0 1/3", "1 +2 1/3", "1 02 1/3", "1 \u0662 1/3"])
+    def test_row_and_exponent_are_canonical_decimals(self, text):
+        # int() reads "1_0" as 10 and accepts "+1", "01" and the Arabic-Indic digit three
+        with pytest.raises(ValueError, match="line 1: bad row/exponent"):
             load_appendix_fixture(text)
 
     def test_parser_reports_line_numbers(self):
