@@ -208,7 +208,9 @@ def amplitude(nu: Nu) -> mp.mpf:
     return _amplitude(nu, mp.mp.prec)
 
 
-@lru_cache(maxsize=64)  # a Bessel call reads it at two precisions: its working one and its tail bound's
+# a Bessel family's first call reads it at two precisions, its working one and its tail
+# bound's (_tail_factors); a warm call reads it at neither, both being memoised
+@lru_cache(maxsize=64)
 def _amplitude(nu: Nu, prec: int) -> mp.mpf:
     v = to_mpf(nu.value)
     return mp.power(2, v) * mp.gamma(v + 1)
@@ -223,19 +225,24 @@ def bessel_tail_bound(nu: Nu, n: int, X, digits: int = 30) -> mp.mpf:
     monotone decreasing in X.  X formed at `digits` digits, as
     cutoff_mult 2^nu Gamma(nu+1) is, may round below that point, so X is
     refused only if it lies more than a relative 10^-digits below it.
-    n must be an integer: 3.0 raises TypeError.
+    n must be an integer: 3.0 raises TypeError.  The factors free of n,
+    and the check of X, are formed once per (nu, X, digits) (_tail_factors).
     """
     if operator.index(n) < 2:
         raise ValueError("n must be at least 2")
-    v = nu.value
+    nv, nv3, nv2, ampc, Xv = _tail_factors(nu, X, digits)
     with mp.workdps(digits + 10):
-        nv = to_mpf(v)
+        expo, denom = -nv3 * n + nv2, nv3 * n - nv2
+        return mp.power(n, nv) * mp.power(ampc, n) * mp.power(Xv, expo) / denom
+
+
+@lru_cache(maxsize=64)  # a sweep over n at one (nu, X, digits) forms these once; lru_cache stores no exception
+def _tail_factors(nu: Nu, X, digits: int) -> tuple[mp.mpf, ...]:
+    """(nu, nu + 1/3, 2 nu, 2^nu Gamma(nu+1) c, X) at digits + 10 digits, once X passes the check."""
+    with mp.workdps(digits + 10):
+        nv = to_mpf(nu.value)
         amp = amplitude(nu)
         Xv = mp.mpf(X)
         if not Xv >= amp * (1 - mp.mpf(10) ** -digits):  # false for nan, so nan is refused too
             raise ValueError("cutoff below 2^nu Gamma(nu+1)")
-        c = to_mpf(LANDAU_BOUND_C)
-        expo = -(nv + mp.mpf(1) / 3) * n + 2 * nv
-        denom = (nv + mp.mpf(1) / 3) * n - 2 * nv
-        val = mp.power(n, nv) * mp.power(amp * c, n) * mp.power(Xv, expo) / denom
-        return +val
+        return nv, nv + mp.mpf(1) / 3, 2 * nv, amp * to_mpf(LANDAU_BOUND_C), Xv

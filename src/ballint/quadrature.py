@@ -291,14 +291,14 @@ def _integrate(pieces: Sequence[Piece], setups: dict[int, tuple], prec: Precisio
     a narrow peak at every rung can return as a converged, tiny value.
     """
     wdps, k, rungs = prec.working_dps, prec.target_digits, MAX_DOUBLINGS
-    half = mp.mpf(10) ** -k / 2
+    half, unit = _budget(prec)
     thresholds = {n: half / setup[1] for n, setup in setups.items()}
     ladder = _ladder(pieces, {n: setup[0] for n, setup in setups.items()}, rungs, thresholds, nodes, wdps)
     out: dict[int, QuadEstimate | PrecisionFailure] = {}
     for n, (uses, scale, offset, err, cutoff) in setups.items():
         total, diff = ladder[n]
         value = scale * total + offset
-        bound = scale * diff + err + mp.mpf(10) ** (2 - wdps) * (1 + abs(value))
+        bound = scale * diff + err + unit * (1 + abs(value))
         est = QuadEstimate(value=+value, abs_err_bound=+bound, cutoff_used=+mp.mpf(cutoff), pieces=len(uses))
         why = (f"target 1e-{k:02d} not reached after {rungs} order doublings" if not diff < thresholds[n] else
                f"value + bound {mp.nstr(value + bound, 5)} below the floor {mp.nstr(floor, 8)} of every n >= 2"
@@ -536,6 +536,12 @@ def bessel_j_normalized(nu: Nu, t, prec: Precision | None = None) -> BesselEval:
 def _kernel_floor(prec: Precision | None) -> tuple[int, mp.mpf]:  # (dps, 10^(1 - dps)), prec's working dps
     with mp.workdps((prec or Precision()).working_dps):
         return mp.mp.dps, mp.mpf(10) ** (1 - mp.mp.dps)
+
+
+@lru_cache(maxsize=16)
+def _budget(prec: Precision) -> tuple[mp.mpf, mp.mpf]:  # _integrate's (10^-k / 2, 10^(2 - dps)), k prec's target
+    with mp.workdps(prec.working_dps):
+        return mp.mpf(10) ** -prec.target_digits / 2, mp.mpf(10) ** (2 - mp.mp.dps)
 
 
 def _f_slope(v: Fraction, t: mp.mpf, prec: int) -> tuple[mp.mpf, mp.mpf]:
@@ -875,12 +881,23 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
     the power base of every rung it climbs, and no later call evaluates,
     weighs, divides or squares what is held: a warm nu = 1 sweep point
     takes about 0.37 of the time it takes with node values held (medians
-    in one process, n = 23..37 at cutoff_mult 6).  If any n misses its
+    in one process, n = 23..37 at cutoff_mult 6).  The cutoff's (amp, X),
+    the tail bound's factors free of n and _integrate's budget constants are
+    memoised as well, so a warm point forms only what depends on its n:
+    bessel-quad's op_p50_s read 0.00073-0.00076 s against 0.00080-0.00084 s
+    with them formed on every call (10 pairs of 20 s runs).  If any n misses its
     target, the PrecisionFailure of the first such n in ns is raised, after
     the others are memoised.  The cutoff is checked as in bessel_integral.
     """
     prec = prec or Precision()
     cutoff_mult = float(cutoff_mult)
+    amp, X = _cutoff(nu, prec, cutoff_mult)
+    return _memoised(("bessel", nu, prec, cutoff_mult), ns, lambda todo: _bessel_estimates(nu, todo, prec, X, amp))
+
+
+@lru_cache(maxsize=64)  # lru_cache stores no exception, so a refused cutoff raises on every call
+def _cutoff(nu: Nu, prec: Precision, cutoff_mult: float) -> tuple[mp.mpf, mp.mpf]:
+    """(amp, X), amp = 2^nu Gamma(nu+1) and X = cutoff_mult amp at the working precision, once X is checked."""
     with mp.workdps(prec.working_dps):
         amp = amplitude(nu)
         X = cutoff_mult * amp
@@ -888,16 +905,18 @@ def bessel_integrals(nu: Nu, ns: Iterable[int], prec: Precision | None = None,
             raise ValueError(f"the cutoff X = cutoff_mult 2^nu Gamma(nu+1) = {mp.nstr(X, 6)} at nu = {nu} "
                              f"is above X_MAX = {X_MAX}" if X_MAX < X < mp.inf
                              else f"cutoff_mult = {cutoff_mult} must be finite and at least 1")
-    return _memoised(("bessel", nu, prec, cutoff_mult), ns, lambda todo: _bessel_estimates(nu, todo, prec, X, amp))
+    return amp, X
 
 
-# The last Bessel family, one entry: {(v, X, any n >= 3, wdps): [bounds, pieces, nodes]}.
+# The last Bessel family, one entry: {(v, X, any n >= 3, wdps): [bounds, pieces, nodes, nu]},
+# nu the mpf of v at wdps.
 # nodes, the ladder's power bases (weights floored to about wp bits, node ratios, and the
 # ratios' and the largest node value's squares so far), is None on the family's first call
 # and held from its second consecutive call on, so a warm call neither evaluates, weighs,
 # divides nor squares again (bessel-quad's op_p50_s, a warm nu = 1 point: 0.00177 s with
 # node values held, 0.00096 s with bases, 0.00079 s since they floor their weights and hold
-# the largest node value's squares; 10 pairs of 20 s runs each).
+# the largest node value's squares, 0.00075 s since nu, the cutoff, the tail bound's factors
+# free of n and the budget constants are held too; 10 pairs of 20 s runs each).
 # Another family's call replaces the entry, so only a family called again pays for their
 # memory: node values held from the first call would keep every one-shot family's (one eval
 # line, one 16-piece batch) until the next, and read 26.14-26.56 MB against 25.51-25.54 MB
@@ -913,7 +932,6 @@ def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision, X: mp.mpf,
     p, q = v.numerator, v.denominator
     wdps = prec.working_dps
     with mp.workdps(wdps):
-        nv = to_mpf(v)
         key = v, X, max(ns) > 2, wdps
         family = _FAMILY.get(key)
         if family is None:
@@ -936,10 +954,10 @@ def _bessel_estimates(nu: Nu, ns: list[int], prec: Precision, X: mp.mpf,
             pieces: list[Piece] = [(mp.mpf(0), 2 * half_y, first)]
             pieces += [direct(a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
             _FAMILY.clear()
-            family = _FAMILY[key] = [bounds, pieces, None]
+            family = _FAMILY[key] = [bounds, pieces, None, to_mpf(v)]
         elif family[2] is None:
             family[2] = {}
-        bounds, pieces, nodes = family
+        bounds, pieces, nodes, nv = family
         every = range(len(pieces))
         setups = {}
         for n in ns:

@@ -286,6 +286,21 @@ class TestAmplitude:
                         assert amplitude(nu)._mpf_ == fresh[dps]
 
 
+def one_shot_tail_bound(nu: Nu, n: int, X, digits: int) -> mp.mpf:
+    """bessel_tail_bound as one formula with no memo, the reference for its memoised
+    n-free factors: n^nu (amp c)^n X^expo / denom at digits + 10 digits."""
+    with mp.workdps(digits + 10):
+        nv = to_mpf(nu.value)
+        amp = mp.power(2, nv) * mp.gamma(nv + 1)
+        Xv = mp.mpf(X)
+        if not Xv >= amp * (1 - mp.mpf(10) ** -digits):
+            raise ValueError("cutoff below 2^nu Gamma(nu+1)")
+        c = to_mpf(bessel.LANDAU_BOUND_C)
+        expo = -(nv + mp.mpf(1) / 3) * n + 2 * nv
+        denom = (nv + mp.mpf(1) / 3) * n - 2 * nv
+        return +(mp.power(n, nv) * mp.power(amp * c, n) * mp.power(Xv, expo) / denom)
+
+
 class TestTailBound:
     def test_monotone_in_cutoff(self):
         nu = Nu(Fraction(1))
@@ -311,6 +326,47 @@ class TestTailBound:
         with pytest.raises(ValueError, match="cutoff below"):
             bessel_tail_bound(Nu(Fraction(1)), 5, mp.nan)
         assert bessel_tail_bound(Nu(Fraction(1)), 5, mp.inf) == 0
+
+    @pytest.mark.parametrize("digits", [30, 45])
+    @pytest.mark.parametrize("v", CLOSED_FORM_NUS, ids=format_rational)
+    def test_memo_is_transparent(self, v, digits):
+        # the factors free of n come from a memo keyed by (nu, X, digits): from a
+        # cleared memo, every n of each sweep gets the one-shot formula's bits, and a
+        # cutoff below the amplitude (12 for nu >= 5/2) is refused by both
+        nu = Nu(v)
+        with mp.workdps(digits):
+            cutoffs = [amplitude(nu), 12, 50, 192, mp.inf]
+        bessel._tail_factors.cache_clear()
+        for X in cutoffs:
+            for n in range(2, 61):
+                try:
+                    want = one_shot_tail_bound(nu, n, X, digits)._mpf_
+                except ValueError:
+                    with pytest.raises(ValueError, match="cutoff below"):
+                        bessel_tail_bound(nu, n, X, digits)
+                else:
+                    assert bessel_tail_bound(nu, n, X, digits)._mpf_ == want, (X, n)
+
+    def test_memo_gives_fresh_bits_at_each_precision(self):
+        # as amplitude's memo: at 30 and 55 digits, in either order, each call gets
+        # the bits the one-shot formula has at its own digits
+        for nu in (Nu(Fraction(3, 2)), Nu(Fraction(7, 3))):
+            fresh = {digits: one_shot_tail_bound(nu, 9, 50, digits)._mpf_ for digits in (30, 55)}
+            assert fresh[30] != fresh[55]
+            for order in ((30, 55), (55, 30)):
+                bessel._tail_factors.cache_clear()
+                bessel._amplitude.cache_clear()
+                for digits in order + order:
+                    assert bessel_tail_bound(nu, 9, 50, digits)._mpf_ == fresh[digits]
+
+    def test_refused_on_every_call(self):
+        # the memo stores no exception: a nan cutoff, and one below the amplitude
+        # (2^(7/3) Gamma(10/3) = 14.0), raise cold and warm alike
+        bessel._tail_factors.cache_clear()
+        for nu, X in ((Nu(Fraction(1)), mp.nan), (Nu(Fraction(7, 3)), 10)):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="cutoff below"):
+                    bessel_tail_bound(nu, 4, X)
 
     def test_cutoff_at_the_amplitude(self):
         # bessel_integral forms X = cutoff_mult 2^nu Gamma(nu+1) at the working

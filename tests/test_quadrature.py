@@ -602,6 +602,21 @@ class TestBesselClosedForms:
         with pytest.raises(ValueError, match="finite"):
             bessel_integral(ONE, 5, cutoff_mult=cutoff_mult)
 
+    @pytest.mark.parametrize("cutoff_mult, message", [
+        (math.nan, "cutoff_mult = nan must be finite and at least 1"),
+        (math.inf, "cutoff_mult = inf must be finite and at least 1"),
+        (0.5, "cutoff_mult = 0.5 must be finite and at least 1"),
+        (1e4, "the cutoff X = cutoff_mult 2^nu Gamma(nu+1) = 20000.0 at nu = 1 is above X_MAX = 1024")])
+    def test_cutoff_refused_on_every_call(self, monkeypatch, cutoff_mult, message):
+        # (amp, X) comes from a memo, which stores no exception: a refused cutoff
+        # raises cold and warm alike, each time before the estimates' memo is read
+        monkeypatch.setattr(quadrature, "_memoised", lambda *args: pytest.fail("memo read"))
+        quadrature._cutoff.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError) as refused:
+                bessel_integral(ONE, 5, cutoff_mult=cutoff_mult)
+            assert str(refused.value) == message
+
     @pytest.mark.parametrize("cutoff_mult", [quadrature.X_MAX / 2 + 0.5, 1e4, 1e8])
     def test_cutoff_mult_above_limit_rejected(self, cutoff_mult):
         # at nu = 1, X = 2 cutoff_mult; at 1e4 the search would walk thousands
@@ -1668,10 +1683,10 @@ class TestBatchWork:
         _MEMO.clear()
         _FAMILY.clear()
         bessel_integral(ONE, 23, cutoff_mult=6)
-        (_, pieces, nodes), = _FAMILY.values()
+        (_, pieces, nodes, _), = _FAMILY.values()
         assert nodes is None and len(pieces) == 4
         bessel_integral(ONE, 24, cutoff_mult=6)
-        (_, held, nodes), = _FAMILY.values()
+        (_, held, nodes, _), = _FAMILY.values()
         assert held is pieces
         assert sorted(nodes) == [(i, order) for i in range(4) for order in (16, 32, 64)]
         assert all(isinstance(base, PowerBase) and len(base.chain) == 5 for base in nodes.values())
@@ -1691,22 +1706,30 @@ class TestBatchWork:
         # a warm nu = 1 sweep point, the store holding every rung's power base: its 12
         # power sums (4 pieces, rules of 16, 32 and 64 nodes) take c^n from each base's
         # chain, never from mpf_pow_int, and amplitude, read at the working precision
-        # and at the tail bound's, comes from its memo, not from mp.gamma.  Every held
-        # weight is floored to about wp bits at the largest h
+        # and at the tail bound's, comes from its memo, not from mp.gamma.  Nothing free
+        # of n is formed again: no to_mpf call, and outside the power sums only n^nu,
+        # at the working precision and at the tail bound's, and the tail bound's
+        # (amp c)^n call mpf_pow_int.  Every held weight is floored to about wp bits at
+        # the largest h
         _MEMO.clear()
         _FAMILY.clear()
         for n in (23, 24):
             bessel_integral(ONE, n, cutoff_mult=6)
         names = {power_sum.__code__: "power_sum", libmpf.mpf_pow_int.__code__: "mpf_pow_int",
-                 gammazeta.mpf_gamma.__code__: "mpf_gamma"}
+                 gammazeta.mpf_gamma.__code__: "mpf_gamma", to_mpf.__code__: "to_mpf"}
         calls = dict.fromkeys(names.values(), 0)
+        exponents = []  # of each mpf_pow_int call outside the power sums
 
         def count(frame, event, arg):
             name = names.get(frame.f_code) if event == "call" else None
-            if name == "mpf_pow_int":  # counted only inside a power sum
-                while frame and frame.f_code is not power_sum.__code__:
-                    frame = frame.f_back
-            if name and frame:
+            if name == "mpf_pow_int":  # counted inside a power sum; outside, its exponent is kept
+                outer = frame
+                while outer and outer.f_code is not power_sum.__code__:
+                    outer = outer.f_back
+                if outer is None:
+                    exponents.append(frame.f_locals["n"])
+                    name = None
+            if name:
                 calls[name] += 1
 
         sys.setprofile(count)
@@ -1714,8 +1737,9 @@ class TestBatchWork:
             bessel_integral(ONE, 25, cutoff_mult=6)
         finally:
             sys.setprofile(None)
-        assert calls == {"power_sum": 12, "mpf_pow_int": 0, "mpf_gamma": 0}
-        (_, _, nodes), = _FAMILY.values()
+        assert calls == {"power_sum": 12, "mpf_pow_int": 0, "mpf_gamma": 0, "to_mpf": 0}
+        assert sorted(exponents) == [1, 1, 25]
+        (_, _, nodes, _), = _FAMILY.values()
         for base in nodes.values():
             widths = [g.bit_length() for g in base.gs]
             spread = max(widths) - widths[base.chain[0].index(1 << base.W)]  # over the first node at c
